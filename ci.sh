@@ -150,6 +150,22 @@ assert rps[2.0] >= 0.8 * rps[1.0], \
 print(f"goodput req/s 1x -> 2x offered: {rps[1.0]} -> {rps[2.0]}")
 PY
 
+# Codec gate: the DEFLATE/CRC kernels (DESIGN.md §15) against the
+# hand-derived golden vectors, the bit-at-a-time differential oracle and
+# the pinned encoder corpus; both decompression-bomb regressions; the
+# byte pins (BGZF level-6 output and v1 shards byte-stable, v2 shards
+# size-monotone); the never-panics corpus with the bomb shapes in it;
+# and no `unsafe` anywhere in the codec or the shard layouts.
+echo "==> codec (golden vectors, differential oracle, bombs, byte pins, no unsafe)"
+cargo test --quiet -p ngs-bgzf --test golden --test proptest_codec --test corrupt_input
+cargo test --quiet -p ngs-bamx --test corrupt_input
+cargo test --quiet -p ngs-repro --test codec_pins
+cargo test --quiet -p ngs-fault --test decode_never_panics
+if grep -rn "unsafe" crates/bgzf/src crates/bamx/src; then
+    echo "unsafe is not allowed in crates/bgzf/src or crates/bamx/src" >&2
+    exit 1
+fi
+
 # BAMX v2 smoke: columnar-layout acceptance (DESIGN.md §14). The
 # corruption and byte-identity suites run in the workspace tests above;
 # here the v2 chaos sweep runs end to end and a smoke-scale

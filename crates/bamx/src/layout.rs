@@ -10,7 +10,7 @@
 
 use ngs_formats::error::{Error, Result};
 use ngs_formats::record::AlignmentRecord;
-use ngs_formats::bam::encode_tags;
+use ngs_formats::bam::encoded_tags_len;
 
 /// Size of the fixed (non-padded) portion of a BAMX record.
 pub const FIXED_FIELDS_SIZE: usize = 2  // flag
@@ -58,7 +58,7 @@ impl BamxLayout {
         }
         self.max_cigar_ops = self.max_cigar_ops.max(record.cigar.len() as u16);
         self.max_seq = self.max_seq.max(record.seq.len() as u32);
-        let tag_len = encode_tags(&record.tags)?.len();
+        let tag_len = encoded_tags_len(&record.tags)?;
         self.max_tags = self.max_tags.max(tag_len as u32);
         Ok(())
     }

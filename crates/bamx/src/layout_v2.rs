@@ -42,7 +42,7 @@ use std::path::Path;
 
 use ngs_bgzf::crc32::crc32;
 use ngs_bgzf::deflate::{deflate, Options};
-use ngs_bgzf::inflate::inflate;
+use ngs_bgzf::inflate::Inflater;
 use ngs_bgzf::ReadAt;
 use ngs_formats::bam::{decode_header, decode_tags, encode_header, encode_tags};
 use ngs_formats::cigar::{Cigar, CigarOp};
@@ -551,6 +551,8 @@ impl V2Reader {
             Error::InvalidRecord(format!("v2 block {b} out of range ({})", self.blocks.len()))
         })?;
         let mut out: [Option<Vec<u8>>; N_COLUMNS] = Default::default();
+        // Decoder tables are scratch shared by this call's streams.
+        let mut inflater = Inflater::new();
         let mut decoded_bytes = 0u64;
         let mut skipped = 0u64;
         for kind in ColumnKind::ALL {
@@ -588,26 +590,21 @@ impl V2Reader {
                         ),
                     ));
                 }
-                let inflated = inflate(&stream[4..], raw_len as usize).map_err(|e| {
+                // Inflate into exactly the declared (and capped) size: a
+                // body that outruns or falls short of its prefix is corrupt
+                // at that byte, never an allocation the prefix did not buy.
+                let mut inflated = vec![0u8; raw_len as usize];
+                inflater.inflate_exact(&stream[4..], &mut inflated).map_err(|e| {
                     Error::decode(
                         DecodeErrorKind::Corrupt,
                         off,
                         &self.context,
-                        format!("'{}' stream of block {b}: {e}", kind.name()),
+                        format!(
+                            "'{}' stream of block {b} (prefix says {raw_len} raw bytes): {e}",
+                            kind.name()
+                        ),
                     )
                 })?;
-                if inflated.len() as u64 != raw_len {
-                    return Err(Error::decode(
-                        DecodeErrorKind::Corrupt,
-                        off,
-                        &self.context,
-                        format!(
-                            "'{}' stream of block {b} inflated to {} bytes, prefix said {raw_len}",
-                            kind.name(),
-                            inflated.len()
-                        ),
-                    ));
-                }
                 inflated
             } else {
                 stream

@@ -508,6 +508,7 @@ impl ShardRepo {
             for e in entries {
                 m.entries.insert(e.name.clone(), e);
             }
+            true
         })?;
         if let Some(c) = obs::counters() {
             c.published.add(published);
@@ -523,6 +524,7 @@ impl ShardRepo {
     pub fn remove(&self, name: &str) -> Result<()> {
         self.update_manifest(|m| {
             m.entries.remove(name);
+            true
         })?;
         match self.fs.remove_file(&self.dir.join(name)) {
             Ok(()) => {}
@@ -535,19 +537,28 @@ impl ShardRepo {
         Ok(())
     }
 
-    /// Sets a metadata key in the manifest (atomic rewrite).
+    /// Sets a metadata key in the manifest (atomic rewrite). A key that
+    /// already holds `value` is left alone: no temp file, no fsync, the
+    /// manifest file untouched.
     pub fn set_meta(&self, key: &str, value: &str) -> Result<()> {
-        let (key, value) = (key.to_string(), value.to_string());
         self.update_manifest(|m| {
-            m.meta.insert(key, value);
+            if m.meta.get(key).map(String::as_str) == Some(value) {
+                return false;
+            }
+            m.meta.insert(key.to_string(), value.to_string());
+            true
         })
     }
 
-    fn update_manifest(&self, mutate: impl FnOnce(&mut Manifest)) -> Result<()> {
+    /// Read-modify-write of the manifest under the repository lock;
+    /// `mutate` returns whether anything changed and so needs writing.
+    fn update_manifest(&self, mutate: impl FnOnce(&mut Manifest) -> bool) -> Result<()> {
         let _guard = self.lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let mut manifest = self.manifest()?;
-        mutate(&mut manifest);
-        self.write_manifest(&manifest)
+        if mutate(&mut manifest) {
+            self.write_manifest(&manifest)?;
+        }
+        Ok(())
     }
 
     /// Stages, seals, and records a whole in-memory artifact. The layout
@@ -943,6 +954,36 @@ mod tests {
         assert_eq!(m.entries.len(), 1);
         assert_eq!(m.entry("a.bin").unwrap().len, 11);
         assert!(repo.contains_verified("a.bin"));
+    }
+
+    #[test]
+    fn no_op_set_meta_leaves_the_manifest_file_alone() {
+        let dir = tempfile::tempdir().unwrap();
+        let repo = ShardRepo::create(dir.path()).unwrap();
+        repo.set_meta("format", "v2").unwrap();
+        repo.publish_bytes("a.bin", b"x").unwrap();
+        let path = dir.path().join(MANIFEST_NAME);
+        let stat = |p: &Path| {
+            let m = std::fs::metadata(p).unwrap();
+            use std::os::unix::fs::MetadataExt;
+            (m.ino(), m.modified().unwrap())
+        };
+        let (bytes, before) = (std::fs::read(&path).unwrap(), stat(&path));
+        // A rewrite goes temp -> rename, which always changes the inode,
+        // however coarse the filesystem's mtime.
+        repo.set_meta("format", "v2").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(stat(&path), before, "no-op set_meta rewrote the manifest");
+        assert!(!dir.path().join(format!(".{MANIFEST_NAME}.tmp")).exists());
+        // A real change still lands, and keeps everything else.
+        repo.set_meta("format", "v1").unwrap();
+        assert_ne!(stat(&path), before);
+        let m = repo.manifest().unwrap();
+        assert_eq!(m.meta["format"], "v1");
+        assert!(m.entry("a.bin").is_some());
+        // A new key with an empty value is a change, not a no-op.
+        repo.set_meta("note", "").unwrap();
+        assert_eq!(repo.manifest().unwrap().meta["note"], "");
     }
 
     #[test]

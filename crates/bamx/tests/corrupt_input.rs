@@ -250,3 +250,99 @@ fn bamx_single_byte_flips_never_panic() {
         }
     }
 }
+
+/// The DEFLATE bomb of `crates/bgzf/tests/corrupt_input.rs` (derivation
+/// there): a 14-byte dynamic-block head, then 1032 bytes of output per
+/// zero byte appended, then the end-of-block byte.
+fn deflate_bomb(zero_bytes: usize) -> Vec<u8> {
+    let mut s =
+        vec![0xed, 0xc0, 0x81, 0x00, 0x00, 0x00, 0x00, 0x80, 0x20, 0xed, 0xf1, 0x17, 0xa9, 0x00];
+    s.resize(14 + zero_bytes, 0);
+    s.push(0x06);
+    s
+}
+
+/// `(offset, length)` of the `qual` stream of block 0 of a v2 shard, read
+/// off the documented framing: trailer = footer CRC u32 + n_blocks u64 +
+/// footer offset u64 + n_records u64; footer entry = block offset u64 +
+/// n_records u32 + first key u64 + eight stream lengths u32 in column
+/// order (flags, pos, mate, qname, cigar, seq, qual, tags).
+fn v2_qual_stream(shard: &[u8]) -> (usize, usize) {
+    let n = shard.len();
+    let footer = u64::from_le_bytes(shard[n - 16..n - 8].try_into().unwrap()) as usize;
+    let block = u64::from_le_bytes(shard[footer..footer + 8].try_into().unwrap()) as usize;
+    let lens: Vec<usize> = (0..8)
+        .map(|k| {
+            let at = footer + 20 + 4 * k;
+            u32::from_le_bytes(shard[at..at + 4].try_into().unwrap()) as usize
+        })
+        .collect();
+    (block + lens[..6].iter().sum::<usize>(), lens[6])
+}
+
+/// ISSUE 22 bugfix: `read_columns` passed a deflated column's `raw_len`
+/// prefix to `inflate` purely as a capacity hint and compared lengths
+/// afterwards, so a body that outran its prefix was inflated in full —
+/// unbounded, for a stream that may be up to 4 GiB on disk. The decoder
+/// now inflates into exactly `raw_len` bytes: a `qual` stream swapped for
+/// a bomb (same on-disk length, honest-looking prefix, ~1 MB of output
+/// per KiB of body) is a typed `Corrupt` at the first byte too many, with
+/// the shard context and the stream's offset kept.
+#[test]
+fn bamx_v2_stream_outrunning_its_raw_len_is_typed_corrupt() {
+    let dir = tempdir().unwrap();
+    let path = dir.path().join("bomb2.bamx");
+    // Varied qualities, so the honest stream is long enough to host the bomb.
+    let recs: Vec<_> = (0..600usize)
+        .map(|i| {
+            let qual: String =
+                (0..10).map(|k| (b'#' + ((i * 7 + k * 13 + i * k) % 60) as u8) as char).collect();
+            let line =
+                format!("read{i}\t0\tchr1\t{}\t60\t10M\t*\t0\t0\tACGTACGTAC\t{qual}", 100 + i * 7);
+            sam::parse_record(line.as_bytes(), 1).unwrap()
+        })
+        .collect();
+    write_bamx_file_versioned(&path, &header(), &recs, BamxCompression::Plain, BamxVersion::V2).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let (at, len) = v2_qual_stream(&good);
+    let raw_len = u32::from_le_bytes(good[at..at + 4].try_into().unwrap()) as usize;
+    assert_eq!(raw_len, 600 * 11, "qual column: varint length + ten bytes per record");
+    assert!(len > 4 + 15 + 100, "honest qual stream of {len} bytes cannot host the bomb");
+
+    // Keep the prefix; replace the body by a bomb padded (after its final
+    // block, where a decoder stops reading) to the same on-disk length.
+    let mut bomb = deflate_bomb(100);
+    bomb.resize(len - 4, 0);
+    let mut bad = good.clone();
+    bad[at + 4..at + len].copy_from_slice(&bomb);
+    std::fs::write(&path, &bad).unwrap();
+
+    let f = BamxFile::open(&path).expect("framing and footer are untouched");
+    let err = f.read_range(0, f.len()).unwrap_err();
+    match &err {
+        ngs_formats::Error::Decode(d) => {
+            assert_eq!(d.kind, ngs_formats::error::DecodeErrorKind::Corrupt, "{err}");
+            assert_eq!(d.offset, at as u64, "{err}");
+            assert!(d.context.ends_with("bomb2.bamx"), "{err}");
+            assert!(d.detail.contains("'qual'") && d.detail.contains("outruns"), "{err}");
+        }
+        other => panic!("expected a typed decode error, got {other}"),
+    }
+    assert!(!err.is_transient());
+    // Projections that skip the column never touch the bomb.
+    assert_eq!(f.positions().unwrap().len(), 600);
+    assert!(f.read_range_projected(0, f.len(), ColumnSet::POSITIONS).is_ok());
+
+    // The mirror image: a body that ends short of its prefix.
+    let mut short = good.clone();
+    short[at..at + 4].copy_from_slice(&(raw_len as u32 + 1).to_le_bytes());
+    std::fs::write(&path, &short).unwrap();
+    let f = BamxFile::open(&path).unwrap();
+    match f.read_range(0, f.len()).unwrap_err() {
+        ngs_formats::Error::Decode(d) => {
+            assert_eq!(d.kind, ngs_formats::error::DecodeErrorKind::Corrupt);
+            assert!(d.detail.contains("short"), "{}", d.detail);
+        }
+        other => panic!("expected a typed decode error, got {other}"),
+    }
+}

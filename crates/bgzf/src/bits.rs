@@ -5,15 +5,21 @@
 
 use crate::error::{Error, Result};
 
-/// Reads bits LSB-first from a byte slice.
-#[derive(Debug)]
+/// Reads bits LSB-first from a byte slice through a 64-bit buffer.
+///
+/// The low `nbits` bits of the buffer are *counted*: they came from bytes
+/// before `pos`. Bits above them are either zero or a preview of the
+/// bytes at `pos` onward (a word-wide refill ORs in more than it counts),
+/// so peeking past `nbits` sees real upcoming data or zero padding, never
+/// garbage, and a later refill ORs the same values over the preview.
+#[derive(Debug, Clone, Copy)]
 pub struct BitReader<'a> {
     data: &'a [u8],
     /// Next byte to refill from.
     pos: usize,
-    /// Bit accumulator; bits are consumed from the low end.
+    /// Bit buffer; bits are consumed from the low end.
     acc: u64,
-    /// Number of valid bits in `acc`.
+    /// Number of counted bits in `acc`.
     nbits: u32,
 }
 
@@ -23,13 +29,66 @@ impl<'a> BitReader<'a> {
         BitReader { data, pos: 0, acc: 0, nbits: 0 }
     }
 
+    /// True while a whole 8-byte word is left to refill from, i.e. while
+    /// [`Self::refill_word`] may be called.
+    #[inline(always)]
+    pub fn has_word(&self) -> bool {
+        self.data.len() - self.pos >= 8
+    }
+
+    /// One 64-bit load: tops the buffer up to 56..=63 counted bits.
+    /// Requires [`Self::has_word`].
+    #[inline(always)]
+    pub fn refill_word(&mut self) {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&self.data[self.pos..self.pos + 8]);
+        self.acc |= u64::from_le_bytes(word) << self.nbits;
+        self.pos += ((63 - self.nbits) >> 3) as usize;
+        self.nbits |= 56;
+    }
+
+    /// Tops the buffer up as far as the input allows: to at least 56
+    /// counted bits, or to everything that is left.
     #[inline]
-    fn refill(&mut self) {
+    pub fn refill(&mut self) {
+        if self.has_word() {
+            self.refill_word();
+            return;
+        }
         while self.nbits <= 56 && self.pos < self.data.len() {
             self.acc |= (self.data[self.pos] as u64) << self.nbits;
             self.pos += 1;
             self.nbits += 8;
         }
+    }
+
+    /// The bit buffer; its low [`Self::available`] bits are counted, the
+    /// rest is a preview or zero.
+    #[inline(always)]
+    pub fn peek(&self) -> u64 {
+        self.acc
+    }
+
+    /// Number of counted bits in the buffer.
+    #[inline(always)]
+    pub fn available(&self) -> u32 {
+        self.nbits
+    }
+
+    /// Drops `n` counted bits (`n` ≤ [`Self::available`]).
+    #[inline(always)]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(self.nbits >= n, "consume past counted bits");
+        self.acc >>= n;
+        self.nbits -= n;
+    }
+
+    /// Takes `n` bits (0..=32) the caller knows are counted.
+    #[inline(always)]
+    pub fn take(&mut self, n: u32) -> u32 {
+        let v = (self.acc & ((1u64 << n) - 1)) as u32;
+        self.consume(n);
+        v
     }
 
     /// Reads `n` bits (0..=32), returning them in the low bits of the result.
@@ -42,11 +101,7 @@ impl<'a> BitReader<'a> {
                 return Err(Error::UnexpectedEof);
             }
         }
-        let mask = if n == 32 { u64::MAX >> 32 } else { (1u64 << n) - 1 };
-        let v = (self.acc & mask) as u32;
-        self.acc >>= n;
-        self.nbits -= n;
-        Ok(v)
+        Ok(self.take(n))
     }
 
     /// Reads a single bit.
@@ -55,61 +110,26 @@ impl<'a> BitReader<'a> {
         self.read_bits(1)
     }
 
-    /// Peeks up to `n` bits without consuming them, zero-padded past EOF.
-    /// Returns `(bits, available)` where `available ≤ n` is how many of
-    /// the returned bits are real.
-    #[inline]
-    pub fn peek_bits(&mut self, n: u32) -> (u32, u32) {
-        debug_assert!(n <= 32);
-        if self.nbits < n {
-            self.refill();
-        }
-        let avail = self.nbits.min(n);
-        let mask = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-        ((self.acc & mask) as u32, avail)
-    }
-
-    /// Consumes `n` bits previously seen via [`Self::peek_bits`].
-    #[inline]
-    pub fn consume(&mut self, n: u32) {
-        debug_assert!(self.nbits >= n, "consume past peeked bits");
-        self.acc >>= n;
-        self.nbits -= n;
-    }
-
-    /// Discards bits so the reader is aligned to the next byte boundary.
+    /// Discards bits up to the next byte boundary of the input and hands
+    /// every whole buffered byte back to it, leaving the buffer empty.
     pub fn align_to_byte(&mut self) {
-        let drop = self.nbits % 8;
-        self.acc >>= drop;
-        self.nbits -= drop;
+        self.pos -= (self.nbits / 8) as usize;
+        self.acc = 0;
+        self.nbits = 0;
     }
 
-    /// Copies `len` bytes from the (byte-aligned) stream into `out`.
-    ///
-    /// Must be called on a byte boundary (after [`Self::align_to_byte`]).
-    pub fn read_aligned_bytes(&mut self, out: &mut Vec<u8>, len: usize) -> Result<()> {
-        debug_assert_eq!(self.nbits % 8, 0, "reader must be byte-aligned");
-        let mut remaining = len;
-        // Drain whole bytes buffered in the accumulator first.
-        while remaining > 0 && self.nbits >= 8 {
-            out.push((self.acc & 0xFF) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
-            remaining -= 1;
-        }
-        if remaining > 0 {
-            let avail = self.data.len() - self.pos;
-            if avail < remaining {
-                return Err(Error::UnexpectedEof);
-            }
-            out.extend_from_slice(&self.data[self.pos..self.pos + remaining]);
-            self.pos += remaining;
-        }
-        Ok(())
+    /// Takes the next `len` bytes of the input as a slice. Must follow
+    /// [`Self::align_to_byte`].
+    pub fn take_aligned(&mut self, len: usize) -> Result<&'a [u8]> {
+        debug_assert_eq!(self.nbits, 0, "reader must be byte-aligned");
+        let data: &'a [u8] = self.data;
+        let bytes = data.get(self.pos..).and_then(|rest| rest.get(..len)).ok_or(Error::UnexpectedEof)?;
+        self.pos += len;
+        Ok(bytes)
     }
 
-    /// Number of whole bytes consumed from the underlying slice, counting
-    /// buffered-but-unread bits as consumed only when fully used.
+    /// Number of input bytes the bits consumed so far reach into: whole
+    /// buffered bytes do not count, a partly consumed byte does.
     pub fn bytes_consumed(&self) -> usize {
         self.pos - (self.nbits as usize) / 8
     }
@@ -120,6 +140,7 @@ impl<'a> BitReader<'a> {
 pub struct BitWriter {
     out: Vec<u8>,
     acc: u64,
+    /// Bits pending in `acc`; below 32 between calls.
     nbits: u32,
 }
 
@@ -134,16 +155,8 @@ impl BitWriter {
         BitWriter { out: Vec::with_capacity(cap), acc: 0, nbits: 0 }
     }
 
-    #[inline]
-    fn flush_acc(&mut self) {
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xFF) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
-        }
-    }
-
-    /// Writes the low `n` bits of `v` (LSB-first), `n <= 32`.
+    /// Writes the low `n` bits of `v` (LSB-first), `n <= 32`. Output
+    /// leaves the accumulator a whole 32-bit word at a time.
     #[inline]
     pub fn write_bits(&mut self, v: u32, n: u32) {
         debug_assert!(n <= 32);
@@ -151,17 +164,19 @@ impl BitWriter {
         self.acc |= (v as u64) << self.nbits;
         self.nbits += n;
         if self.nbits >= 32 {
-            self.flush_acc();
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
     /// Pads with zero bits to the next byte boundary.
     pub fn align_to_byte(&mut self) {
-        let pad = (8 - self.nbits % 8) % 8;
-        if pad > 0 {
-            self.write_bits(0, pad);
+        while self.nbits > 0 {
+            self.out.push(self.acc as u8);
+            self.acc >>= 8;
+            self.nbits = self.nbits.saturating_sub(8);
         }
-        self.flush_acc();
     }
 
     /// Appends raw bytes; the writer must be byte-aligned.
@@ -239,9 +254,8 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         r.align_to_byte();
-        let mut out = Vec::new();
-        r.read_aligned_bytes(&mut out, 3).unwrap();
-        assert_eq!(out, b"xyz");
+        assert_eq!(r.take_aligned(3).unwrap(), b"xyz");
+        assert!(r.take_aligned(1).is_err());
     }
 
     #[test]
@@ -250,9 +264,8 @@ mod tests {
         let data = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10];
         let mut r = BitReader::new(&data);
         assert_eq!(r.read_bits(8).unwrap(), 1);
-        let mut out = Vec::new();
-        r.read_aligned_bytes(&mut out, 9).unwrap();
-        assert_eq!(out, &data[1..]);
+        r.align_to_byte();
+        assert_eq!(r.take_aligned(9).unwrap(), &data[1..]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::crc32::crc32;
 use crate::deflate::{deflate, Options};
 use crate::error::{Error, Result};
 use crate::gzip;
-use crate::inflate::inflate;
+use crate::inflate::Inflater;
 
 /// Maximum bytes of uncompressed payload per BGZF block. The format limits
 /// a whole block to 64 KiB; 65280 leaves headroom for incompressible data,
@@ -95,6 +95,22 @@ pub fn peek_block_size(data: &[u8]) -> Result<usize> {
 /// Decompresses one BGZF block at `data[0]`, verifying CRC and size.
 /// Returns `(payload, block_size)`.
 pub fn decompress_block(data: &[u8]) -> Result<(Vec<u8>, usize)> {
+    let mut payload = Vec::new();
+    let bsize = decompress_block_into(data, &mut Inflater::new(), &mut payload)?;
+    Ok((payload, bsize))
+}
+
+/// Decompresses one BGZF block at `data[0]`, appending its payload to
+/// `out`, with `inflater`'s scratch tables reused across calls. The
+/// payload is inflated into exactly the `ISIZE` bytes the trailer
+/// declares — a body that expands beyond them is corrupt at the first
+/// byte too many — and its CRC verified. Returns the block size; on error
+/// `out` is left as it was.
+pub fn decompress_block_into(
+    data: &[u8],
+    inflater: &mut Inflater,
+    out: &mut Vec<u8>,
+) -> Result<usize> {
     let bsize = peek_block_size(data)?;
     if data.len() < bsize {
         return Err(Error::UnexpectedEof);
@@ -103,7 +119,7 @@ pub fn decompress_block(data: &[u8]) -> Result<(Vec<u8>, usize)> {
     let trailer = &block[bsize - TRAILER_SIZE..];
     let isize = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
     // The spec bounds a block's uncompressed payload to 64 KiB, so a larger
-    // ISIZE is corruption — reject it before reserving the inflate buffer
+    // ISIZE is corruption — reject it before sizing the inflate buffer
     // rather than letting a flipped trailer drive a multi-GiB allocation.
     if isize as usize > 65536 {
         return Err(Error::Corrupt("ISIZE exceeds the 64 KiB BGZF block limit"));
@@ -112,17 +128,23 @@ pub fn decompress_block(data: &[u8]) -> Result<(Vec<u8>, usize)> {
     // header may in principle carry extra subfields, so re-parse its length.
     let xlen = u16::from_le_bytes([block[10], block[11]]) as usize;
     let body = &block[12 + xlen..bsize - TRAILER_SIZE];
-    let payload = inflate(body, isize as usize)?;
+    let start = out.len();
+    out.resize(start + isize as usize, 0);
     let expected_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let actual_crc = crc32(&payload);
-    if actual_crc != expected_crc {
-        return Err(Error::ChecksumMismatch { expected: expected_crc, actual: actual_crc });
+    let checked = inflater.inflate_exact(body, &mut out[start..]).and_then(|_| {
+        let actual_crc = crc32(&out[start..]);
+        if actual_crc == expected_crc {
+            Ok(())
+        } else {
+            Err(Error::ChecksumMismatch { expected: expected_crc, actual: actual_crc })
+        }
+    });
+    if let Err(e) = checked {
+        out.truncate(start);
+        return Err(e);
     }
-    if payload.len() != isize as usize {
-        return Err(Error::SizeMismatch { expected: isize, actual: payload.len() as u32 });
-    }
-    crate::obs::record_inflate(bsize, payload.len());
-    Ok((payload, bsize))
+    crate::obs::record_inflate(bsize, isize as usize);
+    Ok(bsize)
 }
 
 /// True if `data` ends with the canonical EOF marker block.

@@ -52,7 +52,7 @@ pub mod writer;
 
 pub use deflate::{deflate, Options, Strategy};
 pub use error::{Error, Result};
-pub use inflate::inflate;
+pub use inflate::{inflate, Inflater};
 pub use read_at::ReadAt;
 pub use reader::{decompress_parallel, decompress_sequential, BgzfReader};
 pub use voffset::VirtualOffset;

@@ -55,6 +55,28 @@ fn hash3(data: &[u8], i: usize) -> usize {
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize & (HASH_SIZE - 1)
 }
 
+/// Length of the common prefix of `a` and `b`, at most `b.len()`, eight
+/// bytes per step. `a` must be at least as long as `b`.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let a = &a[..b.len()];
+    let mut l = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let (mut wx, mut wy) = ([0u8; 8], [0u8; 8]);
+        wx.copy_from_slice(x);
+        wy.copy_from_slice(y);
+        let diff = u64::from_le_bytes(wx) ^ u64::from_le_bytes(wy);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < b.len() && a[l] == b[l] {
+        l += 1;
+    }
+    l
+}
+
 /// Hash-chain matcher over one input buffer.
 pub struct Matcher<'a> {
     data: &'a [u8],
@@ -79,83 +101,82 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// Finds the longest match for position `i`, if any.
-    fn longest_match(&self, i: usize) -> Option<(usize, usize)> {
+    /// Walks the chain of position `i` for the first candidate of each
+    /// strictly increasing length above `floor`, and returns the last one
+    /// found as `(length, distance)`. With `floor = MIN_MATCH - 1` that is
+    /// the longest match; a higher floor answers "is there anything longer
+    /// than what I already hold" and visits the same candidates in the
+    /// same order, so it ends on the same match whenever one exists.
+    fn longest_match(&self, i: usize, floor: usize) -> Option<(usize, usize)> {
         let data = self.data;
         if i + MIN_MATCH > data.len() {
             return None;
         }
         let max_len = MAX_MATCH.min(data.len() - i);
+        if floor >= max_len {
+            return None;
+        }
+        let target = &data[i..i + max_len];
         let window_floor = i.saturating_sub(WINDOW_SIZE);
-        let h = hash3(data, i);
-        let mut cand = self.head[h];
-        let mut best_len = MIN_MATCH - 1;
+        let mut cand = self.head[hash3(data, i)];
+        let mut best_len = floor;
         let mut best_dist = 0usize;
         let mut chain = self.params.max_chain;
         while cand >= 0 && (cand as usize) >= window_floor && chain > 0 {
             let c = cand as usize;
             debug_assert!(c < i);
-            let mut l = 0usize;
-            while l < max_len && data[c + l] == data[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
-                if l >= self.params.good_enough || l == max_len {
-                    break;
+            // Anything longer than the best so far agrees with the target
+            // at offset `best_len` (< max_len, or the search had stopped).
+            if data[c + best_len] == target[best_len] {
+                let l = common_prefix(&data[c..], target);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l >= self.params.good_enough || l == max_len {
+                        break;
+                    }
                 }
             }
             cand = self.prev[c];
             chain -= 1;
         }
-        if best_len >= MIN_MATCH {
-            Some((best_len, best_dist))
-        } else {
-            None
-        }
+        (best_dist != 0).then_some((best_len, best_dist))
     }
 
     /// Tokenizes the whole buffer, invoking `sink` for every token.
     pub fn tokenize(mut self, mut sink: impl FnMut(Token)) {
         let data = self.data;
         let n = data.len();
+        let lazy = self.params.lazy;
+        let good_enough = self.params.good_enough;
         let mut i = 0usize;
+        // The look-ahead of a deferred match is the search the next
+        // iteration would run (nothing is inserted in between).
+        let mut carried: Option<(usize, usize)> = None;
         while i < n {
-            let cur = self.longest_match(i);
-            match cur {
-                None => {
+            let cur = carried.take().or_else(|| self.longest_match(i, MIN_MATCH - 1));
+            let Some((len, dist)) = cur else {
+                sink(Token::Literal(data[i]));
+                self.insert(i);
+                i += 1;
+                continue;
+            };
+            self.insert(i);
+            // Lazy evaluation: if the next position has a strictly longer
+            // match, emit this byte as a literal instead.
+            if lazy && len < good_enough && i + 1 < n {
+                if let Some(next) = self.longest_match(i + 1, len) {
                     sink(Token::Literal(data[i]));
-                    self.insert(i);
                     i += 1;
-                }
-                Some((len, dist)) => {
-                    // Lazy evaluation: if the next position has a strictly
-                    // longer match, emit this byte as a literal instead.
-                    if self.params.lazy && len < self.params.good_enough && i + 1 < n {
-                        self.insert(i);
-                        if let Some((nlen, _)) = self.longest_match(i + 1) {
-                            if nlen > len {
-                                sink(Token::Literal(data[i]));
-                                i += 1;
-                                continue;
-                            }
-                        }
-                        sink(Token::Match { len: len as u16, dist: dist as u16 });
-                        // Position i already inserted; insert the rest.
-                        for k in (i + 1)..(i + len) {
-                            self.insert(k);
-                        }
-                        i += len;
-                        continue;
-                    }
-                    sink(Token::Match { len: len as u16, dist: dist as u16 });
-                    for k in i..(i + len) {
-                        self.insert(k);
-                    }
-                    i += len;
+                    carried = Some(next);
+                    continue;
                 }
             }
+            sink(Token::Match { len: len as u16, dist: dist as u16 });
+            for k in (i + 1)..(i + len) {
+                self.insert(k);
+            }
+            i += len;
         }
     }
 }

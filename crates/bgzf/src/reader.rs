@@ -4,8 +4,11 @@
 
 use std::io::{self, Read, Seek, SeekFrom};
 
-use crate::block::{decompress_block, has_eof_marker, peek_block_size, HEADER_SIZE};
+use crate::block::{
+    decompress_block, decompress_block_into, has_eof_marker, peek_block_size, HEADER_SIZE,
+};
 use crate::error::Result;
+use crate::inflate::Inflater;
 use crate::voffset::VirtualOffset;
 
 /// Reads a BGZF stream block by block, exposing the decompressed bytes via
@@ -23,6 +26,8 @@ pub struct BgzfReader<R> {
     cursor: usize,
     /// Scratch buffer for compressed block bytes.
     scratch: Vec<u8>,
+    /// Decoder tables, reused across blocks.
+    inflater: Inflater,
     eof: bool,
 }
 
@@ -36,6 +41,7 @@ impl<R: Read> BgzfReader<R> {
             payload: Vec::new(),
             cursor: 0,
             scratch: Vec::with_capacity(65536),
+            inflater: Inflater::new(),
             eof: false,
         }
     }
@@ -71,12 +77,14 @@ impl<R: Read> BgzfReader<R> {
         let bsize = peek_block_size(&self.scratch)?;
         self.scratch.resize(bsize, 0);
         self.inner.read_exact(&mut self.scratch[HEADER_SIZE..])?;
-        let (payload, used) = decompress_block(&self.scratch)?;
+        // Empty the payload first: a failed block must not leave the
+        // previous one readable.
+        self.payload.clear();
+        self.cursor = 0;
+        let used = decompress_block_into(&self.scratch, &mut self.inflater, &mut self.payload)?;
         debug_assert_eq!(used, bsize);
         self.block_coffset = self.next_coffset;
         self.next_coffset += bsize as u64;
-        self.payload = payload;
-        self.cursor = 0;
         // A zero-length payload is the EOF marker (or an empty block);
         // keep reading so empty interior blocks are transparent.
         Ok(true)
@@ -177,11 +185,10 @@ pub fn decompress_parallel(data: &[u8]) -> Result<Vec<u8>> {
 /// Sequentially decompresses an entire in-memory BGZF file.
 pub fn decompress_sequential(data: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
+    let mut inflater = Inflater::new();
     let mut pos = 0usize;
     while pos < data.len() {
-        let (payload, used) = decompress_block(&data[pos..])?;
-        out.extend_from_slice(&payload);
-        pos += used;
+        pos += decompress_block_into(&data[pos..], &mut inflater, &mut out)?;
     }
     Ok(out)
 }

@@ -17,7 +17,7 @@ use ngs_bgzf::block::{decompress_block, peek_block_size, EOF_MARKER};
 use ngs_bgzf::crc32::{crc32, Crc32};
 use ngs_bgzf::deflate::{deflate, Options, Strategy};
 use ngs_bgzf::gzip;
-use ngs_bgzf::inflate::{inflate, inflate_into};
+use ngs_bgzf::inflate::{inflate, inflate_into, Inflater};
 
 /// BFINAL=1, BTYPE=00, pad to the byte; LEN=0x0005, NLEN=0xFFFA; payload.
 const STORED: [u8; 10] = [0x01, 0x05, 0x00, 0xfa, 0xff, b'h', b'e', b'l', b'l', b'o'];
@@ -44,8 +44,9 @@ const DYNAMIC_PLAIN: &[u8] = b"abracadabra abracadabra!";
 
 /// Dynamic block whose literal/length code uses every length 1..=15:
 /// `a` has a 1-bit code (0), `b` 2 bits (10), … `n` 14 bits, and `o` and
-/// end-of-block the two 15-bit codes (1…10 and 1…11). Any table-driven
-/// decoder needs its second level for `m`, `n`, `o` and 256. HDIST=1 with
+/// end-of-block the two 15-bit codes (1…10 and 1…11). A table-driven
+/// decoder with a 10-bit primary index needs its second level for `k`
+/// through `o` and for 256. HDIST=1 with
 /// a zero-length code: no distance codes at all.
 const LONG_CODES: [u8; 54] = [
     0x05, 0xe0, 0x41, 0x96, 0x24, 0x49, 0x92, 0x65, 0x59, 0xae, 0xf5, 0xbe, 0x0f, 0x48, 0x2c, 0x6a,
@@ -152,6 +153,22 @@ fn every_vector_decodes_to_its_plaintext() {
         assert_eq!(used, stream.len(), "{name}: consumed");
         assert_eq!(&out[..6], b"prefix", "{name}");
         assert_eq!(&out[6..], &plain[..], "{name}");
+    }
+}
+
+#[test]
+fn every_vector_decodes_into_exactly_its_declared_size() {
+    // One decoder across all vectors: its scratch tables are rebuilt per
+    // dynamic block and must carry nothing over.
+    let mut inflater = Inflater::new();
+    for (name, stream, plain) in vectors() {
+        let mut out = vec![0u8; plain.len()];
+        assert_eq!(inflater.inflate_exact(&stream, &mut out).unwrap(), stream.len(), "{name}");
+        assert_eq!(out, plain, "{name}");
+        // Declared one byte short or one byte long, the stream is corrupt.
+        assert!(inflater.inflate_exact(&stream, &mut out[..plain.len() - 1]).is_err(), "{name}");
+        let mut long = vec![0u8; plain.len() + 1];
+        assert!(inflater.inflate_exact(&stream, &mut long).is_err(), "{name}");
     }
 }
 

@@ -17,13 +17,61 @@ use ngs_fault::{FaultPlan, FaultyFile, FaultyRead};
 use ngs_simgen::{Dataset, DatasetSpec};
 
 /// Pristine fixture bytes: (plain shard, bgzf shard, v2 shard, baix,
-/// bgzf file).
+/// bgzf file), plus the two decompression-bomb shapes of ISSUE 22.
 struct Fixtures {
     plain_bamx: Vec<u8>,
     bgzf_bamx: Vec<u8>,
     v2_bamx: Vec<u8>,
     baix: Vec<u8>,
     bgzf_file: Vec<u8>,
+    /// A BGZF file whose middle member declares ISIZE 512 over a body
+    /// that expands to ~67 MB.
+    bgzf_bomb: Vec<u8>,
+    /// `v2_bamx` with the `qual` stream of block 0 swapped for a body that
+    /// outruns its `raw_len` prefix ~100×.
+    v2_bomb: Vec<u8>,
+}
+
+/// The DEFLATE bomb of `crates/bgzf/tests/corrupt_input.rs` (derivation
+/// there): 1032 bytes of output per zero byte between head and tail.
+fn deflate_bomb(zero_bytes: usize) -> Vec<u8> {
+    let mut s =
+        vec![0xed, 0xc0, 0x81, 0x00, 0x00, 0x00, 0x00, 0x80, 0x20, 0xed, 0xf1, 0x17, 0xa9, 0x00];
+    s.resize(14 + zero_bytes, 0);
+    s.push(0x06);
+    s
+}
+
+/// One good member, the bomb member (small ISIZE, ≤ 64 KiB body), EOF.
+fn bgzf_bomb_file() -> Vec<u8> {
+    let body = deflate_bomb(65_000);
+    let mut file = ngs_bgzf::block::compress_block(b"before the bomb", ngs_bgzf::Options::default());
+    file.extend_from_slice(&[0x1f, 0x8b, 0x08, 0x04, 0, 0, 0, 0, 0, 0xff, 6, 0, b'B', b'C', 2, 0]);
+    file.extend_from_slice(&((18 + body.len() + 8 - 1) as u16).to_le_bytes());
+    file.extend_from_slice(&body);
+    file.extend_from_slice(&ngs_bgzf::crc32::crc32(&[b'x'; 512]).to_le_bytes());
+    file.extend_from_slice(&512u32.to_le_bytes());
+    file.extend_from_slice(&ngs_bgzf::block::EOF_MARKER);
+    file
+}
+
+/// Swaps the body of block 0's `qual` stream (offsets read off the
+/// documented v2 framing: trailer footer-offset field, 52-byte footer
+/// entries ending in eight u32 stream lengths) for a bomb of the same
+/// on-disk length, keeping the honest `raw_len` prefix.
+fn v2_bomb_shard(shard: &[u8]) -> Vec<u8> {
+    let n = shard.len();
+    let word = |at: usize| u32::from_le_bytes(shard[at..at + 4].try_into().unwrap()) as usize;
+    let footer = u64::from_le_bytes(shard[n - 16..n - 8].try_into().unwrap()) as usize;
+    let block = u64::from_le_bytes(shard[footer..footer + 8].try_into().unwrap()) as usize;
+    let at = block + (0..6).map(|k| word(footer + 20 + 4 * k)).sum::<usize>();
+    let len = word(footer + 20 + 4 * 6);
+    let mut bomb = deflate_bomb(len.saturating_sub(4 + 15).min(400));
+    assert!(bomb.len() + 4 <= len, "qual stream of {len} bytes cannot host the bomb");
+    bomb.resize(len - 4, 0);
+    let mut bad = shard.to_vec();
+    bad[at + 4..at + len].copy_from_slice(&bomb);
+    bad
 }
 
 fn fixtures() -> &'static Fixtures {
@@ -46,12 +94,15 @@ fn fixtures() -> &'static Fixtures {
             let sam = ds.to_sam_bytes();
             ngs_bgzf::compress_parallel(&sam, ngs_bgzf::Options::default())
         };
+        let v2_bamx = std::fs::read(&v2).unwrap();
         Fixtures {
             plain_bamx: std::fs::read(&plain).unwrap(),
             bgzf_bamx: std::fs::read(&bgzf).unwrap(),
-            v2_bamx: std::fs::read(&v2).unwrap(),
+            v2_bomb: v2_bomb_shard(&v2_bamx),
+            v2_bamx,
             baix: std::fs::read(&baix).unwrap(),
             bgzf_file,
+            bgzf_bomb: bgzf_bomb_file(),
         }
     })
 }
@@ -143,6 +194,34 @@ proptest! {
         let _ = ngs_bgzf::BgzfReader::new(reader).read_to_end(&mut out);
     }
 
+    /// The BGZF bomb, further corrupted: still no panic, and (bounded
+    /// decode) no expansion beyond what each member declares.
+    #[test]
+    fn bombed_bgzf_never_panics(seed in any::<u64>()) {
+        use std::io::Read;
+        let fx = fixtures();
+        let plan = FaultPlan::random(seed, fx.bgzf_bomb.len() as u64);
+        let bytes = plan.corrupt(&fx.bgzf_bomb);
+        if let Ok(out) = ngs_bgzf::decompress_sequential(&bytes) {
+            // Only a flip that defuses the bomb member lets the file decode.
+            prop_assert!(out.len() <= 3 * 65536);
+        }
+        let _ = ngs_bgzf::decompress_parallel(&bytes);
+        let mut out = Vec::new();
+        let reader = FaultyRead::new(&fx.bgzf_bomb[..], plan);
+        let _ = ngs_bgzf::BgzfReader::new(reader).read_to_end(&mut out);
+        prop_assert!(out.len() <= 3 * 65536);
+    }
+
+    /// The v2 column bomb, further corrupted, through the full BAMX sweep.
+    #[test]
+    fn bombed_v2_bamx_never_panics(seed in any::<u64>()) {
+        let fx = fixtures();
+        let plan = FaultPlan::random(seed, fx.v2_bomb.len() as u64);
+        drive_bamx(Box::new(plan.corrupt(&fx.v2_bomb)));
+        drive_bamx(Box::new(FaultyFile::new(fx.v2_bomb.clone(), plan)));
+    }
+
     /// Lossless plans (delivery faults only) must leave decode results
     /// byte-identical once retries exhaust the injected failures.
     #[test]
@@ -181,4 +260,26 @@ proptest! {
             clean.read_range(0, clean.len()).unwrap()
         );
     }
+}
+
+/// The two bomb shapes, uncorrupted: typed errors from every entry point,
+/// structural (quarantine, not retry), and the untouched parts of the
+/// shard still serve.
+#[test]
+fn bombs_are_typed_structural_errors() {
+    use std::io::Read;
+    let fx = fixtures();
+    assert!(ngs_bgzf::decompress_sequential(&fx.bgzf_bomb).is_err());
+    assert!(ngs_bgzf::decompress_parallel(&fx.bgzf_bomb).is_err());
+    assert!(ngs_bgzf::reader::validate(&fx.bgzf_bomb).unwrap(), "framing itself is well-formed");
+    let mut out = Vec::new();
+    assert!(ngs_bgzf::BgzfReader::new(&fx.bgzf_bomb[..]).read_to_end(&mut out).is_err());
+    assert_eq!(out, b"before the bomb");
+
+    let f = BamxFile::open_with(Box::new(fx.v2_bomb.clone()), "bomb").unwrap();
+    let err = f.read_range(0, f.len()).unwrap_err();
+    assert!(!err.is_transient(), "{err}");
+    assert!(err.to_string().contains("outruns"), "{err}");
+    assert!(f.read_range_projected(0, f.len(), ColumnSet::POSITIONS).is_ok());
+    drive_bamx(Box::new(fx.v2_bomb.clone()));
 }

@@ -178,6 +178,43 @@ pub fn encode_tags(tags: &[Tag]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// `encode_tags(tags)?.len()` without encoding: the layout pass reads
+/// only this length, once per record. Fails on the same tags
+/// [`encode_tags`] fails on.
+pub fn encoded_tags_len(tags: &[Tag]) -> Result<usize> {
+    let mut len = 0usize;
+    for t in tags {
+        // Key, type byte, then the value.
+        len += 3 + match &t.value {
+            TagValue::Char(_) => 1,
+            TagValue::Int(v) => {
+                let v = *v;
+                if i8::try_from(v).is_ok() || u8::try_from(v).is_ok() {
+                    1
+                } else if i16::try_from(v).is_ok() || u16::try_from(v).is_ok() {
+                    2
+                } else if i32::try_from(v).is_ok() || u32::try_from(v).is_ok() {
+                    4
+                } else {
+                    return Err(Error::InvalidTag(format!("integer {v} unrepresentable in BAM")));
+                }
+            }
+            TagValue::Float(_) => 4,
+            TagValue::String(s) | TagValue::Hex(s) => s.len() + 1,
+            TagValue::Array(a) => {
+                let width = match a {
+                    TagArray::I8(_) | TagArray::U8(_) => 1,
+                    TagArray::I16(_) | TagArray::U16(_) => 2,
+                    TagArray::I32(_) | TagArray::U32(_) | TagArray::F32(_) => 4,
+                };
+                // Subtype byte, u32 count, elements.
+                1 + 4 + a.len() * width
+            }
+        };
+    }
+    Ok(len)
+}
+
 /// Decodes a BAM tag block back into a tag list.
 pub fn decode_tags(bytes: &[u8]) -> Result<Vec<Tag>> {
     let mut c = Cursor { data: bytes, pos: 0 };
@@ -697,6 +734,46 @@ mod tests {
         let file = w.finish().unwrap();
         let mut r = BamReader::new(IoCursor::new(&file)).unwrap();
         assert!(r.read_record().unwrap().is_none());
+    }
+
+    #[test]
+    fn encoded_tags_len_equals_the_encoded_length_for_every_tag_type() {
+        let int = |v: i64| Tag::new(*b"XI", TagValue::Int(v));
+        let mut tags = vec![
+            Tag::new(*b"XA", TagValue::Char(b'U')),
+            Tag::new(*b"XF", TagValue::Float(-3.5)),
+            Tag::new(*b"XZ", TagValue::String(b"grp1".to_vec())),
+            Tag::new(*b"XE", TagValue::String(Vec::new())),
+            Tag::new(*b"XH", TagValue::Hex(b"1A2B".to_vec())),
+            Tag::new(*b"B0", TagValue::Array(TagArray::I8(vec![-1, 2, 3]))),
+            Tag::new(*b"B1", TagValue::Array(TagArray::U8(vec![1; 7]))),
+            Tag::new(*b"B2", TagValue::Array(TagArray::I16(vec![-5, 10, 300]))),
+            Tag::new(*b"B3", TagValue::Array(TagArray::U16(vec![65_535]))),
+            Tag::new(*b"B4", TagValue::Array(TagArray::I32(vec![-70_000, 70_000]))),
+            Tag::new(*b"B5", TagValue::Array(TagArray::U32(vec![4_000_000_000; 5]))),
+            Tag::new(*b"B6", TagValue::Array(TagArray::F32(vec![0.5, 1.5]))),
+            Tag::new(*b"B7", TagValue::Array(TagArray::U8(Vec::new()))),
+        ];
+        // Every boundary of the narrowest-integer choice (c C s S i I).
+        let edges = [
+            0i64, -1, 127, 128, -128, -129, 255, 256, 32_767, 32_768, -32_768, -32_769, 65_535,
+            65_536, i32::MAX as i64, i32::MAX as i64 + 1, i32::MIN as i64, u32::MAX as i64,
+        ];
+        tags.extend(edges.iter().map(|&v| int(v)));
+        for t in &tags {
+            let one = std::slice::from_ref(t);
+            assert_eq!(encoded_tags_len(one).unwrap(), encode_tags(one).unwrap().len(), "{t:?}");
+        }
+        assert_eq!(encoded_tags_len(&tags).unwrap(), encode_tags(&tags).unwrap().len());
+        assert_eq!(encoded_tags_len(&[]).unwrap(), 0);
+        // Both refuse what BAM cannot hold.
+        for v in [u32::MAX as i64 + 1, i32::MIN as i64 - 1, i64::MAX, i64::MIN] {
+            assert!(encode_tags(&[int(v)]).is_err());
+            assert!(encoded_tags_len(&[int(v)]).is_err());
+        }
+        // And on a parsed record.
+        let rec = rich_record();
+        assert_eq!(encoded_tags_len(&rec.tags).unwrap(), encode_tags(&rec.tags).unwrap().len());
     }
 }
 
