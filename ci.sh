@@ -166,6 +166,25 @@ if grep -rn "unsafe" crates/bgzf/src crates/bamx/src; then
     exit 1
 fi
 
+# Ingest gate: the preprocessing path (DESIGN.md §16). The three
+# equivalence proptests — read-ahead reader ≡ streaming reader (in
+# proptest_codec, run by the codec gate above), lengths measured off BAM
+# bodies and SAM lines ≡ `BamxLayout::observe`, writer-built BAIX ≡
+# `Baix::build` — the rank-count byte-identity test against the
+# sequential reference, the failure contract (typed error, nothing
+# recorded, helpers joined), the BAIX suite in the *release* profile
+# (the profile that caught the `locate` saturation bug), the
+# never-panics corpus through the read-ahead reader, and a build of the
+# untouched benchmark package, so an API break against `perfbench/`
+# fails here and not in the benchmark pipeline.
+echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, rank-count identity, perfbench builds)"
+cargo test --quiet -p ngs-bgzf --test proptest_codec read_ahead
+cargo test --quiet -p ngs-bgzf --lib readahead
+cargo test --quiet -p ngs-repro --test proptest_lengths --test preprocess_identity --test preprocess_faults
+cargo test --quiet --release -p ngs-bamx --lib baix
+cargo test --quiet -p ngs-fault --test decode_never_panics
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # BAMX v2 smoke: columnar-layout acceptance (DESIGN.md §14). The
 # corruption and byte-identity suites run in the workspace tests above;
 # here the v2 chaos sweep runs end to end and a smoke-scale

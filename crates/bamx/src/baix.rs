@@ -13,7 +13,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 
 use ngs_bgzf::ReadAt;
@@ -51,15 +51,29 @@ pub struct Baix {
 
 impl Baix {
     /// Builds the index for a BAMX shard by scanning its position columns.
+    ///
+    /// The preprocessing path does not come through here — the shard
+    /// writers collect the same keys as records stream past
+    /// (`finish_indexed`) — so this is the reindex entry point and the
+    /// oracle the writer-built index is tested against.
     pub fn build(file: &BamxFile) -> Result<Self> {
         let positions = file.positions()?;
-        let mut entries: Vec<BaixEntry> = positions
+        Ok(Self::from_position_keys(
+            positions.into_iter().map(|(ref_id, pos0)| position_key(ref_id, pos0)),
+        ))
+    }
+
+    /// Builds the index from each record's [`position_key`], given in
+    /// shard order: entry `i` indexes record `i`, and the result is
+    /// sorted by `(key, index)`.
+    pub fn from_position_keys(keys: impl IntoIterator<Item = u64>) -> Self {
+        let mut entries: Vec<BaixEntry> = keys
             .into_iter()
             .enumerate()
-            .map(|(i, (ref_id, pos0))| BaixEntry { key: position_key(ref_id, pos0), index: i as u64 })
+            .map(|(i, key)| BaixEntry { key, index: i as u64 })
             .collect();
         entries.sort_by_key(|e| (e.key, e.index));
-        Ok(Baix { entries })
+        Baix { entries }
     }
 
     /// Number of indexed alignments.
@@ -81,17 +95,16 @@ impl Baix {
     /// huge u32 key and silently return the wrong — usually empty —
     /// range).
     pub fn locate(&self, ref_id: i32, region: &Region) -> std::ops::Range<usize> {
-        // Saturating key: any in-domain bound packs exactly; a bound past
-        // i32::MAX maps to the first key of the *next* reference, which is
-        // the supremum of every key on this one. Negative bounds (the
+        // Saturating key: any in-domain bound packs exactly as
+        // `position_key` packs it; a bound past i32::MAX clamps to
+        // 2^31, one past the largest mapped position and so the supremum
+        // of every mapped key on this reference. Negative bounds (the
         // Region constructor rejects them, but stay total anyway) clamp
-        // to position 0.
+        // to position 0. Plain addition on the clamped value — the
+        // earlier `wrapping_add(1)` on a packed key gave a different
+        // answer in the release profile than in debug.
         let key_for = |bound: i64| -> u64 {
-            if bound > i32::MAX as i64 {
-                position_key(ref_id, i32::MAX).wrapping_add(1)
-            } else {
-                position_key(ref_id, bound.max(0) as i32)
-            }
+            ((ref_id as u32 as u64) << 32) + bound.clamp(0, i32::MAX as i64 + 1) as u64
         };
         let lo_key = key_for(region.start0);
         let hi_key = key_for(region.end0);
@@ -107,22 +120,31 @@ impl Baix {
 
     /// Serializes the index to a writer (the exact bytes of
     /// [`Baix::save`], usable with a staged repository artifact).
+    ///
+    /// The bytes reach `w` in chunks of at most 64 KiB, so an unbuffered
+    /// sink — a staged artifact checksums and issues a `write(2)` per
+    /// call — sees one write per 4096 entries rather than two per entry.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&(self.entries.len() as u64).to_le_bytes())?;
+        const CHUNK: usize = 64 * 1024;
+        let mut buf = Vec::with_capacity(CHUNK.min(MAGIC.len() + 8 + self.entries.len() * 16));
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
         for e in &self.entries {
-            w.write_all(&e.key.to_le_bytes())?;
-            w.write_all(&e.index.to_le_bytes())?;
+            if buf.len() + 16 > CHUNK {
+                w.write_all(&buf)?;
+                buf.clear();
+            }
+            buf.extend_from_slice(&e.key.to_le_bytes());
+            buf.extend_from_slice(&e.index.to_le_bytes());
         }
+        w.write_all(&buf)?;
         w.flush()?;
         Ok(())
     }
 
     /// Serializes the index to `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        Ok(())
+        self.write_to(&mut File::create(path)?)
     }
 
     /// Loads an index from `path`.
@@ -390,6 +412,97 @@ mod tests {
         // Start bound past i32::MAX: empty, anchored past chr1's entries.
         let past = Region::new("chr1", (1i64 << 31) + 1, 1i64 << 32).unwrap();
         assert!(baix.locate(0, &past).is_empty());
+    }
+
+    /// A sink that counts `write` calls, as an unbuffered staged artifact
+    /// would turn each into a `write(2)` and a CRC update.
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Regression: `write_to` issued two 8-byte writes per entry — 24 000
+    /// syscalls per 12 000-record shard into an unbuffered staged
+    /// artifact. It now hands the sink 64 KiB at a time, same bytes.
+    #[test]
+    fn write_to_issues_a_handful_of_writes_and_the_same_bytes() {
+        let baix = Baix::from_position_keys((0..10_000u64).map(|i| position_key(0, (i * 7 % 9_001) as i32)));
+        let mut sink = CountingSink { bytes: Vec::new(), writes: 0 };
+        baix.write_to(&mut sink).unwrap();
+        assert!(sink.writes <= 4, "{} writes for 10 000 entries", sink.writes);
+
+        // Byte-for-byte what the per-field serialisation produced.
+        let mut expected = MAGIC.to_vec();
+        expected.extend_from_slice(&10_000u64.to_le_bytes());
+        for e in &baix.entries {
+            expected.extend_from_slice(&e.key.to_le_bytes());
+            expected.extend_from_slice(&e.index.to_le_bytes());
+        }
+        assert_eq!(sink.bytes, expected);
+        assert_eq!(Baix::load_with(&sink.bytes.as_slice(), "mem").unwrap(), baix);
+
+        // Chunk boundaries: empty, one entry, exactly one chunk, one over.
+        for n in [0u64, 1, 4095, 4096, 4097] {
+            let baix = Baix::from_position_keys((0..n).map(|i| position_key(1, i as i32)));
+            let mut sink = CountingSink { bytes: Vec::new(), writes: 0 };
+            baix.write_to(&mut sink).unwrap();
+            assert_eq!(sink.bytes.len() as u64, 13 + 16 * n);
+            assert_eq!(Baix::load_with(&sink.bytes.as_slice(), "mem").unwrap(), baix, "{n} entries");
+        }
+    }
+
+    /// The index a writer hands back from `finish_indexed` is the index
+    /// `Baix::build` derives by reopening the finished shard — on
+    /// unsorted input, with unmapped records, for both versions and both
+    /// v1 body compressions.
+    #[test]
+    fn writer_built_index_equals_build_over_the_finished_shard() {
+        use crate::file::{AnyBamxWriter, BamxVersion};
+        use crate::layout::BamxLayout;
+
+        let mut recs = shuffled_records();
+        for (i, line) in [
+            "u0\t4\t*\t0\t0\t*\t*\t0\t0\tACGT\tIIII",
+            "dup\t0\tchr1\t500\t60\t10M\t*\t0\t0\tACGTACGTAC\tIIIIIIIIII",
+            "u1\t4\t*\t0\t0\t*\t*\t0\t0\tAC\tII",
+        ]
+        .iter()
+        .enumerate()
+        {
+            recs.insert(3 * i + 1, sam::parse_record(line.as_bytes(), 1).unwrap());
+        }
+        // Enough records to span several v2 blocks.
+        let recs: Vec<AlignmentRecord> = recs.iter().cycle().take(2_500).cloned().collect();
+        let layout = BamxLayout::compute(&recs).unwrap();
+        let dir = tempdir().unwrap();
+        for (version, compression) in [
+            (BamxVersion::V1, BamxCompression::Plain),
+            (BamxVersion::V1, BamxCompression::Bgzf),
+            (BamxVersion::V2, BamxCompression::Plain),
+        ] {
+            let path = dir.path().join("w.bamx");
+            let sink = std::io::BufWriter::new(File::create(&path).unwrap());
+            let mut w = AnyBamxWriter::new(version, sink, header(), layout, compression).unwrap();
+            for r in &recs {
+                w.write_record(r).unwrap();
+            }
+            let (sink, from_writer) = w.finish_indexed().unwrap();
+            drop(sink.into_inner().unwrap());
+            let from_shard = Baix::build(&BamxFile::open(&path).unwrap()).unwrap();
+            assert_eq!(from_writer.len(), recs.len());
+            assert_eq!(from_writer, from_shard, "{version:?} {compression:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
-use ngs_bgzf::VirtualOffset;
+use ngs_bgzf::{BgzfReader, VirtualOffset};
 use ngs_formats::bam::BamReader;
 use ngs_formats::binning::{reg2bin, reg2bins};
 use ngs_formats::error::{Error, Result};
@@ -170,7 +170,7 @@ impl BamIndex {
 /// Fetches all records overlapping `region` from an indexed BAM, seeking
 /// only into the indexed chunks.
 pub fn fetch<R: Read + Seek>(
-    reader: &mut BamReader<R>,
+    reader: &mut BamReader<BgzfReader<R>>,
     index: &BamIndex,
     region: &Region,
 ) -> Result<Vec<AlignmentRecord>> {
@@ -214,7 +214,7 @@ mod tests {
         (dir, path, ds)
     }
 
-    fn open(path: &Path) -> BamReader<Cursor<Vec<u8>>> {
+    fn open(path: &Path) -> BamReader<BgzfReader<Cursor<Vec<u8>>>> {
         BamReader::new(Cursor::new(std::fs::read(path).unwrap())).unwrap()
     }
 

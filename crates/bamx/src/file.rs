@@ -18,6 +18,7 @@ use ngs_formats::error::{DecodeErrorKind, Error, Result};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
 
+use crate::baix::{position_key, Baix};
 use crate::column::ColumnSet;
 use crate::layout::BamxLayout;
 use crate::layout_v2::{V2Reader, V2Writer, MAGIC_V2};
@@ -59,7 +60,9 @@ pub struct BamxWriter<W: Write> {
     sink: Sink<W>,
     header: SamHeader,
     layout: BamxLayout,
-    n_records: u64,
+    /// [`position_key`] of every record written, in shard order — what
+    /// [`BamxWriter::finish_indexed`] turns into the BAIX.
+    keys: Vec<u64>,
     scratch: Vec<u8>,
 }
 
@@ -111,7 +114,7 @@ impl<W: Write> BamxWriter<W> {
                 Sink::Bgzf { inner: ngs_bgzf::BgzfWriter::new(inner), records_per_block: rp, in_block: 0 }
             }
         };
-        Ok(BamxWriter { sink, header, layout, n_records: 0, scratch: Vec::new() })
+        Ok(BamxWriter { sink, header, layout, keys: Vec::new(), scratch: Vec::new() })
     }
 
     /// The layout this writer pads to.
@@ -123,6 +126,9 @@ impl<W: Write> BamxWriter<W> {
     pub fn write_record(&mut self, record: &AlignmentRecord) -> Result<()> {
         self.scratch.clear();
         record_codec::encode(record, &self.header, &self.layout, &mut self.scratch)?;
+        // The codec has just resolved the reference id and position into
+        // the fixed prefix; the index key is read back from there.
+        let (ref_id, pos0) = record_codec::peek_position(&self.scratch)?;
         match &mut self.sink {
             Sink::Plain(w) => w.write_all(&self.scratch)?,
             Sink::Bgzf { inner, records_per_block, in_block } => {
@@ -136,26 +142,32 @@ impl<W: Write> BamxWriter<W> {
                 }
             }
         }
-        self.n_records += 1;
+        self.keys.push(position_key(ref_id, pos0));
         Ok(())
     }
 
     /// Records written so far.
     pub fn record_count(&self) -> u64 {
-        self.n_records
+        self.keys.len() as u64
     }
 
     /// Finalizes the file (appends the record-count trailer) and returns
     /// the sink.
     pub fn finish(self) -> Result<W> {
-        let n = self.n_records;
+        Ok(self.finish_indexed()?.0)
+    }
+
+    /// [`BamxWriter::finish`], also handing back the shard's BAIX built
+    /// from the positions seen while writing — equal to
+    /// [`Baix::build`] over the finished file, without reopening it.
+    pub fn finish_indexed(self) -> Result<(W, Baix)> {
         let mut inner = match self.sink {
             Sink::Plain(w) => w,
             Sink::Bgzf { inner, .. } => inner.finish()?,
         };
-        inner.write_all(&n.to_le_bytes())?;
+        inner.write_all(&(self.keys.len() as u64).to_le_bytes())?;
         inner.flush()?;
-        Ok(inner)
+        Ok((inner, Baix::from_position_keys(self.keys)))
     }
 }
 
@@ -691,9 +703,15 @@ impl<W: Write> AnyBamxWriter<W> {
 
     /// Finalizes the file and returns the sink.
     pub fn finish(self) -> Result<W> {
+        Ok(self.finish_indexed()?.0)
+    }
+
+    /// Finalizes the file and returns the sink together with the shard's
+    /// BAIX, built from the positions the writer saw (no reopen).
+    pub fn finish_indexed(self) -> Result<(W, Baix)> {
         match self {
-            AnyBamxWriter::V1(w) => w.finish(),
-            AnyBamxWriter::V2(w) => w.finish(),
+            AnyBamxWriter::V1(w) => w.finish_indexed(),
+            AnyBamxWriter::V2(w) => w.finish_indexed(),
         }
     }
 }

@@ -9,8 +9,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ngs_formats::error::{Error, Result};
-use ngs_formats::record::AlignmentRecord;
-use ngs_formats::bam::encoded_tags_len;
+use ngs_formats::record::{AlignmentRecord, FieldLengths};
 
 /// Size of the fixed (non-padded) portion of a BAMX record.
 pub const FIXED_FIELDS_SIZE: usize = 2  // flag
@@ -48,18 +47,23 @@ impl BamxLayout {
 
     /// Expands the layout so `record` fits.
     pub fn observe(&mut self, record: &AlignmentRecord) -> Result<()> {
-        let qname = record.qname.len().max(1);
-        if qname > u16::MAX as usize {
-            return Err(Error::InvalidRecord("read name too long for BAMX".into()));
-        }
-        self.max_qname = self.max_qname.max(qname as u16);
-        if record.cigar.len() > u16::MAX as usize {
-            return Err(Error::InvalidRecord("too many CIGAR ops for BAMX".into()));
-        }
-        self.max_cigar_ops = self.max_cigar_ops.max(record.cigar.len() as u16);
-        self.max_seq = self.max_seq.max(record.seq.len() as u32);
-        let tag_len = encoded_tags_len(&record.tags)?;
-        self.max_tags = self.max_tags.max(tag_len as u32);
+        self.observe_lengths(&FieldLengths::of(record)?)
+    }
+
+    /// Expands the layout so a record with these field lengths fits —
+    /// the layout pass proper: preprocessing measures lengths off the
+    /// raw input and never builds a record to call [`Self::observe`].
+    pub fn observe_lengths(&mut self, lengths: &FieldLengths) -> Result<()> {
+        let too_long = |what: &str| Error::InvalidRecord(format!("{what} for BAMX"));
+        let qname = u16::try_from(lengths.qname).map_err(|_| too_long("read name too long"))?;
+        let cigar_ops =
+            u16::try_from(lengths.cigar_ops).map_err(|_| too_long("too many CIGAR ops"))?;
+        let seq = u32::try_from(lengths.seq).map_err(|_| too_long("sequence too long"))?;
+        let tags = u32::try_from(lengths.tags).map_err(|_| too_long("tag block too long"))?;
+        self.max_qname = self.max_qname.max(qname);
+        self.max_cigar_ops = self.max_cigar_ops.max(cigar_ops);
+        self.max_seq = self.max_seq.max(seq);
+        self.max_tags = self.max_tags.max(tags);
         Ok(())
     }
 

@@ -52,7 +52,7 @@ use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
 use ngs_formats::seq;
 
-use crate::baix::position_key;
+use crate::baix::{position_key, Baix};
 use crate::column::{self, get_varint, put_varint, unzigzag, zigzag, ColumnKind, ColumnSet, N_COLUMNS};
 use crate::layout::BamxLayout;
 use crate::record_codec::resolve_ref;
@@ -121,7 +121,9 @@ pub struct V2Writer<W: Write> {
     blocks: Vec<BlockEntry>,
     /// Bytes written so far (absolute offset of the next byte).
     pos: u64,
-    n_records: u64,
+    /// [`position_key`] of every record written, in shard order — what
+    /// [`V2Writer::finish_indexed`] turns into the BAIX.
+    keys: Vec<u64>,
 }
 
 impl V2Writer<BufWriter<File>> {
@@ -175,7 +177,7 @@ impl<W: Write> V2Writer<W> {
             prev_pos: 0,
             blocks: Vec::new(),
             pos,
-            n_records: 0,
+            keys: Vec::new(),
         })
     }
 
@@ -225,8 +227,9 @@ impl<W: Write> V2Writer<W> {
 
         let pos0 = record.pos - 1;
         let next_pos0 = record.pnext - 1;
+        let key = position_key(ref_id, pos0 as i32);
         if self.block_records == 0 {
-            self.first_key = position_key(ref_id, pos0 as i32);
+            self.first_key = key;
         }
 
         // flags: fixed 3 bytes.
@@ -268,7 +271,7 @@ impl<W: Write> V2Writer<W> {
         col.extend_from_slice(&tag_bytes);
 
         self.block_records += 1;
-        self.n_records += 1;
+        self.keys.push(key);
         if self.block_records == self.records_per_block {
             self.flush_block()?;
         }
@@ -316,12 +319,19 @@ impl<W: Write> V2Writer<W> {
 
     /// Records written so far.
     pub fn record_count(&self) -> u64 {
-        self.n_records
+        self.keys.len() as u64
     }
 
     /// Flushes the open block, writes the footer index and trailer, and
     /// returns the sink.
-    pub fn finish(mut self) -> Result<W> {
+    pub fn finish(self) -> Result<W> {
+        Ok(self.finish_indexed()?.0)
+    }
+
+    /// [`V2Writer::finish`], also handing back the shard's BAIX built
+    /// from the positions seen while writing — equal to
+    /// [`Baix::build`] over the finished file, without reopening it.
+    pub fn finish_indexed(mut self) -> Result<(W, Baix)> {
         self.flush_block()?;
         let footer_offset = self.pos;
         let mut footer = Vec::with_capacity(self.blocks.len() * FOOTER_ENTRY as usize);
@@ -337,9 +347,9 @@ impl<W: Write> V2Writer<W> {
         self.inner.write_all(&crc32(&footer).to_le_bytes())?;
         self.inner.write_all(&(self.blocks.len() as u64).to_le_bytes())?;
         self.inner.write_all(&footer_offset.to_le_bytes())?;
-        self.inner.write_all(&self.n_records.to_le_bytes())?;
+        self.inner.write_all(&(self.keys.len() as u64).to_le_bytes())?;
         self.inner.flush()?;
-        Ok(self.inner)
+        Ok((self.inner, Baix::from_position_keys(self.keys)))
     }
 }
 

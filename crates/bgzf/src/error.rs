@@ -57,11 +57,16 @@ impl From<std::io::Error> for Error {
     }
 }
 
+/// A codec error crossing a [`std::io::Read`] boundary. I/O errors pass
+/// through as themselves; anything structural travels *inside* an
+/// `InvalidData` error (same message as before), so the far side can
+/// `downcast` it back and keep "the bytes are wrong" apart from "the
+/// read failed".
 impl From<Error> for std::io::Error {
     fn from(e: Error) -> Self {
         match e {
             Error::Io(io) => io,
-            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other),
         }
     }
 }

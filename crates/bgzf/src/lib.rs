@@ -12,8 +12,11 @@
 //! * [`block`] — BGZF block framing (SAM/BAM specification §4), including
 //!   the `BC`/`BSIZE` extra subfield and the end-of-file marker;
 //! * [`voffset`] — BGZF virtual offsets used by indexes;
-//! * [`reader`] / [`writer`] — streaming BGZF I/O plus rayon-parallel
-//!   whole-buffer (de)compression.
+//! * [`reader`] / [`writer`] — streaming BGZF I/O (seekable by virtual
+//!   offset) plus whole-buffer (de)compression, rayon-parallel on the
+//!   write side;
+//! * [`readahead`] — the sequential reader: members inflated on helper
+//!   threads ahead of the consumer, in order, through a bounded window.
 //!
 //! The paper ("Removing Sequential Bottlenecks in Analysis of
 //! Next-Generation Sequencing Data", IPPS 2014) relied on BamTools and
@@ -46,6 +49,7 @@ pub mod inflate;
 pub mod lz77;
 mod obs;
 pub mod read_at;
+pub mod readahead;
 pub mod reader;
 pub mod voffset;
 pub mod writer;
@@ -54,6 +58,7 @@ pub use deflate::{deflate, Options, Strategy};
 pub use error::{Error, Result};
 pub use inflate::{inflate, Inflater};
 pub use read_at::ReadAt;
-pub use reader::{decompress_parallel, decompress_sequential, BgzfReader};
+pub use readahead::ReadAheadReader;
+pub use reader::{decompress_sequential, BgzfReader};
 pub use voffset::VirtualOffset;
 pub use writer::{compress_parallel, compress_sequential, BgzfWriter};

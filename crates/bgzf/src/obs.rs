@@ -7,6 +7,12 @@
 //! and cached — the per-block cost is one branch on
 //! [`ngs_obs::enabled`] plus four relaxed `fetch_add`s. `repro obs`
 //! quantifies that overhead (< 5 % on the pipeline convert graph).
+//!
+//! The read-ahead reader adds four counters per member taken —
+//! `bgzf.readahead_{members,bytes,consumer_stalls,producer_stalls}` —
+//! so `ngsp stats` after a preprocess says which side bounded ingest:
+//! consumer stalls mean the parse waited for inflate, producer stalls
+//! mean inflate waited for the parse.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,6 +25,10 @@ struct Counters {
     blocks_deflated: Arc<Counter>,
     deflated_bytes_in: Arc<Counter>,
     deflated_bytes_out: Arc<Counter>,
+    readahead_members: Arc<Counter>,
+    readahead_bytes: Arc<Counter>,
+    readahead_consumer_stalls: Arc<Counter>,
+    readahead_producer_stalls: Arc<Counter>,
 }
 
 fn counters() -> &'static Counters {
@@ -32,6 +42,10 @@ fn counters() -> &'static Counters {
             blocks_deflated: r.counter("bgzf.blocks_deflated"),
             deflated_bytes_in: r.counter("bgzf.deflated_bytes_in"),
             deflated_bytes_out: r.counter("bgzf.deflated_bytes_out"),
+            readahead_members: r.counter("bgzf.readahead_members"),
+            readahead_bytes: r.counter("bgzf.readahead_bytes"),
+            readahead_consumer_stalls: r.counter("bgzf.readahead_consumer_stalls"),
+            readahead_producer_stalls: r.counter("bgzf.readahead_producer_stalls"),
         }
     })
 }
@@ -58,6 +72,29 @@ pub(crate) fn record_deflate(bytes_in: usize, bytes_out: usize) {
     c.blocks_deflated.inc();
     c.deflated_bytes_in.add(bytes_in as u64);
     c.deflated_bytes_out.add(bytes_out as u64);
+}
+
+/// Records one member handed to a read-ahead consumer (`bytes` of
+/// inflated payload) and whether the consumer had to wait for it — a
+/// *consumer stall*: inflate, not the parse behind it, bounds the read.
+pub(crate) fn record_read_ahead(bytes: usize, stalled: bool) {
+    if !ngs_obs::enabled() {
+        return;
+    }
+    let c = counters();
+    c.readahead_members.inc();
+    c.readahead_bytes.add(bytes as u64);
+    if stalled {
+        c.readahead_consumer_stalls.inc();
+    }
+}
+
+/// Records a read-ahead inflater finding the window full — a *producer
+/// stall*: the consumer, not inflate, bounds the read.
+pub(crate) fn record_producer_stall() {
+    if ngs_obs::enabled() {
+        counters().readahead_producer_stalls.inc();
+    }
 }
 
 #[cfg(test)]

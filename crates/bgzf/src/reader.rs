@@ -4,9 +4,7 @@
 
 use std::io::{self, Read, Seek, SeekFrom};
 
-use crate::block::{
-    decompress_block, decompress_block_into, has_eof_marker, peek_block_size, HEADER_SIZE,
-};
+use crate::block::{decompress_block_into, has_eof_marker, peek_block_size, HEADER_SIZE};
 use crate::error::Result;
 use crate::inflate::Inflater;
 use crate::voffset::VirtualOffset;
@@ -61,28 +59,16 @@ impl<R: Read> BgzfReader<R> {
         if self.eof {
             return Ok(false);
         }
-        // Read the fixed header to learn BSIZE, then the remainder.
-        self.scratch.clear();
-        self.scratch.resize(HEADER_SIZE, 0);
-        match read_exact_or_eof(&mut self.inner, &mut self.scratch)? {
-            0 => {
-                self.eof = true;
-                return Ok(false);
-            }
-            n if n < HEADER_SIZE => {
-                return Err(crate::error::Error::UnexpectedEof);
-            }
-            _ => {}
+        if !read_member(&mut self.inner, &mut self.scratch)? {
+            self.eof = true;
+            return Ok(false);
         }
-        let bsize = peek_block_size(&self.scratch)?;
-        self.scratch.resize(bsize, 0);
-        self.inner.read_exact(&mut self.scratch[HEADER_SIZE..])?;
         // Empty the payload first: a failed block must not leave the
         // previous one readable.
         self.payload.clear();
         self.cursor = 0;
-        let used = decompress_block_into(&self.scratch, &mut self.inflater, &mut self.payload)?;
-        debug_assert_eq!(used, bsize);
+        let bsize = decompress_block_into(&self.scratch, &mut self.inflater, &mut self.payload)?;
+        debug_assert_eq!(bsize, self.scratch.len());
         self.block_coffset = self.next_coffset;
         self.next_coffset += bsize as u64;
         // A zero-length payload is the EOF marker (or an empty block);
@@ -104,6 +90,25 @@ impl<R: Read> BgzfReader<R> {
     pub fn into_inner(self) -> R {
         self.inner
     }
+}
+
+/// Reads the next member's compressed bytes — fixed header, `BSIZE`,
+/// then the rest — into `member` (replacing its contents). Returns false
+/// at a clean end of input. The one member walk, shared by
+/// [`BgzfReader`] and the read-ahead reader so both stop on the same
+/// byte with the same error.
+pub(crate) fn read_member<R: Read>(r: &mut R, member: &mut Vec<u8>) -> Result<bool> {
+    member.clear();
+    member.resize(HEADER_SIZE, 0);
+    match read_exact_or_eof(r, member)? {
+        0 => return Ok(false),
+        n if n < HEADER_SIZE => return Err(crate::error::Error::UnexpectedEof),
+        _ => {}
+    }
+    let bsize = peek_block_size(member)?;
+    member.resize(bsize, 0);
+    r.read_exact(&mut member[HEADER_SIZE..])?;
+    Ok(true)
 }
 
 fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
@@ -152,34 +157,6 @@ impl<R: Read + Seek> BgzfReader<R> {
         }
         Ok(())
     }
-}
-
-/// Decompresses an entire in-memory BGZF file, using rayon to inflate
-/// blocks in parallel. The block boundaries are discovered by a cheap
-/// sequential header walk (no inflation), then blocks decode concurrently.
-pub fn decompress_parallel(data: &[u8]) -> Result<Vec<u8>> {
-    use rayon::prelude::*;
-    let mut offsets = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let bsize = peek_block_size(&data[pos..])?;
-        // The announced BSIZE must fit in the remaining input; a truncated
-        // final block (or a lying header) is an error, not a bad slice.
-        if bsize > data.len() - pos {
-            return Err(crate::error::Error::UnexpectedEof);
-        }
-        offsets.push((pos, bsize));
-        pos += bsize;
-    }
-    let payloads: Vec<Result<Vec<u8>>> = offsets
-        .par_iter()
-        .map(|&(off, size)| decompress_block(&data[off..off + size]).map(|(p, _)| p))
-        .collect();
-    let mut out = Vec::new();
-    for p in payloads {
-        out.extend_from_slice(&p?);
-    }
-    Ok(out)
 }
 
 /// Sequentially decompresses an entire in-memory BGZF file.
@@ -254,10 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
+    fn whole_buffer_decode_matches_the_payload() {
         let payload = b"parallel bgzf block decode ".repeat(30_000);
         let file = compress_parallel(&payload, crate::deflate::Options::default());
-        assert_eq!(decompress_parallel(&file).unwrap(), payload);
         assert_eq!(decompress_sequential(&file).unwrap(), payload);
     }
 

@@ -12,7 +12,15 @@ use ngs_bgzf::crc32::crc32;
 use ngs_bgzf::inflate::Inflater;
 use ngs_bgzf::Error;
 use ngs_bgzf::deflate::Options;
-use ngs_bgzf::{decompress_parallel, decompress_sequential, BgzfReader, BgzfWriter};
+use ngs_bgzf::{decompress_sequential, BgzfReader, BgzfWriter, ReadAheadReader};
+
+/// Drains `file` through the read-ahead reader (two inflaters): the
+/// bytes delivered, and the error that ended the stream if one did.
+fn read_ahead(file: &[u8]) -> (Vec<u8>, Option<std::io::Error>) {
+    let mut out = Vec::new();
+    let err = ReadAheadReader::new(std::io::Cursor::new(file.to_vec()), 2).read_to_end(&mut out).err();
+    (out, err)
+}
 
 fn sample_file(payload: &[u8]) -> Vec<u8> {
     use std::io::Write;
@@ -21,16 +29,21 @@ fn sample_file(payload: &[u8]) -> Vec<u8> {
     w.finish().unwrap()
 }
 
-/// Audit finding #1: `decompress_parallel` walked block headers without
-/// checking that the announced BSIZE fits in the remaining input, then
-/// sliced `data[off..off + size]` — a truncated final block was a
-/// slice-out-of-range panic instead of an error.
+/// Audit finding #1: the old whole-file parallel decode walked block
+/// headers without checking that the announced BSIZE fits in the
+/// remaining input, then sliced `data[off..off + size]` — a truncated
+/// final block was a slice-out-of-range panic instead of an error. Its
+/// successor, the read-ahead reader, reads each member through the same
+/// walk as the streaming reader: typed error, every earlier byte first.
 #[test]
-fn truncated_final_block_is_typed_error_in_parallel_decode() {
-    let file = sample_file(&b"block payload ".repeat(2_000));
+fn truncated_final_block_is_typed_error_in_read_ahead() {
+    let payload = b"block payload ".repeat(8_000);
+    let file = sample_file(&payload);
     // Cut the file mid-block: the last header survives, its body does not.
-    let truncated = &file[..file.len() - 5];
-    assert!(decompress_parallel(truncated).is_err());
+    let truncated = &file[..file.len() - 40];
+    let (out, err) = read_ahead(truncated);
+    assert!(err.is_some());
+    assert!(!out.is_empty() && payload.starts_with(&out), "whole members before the cut arrive");
     // The sequential path must agree (it always returned a typed error).
     assert!(decompress_sequential(truncated).is_err());
 }
@@ -38,13 +51,13 @@ fn truncated_final_block_is_typed_error_in_parallel_decode() {
 /// Audit finding #1 (variant): a block whose BSIZE field *lies* — pointing
 /// past the end of the file — took the same panicking slice path.
 #[test]
-fn oversized_bsize_is_typed_error_in_parallel_decode() {
+fn oversized_bsize_is_typed_error_in_read_ahead() {
     let mut file = sample_file(b"four score and seven years ago");
     // BSIZE-1 lives at bytes 16..18 of the first block header.
     let huge = (u16::MAX) .to_le_bytes();
     file[16] = huge[0];
     file[17] = huge[1];
-    assert!(decompress_parallel(&file).is_err());
+    assert!(read_ahead(&file).1.is_some());
     assert!(decompress_sequential(&file).is_err());
 }
 
@@ -80,7 +93,7 @@ fn single_byte_flips_never_panic() {
         let mut bad = file.clone();
         bad[pos] ^= 0x55;
         let _ = decompress_sequential(&bad);
-        let _ = decompress_parallel(&bad);
+        let _ = read_ahead(&bad);
         let _ = ngs_bgzf::reader::validate(&bad);
         let mut r = BgzfReader::new(std::io::Cursor::new(&bad));
         let mut out = Vec::new();
@@ -98,7 +111,7 @@ fn truncation_sweep_never_panics() {
     for cut in interesting {
         let bad = &file[..cut];
         let _ = decompress_sequential(bad);
-        let _ = decompress_parallel(bad);
+        let _ = read_ahead(bad);
         let _ = decompress_block(bad);
         let _ = ngs_bgzf::block::peek_block_size(bad);
     }
@@ -179,7 +192,12 @@ fn bgzf_bomb_with_small_isize_stops_at_the_declared_size() {
         file.extend_from_slice(&member);
         file.extend_from_slice(&EOF_MARKER);
         assert!(decompress_sequential(&file).is_err());
-        assert!(decompress_parallel(&file).is_err());
+        // Read-ahead: same bound (each inflater sizes its slice from
+        // ISIZE), same error, the good member delivered first.
+        let (delivered, err) = read_ahead(&file);
+        assert_eq!(delivered, b"a good block first");
+        let err = err.expect("the bomb member fails").downcast::<Error>().expect("codec error");
+        assert!(matches!(err, Error::Corrupt("stream outruns its declared size")), "{err}");
         let mut r = BgzfReader::new(std::io::Cursor::new(&file));
         let mut sink = Vec::new();
         assert!(r.read_to_end(&mut sink).is_err());

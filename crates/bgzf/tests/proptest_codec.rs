@@ -12,10 +12,27 @@
 //! on a fixed corpus where matches pay, recorded before the matcher and
 //! emitter were rebuilt: the rebuilt kernels must return the same parse.
 
+use std::io::{Cursor, Read};
+
 use proptest::prelude::*;
 
 use ngs_bgzf::deflate::{deflate, Options, Strategy as BlockStrategy};
 use ngs_bgzf::inflate::inflate;
+use ngs_bgzf::ReadAheadReader;
+
+/// Reads `r` to its end in `step`-byte reads: the bytes delivered, and
+/// the kind and message of the error that ended the stream, if one did.
+fn drain<R: Read>(mut r: R, step: usize) -> (Vec<u8>, Option<(std::io::ErrorKind, String)>) {
+    let mut out = Vec::new();
+    let mut buf = vec![0u8; step];
+    loop {
+        match r.read(&mut buf) {
+            Ok(0) => return (out, None),
+            Ok(n) => out.extend_from_slice(&buf[..n]),
+            Err(e) => return (out, Some((e.kind(), e.to_string()))),
+        }
+    }
+}
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -67,8 +84,74 @@ proptest! {
     fn bgzf_file_roundtrip(data in arb_payload()) {
         let file = ngs_bgzf::compress_parallel(&data, Options::default());
         prop_assert!(ngs_bgzf::reader::validate(&file).unwrap());
-        prop_assert_eq!(&ngs_bgzf::decompress_parallel(&file).unwrap(), &data);
+        prop_assert_eq!(&drain(ReadAheadReader::new(Cursor::new(file.clone()), 2), 4096).0, &data);
         prop_assert_eq!(&ngs_bgzf::decompress_sequential(&file).unwrap(), &data);
+    }
+
+    /// The read-ahead reader is the streaming reader, threaded: on any
+    /// member chain — encoder output, concatenated small members (more
+    /// of them than the window holds), empty interior members, the EOF
+    /// marker present or cut off, a flipped byte, a truncated tail — the
+    /// consumer gets equal bytes and then either a clean end or the same
+    /// error, at every worker count and with 1-byte reads.
+    #[test]
+    fn read_ahead_equals_streaming_reader(
+        pieces in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..600), 0..40),
+        tail in arb_payload(),
+        eof_marker in any::<bool>(),
+        flip in (any::<bool>(), any::<usize>(), 1u8..=255),
+        cut in (any::<bool>(), any::<usize>()),
+        workers in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+        one_byte_reads in any::<bool>(),
+    ) {
+        let mut file = Vec::new();
+        for piece in &pieces {
+            file.extend_from_slice(&ngs_bgzf::block::compress_block(piece, Options::default()));
+        }
+        file.extend_from_slice(&ngs_bgzf::compress_parallel(&tail, Options::default()));
+        if !eof_marker {
+            file.truncate(file.len() - ngs_bgzf::block::EOF_MARKER.len());
+        }
+        if let (true, at, mask) = flip {
+            if !file.is_empty() {
+                let at = at % file.len();
+                file[at] ^= mask;
+            }
+        }
+        if let (true, at) = cut {
+            file.truncate(at % (file.len() + 1));
+        }
+        let step = if one_byte_reads { 1 } else { 4096 };
+        let expected = drain(ngs_bgzf::BgzfReader::new(Cursor::new(&file)), step);
+        let got = drain(ReadAheadReader::new(Cursor::new(file.clone()), workers), step);
+        prop_assert_eq!(got.0.len(), expected.0.len());
+        prop_assert_eq!(got, expected);
+    }
+
+    /// Dropping the reader after any number of bytes — none, mid-member,
+    /// with the window full and the walker blocked on it — returns: the
+    /// helpers are woken and joined, nothing is left running.
+    #[test]
+    fn read_ahead_drop_mid_stream_terminates(
+        members in 0usize..60,
+        take in 0usize..4000,
+        workers in 1usize..=4,
+    ) {
+        let mut file = Vec::new();
+        for i in 0..members {
+            file.extend_from_slice(&ngs_bgzf::block::compress_block(&[i as u8; 100], Options::default()));
+        }
+        let mut reader = ReadAheadReader::new(Cursor::new(file), workers);
+        let mut buf = vec![0u8; take];
+        let mut filled = 0;
+        while filled < take {
+            match reader.read(&mut buf[filled..]).unwrap() {
+                0 => break,
+                n => filled += n,
+            }
+        }
+        prop_assert_eq!(filled, take.min(members * 100));
+        drop(reader);
     }
 
     #[test]

@@ -1092,7 +1092,8 @@ pub fn load_cmd(args: &Args) -> CmdResult {
 ///
 /// Runs a self-contained instrumented smoke workload — synthesize a
 /// dataset, preprocess it into crash-safe shards (BGZF-compressed, so
-/// the codec counters move), stream one shard through the pipeline
+/// the codec counters move; once more from BAM, so the read-ahead
+/// counters do), stream one shard through the pipeline
 /// convert graph, serve convert + coverage queries over the shard
 /// directory, then run a duplicate-marking collate pass with forced
 /// spilling — and renders the unified `ngs-obs` registry: the shared
@@ -1116,11 +1117,19 @@ pub fn stats_cmd(args: &Args) -> CmdResult {
         coordinate_sorted: true,
         ..Default::default()
     };
-    Dataset::generate(&spec).write_sam(&sam)?;
+    let dataset = Dataset::generate(&spec);
+    dataset.write_sam(&sam)?;
     let shard_dir = tmp.path().join("shards");
     let mut conv = SamxConverter::new(ConvertConfig::with_ranks(2));
     conv.bamx_compression = ngs_bamx::BamxCompression::Bgzf;
     let prep = conv.preprocess_file(&sam, &shard_dir)?;
+
+    // The BAM preprocessing path, for the read-ahead counters: consumer
+    // stalls against producer stalls say whether inflate or the
+    // parse-and-write thread bounded the ingest (DESIGN.md §16).
+    let bam = tmp.path().join("stats.bam");
+    dataset.write_bam(&bam)?;
+    BamConverter::new(ConvertConfig::with_ranks(2)).preprocess(&bam, tmp.path().join("bam-shards"))?;
 
     let pipeline = Pipeline::new(PipelineConfig::default());
     let first = prep

@@ -1,25 +1,27 @@
 //! Converter instance 2: the BAM format converter.
 //!
 //! BAM records carry no delimiter, so byte-even partitioning cannot work
-//! (Section III-B of the paper). Instead a *sequential preprocessing*
-//! pass rewrites the BAM into a BAMX file (fixed-width records → random
-//! access) plus a BAIX index, after which conversion — full or partial —
-//! is embarrassingly parallel.
+//! (Section III-B of the paper). Instead a *preprocessing* pass rewrites
+//! the BAM into a BAMX file (fixed-width records → random access) plus a
+//! BAIX index, after which conversion — full or partial — is
+//! embarrassingly parallel. The paper's pass is sequential; here its
+//! inflate runs member-parallel ahead of the one thread that parses and
+//! writes (DESIGN.md §16).
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ngs_bamx::repo::{layout_fingerprint_versioned, ShardRepo, FINGERPRINT_NONE};
-use ngs_bamx::{
-    AnyBamxWriter, Baix, BamxCompression, BamxFile, BamxLayout, BamxVersion, ColumnSet, Region,
-};
+use ngs_bamx::repo::ShardRepo;
+use ngs_bamx::{Baix, BamxCompression, BamxFile, BamxLayout, BamxVersion, ColumnSet, Region};
+use ngs_bgzf::ReadAheadReader;
 use ngs_cluster::run_ranks;
-use ngs_formats::bam::BamReader;
+use ngs_formats::bam::{self, BamReader};
 use ngs_formats::error::{Error, Result};
 use ngs_formats::record::AlignmentRecord;
 
 use crate::runtime::{ConvertConfig, ConvertReport, RankOutput, RankStats};
+use crate::shard::ShardTarget;
 use crate::target::{builtin, TargetFormat};
 
 /// Result of the preprocessing phase.
@@ -31,7 +33,7 @@ pub struct PreprocessReport {
     pub baix_path: PathBuf,
     /// Records preprocessed.
     pub records: u64,
-    /// Wall time of the (sequential) preprocessing.
+    /// Wall time of the preprocessing.
     pub elapsed: Duration,
     /// The layout chosen.
     pub layout: BamxLayout,
@@ -71,14 +73,23 @@ impl BamConverter {
         }
     }
 
-    /// Sequential preprocessing: BAM → BAMX + BAIX (Figure 3, left box).
+    /// Preprocessing: BAM → BAMX + BAIX (Figure 3, left box).
     ///
-    /// Two passes over the input: the first computes the padding layout,
-    /// the second writes aligned records. Both passes read through the
-    /// third-party-free `ngs-bgzf`/`ngs-formats` stack. The shards are
-    /// published through a crash-safe [`ShardRepo`] (temp → fsync →
-    /// rename → manifest record), so a crash at any byte leaves either
+    /// Two passes over the input (DESIGN.md §16), each through a
+    /// [`ReadAheadReader`] so BGZF members inflate on `config.ranks`
+    /// helper threads while this thread consumes them in order. The
+    /// first pass *measures*: it reads four lengths off each raw record
+    /// body ([`bam::measure_record`]) to fix the padding layout, and
+    /// decodes nothing. The second decodes each record and streams it
+    /// into the shard through the shared [`ShardTarget::build`] path,
+    /// which publishes through a crash-safe [`ShardRepo`] (temp → fsync
+    /// → rename → manifest record): a crash at any byte leaves either
     /// the old state or the new state — never a torn artifact.
+    ///
+    /// Because the first pass looks only at lengths, a record that is
+    /// sound in shape but bad in content (an unknown CIGAR op, a mate
+    /// reference id outside the dictionary) is reported by the second
+    /// pass: still a typed error, still nothing sealed or recorded.
     pub fn preprocess(
         &self,
         input_bam: impl AsRef<Path>,
@@ -93,7 +104,7 @@ impl BamConverter {
     /// manifest-verified (and the compression matches), the rebuild is
     /// skipped — restarting after a crash redoes only the torn tail and
     /// produces a byte-identical shard set (preprocessing is
-    /// deterministic in the input).
+    /// deterministic in the input, whatever `config.ranks` is).
     pub fn preprocess_repo(
         &self,
         input_bam: impl AsRef<Path>,
@@ -101,14 +112,17 @@ impl BamConverter {
         resume: bool,
     ) -> Result<PreprocessReport> {
         let input_bam = input_bam.as_ref();
-        let stem = input_bam
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "input".into());
-        let bamx_name = format!("{stem}.bamx");
-        let baix_name = format!("{stem}.baix");
-        let bamx_path = repo.dir().join(&bamx_name);
-        let baix_path = repo.dir().join(&baix_name);
+        let target = ShardTarget {
+            repo,
+            stem: input_bam
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_else(|| "input".into()),
+            version: self.format_version,
+            compression: self.bamx_compression,
+        };
+        let bamx_path = target.bamx_path();
+        let baix_path = target.baix_path();
         let compression = compression_name(self.bamx_compression);
         let format = self.format_version.name();
 
@@ -119,11 +133,7 @@ impl BamConverter {
         let meta = repo.manifest()?.meta;
         let meta_matches = meta.get("compression").map(String::as_str) == Some(compression)
             && meta.get("format").map(String::as_str).unwrap_or("v1") == format;
-        if resume
-            && meta_matches
-            && repo.contains_verified(&bamx_name)
-            && repo.contains_verified(&baix_name)
-        {
+        if resume && meta_matches && target.is_published() {
             let bamx = BamxFile::open(&bamx_path)?;
             return Ok(PreprocessReport {
                 records: bamx.len(),
@@ -137,48 +147,32 @@ impl BamConverter {
         repo.set_meta("compression", compression)?;
         repo.set_meta("format", format)?;
 
-        // Pass 1: layout maxima.
-        let mut reader = BamReader::new(BufReader::new(std::fs::File::open(input_bam)?))?;
+        let open = || -> Result<BamReader<ReadAheadReader>> {
+            let file = BufReader::new(std::fs::File::open(input_bam)?);
+            BamReader::from_inflated(ReadAheadReader::new(file, self.config.ranks))
+        };
+
+        // Pass 1: layout maxima, measured off the raw record bodies.
+        let mut reader = open()?;
         let mut layout = BamxLayout::empty();
-        let mut n = 0u64;
-        while let Some(rec) = reader.read_record()? {
-            layout.observe(&rec)?;
-            n += 1;
+        while let Some(body) = reader.read_body()? {
+            layout.observe_lengths(&bam::measure_record(body)?)?;
         }
 
-        // Pass 2: write padded records into a staged (temp) artifact.
-        let mut reader = BamReader::new(BufReader::new(std::fs::File::open(input_bam)?))?;
+        // Pass 2: decode, pad, write, index, publish.
+        let mut reader = open()?;
         let header = reader.header().clone();
-        let staged = repo.stage(&bamx_name)?;
-        let mut writer = AnyBamxWriter::new(
-            self.format_version,
-            std::io::BufWriter::new(staged),
-            header,
-            layout,
-            self.bamx_compression,
-        )?;
-        while let Some(rec) = reader.read_record()? {
-            writer.write_record(&rec)?;
-        }
-        debug_assert_eq!(writer.record_count(), n);
-        let staged = writer.finish()?.into_inner().map_err(|e| Error::Io(e.into_error()))?;
-        let bamx_entry =
-            staged.seal(layout_fingerprint_versioned(&layout, self.format_version))?;
-
-        // Index construction (part of preprocessing in the paper), staged
-        // the same way; both entries are recorded together so the
-        // manifest never lists a BAMX without its BAIX.
-        let bamx = BamxFile::open(&bamx_path)?;
-        let baix = Baix::build(&bamx)?;
-        let mut staged = repo.stage(&baix_name)?;
-        baix.write_to(&mut staged)?;
-        let baix_entry = staged.seal(FINGERPRINT_NONE)?;
-        repo.record(vec![bamx_entry, baix_entry])?;
+        let records = target.build(header, layout, |sink| {
+            while let Some(rec) = reader.read_record()? {
+                sink(&rec)?;
+            }
+            Ok(())
+        })?;
 
         Ok(PreprocessReport {
             bamx_path,
             baix_path,
-            records: n,
+            records,
             elapsed: start.elapsed(),
             layout,
             skipped: false,

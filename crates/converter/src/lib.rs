@@ -26,6 +26,7 @@ pub mod runtime;
 pub mod sam_converter;
 pub mod samx_converter;
 pub mod scan;
+mod shard;
 pub mod simulate;
 pub mod source;
 pub mod target;

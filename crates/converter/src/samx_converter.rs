@@ -9,15 +9,16 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ngs_bamx::repo::{layout_fingerprint_versioned, ShardRepo, FINGERPRINT_NONE};
-use ngs_bamx::{AnyBamxWriter, Baix, BamxCompression, BamxFile, BamxLayout, BamxVersion};
+use ngs_bamx::repo::ShardRepo;
+use ngs_bamx::{BamxCompression, BamxFile, BamxLayout, BamxVersion};
 use ngs_cluster::run_ranks;
-use ngs_formats::error::{Error, Result};
+use ngs_formats::error::Result;
 
 use crate::bam_converter::{compression_name, convert_record_range};
 use crate::partition::partition_distributed;
 use crate::runtime::{scan_sam_header, ConvertConfig, ConvertReport, RankStats};
-use crate::scan::scan_records;
+use crate::scan::{scan_lengths, scan_records};
+use crate::shard::ShardTarget;
 use crate::source::{ByteSource, FileSource};
 use crate::target::TargetFormat;
 
@@ -76,9 +77,13 @@ impl SamxConverter {
     /// text and each writes one BAMX + BAIX shard.
     ///
     /// Each rank makes two streaming passes over its slice: the first
-    /// derives the padding layout, the second writes aligned records —
-    /// the paper's trade of extra preprocessing parsing for conversion
-    /// speed.
+    /// *measures* each line to derive the padding layout (no parse), the
+    /// second parses and writes aligned records through the shared
+    /// shard-build path — the paper's trade of extra preprocessing work
+    /// for conversion speed. A line whose lengths are sound but whose
+    /// fields are not (a bad integer, CIGAR or quality) is therefore
+    /// reported by the second pass: still a typed error, nothing of that
+    /// rank's shard sealed or recorded.
     pub fn preprocess_file(
         &self,
         input: impl AsRef<Path>,
@@ -146,50 +151,33 @@ impl SamxConverter {
             // Collective: always runs, even for ranks that will resume.
             let range = partition_distributed(source, comm, self.config.variant)?;
 
-            let bamx_name = format!("{stem}.shard{rank:04}.bamx");
-            let baix_name = format!("{stem}.shard{rank:04}.baix");
-            let bamx_path = repo.dir().join(&bamx_name);
-            let baix_path = repo.dir().join(&baix_name);
+            let target = ShardTarget {
+                repo,
+                stem: format!("{stem}.shard{rank:04}"),
+                version: self.format_version,
+                compression: self.bamx_compression,
+            };
+            let bamx_path = target.bamx_path();
+            let baix_path = target.baix_path();
 
-            if resume && repo.contains_verified(&bamx_name) && repo.contains_verified(&baix_name)
-            {
+            if resume && target.is_published() {
                 let records = BamxFile::open(&bamx_path)?.len();
                 return Ok(Shard { bamx_path, baix_path, records, resumed: true });
             }
 
-            // Pass 1: per-rank layout maxima.
+            // Pass 1: per-rank layout maxima, measured off the text.
             let mut layout = BamxLayout::empty();
-            scan_records(source, range, self.config.read_buffer, |rec| {
-                layout.observe(&rec)
+            scan_lengths(source, range, self.config.read_buffer, |lengths| {
+                layout.observe_lengths(&lengths)
             })?;
 
-            // Pass 2: write the padded shard into a staged (temp)
-            // artifact; it only reaches its final name after fsync.
-            let staged = repo.stage(&bamx_name)?;
-            let mut writer = AnyBamxWriter::new(
-                self.format_version,
-                std::io::BufWriter::new(staged),
-                header.clone(),
-                layout,
-                self.bamx_compression,
-            )?;
-            scan_records(source, range, self.config.read_buffer, |rec| {
-                writer.write_record(&rec)
+            // Pass 2: parse, pad, write, index, publish — the BAIX is
+            // recorded together with the BAMX so the pair publishes
+            // atomically.
+            let records = target.build(header.clone(), layout, |sink| {
+                scan_records(source, range, self.config.read_buffer, |rec| sink(&rec))?;
+                Ok(())
             })?;
-            let records = writer.record_count();
-            let staged =
-                writer.finish()?.into_inner().map_err(|e| Error::Io(e.into_error()))?;
-            let bamx_entry =
-                staged.seal(layout_fingerprint_versioned(&layout, self.format_version))?;
-
-            // Per-shard BAIX for partial conversion; recorded together
-            // with the BAMX so the pair publishes atomically.
-            let shard_file = BamxFile::open(&bamx_path)?;
-            let baix = Baix::build(&shard_file)?;
-            let mut staged = repo.stage(&baix_name)?;
-            baix.write_to(&mut staged)?;
-            let baix_entry = staged.seal(FINGERPRINT_NONE)?;
-            repo.record(vec![bamx_entry, baix_entry])?;
 
             Ok(Shard { bamx_path, baix_path, records, resumed: false })
         });

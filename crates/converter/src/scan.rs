@@ -1,8 +1,9 @@
 //! Record scanning: stream a byte range of SAM text and invoke a callback
-//! per parsed record (header and blank lines skipped).
+//! per alignment line (header and blank lines skipped) — parsed into a
+//! record ([`scan_records`]) or only measured ([`scan_lengths`]).
 
 use ngs_formats::error::{Error, Result};
-use ngs_formats::record::AlignmentRecord;
+use ngs_formats::record::{AlignmentRecord, FieldLengths};
 use ngs_formats::sam;
 
 use crate::partition::ByteRange;
@@ -17,6 +18,41 @@ pub fn scan_records<S: ByteSource + ?Sized>(
     read_buffer: usize,
     mut f: impl FnMut(AlignmentRecord) -> Result<()>,
 ) -> Result<u64> {
+    scan_lines(source, range, read_buffer, |line, line_no| {
+        f(sam::parse_record(line, line_no).map_err(|e| in_partition(e, range))?)
+    })
+}
+
+/// [`scan_records`] for a layout pass: each line is measured
+/// ([`sam::measure_record`]), not parsed — no integers, CIGAR, bases or
+/// qualities are decoded and no record is built. A line that is bad only
+/// in those fields passes here and fails in [`scan_records`].
+pub fn scan_lengths<S: ByteSource + ?Sized>(
+    source: &S,
+    range: ByteRange,
+    read_buffer: usize,
+    mut f: impl FnMut(FieldLengths) -> Result<()>,
+) -> Result<u64> {
+    scan_lines(source, range, read_buffer, |line, line_no| {
+        f(sam::measure_record(line, line_no).map_err(|e| in_partition(e, range))?)
+    })
+}
+
+fn in_partition(e: Error, (start, _): ByteRange) -> Error {
+    Error::InvalidRecord(format!(
+        "{e} (line is relative to the partition starting at byte {start})"
+    ))
+}
+
+/// Streams `[start, end)` of `source` and calls `f(line, line_no)` for
+/// every alignment line (`\r\n` trimmed, `@` and blank lines skipped).
+/// Returns the number of lines handed to `f`.
+fn scan_lines<S: ByteSource + ?Sized>(
+    source: &S,
+    range: ByteRange,
+    read_buffer: usize,
+    mut f: impl FnMut(&[u8], u64) -> Result<()>,
+) -> Result<u64> {
     let (start, end) = range;
     let mut pos = start;
     let mut carry: Vec<u8> = Vec::new();
@@ -29,13 +65,8 @@ pub fn scan_records<S: ByteSource + ?Sized>(
         if line.is_empty() || line[0] == b'@' {
             return Ok(());
         }
-        let rec = sam::parse_record(line, line_no).map_err(|e| {
-            Error::InvalidRecord(format!(
-                "{e} (line is relative to the partition starting at byte {start})"
-            ))
-        })?;
         *count += 1;
-        f(rec)
+        f(line, line_no)
     };
 
     while pos < end {
@@ -104,6 +135,32 @@ mod tests {
         })
         .unwrap();
         assert_eq!(names, vec!["r2"]);
+    }
+
+    #[test]
+    fn lengths_scan_sees_the_lines_the_record_scan_sees() {
+        let text = "@HD\tVN:1.6\nr1\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII\r\n\nlonger\t0\tchr1\t2\t60\t2M1I3M\t*\t0\t0\tACGTAC\t*\tNM:i:1";
+        let src = MemSource::new(text.as_bytes().to_vec());
+        let mut measured = Vec::new();
+        let mut parsed = Vec::new();
+        // A 5-byte buffer: every line straddles several reads.
+        let n = scan_lengths(&src, (0, src.len()), 5, |l| {
+            measured.push(l);
+            Ok(())
+        })
+        .unwrap();
+        scan_records(&src, (0, src.len()), 5, |r| {
+            parsed.push(FieldLengths::of(&r)?);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(n, 2);
+        assert_eq!(measured, parsed);
+        assert_eq!(measured[1], FieldLengths { qname: 6, cigar_ops: 3, seq: 6, tags: 4 });
+        // A line bad only in a field the measure skips passes it.
+        let bad = MemSource::new(b"r\t0\tchr1\tNaN\t60\t4M\t*\t0\t0\tACGT\tIIII\n".to_vec());
+        assert_eq!(scan_lengths(&bad, (0, bad.len()), 64, |_| Ok(())).unwrap(), 1);
+        assert!(scan_records(&bad, (0, bad.len()), 64, |_| Ok(())).is_err());
     }
 
     #[test]

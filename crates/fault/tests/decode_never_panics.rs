@@ -5,6 +5,7 @@
 //! Every case is replayable: the plan derives entirely from the proptest
 //! seed value, so a failure reproduces from the printed seed alone.
 
+use std::io::Cursor;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -186,12 +187,19 @@ proptest! {
         let fx = fixtures();
         let plan = FaultPlan::random(seed, fx.bgzf_file.len() as u64);
         let bytes = plan.corrupt(&fx.bgzf_file);
-        let _ = ngs_bgzf::decompress_parallel(&bytes);
         let _ = ngs_bgzf::decompress_sequential(&bytes);
         let _ = ngs_bgzf::reader::validate(&bytes);
         let mut out = Vec::new();
-        let reader = FaultyRead::new(&fx.bgzf_file[..], plan);
-        let _ = ngs_bgzf::BgzfReader::new(reader).read_to_end(&mut out);
+        let reader = FaultyRead::new(&fx.bgzf_file[..], plan.clone());
+        let streamed = ngs_bgzf::BgzfReader::new(reader).read_to_end(&mut out).is_ok();
+        // The read-ahead reader under the same plan — short reads,
+        // transient errors, flips and truncation hit its walker thread —
+        // delivers the same bytes and ends the same way.
+        let mut ahead = Vec::new();
+        let reader = FaultyRead::new(Cursor::new(fx.bgzf_file.clone()), plan);
+        let ok = ngs_bgzf::ReadAheadReader::new(reader, 2).read_to_end(&mut ahead).is_ok();
+        prop_assert_eq!(ok, streamed);
+        prop_assert_eq!(ahead, out);
     }
 
     /// The BGZF bomb, further corrupted: still no panic, and (bounded
@@ -206,11 +214,14 @@ proptest! {
             // Only a flip that defuses the bomb member lets the file decode.
             prop_assert!(out.len() <= 3 * 65536);
         }
-        let _ = ngs_bgzf::decompress_parallel(&bytes);
         let mut out = Vec::new();
-        let reader = FaultyRead::new(&fx.bgzf_bomb[..], plan);
+        let reader = FaultyRead::new(&fx.bgzf_bomb[..], plan.clone());
         let _ = ngs_bgzf::BgzfReader::new(reader).read_to_end(&mut out);
         prop_assert!(out.len() <= 3 * 65536);
+        let mut ahead = Vec::new();
+        let reader = FaultyRead::new(Cursor::new(fx.bgzf_bomb.clone()), plan);
+        let _ = ngs_bgzf::ReadAheadReader::new(reader, 2).read_to_end(&mut ahead);
+        prop_assert_eq!(ahead, out);
     }
 
     /// The v2 column bomb, further corrupted, through the full BAMX sweep.
@@ -270,11 +281,20 @@ fn bombs_are_typed_structural_errors() {
     use std::io::Read;
     let fx = fixtures();
     assert!(ngs_bgzf::decompress_sequential(&fx.bgzf_bomb).is_err());
-    assert!(ngs_bgzf::decompress_parallel(&fx.bgzf_bomb).is_err());
     assert!(ngs_bgzf::reader::validate(&fx.bgzf_bomb).unwrap(), "framing itself is well-formed");
     let mut out = Vec::new();
     assert!(ngs_bgzf::BgzfReader::new(&fx.bgzf_bomb[..]).read_to_end(&mut out).is_err());
     assert_eq!(out, b"before the bomb");
+    // Through the read-ahead reader and across the `Read` boundary the
+    // bomb is still the codec's own structural error, not an I/O one.
+    let mut out = Vec::new();
+    let err = ngs_bgzf::ReadAheadReader::new(Cursor::new(fx.bgzf_bomb.clone()), 2)
+        .read_to_end(&mut out)
+        .unwrap_err();
+    assert_eq!(out, b"before the bomb");
+    let err = ngs_formats::error::Error::from(err);
+    assert!(matches!(err, ngs_formats::error::Error::Compression(_)), "{err}");
+    assert!(!err.is_transient(), "{err}");
 
     let f = BamxFile::open_with(Box::new(fx.v2_bomb.clone()), "bomb").unwrap();
     let err = f.read_range(0, f.len()).unwrap_err();

@@ -10,7 +10,7 @@ use crate::cigar::{Cigar, CigarOp};
 use crate::error::{Error, Result};
 use crate::flags::Flags;
 use crate::header::{ReferenceSequence, SamHeader};
-use crate::record::AlignmentRecord;
+use crate::record::{AlignmentRecord, FieldLengths};
 use crate::seq;
 use crate::tags::{Tag, TagArray, TagValue};
 
@@ -187,18 +187,7 @@ pub fn encoded_tags_len(tags: &[Tag]) -> Result<usize> {
         // Key, type byte, then the value.
         len += 3 + match &t.value {
             TagValue::Char(_) => 1,
-            TagValue::Int(v) => {
-                let v = *v;
-                if i8::try_from(v).is_ok() || u8::try_from(v).is_ok() {
-                    1
-                } else if i16::try_from(v).is_ok() || u16::try_from(v).is_ok() {
-                    2
-                } else if i32::try_from(v).is_ok() || u32::try_from(v).is_ok() {
-                    4
-                } else {
-                    return Err(Error::InvalidTag(format!("integer {v} unrepresentable in BAM")));
-                }
-            }
+            TagValue::Int(v) => int_tag_width(*v)?,
             TagValue::Float(_) => 4,
             TagValue::String(s) | TagValue::Hex(s) => s.len() + 1,
             TagValue::Array(a) => {
@@ -213,6 +202,20 @@ pub fn encoded_tags_len(tags: &[Tag]) -> Result<usize> {
         };
     }
     Ok(len)
+}
+
+/// Bytes [`encode_tag`] spends on the integer `v`: the narrowest of
+/// `c C s S i I` that holds it.
+fn int_tag_width(v: i64) -> Result<usize> {
+    if i8::try_from(v).is_ok() || u8::try_from(v).is_ok() {
+        Ok(1)
+    } else if i16::try_from(v).is_ok() || u16::try_from(v).is_ok() {
+        Ok(2)
+    } else if i32::try_from(v).is_ok() || u32::try_from(v).is_ok() {
+        Ok(4)
+    } else {
+        Err(Error::InvalidTag(format!("integer {v} unrepresentable in BAM")))
+    }
 }
 
 /// Decodes a BAM tag block back into a tag list.
@@ -236,7 +239,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(Error::InvalidBam("record truncated".into()));
         }
         let s = &self.data[self.pos..self.pos + n];
@@ -407,6 +410,79 @@ fn decode_tag(c: &mut Cursor<'_>) -> Result<Tag> {
     Ok(Tag { key, value })
 }
 
+/// Measures one BAM record *body* (excluding the `block_size` prefix)
+/// without decoding it: the three counts sit at fixed offsets, and the
+/// tag length is a walk over the raw tag block that sizes every integer
+/// by value, as [`encode_tags`] will re-encode it — so a BAM whose
+/// writer stored `5` as an `i` measures exactly what
+/// `FieldLengths::of(&decode_record(..)?)` reports. Every length is
+/// bounds-checked against the body. Field *contents* (CIGAR op codes,
+/// reference ids) are not looked at: a record that is sound in shape but
+/// bad in content passes here and fails in [`decode_record`].
+pub fn measure_record(body: &[u8]) -> Result<FieldLengths> {
+    let mut c = Cursor { data: body, pos: 0 };
+    c.take(8)?; // refID, pos
+    let l_read_name = c.u8()? as usize;
+    c.take(3)?; // mapq, bin
+    let n_cigar = c.u16()? as usize;
+    c.take(2)?; // flag
+    let l_seq = c.u32()? as usize;
+    c.take(12)?; // next_refID, next_pos, tlen
+
+    if l_read_name == 0 {
+        return Err(Error::InvalidBam("zero-length read name".into()));
+    }
+    if c.take(l_read_name)?[l_read_name - 1] != 0 {
+        return Err(Error::InvalidBam("read name not NUL-terminated".into()));
+    }
+    c.take(n_cigar * 4)?;
+    c.take(l_seq.div_ceil(2))?;
+    c.take(l_seq)?;
+    let mut tags = 0usize;
+    while c.remaining() > 0 {
+        tags += measure_tag(&mut c)?;
+    }
+    Ok(FieldLengths {
+        // `observe` counts a missing name as the one byte of `*`.
+        qname: (l_read_name - 1).max(1),
+        cigar_ops: n_cigar,
+        seq: l_seq,
+        tags,
+    })
+}
+
+/// Steps over one raw tag and returns the bytes [`encode_tag`] will spend
+/// on its decoded form (the grammar of [`decode_tag`], minus the values).
+fn measure_tag(c: &mut Cursor<'_>) -> Result<usize> {
+    c.take(2)?;
+    let value = match c.u8()? {
+        b'A' => c.take(1)?.len(),
+        b'c' => int_tag_width(c.u8()? as i8 as i64)?,
+        b'C' => int_tag_width(c.u8()? as i64)?,
+        b's' => int_tag_width(c.u16()? as i16 as i64)?,
+        b'S' => int_tag_width(c.u16()? as i64)?,
+        b'i' => int_tag_width(c.i32()? as i64)?,
+        b'I' => int_tag_width(c.u32()? as i64)?,
+        b'f' => c.take(4)?.len(),
+        b'Z' | b'H' => c.cstr()?.len() + 1,
+        b'B' => {
+            let width = match c.u8()? {
+                b'c' | b'C' => 1,
+                b's' | b'S' => 2,
+                b'i' | b'I' | b'f' => 4,
+                other => {
+                    return Err(Error::InvalidTag(format!("unknown array subtype {other}")))
+                }
+            };
+            let n = c.u32()? as usize;
+            // Subtype byte, u32 count, elements.
+            1 + 4 + c.take(n.saturating_mul(width))?.len()
+        }
+        other => return Err(Error::InvalidTag(format!("unknown tag type {other}"))),
+    };
+    Ok(3 + value)
+}
+
 // ---------------------------------------------------------------------------
 // File-level header encode/decode
 // ---------------------------------------------------------------------------
@@ -487,19 +563,37 @@ pub fn decode_header<R: Read>(r: &mut R) -> Result<SamHeader> {
 // Streaming reader / writer
 // ---------------------------------------------------------------------------
 
-/// Streaming BAM reader over a BGZF-compressed source.
-pub struct BamReader<R> {
-    inner: BgzfReader<R>,
+/// Streaming BAM reader, generic over the *inflated* byte stream `S`.
+///
+/// [`BamReader::new`] wraps a BGZF-compressed source in a [`BgzfReader`]
+/// — the reader for seeks and virtual offsets. Sequential whole-file
+/// reads hand [`BamReader::from_inflated`] a stream that is already
+/// inflated, normally `ngs_bgzf::ReadAheadReader`, which inflates
+/// members on helper threads ahead of the parse.
+pub struct BamReader<S> {
+    inner: S,
     header: SamHeader,
     scratch: Vec<u8>,
 }
 
-impl<R: Read> BamReader<R> {
-    /// Opens a BAM stream and parses its header.
+impl<R: Read> BamReader<BgzfReader<R>> {
+    /// Opens a BGZF-compressed BAM stream and parses its header.
     pub fn new(inner: R) -> Result<Self> {
-        let mut bgzf = BgzfReader::new(inner);
-        let header = decode_header(&mut bgzf)?;
-        Ok(BamReader { inner: bgzf, header, scratch: Vec::with_capacity(1024) })
+        Self::from_inflated(BgzfReader::new(inner))
+    }
+
+    /// The virtual offset of the next record (valid between records).
+    pub fn virtual_position(&self) -> VirtualOffset {
+        self.inner.virtual_position()
+    }
+}
+
+impl<S: Read> BamReader<S> {
+    /// Opens a BAM stream over already-inflated bytes and parses its
+    /// header.
+    pub fn from_inflated(mut inner: S) -> Result<Self> {
+        let header = decode_header(&mut inner)?;
+        Ok(BamReader { inner, header, scratch: Vec::with_capacity(1024) })
     }
 
     /// The parsed header.
@@ -507,8 +601,9 @@ impl<R: Read> BamReader<R> {
         &self.header
     }
 
-    /// Reads the next record; `None` at EOF.
-    pub fn read_record(&mut self) -> Result<Option<AlignmentRecord>> {
+    /// Reads the next record's raw body (the bytes after `block_size`),
+    /// undecoded; `None` at EOF. The slice is valid until the next read.
+    pub fn read_body(&mut self) -> Result<Option<&[u8]>> {
         let mut size_buf = [0u8; 4];
         // Detect clean EOF: zero bytes available.
         let mut filled = 0usize;
@@ -526,6 +621,14 @@ impl<R: Read> BamReader<R> {
         self.scratch.clear();
         self.scratch.resize(block_size, 0);
         self.inner.read_exact(&mut self.scratch)?;
+        Ok(Some(&self.scratch))
+    }
+
+    /// Reads the next record; `None` at EOF.
+    pub fn read_record(&mut self) -> Result<Option<AlignmentRecord>> {
+        if self.read_body()?.is_none() {
+            return Ok(None);
+        }
         decode_record(&self.scratch, &self.header).map(Some)
     }
 
@@ -533,14 +636,9 @@ impl<R: Read> BamReader<R> {
     pub fn records(&mut self) -> impl Iterator<Item = Result<AlignmentRecord>> + '_ {
         std::iter::from_fn(move || self.read_record().transpose())
     }
-
-    /// The virtual offset of the next record (valid between records).
-    pub fn virtual_position(&self) -> VirtualOffset {
-        self.inner.virtual_position()
-    }
 }
 
-impl<R: Read + Seek> BamReader<R> {
+impl<R: Read + Seek> BamReader<BgzfReader<R>> {
     /// Repositions the reader so the next [`Self::read_record`] starts at
     /// `voffset` (which must point at a record boundary, e.g. one
     /// previously returned by [`Self::virtual_position`]).
@@ -774,6 +872,99 @@ mod tests {
         // And on a parsed record.
         let rec = rich_record();
         assert_eq!(encoded_tags_len(&rec.tags).unwrap(), encode_tags(&rec.tags).unwrap().len());
+    }
+}
+
+#[cfg(test)]
+mod measure_tests {
+    use super::*;
+    use crate::sam;
+
+    fn header() -> SamHeader {
+        SamHeader::from_references(vec![ReferenceSequence { name: b"chr1".to_vec(), length: 1 << 20 }])
+    }
+
+    fn body_of(line: &str) -> Vec<u8> {
+        let rec = sam::parse_record(line.as_bytes(), 1).unwrap();
+        let mut buf = Vec::new();
+        encode_record(&rec, &header(), &mut buf).unwrap();
+        buf[4..].to_vec()
+    }
+
+    #[test]
+    fn measures_what_observe_would_see() {
+        let body = body_of("read1\t0\tchr1\t100\t60\t3M1I4M\t*\t0\t0\tACGTACGT\tIIIIIIII\tNM:i:1\tRG:Z:grp");
+        let lengths = measure_record(&body).unwrap();
+        assert_eq!(lengths, FieldLengths { qname: 5, cigar_ops: 3, seq: 8, tags: 4 + 7 });
+        assert_eq!(lengths, FieldLengths::of(&decode_record(&body, &header()).unwrap()).unwrap());
+        // A missing name is the one byte of `*`, with or without it stored.
+        let star = body_of("*\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*");
+        assert_eq!(measure_record(&star).unwrap(), FieldLengths { qname: 1, cigar_ops: 0, seq: 0, tags: 0 });
+        let mut bare_nul = star.clone();
+        bare_nul[8] = 1; // l_read_name: just the terminator
+        bare_nul.remove(32);
+        assert_eq!(measure_record(&bare_nul).unwrap().qname, 1);
+        assert!(decode_record(&bare_nul, &header()).unwrap().qname.is_empty());
+    }
+
+    #[test]
+    fn integer_tags_are_sized_by_value_not_by_stored_type() {
+        let mut body = body_of("r\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII");
+        body.extend_from_slice(b"XAi");
+        body.extend_from_slice(&5i32.to_le_bytes()); // 5 stored in four bytes
+        body.extend_from_slice(b"XBI");
+        body.extend_from_slice(&300u32.to_le_bytes()); // 300 stored in four
+        body.extend_from_slice(b"XCs");
+        body.extend_from_slice(&(-200i16).to_le_bytes()); // already narrowest
+        let lengths = measure_record(&body).unwrap();
+        assert_eq!(lengths.tags, (3 + 1) + (3 + 2) + (3 + 2));
+        let decoded = decode_record(&body, &header()).unwrap();
+        assert_eq!(encode_tags(&decoded.tags).unwrap().len(), lengths.tags);
+    }
+
+    #[test]
+    fn overruns_and_unknown_types_are_typed_errors() {
+        let body = body_of("r\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII\tXZ:Z:text");
+        let tags_at = body.len() - b"XZZtext\0".len();
+        for cut in (0..body.len()).filter(|&cut| cut != tags_at) {
+            // Every other prefix ends inside a field or the unterminated tag.
+            assert!(measure_record(&body[..cut]).is_err(), "cut {cut}");
+        }
+        assert_eq!(measure_record(&body[..tags_at]).unwrap().tags, 0);
+        let mut zero_name = body.clone();
+        zero_name[8] = 0;
+        assert!(matches!(measure_record(&zero_name), Err(Error::InvalidBam(_))));
+        let mut huge_seq = body.clone();
+        huge_seq[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(measure_record(&huge_seq), Err(Error::InvalidBam(_))));
+        let mut unknown = body_of("r\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII");
+        unknown.extend_from_slice(b"XQq\x01");
+        assert!(matches!(measure_record(&unknown), Err(Error::InvalidTag(_))));
+        let mut bad_array = body_of("r\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII");
+        bad_array.extend_from_slice(b"XBBz\x01\x00\x00\x00\x07");
+        assert!(matches!(measure_record(&bad_array), Err(Error::InvalidTag(_))));
+        let mut long_array = body_of("r\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII");
+        long_array.extend_from_slice(b"XBBi\xff\xff\xff\xff");
+        assert!(matches!(measure_record(&long_array), Err(Error::InvalidBam(_))));
+    }
+
+    #[test]
+    fn reader_over_inflated_bytes_yields_bodies_and_records() {
+        let header = header();
+        let lines = ["a\t0\tchr1\t10\t60\t4M\t*\t0\t0\tACGT\tIIII", "bb\t0\tchr1\t20\t60\t2M\t*\t0\t0\tAC\tII"];
+        let mut raw = Vec::new();
+        encode_header(&header, &mut raw);
+        for line in lines {
+            encode_record(&sam::parse_record(line.as_bytes(), 1).unwrap(), &header, &mut raw).unwrap();
+        }
+        let mut bodies = BamReader::from_inflated(&raw[..]).unwrap();
+        assert_eq!(measure_record(bodies.read_body().unwrap().unwrap()).unwrap().qname, 1);
+        assert_eq!(bodies.read_record().unwrap().unwrap().qname, b"bb");
+        assert!(bodies.read_body().unwrap().is_none());
+        // A stream cut inside a record is an error, not a short record.
+        let mut cut = BamReader::from_inflated(&raw[..raw.len() - 3]).unwrap();
+        assert!(cut.read_body().unwrap().is_some());
+        assert!(cut.read_body().is_err());
     }
 }
 

@@ -126,8 +126,16 @@ impl std::error::Error for Error {
 }
 
 impl From<std::io::Error> for Error {
+    /// A codec error that crossed a [`std::io::Read`] boundary (a BGZF
+    /// reader under a BAM parser) comes back as
+    /// [`Error::Compression`], so a corrupt member stays structural and
+    /// only a genuine read failure is [`Error::Io`] — the split
+    /// [`Error::is_transient`] rests on.
     fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
+        match e.downcast::<ngs_bgzf::Error>() {
+            Ok(codec) => Error::Compression(codec),
+            Err(e) => Error::Io(e),
+        }
     }
 }
 

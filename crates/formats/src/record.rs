@@ -2,6 +2,7 @@
 //! converter runtime, shared by every parser and target-format emitter.
 
 use crate::cigar::Cigar;
+use crate::error::Result;
 use crate::flags::Flags;
 use crate::tags::{Tag, TagValue};
 
@@ -112,6 +113,36 @@ impl AlignmentRecord {
             + self.qual.len()
             + self.cigar.0.len() * 8
             + self.tags.len() * 24
+    }
+}
+
+/// The lengths of a record's four variable-length fields, as a
+/// fixed-width layout stores them — everything a layout pass needs, and
+/// measurable from raw BAM bytes ([`crate::bam::measure_record`]) or a
+/// SAM line ([`crate::sam::measure_record`]) without building the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldLengths {
+    /// Stored read-name bytes (≥ 1: a missing name is stored as `*`).
+    pub qname: usize,
+    /// CIGAR operations.
+    pub cigar_ops: usize,
+    /// Sequence bases.
+    pub seq: usize,
+    /// Bytes of the BAM-encoded tag block, every integer in its
+    /// narrowest width.
+    pub tags: usize,
+}
+
+impl FieldLengths {
+    /// The lengths of an already-materialised record. Fails on the tags
+    /// [`crate::bam::encode_tags`] fails on.
+    pub fn of(record: &AlignmentRecord) -> Result<Self> {
+        Ok(FieldLengths {
+            qname: record.qname.len().max(1),
+            cigar_ops: record.cigar.len(),
+            seq: record.seq.len(),
+            tags: crate::bam::encoded_tags_len(&record.tags)?,
+        })
     }
 }
 

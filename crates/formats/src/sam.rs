@@ -7,7 +7,8 @@ use crate::cigar::{itoa_buffer, write_i64, write_u64, Cigar};
 use crate::error::{Error, Result};
 use crate::flags::Flags;
 use crate::header::SamHeader;
-use crate::record::AlignmentRecord;
+use crate::bam::encoded_tags_len;
+use crate::record::{AlignmentRecord, FieldLengths};
 use crate::tags::Tag;
 
 /// Parses one tab-delimited SAM alignment line (no trailing newline).
@@ -80,6 +81,48 @@ pub fn parse_record(line: &[u8], line_no: u64) -> Result<AlignmentRecord> {
         tlen,
         seq,
         qual,
+        tags,
+    })
+}
+
+/// Measures one SAM alignment line (no trailing newline) without parsing
+/// it: QNAME and SEQ by length, CIGAR by counting operator characters,
+/// and each tag field through [`Tag::parse_sam`] — the one tag grammar —
+/// sized as the BAM encoder will store it. Agrees with
+/// `FieldLengths::of(&parse_record(..)?)` on every line [`parse_record`]
+/// accepts; integers, CIGAR syntax, bases and qualities are not looked
+/// at, so a line that is bad only in those passes here and fails in
+/// [`parse_record`].
+pub fn measure_record(line: &[u8], line_no: u64) -> Result<FieldLengths> {
+    let mut fields = line.split(|&b| b == b'\t');
+    let mut next = |name: &'static str| {
+        fields.next().ok_or_else(|| Error::sam(line_no, format!("missing field {name}")))
+    };
+    let qname = next("QNAME")?.len().max(1);
+    for name in ["FLAG", "RNAME", "POS", "MAPQ"] {
+        next(name)?;
+    }
+    let cigar = next("CIGAR")?;
+    for name in ["RNEXT", "PNEXT", "TLEN"] {
+        next(name)?;
+    }
+    let seq = next("SEQ")?;
+    next("QUAL")?;
+
+    let mut tags = 0usize;
+    for field in fields {
+        tags += Tag::parse_sam(field)
+            .and_then(|tag| encoded_tags_len(std::slice::from_ref(&tag)))
+            .map_err(|e| Error::sam(line_no, format!("{e}")))?;
+    }
+    Ok(FieldLengths {
+        qname,
+        cigar_ops: if cigar == b"*" {
+            0
+        } else {
+            cigar.iter().filter(|c| !c.is_ascii_digit()).count()
+        },
+        seq: if seq == b"*" { 0 } else { seq.len() },
         tags,
     })
 }
@@ -243,6 +286,33 @@ mod tests {
     use std::io::Cursor;
 
     const LINE: &str = "read1\t99\tchr1\t12345\t60\t90M\t=\t12500\t245\tACGTACGTAC\tIIIIIIIIII\tNM:i:2\tRG:Z:grp1";
+
+    #[test]
+    fn measure_agrees_with_parse_and_looks_at_lengths_only() {
+        let of_parsed = |line: &[u8]| FieldLengths::of(&parse_record(line, 1).unwrap()).unwrap();
+        assert_eq!(measure_record(LINE.as_bytes(), 1).unwrap(), of_parsed(LINE.as_bytes()));
+        assert_eq!(
+            measure_record(LINE.as_bytes(), 1).unwrap(),
+            FieldLengths { qname: 5, cigar_ops: 1, seq: 10, tags: (3 + 1) + (3 + 5) }
+        );
+        let stars = b"*\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*";
+        assert_eq!(measure_record(stars, 1).unwrap(), of_parsed(stars));
+        assert_eq!(measure_record(stars, 1).unwrap(), FieldLengths { qname: 1, cigar_ops: 0, seq: 0, tags: 0 });
+        let ops = b"r\t0\tchr1\t1\t60\t10M2I300D7M\t*\t0\t0\tACGT\t*\tXI:i:70000\tXB:B:s,1,2,3";
+        assert_eq!(measure_record(ops, 1).unwrap(), of_parsed(ops));
+        assert_eq!(measure_record(ops, 1).unwrap().cigar_ops, 4);
+
+        // Too few fields and malformed tags are errors here too, with the
+        // line number; a bad integer is left for the parser to report.
+        assert!(matches!(measure_record(b"r\t0\tchr1", 9), Err(Error::InvalidSam { line: 9, .. })));
+        let bad_tag = b"r\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\t*\tNM:q:1";
+        assert!(matches!(measure_record(bad_tag, 3), Err(Error::InvalidSam { line: 3, .. })));
+        let wide_int = b"r\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\t*\tXI:i:99999999999";
+        assert!(measure_record(wide_int, 1).is_err());
+        let bad_flag = b"r\tx\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\t*";
+        assert!(measure_record(bad_flag, 1).is_ok());
+        assert!(parse_record(bad_flag, 1).is_err());
+    }
 
     #[test]
     fn parse_and_serialize_roundtrip() {
