@@ -166,23 +166,29 @@ if grep -rn "unsafe" crates/bgzf/src crates/bamx/src; then
     exit 1
 fi
 
-# Ingest gate: the preprocessing path (DESIGN.md §16). The three
-# equivalence proptests — read-ahead reader ≡ streaming reader (in
-# proptest_codec, run by the codec gate above), lengths measured off BAM
-# bodies and SAM lines ≡ `BamxLayout::observe`, writer-built BAIX ≡
-# `Baix::build` — the rank-count byte-identity test against the
-# sequential reference, the failure contract (typed error, nothing
-# recorded, helpers joined), the BAIX suite in the *release* profile
-# (the profile that caught the `locate` saturation bug), the
-# never-panics corpus through the read-ahead reader, and a build of the
-# untouched benchmark package, so an API break against `perfbench/`
-# fails here and not in the benchmark pipeline.
-echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, rank-count identity, perfbench builds)"
+# Ingest gate: the preprocessing path (DESIGN.md §16). The equivalence
+# proptests — read-ahead reader ≡ streaming reader (in proptest_codec,
+# run by the codec gate above), lengths measured off BAM bodies and SAM
+# lines ≡ `BamxLayout::observe`, BAM bodies transcoded and SAM lines
+# parsed into fields ≡ the decoded/parsed records written (bytes and
+# errors), writer-built BAIX ≡ `Baix::build` — the rank-count
+# byte-identity tests against the sequential reference (BAM v1/v2,
+# foreign BAM, SAMX v1/v2), the failure contract (typed error, the first
+# in stream order, nothing recorded, helpers joined), the BAIX suite in
+# the *release* profile (the profile that caught the `locate`
+# saturation bug), the never-panics corpus through the read-ahead
+# reader, clippy on the decode crates (the new view and fields modules
+# deny lossy casts), and a build of the untouched benchmark package, so
+# an API break against `perfbench/` fails here and not in the benchmark
+# pipeline.
+echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, fields ≡ records, rank-count identity, perfbench builds)"
 cargo test --quiet -p ngs-bgzf --test proptest_codec read_ahead
 cargo test --quiet -p ngs-bgzf --lib readahead
-cargo test --quiet -p ngs-repro --test proptest_lengths --test preprocess_identity --test preprocess_faults
+cargo test --quiet -p ngs-repro --test proptest_lengths --test proptest_fields --test preprocess_identity --test preprocess_faults
+cargo test --quiet -p ngs-converter --lib transcode
 cargo test --quiet --release -p ngs-bamx --lib baix
 cargo test --quiet -p ngs-fault --test decode_never_panics
+cargo clippy -p ngs-formats -p ngs-bamx -- -D warnings
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # BAMX v2 smoke: columnar-layout acceptance (DESIGN.md §14). The

@@ -15,13 +15,14 @@ use std::path::Path;
 use ngs_bgzf::ReadAt;
 use ngs_formats::bam::{decode_header, encode_header};
 use ngs_formats::error::{DecodeErrorKind, Error, Result};
+use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
 
-use crate::baix::{position_key, Baix};
+use crate::baix::Baix;
 use crate::column::ColumnSet;
 use crate::layout::BamxLayout;
-use crate::layout_v2::{V2Reader, V2Writer, MAGIC_V2};
+use crate::layout_v2::{BlockBuilder, BlockEntry, V2Reader, V2Writer, DEFAULT_RECORDS_PER_BLOCK, MAGIC_V2};
 use crate::record_codec;
 
 /// BAMX file magic.
@@ -58,7 +59,8 @@ impl BamxCompression {
 /// (compute it with a first pass, or merge per-rank layouts).
 pub struct BamxWriter<W: Write> {
     sink: Sink<W>,
-    header: SamHeader,
+    refs: RefIds,
+    fields: FieldsScratch,
     layout: BamxLayout,
     /// [`position_key`] of every record written, in shard order — what
     /// [`BamxWriter::finish_indexed`] turns into the BAIX.
@@ -69,6 +71,28 @@ pub struct BamxWriter<W: Write> {
 enum Sink<W: Write> {
     Plain(W),
     Bgzf { inner: ngs_bgzf::BgzfWriter<W>, records_per_block: usize, in_block: usize },
+}
+
+impl<W: Write> Sink<W> {
+    /// Writes whole encoded records of `record_size` bytes each.
+    fn put(&mut self, records: &[u8], record_size: usize) -> Result<()> {
+        match self {
+            Sink::Plain(w) => w.write_all(records)?,
+            Sink::Bgzf { inner, records_per_block, in_block } => {
+                for record in records.chunks(record_size) {
+                    inner.write_all(record)?;
+                    *in_block += 1;
+                    if *in_block == *records_per_block {
+                        // Force a block boundary so every block holds whole
+                        // records and block index arithmetic stays trivial.
+                        inner.flush()?;
+                        *in_block = 0;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl BamxWriter<BufWriter<File>> {
@@ -114,7 +138,14 @@ impl<W: Write> BamxWriter<W> {
                 Sink::Bgzf { inner: ngs_bgzf::BgzfWriter::new(inner), records_per_block: rp, in_block: 0 }
             }
         };
-        Ok(BamxWriter { sink, header, layout, keys: Vec::new(), scratch: Vec::new() })
+        Ok(BamxWriter {
+            sink,
+            refs: RefIds::new(&header),
+            fields: FieldsScratch::default(),
+            layout,
+            keys: Vec::new(),
+            scratch: Vec::new(),
+        })
     }
 
     /// The layout this writer pads to.
@@ -122,27 +153,33 @@ impl<W: Write> BamxWriter<W> {
         &self.layout
     }
 
-    /// Appends one record.
+    /// Appends one owned record: [`Self::write_fields`] over
+    /// [`RecordFields::from_record`].
     pub fn write_record(&mut self, record: &AlignmentRecord) -> Result<()> {
+        let mut fields = std::mem::take(&mut self.fields);
+        let written = RecordFields::from_record(record, &self.refs, &mut fields)
+            .and_then(|f| self.write_fields(&f));
+        self.fields = fields;
+        written
+    }
+
+    /// Appends one record.
+    pub fn write_fields(&mut self, fields: &RecordFields<'_>) -> Result<()> {
         self.scratch.clear();
-        record_codec::encode(record, &self.header, &self.layout, &mut self.scratch)?;
-        // The codec has just resolved the reference id and position into
-        // the fixed prefix; the index key is read back from there.
-        let (ref_id, pos0) = record_codec::peek_position(&self.scratch)?;
-        match &mut self.sink {
-            Sink::Plain(w) => w.write_all(&self.scratch)?,
-            Sink::Bgzf { inner, records_per_block, in_block } => {
-                inner.write_all(&self.scratch)?;
-                *in_block += 1;
-                if *in_block == *records_per_block {
-                    // Force a block boundary so every block holds whole
-                    // records and block index arithmetic stays trivial.
-                    inner.flush()?;
-                    *in_block = 0;
-                }
-            }
+        let key = record_codec::encode_fields(fields, &self.layout, &mut self.scratch)?;
+        self.sink.put(&self.scratch, self.layout.record_size())?;
+        self.keys.push(key);
+        Ok(())
+    }
+
+    /// Appends records encoded elsewhere by [`record_codec::encode_fields`]
+    /// under this writer's layout, with their position keys.
+    fn append_records(&mut self, records: &[u8], keys: &[u64]) -> Result<()> {
+        if records.len() != keys.len() * self.layout.record_size() {
+            return Err(Error::InvalidRecord("encoded v1 records do not match their keys".into()));
         }
-        self.keys.push(position_key(ref_id, pos0));
+        self.sink.put(records, self.layout.record_size())?;
+        self.keys.extend_from_slice(keys);
         Ok(())
     }
 
@@ -685,6 +722,43 @@ impl<W: Write> AnyBamxWriter<W> {
         }
     }
 
+    /// Appends one record given as fields.
+    pub fn write_fields(&mut self, fields: &RecordFields<'_>) -> Result<()> {
+        match self {
+            AnyBamxWriter::V1(w) => w.write_fields(fields),
+            AnyBamxWriter::V2(w) => w.write_fields(fields),
+        }
+    }
+
+    /// Records per [`EncodedBatch`]: a v2 block's worth, and the same
+    /// count for v1, so one batching serves both.
+    pub fn records_per_batch(&self) -> usize {
+        match self {
+            AnyBamxWriter::V1(_) => DEFAULT_RECORDS_PER_BLOCK as usize,
+            AnyBamxWriter::V2(w) => w.records_per_block() as usize,
+        }
+    }
+
+    /// An encoder producing batches this writer can [`append`](Self::append).
+    pub fn batch_encoder(&self) -> BatchEncoder {
+        BatchEncoder {
+            layout: *self.layout(),
+            block: matches!(self, AnyBamxWriter::V2(_)).then(|| BlockBuilder::new(*self.layout())),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Appends a batch encoded off the writer. Batches must arrive in
+    /// shard order and, on v2, all but the last must be full.
+    pub fn append(&mut self, batch: &EncodedBatch) -> Result<()> {
+        match (self, batch.block) {
+            (AnyBamxWriter::V1(w), None) => w.append_records(&batch.bytes, &batch.keys),
+            (AnyBamxWriter::V2(w), Some(entry)) => w.append_block(&batch.bytes, entry, &batch.keys),
+            (AnyBamxWriter::V2(_), None) if batch.keys.is_empty() => Ok(()),
+            _ => Err(Error::InvalidRecord("batch encoded for the other BAMX version".into())),
+        }
+    }
+
     /// Records written so far.
     pub fn record_count(&self) -> u64 {
         match self {
@@ -713,6 +787,92 @@ impl<W: Write> AnyBamxWriter<W> {
             AnyBamxWriter::V1(w) => w.finish_indexed(),
             AnyBamxWriter::V2(w) => w.finish_indexed(),
         }
+    }
+}
+
+/// Records encoded away from the writer — a run of v1 records, or one
+/// v2 block — for [`AnyBamxWriter::append`] to write whole. Filled by a
+/// [`BatchEncoder`] and recycled.
+#[derive(Debug, Default)]
+pub struct EncodedBatch {
+    bytes: Vec<u8>,
+    keys: Vec<u64>,
+    block: Option<BlockEntry>,
+}
+
+impl EncodedBatch {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.keys.clear();
+        self.block = None;
+    }
+
+    /// Empties the batch and hands over its byte buffer, so one
+    /// allocation can serve in turn as a batch's raw input (see
+    /// [`BatchEncoder::finish`]) and as its encoded bytes.
+    pub fn take_buffer(&mut self) -> Vec<u8> {
+        self.clear();
+        std::mem::take(&mut self.bytes)
+    }
+}
+
+/// Encodes records into [`EncodedBatch`]es for one writer's version and
+/// layout ([`AnyBamxWriter::batch_encoder`]) — what each preprocessing
+/// worker owns, so records are encoded, and v2 blocks built and
+/// deflated, on every core while one writer appends in order.
+///
+/// A batch is [`start`](Self::start)ed, [`push`](Self::push)ed record by
+/// record and [`finish`](Self::finish)ed. `finish` takes over the buffer
+/// the records were read from: v1 writes the next batch into it, v2
+/// frees it before deflating, so neither holds more than one batch's
+/// worth of records at its peak.
+#[derive(Debug)]
+pub struct BatchEncoder {
+    layout: BamxLayout,
+    /// The v2 block under construction; `None` for v1.
+    block: Option<BlockBuilder>,
+    /// v1: the allocation the next batch's records are written into.
+    spare: Vec<u8>,
+}
+
+impl BatchEncoder {
+    /// Empties `batch` for a new run of records.
+    pub fn start(&mut self, batch: &mut EncodedBatch) {
+        batch.clear();
+        if self.block.is_none() {
+            std::mem::swap(&mut batch.bytes, &mut self.spare);
+        }
+    }
+
+    /// Adds one record to `batch`: v1 appends its fixed-width bytes, v2
+    /// adds it to the open block. A rejected record adds nothing.
+    pub fn push(&mut self, fields: &RecordFields<'_>, batch: &mut EncodedBatch) -> Result<()> {
+        let key = match &mut self.block {
+            None => record_codec::encode_fields(fields, &self.layout, &mut batch.bytes)?,
+            Some(block) => block.push(fields)?,
+        };
+        batch.keys.push(key);
+        Ok(())
+    }
+
+    /// Ends `batch`. `input` is the buffer the pushed records were read
+    /// from, no longer needed, and is left empty: v1 keeps its
+    /// allocation to write the next batch into, v2 frees it and seals
+    /// the block. Call it after a failed push too: it leaves the encoder
+    /// empty for the next batch.
+    pub fn finish(&mut self, batch: &mut EncodedBatch, input: &mut Vec<u8>) -> Result<()> {
+        let input = std::mem::take(input);
+        match &mut self.block {
+            None => {
+                self.spare = input;
+                self.spare.clear();
+            }
+            Some(block) => {
+                drop(input);
+                batch.block = block.seal(&mut batch.bytes)?;
+            }
+        }
+        Ok(())
     }
 }
 

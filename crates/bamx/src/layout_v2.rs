@@ -44,9 +44,10 @@ use ngs_bgzf::crc32::crc32;
 use ngs_bgzf::deflate::{deflate, Options};
 use ngs_bgzf::inflate::Inflater;
 use ngs_bgzf::ReadAt;
-use ngs_formats::bam::{decode_header, decode_tags, encode_header, encode_tags};
+use ngs_formats::bam::{decode_header, decode_tags, encode_header};
 use ngs_formats::cigar::{Cigar, CigarOp};
 use ngs_formats::error::{DecodeErrorKind, Error, Result};
+use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
 use ngs_formats::flags::Flags;
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
@@ -55,7 +56,7 @@ use ngs_formats::seq;
 use crate::baix::{position_key, Baix};
 use crate::column::{self, get_varint, put_varint, unzigzag, zigzag, ColumnKind, ColumnSet, N_COLUMNS};
 use crate::layout::BamxLayout;
-use crate::record_codec::resolve_ref;
+use crate::record_codec;
 
 /// BAMX v2 file magic.
 pub const MAGIC_V2: [u8; 5] = *b"BAMX\x02";
@@ -81,7 +82,7 @@ const DEFLATE_LEVEL: u8 = 6;
 
 /// One block's entry in the footer index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockEntry {
+pub(crate) struct BlockEntry {
     /// Absolute file offset of the block's first stream byte.
     offset: u64,
     /// Records in the block (== `records_per_block` except the last).
@@ -103,21 +104,139 @@ impl BlockEntry {
     }
 }
 
+/// One v2 block under construction: the eight column streams of its
+/// records, built from [`RecordFields`] and sealed — the text-like
+/// columns deflated — into the bytes a [`V2Writer`] appends. Blocks are
+/// independent, so each preprocessing worker builds whole blocks with
+/// its own builder, reused from block to block.
+#[derive(Debug)]
+pub(crate) struct BlockBuilder {
+    layout: BamxLayout,
+    cols: [Vec<u8>; N_COLUMNS],
+    n_records: u32,
+    first_key: u64,
+    prev_ref: i64,
+    prev_pos: i64,
+}
+
+impl BlockBuilder {
+    /// An empty block validating against `layout`.
+    pub fn new(layout: BamxLayout) -> Self {
+        BlockBuilder {
+            layout,
+            cols: Default::default(),
+            n_records: 0,
+            first_key: 0,
+            prev_ref: 0,
+            prev_pos: 0,
+        }
+    }
+
+    /// Records in the open block.
+    pub fn len(&self) -> u32 {
+        self.n_records
+    }
+
+    /// True when the open block holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.n_records == 0
+    }
+
+    /// Adds one record to the block and returns its BAIX
+    /// [`position_key`]. Validation is v1's ([`record_codec::check`]), so
+    /// any record one layout accepts the other does too; a rejected
+    /// record adds nothing.
+    pub fn push(&mut self, f: &RecordFields<'_>) -> Result<u64> {
+        record_codec::check(f, &self.layout)?;
+        let key = position_key(f.ref_id(), f.pos0());
+        if self.n_records == 0 {
+            self.first_key = key;
+        }
+        // In `ColumnKind` order.
+        let [flags, pos, mate, qname, cigar, seq, qual, tags] = &mut self.cols;
+        // flags: fixed 3 bytes.
+        flags.extend_from_slice(&f.flag().to_le_bytes());
+        flags.push(f.mapq());
+        // pos: per-block delta chain.
+        let (ref_id, pos0) = (i64::from(f.ref_id()), i64::from(f.pos0()));
+        put_varint(pos, zigzag(ref_id - self.prev_ref));
+        put_varint(pos, zigzag(pos0 - self.prev_pos));
+        (self.prev_ref, self.prev_pos) = (ref_id, pos0);
+        // mate: absolute zigzag varints.
+        put_varint(mate, zigzag(i64::from(f.next_ref_id())));
+        put_varint(mate, zigzag(i64::from(f.next_pos0())));
+        put_varint(mate, zigzag(f.tlen()));
+        put_varint(qname, f.qname().len() as u64);
+        qname.extend_from_slice(f.qname());
+        put_varint(cigar, f.n_cigar_ops() as u64);
+        for word in f.cigar_words() {
+            put_varint(cigar, u64::from(word));
+        }
+        // seq: 4-bit packed.
+        put_varint(seq, f.l_seq() as u64);
+        seq.extend_from_slice(f.packed_seq());
+        // qual: empty means absent (same convention as v1's qual bit).
+        let q = f.qual().unwrap_or_default();
+        put_varint(qual, q.len() as u64);
+        qual.extend_from_slice(q);
+        put_varint(tags, f.tags().len() as u64);
+        tags.extend_from_slice(f.tags());
+        self.n_records += 1;
+        Ok(key)
+    }
+
+    /// Appends the open block's streams to `out` — deflated columns as
+    /// `raw_len u32 + DEFLATE` — and empties the builder. Returns the
+    /// block's footer entry with an offset of 0 (the writer places it);
+    /// `None` when the block is empty.
+    pub(crate) fn seal(&mut self, out: &mut Vec<u8>) -> Result<Option<BlockEntry>> {
+        if self.n_records == 0 {
+            return Ok(None);
+        }
+        let mut lens = [0u32; N_COLUMNS];
+        // One allocation for the block (the raw columns bound it, bar a
+        // few bytes of DEFLATE framing): grown by doubling, the output
+        // would leave a trail of freed chunks on the sealing thread.
+        out.reserve(self.cols.iter().map(Vec::len).sum::<usize>() + 64);
+        for kind in ColumnKind::ALL {
+            let too_big = || {
+                Error::InvalidRecord(format!(
+                    "v2 column stream '{}' exceeds 4 GiB in one block",
+                    kind.name()
+                ))
+            };
+            let raw = &mut self.cols[kind.index()];
+            let start = out.len();
+            if kind.deflated() {
+                out.extend_from_slice(&u32::try_from(raw.len()).map_err(|_| too_big())?.to_le_bytes());
+                out.extend_from_slice(&deflate(raw, Options::from_level(DEFLATE_LEVEL)));
+            } else {
+                out.extend_from_slice(raw);
+            }
+            raw.clear();
+            lens[kind.index()] = u32::try_from(out.len() - start).map_err(|_| too_big())?;
+        }
+        let entry =
+            BlockEntry { offset: 0, n_records: self.n_records, first_key: self.first_key, lens };
+        self.n_records = 0;
+        self.first_key = 0;
+        self.prev_ref = 0;
+        self.prev_pos = 0;
+        Ok(Some(entry))
+    }
+}
+
 /// Streaming v2 writer. Like [`BamxWriter`](crate::BamxWriter) the
 /// caller provides the layout up front — v2 keeps it for encode-time
 /// validation bounds and for the version-tagged repository fingerprint,
 /// not for padding.
 pub struct V2Writer<W: Write> {
     inner: W,
-    header: SamHeader,
-    layout: BamxLayout,
+    refs: RefIds,
+    fields: FieldsScratch,
     records_per_block: u32,
-    /// Column accumulation buffers for the open block.
-    cols: [Vec<u8>; N_COLUMNS],
-    block_records: u32,
-    first_key: u64,
-    prev_ref: i64,
-    prev_pos: i64,
+    /// The open block.
+    block: BlockBuilder,
     blocks: Vec<BlockEntry>,
     /// Bytes written so far (absolute offset of the next byte).
     pos: u64,
@@ -167,14 +286,10 @@ impl<W: Write> V2Writer<W> {
         let pos = 10 + prologue.len() as u64 + 12 + 4;
         Ok(V2Writer {
             inner,
-            header,
-            layout,
+            refs: RefIds::new(&header),
+            fields: FieldsScratch::default(),
             records_per_block,
-            cols: Default::default(),
-            block_records: 0,
-            first_key: 0,
-            prev_ref: 0,
-            prev_pos: 0,
+            block: BlockBuilder::new(layout),
             blocks: Vec::new(),
             pos,
             keys: Vec::new(),
@@ -183,137 +298,61 @@ impl<W: Write> V2Writer<W> {
 
     /// The layout this writer validates against.
     pub fn layout(&self) -> &BamxLayout {
-        &self.layout
+        &self.block.layout
     }
 
-    /// Appends one record, splitting it across the block's column
-    /// buffers. Validation mirrors the v1 codec exactly (same layout
-    /// bounds, same i32 coordinate domain), so any record a v1 shard
-    /// accepts re-encodes into v2 and vice versa.
+    /// Records per block; every block but the last holds exactly this
+    /// many.
+    pub fn records_per_block(&self) -> u32 {
+        self.records_per_block
+    }
+
+    /// Appends one owned record: [`Self::write_fields`] over
+    /// [`RecordFields::from_record`].
     pub fn write_record(&mut self, record: &AlignmentRecord) -> Result<()> {
-        let ref_id = resolve_ref(&self.header, &record.rname)?;
-        let next_ref_id = if record.rnext == b"=" {
-            ref_id
-        } else {
-            resolve_ref(&self.header, &record.rnext)?
-        };
-        let qname: &[u8] = if record.qname.is_empty() { b"*" } else { &record.qname };
-        if qname.len() > self.layout.max_qname as usize {
-            return Err(Error::InvalidRecord("qname exceeds BAMX layout".into()));
-        }
-        if record.cigar.len() > self.layout.max_cigar_ops as usize {
-            return Err(Error::InvalidRecord("CIGAR exceeds BAMX layout".into()));
-        }
-        if record.seq.len() > self.layout.max_seq as usize {
-            return Err(Error::InvalidRecord("sequence exceeds BAMX layout".into()));
-        }
-        let tag_bytes = encode_tags(&record.tags)?;
-        if tag_bytes.len() > self.layout.max_tags as usize {
-            return Err(Error::InvalidRecord("tags exceed BAMX layout".into()));
-        }
-        for (what, raw) in [("POS", record.pos), ("PNEXT", record.pnext)] {
-            match raw.checked_sub(1) {
-                Some(v) if v >= i32::MIN as i64 && v <= i32::MAX as i64 => {}
-                _ => {
-                    return Err(Error::InvalidRecord(format!(
-                        "{what} {raw} unrepresentable (i32)"
-                    )));
-                }
-            }
-        }
-        if !record.qual.is_empty() && record.qual.len() != record.seq.len() {
-            return Err(Error::InvalidRecord("SEQ/QUAL length mismatch".into()));
-        }
+        let mut scratch = std::mem::take(&mut self.fields);
+        let written = RecordFields::from_record(record, &self.refs, &mut scratch)
+            .and_then(|fields| self.write_fields(&fields));
+        self.fields = scratch;
+        written
+    }
 
-        let pos0 = record.pos - 1;
-        let next_pos0 = record.pnext - 1;
-        let key = position_key(ref_id, pos0 as i32);
-        if self.block_records == 0 {
-            self.first_key = key;
-        }
-
-        // flags: fixed 3 bytes.
-        let c = &mut self.cols;
-        c[ColumnKind::Flags.index()].extend_from_slice(&record.flag.0.to_le_bytes());
-        c[ColumnKind::Flags.index()].push(record.mapq);
-        // pos: per-block delta chain.
-        let col = &mut c[ColumnKind::Pos.index()];
-        put_varint(col, zigzag(ref_id as i64 - self.prev_ref));
-        put_varint(col, zigzag(pos0 - self.prev_pos));
-        self.prev_ref = ref_id as i64;
-        self.prev_pos = pos0;
-        // mate: absolute zigzag varints.
-        let col = &mut c[ColumnKind::Mate.index()];
-        put_varint(col, zigzag(next_ref_id as i64));
-        put_varint(col, zigzag(next_pos0));
-        put_varint(col, zigzag(record.tlen));
-        // qname.
-        let col = &mut c[ColumnKind::Qname.index()];
-        put_varint(col, qname.len() as u64);
-        col.extend_from_slice(qname);
-        // cigar.
-        let col = &mut c[ColumnKind::Cigar.index()];
-        put_varint(col, record.cigar.len() as u64);
-        for &(len, op) in &record.cigar.0 {
-            put_varint(col, u64::from((len << 4) | op.to_bam_code()));
-        }
-        // seq: 4-bit packed.
-        let col = &mut c[ColumnKind::Seq.index()];
-        put_varint(col, record.seq.len() as u64);
-        col.extend_from_slice(&seq::pack(&record.seq));
-        // qual: empty means absent (same convention as v1's qual bit).
-        let col = &mut c[ColumnKind::Qual.index()];
-        put_varint(col, record.qual.len() as u64);
-        col.extend_from_slice(&record.qual);
-        // tags.
-        let col = &mut c[ColumnKind::Tags.index()];
-        put_varint(col, tag_bytes.len() as u64);
-        col.extend_from_slice(&tag_bytes);
-
-        self.block_records += 1;
-        self.keys.push(key);
-        if self.block_records == self.records_per_block {
+    /// Appends one record to the open block, sealing and writing the
+    /// block when it is full.
+    pub fn write_fields(&mut self, fields: &RecordFields<'_>) -> Result<()> {
+        self.keys.push(self.block.push(fields)?);
+        if self.block.len() == self.records_per_block {
             self.flush_block()?;
         }
         Ok(())
     }
 
     fn flush_block(&mut self) -> Result<()> {
-        if self.block_records == 0 {
-            return Ok(());
+        let mut sealed = Vec::new();
+        match self.block.seal(&mut sealed)? {
+            Some(entry) => self.put_block(&sealed, entry),
+            None => Ok(()),
         }
-        let offset = self.pos;
-        let mut lens = [0u32; N_COLUMNS];
-        for kind in ColumnKind::ALL {
-            let raw = std::mem::take(&mut self.cols[kind.index()]);
-            let stream = if kind.deflated() {
-                let mut s = Vec::with_capacity(raw.len() / 2 + 8);
-                s.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-                s.extend_from_slice(&deflate(&raw, Options::from_level(DEFLATE_LEVEL)));
-                s
-            } else {
-                raw
-            };
-            if stream.len() > u32::MAX as usize {
-                return Err(Error::InvalidRecord(format!(
-                    "v2 column stream '{}' exceeds 4 GiB in one block",
-                    kind.name()
-                )));
-            }
-            lens[kind.index()] = stream.len() as u32;
-            self.inner.write_all(&stream)?;
-            self.pos += stream.len() as u64;
+    }
+
+    /// Appends a block sealed elsewhere, with the position keys of its
+    /// records. Only whole blocks can follow one another: the open block
+    /// must be empty and the last block written full, so that every
+    /// block but the last holds exactly `records_per_block` records.
+    pub(crate) fn append_block(&mut self, bytes: &[u8], entry: BlockEntry, keys: &[u64]) -> Result<()> {
+        let after_full = self.blocks.last().is_none_or(|b| b.n_records == self.records_per_block);
+        if !self.block.is_empty() || !after_full || entry.n_records > self.records_per_block {
+            return Err(Error::InvalidRecord("v2 block appended out of turn".into()));
         }
-        self.blocks.push(BlockEntry {
-            offset,
-            n_records: self.block_records,
-            first_key: self.first_key,
-            lens,
-        });
-        self.block_records = 0;
-        self.first_key = 0;
-        self.prev_ref = 0;
-        self.prev_pos = 0;
+        self.put_block(bytes, entry)?;
+        self.keys.extend_from_slice(keys);
+        Ok(())
+    }
+
+    fn put_block(&mut self, bytes: &[u8], entry: BlockEntry) -> Result<()> {
+        self.inner.write_all(bytes)?;
+        self.blocks.push(BlockEntry { offset: self.pos, ..entry });
+        self.pos += bytes.len() as u64;
         Ok(())
     }
 

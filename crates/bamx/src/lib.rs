@@ -36,7 +36,7 @@ pub use binned::BinnedIndex;
 pub use column::{ColumnKind, ColumnSet};
 pub use file::{
     write_bamx_file, write_bamx_file_versioned, AnyBamxWriter, BamxCompression, BamxFile,
-    BamxVersion, BamxWriter,
+    BamxVersion, BamxWriter, BatchEncoder, EncodedBatch,
 };
 pub use layout::BamxLayout;
 pub use layout_v2::{V2Writer, DEFAULT_RECORDS_PER_BLOCK, MAGIC_V2};

@@ -6,101 +6,95 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use ngs_formats::bam::{decode_tags, encode_tags};
+use ngs_formats::bam::decode_tags;
 use ngs_formats::cigar::{Cigar, CigarOp};
 use ngs_formats::error::{Error, Result};
+use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
 use ngs_formats::flags::Flags;
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
 use ngs_formats::seq;
 
+use crate::baix::position_key;
 use crate::layout::BamxLayout;
 
 /// Encodes `record` into exactly `layout.record_size()` bytes appended to
-/// `out`.
+/// `out` — [`encode_fields`] over [`RecordFields::from_record`]. Builds
+/// the header's [`RefIds`] on every call; writers build it once.
 pub fn encode(record: &AlignmentRecord, header: &SamHeader, layout: &BamxLayout, out: &mut Vec<u8>) -> Result<()> {
-    let start = out.len();
-
-    let ref_id = resolve_ref(header, &record.rname)?;
-    let next_ref_id =
-        if record.rnext == b"=" { ref_id } else { resolve_ref(header, &record.rnext)? };
-
-    let qname: &[u8] = if record.qname.is_empty() { b"*" } else { &record.qname };
-    if qname.len() > layout.max_qname as usize {
-        return Err(Error::InvalidRecord("qname exceeds BAMX layout".into()));
-    }
-    if record.cigar.len() > layout.max_cigar_ops as usize {
-        return Err(Error::InvalidRecord("CIGAR exceeds BAMX layout".into()));
-    }
-    if record.seq.len() > layout.max_seq as usize {
-        return Err(Error::InvalidRecord("sequence exceeds BAMX layout".into()));
-    }
-    let tag_bytes = encode_tags(&record.tags)?;
-    if tag_bytes.len() > layout.max_tags as usize {
-        return Err(Error::InvalidRecord("tags exceed BAMX layout".into()));
-    }
-    for (what, raw) in [("POS", record.pos), ("PNEXT", record.pnext)] {
-        // checked_sub keeps the guard total even for i64::MIN.
-        match raw.checked_sub(1) {
-            Some(v) if v >= i32::MIN as i64 && v <= i32::MAX as i64 => {}
-            _ => {
-                return Err(Error::InvalidRecord(format!("{what} {raw} unrepresentable (i32)")));
-            }
-        }
-    }
-
-    out.extend_from_slice(&record.flag.0.to_le_bytes());
-    out.push(record.mapq);
-    out.push(0); // reserved
-    out.extend_from_slice(&ref_id.to_le_bytes());
-    out.extend_from_slice(&((record.pos - 1) as i32).to_le_bytes());
-    out.extend_from_slice(&next_ref_id.to_le_bytes());
-    out.extend_from_slice(&((record.pnext - 1) as i32).to_le_bytes());
-    out.extend_from_slice(&record.tlen.to_le_bytes());
-    out.extend_from_slice(&(qname.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(record.cigar.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(record.seq.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(tag_bytes.len() as u32).to_le_bytes());
-    out.push(u8::from(!record.qual.is_empty()));
-
-    // qname slot
-    out.extend_from_slice(qname);
-    out.extend(std::iter::repeat_n(0u8, layout.max_qname as usize - qname.len()));
-    // cigar slot
-    for &(len, op) in &record.cigar.0 {
-        out.extend_from_slice(&((len << 4) | op.to_bam_code()).to_le_bytes());
-    }
-    out.extend(std::iter::repeat_n(0u8, (layout.max_cigar_ops as usize - record.cigar.len()) * 4));
-    // seq slot (packed)
-    let packed = seq::pack(&record.seq);
-    out.extend_from_slice(&packed);
-    out.extend(std::iter::repeat_n(0u8, layout.seq_bytes() - packed.len()));
-    // qual slot
-    if record.qual.is_empty() {
-        out.extend(std::iter::repeat_n(0u8, layout.max_seq as usize));
-    } else {
-        if record.qual.len() != record.seq.len() {
-            return Err(Error::InvalidRecord("SEQ/QUAL length mismatch".into()));
-        }
-        out.extend_from_slice(&record.qual);
-        out.extend(std::iter::repeat_n(0u8, layout.max_seq as usize - record.qual.len()));
-    }
-    // tags slot
-    out.extend_from_slice(&tag_bytes);
-    out.extend(std::iter::repeat_n(0u8, layout.max_tags as usize - tag_bytes.len()));
-
-    debug_assert_eq!(out.len() - start, layout.record_size());
-    Ok(())
+    let mut scratch = FieldsScratch::default();
+    let fields = RecordFields::from_record(record, &RefIds::new(header), &mut scratch)?;
+    encode_fields(&fields, layout, out).map(drop)
 }
 
-pub(crate) fn resolve_ref(header: &SamHeader, name: &[u8]) -> Result<i32> {
-    if name == b"*" || name.is_empty() {
-        return Ok(-1);
+/// A record's variable lengths, checked against a layout and narrowed to
+/// the widths both BAMX layouts store.
+pub(crate) struct Lengths {
+    pub(crate) qname: u16,
+    pub(crate) cigar_ops: u16,
+    pub(crate) seq: u32,
+    pub(crate) tags: u32,
+}
+
+/// The one validation every BAMX encoder runs before writing a byte: each
+/// variable field within the layout maxima, and qualities, when present,
+/// as long as the sequence. (The i32 coordinate domain is checked where
+/// fields are made: [`RecordFields`] holds coordinates as `i32`.)
+pub(crate) fn check(f: &RecordFields<'_>, layout: &BamxLayout) -> Result<Lengths> {
+    fn within<T: TryFrom<usize> + PartialOrd>(len: usize, max: T, what: &str) -> Result<T> {
+        T::try_from(len)
+            .ok()
+            .filter(|n| *n <= max)
+            .ok_or_else(|| Error::InvalidRecord(format!("{what} BAMX layout")))
     }
-    header
-        .reference_id(name)
-        .map(|i| i as i32)
-        .ok_or_else(|| Error::UnknownReference(String::from_utf8_lossy(name).into_owned()))
+    let lengths = Lengths {
+        qname: within(f.qname().len(), layout.max_qname, "qname exceeds")?,
+        cigar_ops: within(f.n_cigar_ops(), layout.max_cigar_ops, "CIGAR exceeds")?,
+        seq: within(f.l_seq(), layout.max_seq, "sequence exceeds")?,
+        tags: within(f.tags().len(), layout.max_tags, "tags exceed")?,
+    };
+    if f.qual().is_some_and(|q| q.len() != f.l_seq()) {
+        return Err(Error::InvalidRecord("SEQ/QUAL length mismatch".into()));
+    }
+    Ok(lengths)
+}
+
+/// Encodes one record into exactly `layout.record_size()` bytes appended
+/// to `out` and returns its BAIX [`position_key`]. A record the layout
+/// rejects writes nothing.
+pub fn encode_fields(f: &RecordFields<'_>, layout: &BamxLayout, out: &mut Vec<u8>) -> Result<u64> {
+    let lengths = check(f, layout)?;
+    let start = out.len();
+    let pad = |out: &mut Vec<u8>, slot: usize, used: usize| out.resize(out.len() + slot - used, 0);
+
+    out.extend_from_slice(&f.flag().to_le_bytes());
+    out.push(f.mapq());
+    out.push(0); // reserved
+    out.extend_from_slice(&f.ref_id().to_le_bytes());
+    out.extend_from_slice(&f.pos0().to_le_bytes());
+    out.extend_from_slice(&f.next_ref_id().to_le_bytes());
+    out.extend_from_slice(&f.next_pos0().to_le_bytes());
+    out.extend_from_slice(&f.tlen().to_le_bytes());
+    out.extend_from_slice(&lengths.qname.to_le_bytes());
+    out.extend_from_slice(&lengths.cigar_ops.to_le_bytes());
+    out.extend_from_slice(&lengths.seq.to_le_bytes());
+    out.extend_from_slice(&lengths.tags.to_le_bytes());
+    out.push(u8::from(f.qual().is_some()));
+
+    out.extend_from_slice(f.qname());
+    pad(out, layout.max_qname as usize, f.qname().len());
+    out.extend_from_slice(f.cigar_bytes());
+    pad(out, layout.max_cigar_ops as usize * 4, f.cigar_bytes().len());
+    out.extend_from_slice(f.packed_seq());
+    pad(out, layout.seq_bytes(), f.packed_seq().len());
+    let qual = f.qual().unwrap_or_default();
+    out.extend_from_slice(qual);
+    pad(out, layout.max_seq as usize, qual.len());
+    out.extend_from_slice(f.tags());
+    pad(out, layout.max_tags as usize, f.tags().len());
+
+    debug_assert_eq!(out.len() - start, layout.record_size());
+    Ok(position_key(f.ref_id(), f.pos0()))
 }
 
 /// Reads the (ref_id, pos0) key of an encoded record without full decode —

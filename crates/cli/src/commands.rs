@@ -1092,8 +1092,8 @@ pub fn load_cmd(args: &Args) -> CmdResult {
 ///
 /// Runs a self-contained instrumented smoke workload — synthesize a
 /// dataset, preprocess it into crash-safe shards (BGZF-compressed, so
-/// the codec counters move; once more from BAM, so the read-ahead
-/// counters do), stream one shard through the pipeline
+/// the codec counters move; once more from BAM, so the read-ahead and
+/// pass-2 batch counters do), stream one shard through the pipeline
 /// convert graph, serve convert + coverage queries over the shard
 /// directory, then run a duplicate-marking collate pass with forced
 /// spilling — and renders the unified `ngs-obs` registry: the shared
@@ -1124,9 +1124,9 @@ pub fn stats_cmd(args: &Args) -> CmdResult {
     conv.bamx_compression = ngs_bamx::BamxCompression::Bgzf;
     let prep = conv.preprocess_file(&sam, &shard_dir)?;
 
-    // The BAM preprocessing path, for the read-ahead counters: consumer
-    // stalls against producer stalls say whether inflate or the
-    // parse-and-write thread bounded the ingest (DESIGN.md §16).
+    // The BAM preprocessing path, for the read-ahead and batch counters:
+    // read-ahead consumer stalls mean inflate bounded the ingest, sink
+    // stalls the encode workers, split stalls the sink (DESIGN.md §16).
     let bam = tmp.path().join("stats.bam");
     dataset.write_bam(&bam)?;
     BamConverter::new(ConvertConfig::with_ranks(2)).preprocess(&bam, tmp.path().join("bam-shards"))?;

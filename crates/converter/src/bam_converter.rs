@@ -5,8 +5,8 @@
 //! the BAM into a BAMX file (fixed-width records → random access) plus a
 //! BAIX index, after which conversion — full or partial — is
 //! embarrassingly parallel. The paper's pass is sequential; here its
-//! inflate runs member-parallel ahead of the one thread that parses and
-//! writes (DESIGN.md §16).
+//! inflate runs member-parallel, and its transcode to BAMX batch-parallel,
+//! ahead of the one thread that writes in order (DESIGN.md §16).
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -23,6 +23,7 @@ use ngs_formats::record::AlignmentRecord;
 use crate::runtime::{ConvertConfig, ConvertReport, RankOutput, RankStats};
 use crate::shard::ShardTarget;
 use crate::target::{builtin, TargetFormat};
+use crate::transcode::transcode_into;
 
 /// Result of the preprocessing phase.
 #[derive(Debug, Clone)]
@@ -77,19 +78,23 @@ impl BamConverter {
     ///
     /// Two passes over the input (DESIGN.md §16), each through a
     /// [`ReadAheadReader`] so BGZF members inflate on `config.ranks`
-    /// helper threads while this thread consumes them in order. The
-    /// first pass *measures*: it reads four lengths off each raw record
-    /// body ([`bam::measure_record`]) to fix the padding layout, and
-    /// decodes nothing. The second decodes each record and streams it
-    /// into the shard through the shared [`ShardTarget::build`] path,
-    /// which publishes through a crash-safe [`ShardRepo`] (temp → fsync
-    /// → rename → manifest record): a crash at any byte leaves either
-    /// the old state or the new state — never a torn artifact.
+    /// helper threads while the stream is consumed in order. The first
+    /// pass *measures*: it reads four lengths off each raw record body
+    /// ([`bam::measure_record`]) to fix the padding layout, and decodes
+    /// nothing. The second builds no record either: it splits the stream
+    /// into batches that `config.ranks` workers transcode straight from
+    /// the BAM bytes (`bam::view::transcode`) into BAMX — v2 blocks
+    /// built and deflated there too — and appends them in order through
+    /// the shared [`ShardTarget::build`] path, which publishes through a
+    /// crash-safe [`ShardRepo`] (temp → fsync → rename → manifest
+    /// record): a crash at any byte leaves either the old state or the
+    /// new state — never a torn artifact.
     ///
     /// Because the first pass looks only at lengths, a record that is
     /// sound in shape but bad in content (an unknown CIGAR op, a mate
     /// reference id outside the dictionary) is reported by the second
-    /// pass: still a typed error, still nothing sealed or recorded.
+    /// pass — the first such record in stream order, whatever the worker
+    /// count: still a typed error, still nothing sealed or recorded.
     pub fn preprocess(
         &self,
         input_bam: impl AsRef<Path>,
@@ -152,21 +157,23 @@ impl BamConverter {
             BamReader::from_inflated(ReadAheadReader::new(file, self.config.ranks))
         };
 
-        // Pass 1: layout maxima, measured off the raw record bodies.
-        let mut reader = open()?;
-        let mut layout = BamxLayout::empty();
-        while let Some(body) = reader.read_body()? {
-            layout.observe_lengths(&bam::measure_record(body)?)?;
-        }
+        // Pass 1: layout maxima, measured off the raw record bodies. The
+        // reader goes before pass 2 opens its own: its buffers would
+        // only add to pass 2's peak.
+        let layout = {
+            let mut reader = open()?;
+            let mut layout = BamxLayout::empty();
+            while let Some(body) = reader.read_body()? {
+                layout.observe_lengths(&bam::measure_record(body)?)?;
+            }
+            layout
+        };
 
-        // Pass 2: decode, pad, write, index, publish.
+        // Pass 2: transcode on every core, write in order, index, publish.
         let mut reader = open()?;
         let header = reader.header().clone();
-        let records = target.build(header, layout, |sink| {
-            while let Some(rec) = reader.read_record()? {
-                sink(&rec)?;
-            }
-            Ok(())
+        let records = target.build(header, layout, |writer| {
+            transcode_into(&mut reader, writer, self.config.ranks)
         })?;
 
         Ok(PreprocessReport {

@@ -30,6 +30,7 @@ mod shard;
 pub mod simulate;
 pub mod source;
 pub mod target;
+mod transcode;
 
 pub use bam_converter::{BamConverter, PreprocessReport};
 pub use baseline::PicardLikeConverter;

@@ -17,7 +17,9 @@ use crate::source::ByteSource;
 pub struct ConvertConfig {
     /// Number of ranks (the paper's "processors").
     pub ranks: usize,
-    /// Read-buffer size per rank.
+    /// Read-buffer size per rank and pass over SAM text. Small enough
+    /// that M ranks' buffers stay well under a shard's memory; larger
+    /// reads are not faster (DESIGN.md §16).
     pub read_buffer: usize,
     /// Output write-buffer size per rank.
     pub write_buffer: usize,
@@ -29,7 +31,7 @@ impl Default for ConvertConfig {
     fn default() -> Self {
         ConvertConfig {
             ranks: 4,
-            read_buffer: 4 << 20,
+            read_buffer: 256 << 10,
             write_buffer: 1 << 20,
             variant: Variant::Forward,
         }

@@ -11,11 +11,10 @@ use ngs_cluster::run_ranks;
 use ngs_formats::bam::BamWriter;
 use ngs_formats::error::{Error, Result};
 use ngs_formats::header::SamHeader;
-use ngs_formats::record::AlignmentRecord;
-use ngs_formats::sam;
 
 use crate::partition::{partition_distributed, ByteRange};
 use crate::runtime::{scan_sam_header, ConvertConfig, ConvertReport, RankOutput, RankStats};
+use crate::scan::scan_records;
 use crate::source::{ByteSource, FileSource};
 use crate::target::{builtin, TargetFormat};
 
@@ -139,90 +138,31 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
         }
     };
 
-    let (start, end) = range;
-    let mut pos = start;
-    let mut carry: Vec<u8> = Vec::new();
-    let mut buf = vec![0u8; config.read_buffer];
     let mut out_buf: Vec<u8> = Vec::with_capacity(64 * 1024);
-    let mut line_no = 0u64;
-
-    let emit = |record: &AlignmentRecord,
-                    sink: &mut Sink,
-                    out_buf: &mut Vec<u8>,
-                    stats: &mut RankStats|
-     -> Result<()> {
-        match sink {
+    stats.records_in = scan_records(source, range, config.read_buffer, |record| {
+        match &mut sink {
             Sink::Line { converter, out } => {
-                if converter.convert(record, out_buf) {
+                if converter.convert(&record, &mut out_buf) {
                     stats.records_out += 1;
                 }
                 if out_buf.len() >= 64 * 1024 {
-                    out.write_all(out_buf)?;
-                    stats.bytes_out += out_buf.len() as u64;
+                    out.write_all(&out_buf)?;
                     out_buf.clear();
                 }
             }
             Sink::Bam { writer, .. } => {
-                writer.write_record(record)?;
+                writer.write_record(&record)?;
                 stats.records_out += 1;
             }
         }
         Ok(())
-    };
-
-    while pos < end {
-        let want = buf.len().min((end - pos) as usize);
-        let n = source.read_at(pos, &mut buf[..want])?;
-        if n == 0 {
-            return Err(Error::InvalidRecord("unexpected EOF inside partition".into()));
-        }
-        pos += n as u64;
-        stats.bytes_in += n as u64;
-
-        let mut chunk = &buf[..n];
-        // Complete the carried partial line first.
-        if !carry.is_empty() {
-            if let Some(i) = chunk.iter().position(|&b| b == b'\n') {
-                carry.extend_from_slice(&chunk[..i]);
-                chunk = &chunk[i + 1..];
-                line_no += 1;
-                if let Some(rec) = parse_line(&carry, line_no, start)? {
-                    stats.records_in += 1;
-                    emit(&rec, &mut sink, &mut out_buf, &mut stats)?;
-                }
-                carry.clear();
-            } else {
-                carry.extend_from_slice(chunk);
-                continue;
-            }
-        }
-        // Whole lines inside the chunk.
-        while let Some(i) = chunk.iter().position(|&b| b == b'\n') {
-            let line = &chunk[..i];
-            chunk = &chunk[i + 1..];
-            line_no += 1;
-            if let Some(rec) = parse_line(line, line_no, start)? {
-                stats.records_in += 1;
-                emit(&rec, &mut sink, &mut out_buf, &mut stats)?;
-            }
-        }
-        carry.extend_from_slice(chunk);
-    }
-    // Trailing line without newline (only the last rank can see one).
-    if !carry.is_empty() {
-        line_no += 1;
-        let carried = std::mem::take(&mut carry);
-        if let Some(rec) = parse_line(&carried, line_no, start)? {
-            stats.records_in += 1;
-            emit(&rec, &mut sink, &mut out_buf, &mut stats)?;
-        }
-    }
+    })?;
+    stats.bytes_in = range.1 - range.0;
 
     let path = match sink {
         Sink::Line { mut out, .. } => {
             if !out_buf.is_empty() {
                 out.write_all(&out_buf)?;
-                stats.bytes_out += out_buf.len() as u64;
             }
             let (path, bytes) = out.finish()?;
             stats.bytes_out = bytes;
@@ -236,22 +176,6 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
     };
     stats.elapsed = start_time.elapsed();
     Ok((stats, path))
-}
-
-/// Parses one line, skipping header (`@`) and blank lines. Line numbers
-/// are relative to the rank's partition; `partition_start` anchors error
-/// messages to an absolute file location.
-#[inline]
-fn parse_line(line: &[u8], line_no: u64, partition_start: u64) -> Result<Option<AlignmentRecord>> {
-    let line = if line.last() == Some(&b'\r') { &line[..line.len() - 1] } else { line };
-    if line.is_empty() || line[0] == b'@' {
-        return Ok(None);
-    }
-    sam::parse_record(line, line_no).map(Some).map_err(|e| {
-        Error::InvalidRecord(format!(
-            "{e} (line is relative to the partition starting at byte {partition_start})"
-        ))
-    })
 }
 
 #[cfg(test)]

@@ -13,11 +13,12 @@ use ngs_bamx::repo::ShardRepo;
 use ngs_bamx::{BamxCompression, BamxFile, BamxLayout, BamxVersion};
 use ngs_cluster::run_ranks;
 use ngs_formats::error::Result;
+use ngs_formats::fields::RefIds;
 
 use crate::bam_converter::{compression_name, convert_record_range};
 use crate::partition::partition_distributed;
 use crate::runtime::{scan_sam_header, ConvertConfig, ConvertReport, RankStats};
-use crate::scan::{scan_lengths, scan_records};
+use crate::scan::{scan_fields, scan_lengths};
 use crate::shard::ShardTarget;
 use crate::source::{ByteSource, FileSource};
 use crate::target::TargetFormat;
@@ -78,12 +79,13 @@ impl SamxConverter {
     ///
     /// Each rank makes two streaming passes over its slice: the first
     /// *measures* each line to derive the padding layout (no parse), the
-    /// second parses and writes aligned records through the shared
-    /// shard-build path — the paper's trade of extra preprocessing work
-    /// for conversion speed. A line whose lengths are sound but whose
-    /// fields are not (a bad integer, CIGAR or quality) is therefore
-    /// reported by the second pass: still a typed error, nothing of that
-    /// rank's shard sealed or recorded.
+    /// second parses each line straight into BAMX-form fields — no
+    /// record is built — and writes them through the shared shard-build
+    /// path: the paper's trade of extra preprocessing work for
+    /// conversion speed. A line whose lengths are sound but whose fields
+    /// are not (a bad integer, CIGAR or quality) is therefore reported
+    /// by the second pass: still a typed error, nothing of that rank's
+    /// shard sealed or recorded.
     pub fn preprocess_file(
         &self,
         input: impl AsRef<Path>,
@@ -136,6 +138,7 @@ impl SamxConverter {
         resume: bool,
     ) -> Result<SamxPreprocessReport> {
         let (header, _) = scan_sam_header(source)?;
+        let refs = RefIds::new(&header);
         let compression = compression_name(self.bamx_compression);
         let ranks_meta = self.config.ranks.to_string();
         let format = self.format_version.name();
@@ -171,12 +174,14 @@ impl SamxConverter {
                 layout.observe_lengths(&lengths)
             })?;
 
-            // Pass 2: parse, pad, write, index, publish — the BAIX is
-            // recorded together with the BAMX so the pair publishes
-            // atomically.
-            let records = target.build(header.clone(), layout, |sink| {
-                scan_records(source, range, self.config.read_buffer, |rec| sink(&rec))?;
-                Ok(())
+            // Pass 2: parse into fields, pad, write, index, publish — the
+            // BAIX is recorded together with the BAMX so the pair
+            // publishes atomically.
+            let records = target.build(header.clone(), layout, |writer| {
+                scan_fields(source, range, self.config.read_buffer, &refs, |fields| {
+                    writer.write_fields(fields)
+                })
+                .map(drop)
             })?;
 
             Ok(Shard { bamx_path, baix_path, records, resumed: false })

@@ -1,8 +1,10 @@
 //! Record scanning: stream a byte range of SAM text and invoke a callback
 //! per alignment line (header and blank lines skipped) — parsed into a
-//! record ([`scan_records`]) or only measured ([`scan_lengths`]).
+//! record ([`scan_records`]), parsed into BAMX-form fields with no record
+//! built ([`scan_fields`]), or only measured ([`scan_lengths`]).
 
 use ngs_formats::error::{Error, Result};
+use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
 use ngs_formats::record::{AlignmentRecord, FieldLengths};
 use ngs_formats::sam;
 
@@ -38,6 +40,30 @@ pub fn scan_lengths<S: ByteSource + ?Sized>(
     })
 }
 
+/// [`scan_records`] for preprocessing: each line is parsed straight
+/// into [`RecordFields`] ([`sam::parse_fields`]) — SEQ packed, QUAL
+/// decoded, CIGAR and tags encoded into one reused scratch, names
+/// resolved through `refs` — and no record is built. Errors of the SAM
+/// grammar carry the partition, as in [`scan_records`]; the rest (an
+/// unknown reference, an unencodable tag, a coordinate outside i32) are
+/// the encoder's errors and pass through as they are.
+pub fn scan_fields<S: ByteSource + ?Sized>(
+    source: &S,
+    range: ByteRange,
+    read_buffer: usize,
+    refs: &RefIds,
+    mut f: impl FnMut(&RecordFields<'_>) -> Result<()>,
+) -> Result<u64> {
+    let mut scratch = FieldsScratch::default();
+    scan_lines(source, range, read_buffer, |line, line_no| {
+        match sam::parse_fields(line, line_no, refs, &mut scratch) {
+            Ok(fields) => f(&fields),
+            Err(e @ Error::InvalidSam { .. }) => Err(in_partition(e, range)),
+            Err(e) => Err(e),
+        }
+    })
+}
+
 fn in_partition(e: Error, (start, _): ByteRange) -> Error {
     Error::InvalidRecord(format!(
         "{e} (line is relative to the partition starting at byte {start})"
@@ -45,8 +71,9 @@ fn in_partition(e: Error, (start, _): ByteRange) -> Error {
 }
 
 /// Streams `[start, end)` of `source` and calls `f(line, line_no)` for
-/// every alignment line (`\r\n` trimmed, `@` and blank lines skipped).
-/// Returns the number of lines handed to `f`.
+/// every alignment line (`\r\n` trimmed, `@` and blank lines skipped),
+/// line numbers relative to the range. Returns the number of lines
+/// handed to `f`.
 fn scan_lines<S: ByteSource + ?Sized>(
     source: &S,
     range: ByteRange,

@@ -12,11 +12,13 @@
 use std::io::BufWriter;
 use std::path::PathBuf;
 
-use ngs_bamx::repo::{layout_fingerprint_versioned, ShardRepo, FINGERPRINT_NONE};
+use ngs_bamx::repo::{layout_fingerprint_versioned, ShardRepo, StagedArtifact, FINGERPRINT_NONE};
 use ngs_bamx::{AnyBamxWriter, BamxCompression, BamxLayout, BamxVersion};
 use ngs_formats::error::{Error, Result};
 use ngs_formats::header::SamHeader;
-use ngs_formats::record::AlignmentRecord;
+
+/// The writer a shard's records go through: into a staged artifact.
+pub(crate) type StagedWriter<'a> = AnyBamxWriter<BufWriter<StagedArtifact<'a>>>;
 
 /// Where a shard pair goes and how it is encoded.
 pub(crate) struct ShardTarget<'a> {
@@ -56,10 +58,11 @@ impl ShardTarget<'_> {
             && self.repo.contains_verified(&self.baix_name())
     }
 
-    /// Builds and publishes the pair. `records` is handed a sink and
-    /// pushes every record of the shard through it, in shard order; the
-    /// writer collects each record's position key as it passes, so the
-    /// index needs no second look at the shard. Returns the record count.
+    /// Builds and publishes the pair. `records` is handed the shard's
+    /// writer and writes every record of the shard through it, in shard
+    /// order; the writer collects each record's position key as it
+    /// passes, so the index needs no second look at the shard. Returns
+    /// the record count.
     ///
     /// Any error — from the source or from a record the layout or header
     /// rejects — leaves nothing sealed and nothing recorded: the staged
@@ -70,7 +73,7 @@ impl ShardTarget<'_> {
         &self,
         header: SamHeader,
         layout: BamxLayout,
-        records: impl FnOnce(&mut dyn FnMut(&AlignmentRecord) -> Result<()>) -> Result<()>,
+        records: impl FnOnce(&mut StagedWriter<'_>) -> Result<()>,
     ) -> Result<u64> {
         let staged = self.repo.stage(&self.bamx_name())?;
         let mut writer = AnyBamxWriter::new(
@@ -80,7 +83,7 @@ impl ShardTarget<'_> {
             layout,
             self.compression,
         )?;
-        records(&mut |record| writer.write_record(record))?;
+        records(&mut writer)?;
         let n = writer.record_count();
         let (staged, baix) = writer.finish_indexed()?;
         let staged = staged.into_inner().map_err(|e| Error::Io(e.into_error()))?;

@@ -19,13 +19,14 @@ use std::time::Instant;
 
 use ngs_bamx::{Baix, BamxFile, BamxLayout, BamxWriter, Region};
 use ngs_formats::error::Result;
+use ngs_formats::fields::RefIds;
 
 use crate::bam_converter::{convert_index_list, convert_record_range, BamConverter};
 use crate::partition::partition_serial;
 use crate::runtime::{scan_sam_header, ConvertReport, RankStats};
 use crate::sam_converter::{convert_sam_range, SamConverter};
 use crate::samx_converter::{SamxConverter, SamxPreprocessReport, Shard};
-use crate::scan::scan_records;
+use crate::scan::{scan_fields, scan_lengths};
 use crate::source::ByteSource;
 use crate::target::TargetFormat;
 
@@ -180,6 +181,7 @@ impl SamxConverter {
     ) -> Result<SamxPreprocessReport> {
         std::fs::create_dir_all(out_dir)?;
         let (header, _) = scan_sam_header(source)?;
+        let refs = RefIds::new(&header);
         let ranges = partition_serial(source, self.config.ranks, self.config.variant)?;
 
         let mut shards = Vec::with_capacity(self.config.ranks);
@@ -187,13 +189,15 @@ impl SamxConverter {
         for (rank, &range) in ranges.iter().enumerate() {
             let t = Instant::now();
             let mut layout = BamxLayout::empty();
-            scan_records(source, range, self.config.read_buffer, |rec| layout.observe(&rec))?;
+            scan_lengths(source, range, self.config.read_buffer, |lengths| {
+                layout.observe_lengths(&lengths)
+            })?;
             let bamx_path = out_dir.join(format!("{stem}.shard{rank:04}.bamx"));
             let baix_path = out_dir.join(format!("{stem}.shard{rank:04}.baix"));
             let mut writer =
                 BamxWriter::create(&bamx_path, header.clone(), layout, self.bamx_compression)?;
-            scan_records(source, range, self.config.read_buffer, |rec| {
-                writer.write_record(&rec)
+            scan_fields(source, range, self.config.read_buffer, &refs, |fields| {
+                writer.write_fields(fields)
             })?;
             let records = writer.record_count();
             writer.finish()?;

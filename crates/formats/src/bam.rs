@@ -8,11 +8,14 @@ use ngs_bgzf::{BgzfReader, BgzfWriter, VirtualOffset};
 use crate::binning::reg2bin;
 use crate::cigar::{Cigar, CigarOp};
 use crate::error::{Error, Result};
+use crate::fields::{int_tag_type, put_int_tag};
 use crate::flags::Flags;
 use crate::header::{ReferenceSequence, SamHeader};
 use crate::record::{AlignmentRecord, FieldLengths};
 use crate::seq;
 use crate::tags::{Tag, TagArray, TagValue};
+
+pub mod view;
 
 /// BAM file magic.
 pub const MAGIC: [u8; 4] = [b'B', b'A', b'M', 1];
@@ -105,37 +108,15 @@ fn resolve_ref(header: &SamHeader, name: &[u8]) -> Result<i32> {
         .ok_or_else(|| Error::UnknownReference(String::from_utf8_lossy(name).into_owned()))
 }
 
-fn encode_tag(tag: &Tag, out: &mut Vec<u8>) -> Result<()> {
+/// Appends `tag` as BAM stores it, every integer in its narrowest type.
+pub(crate) fn encode_tag(tag: &Tag, out: &mut Vec<u8>) -> Result<()> {
     out.extend_from_slice(&tag.key);
     match &tag.value {
         TagValue::Char(c) => {
             out.push(b'A');
             out.push(*c);
         }
-        TagValue::Int(v) => {
-            let v = *v;
-            if let Ok(x) = i8::try_from(v) {
-                out.push(b'c');
-                out.push(x as u8);
-            } else if let Ok(x) = u8::try_from(v) {
-                out.push(b'C');
-                out.push(x);
-            } else if let Ok(x) = i16::try_from(v) {
-                out.push(b's');
-                out.extend_from_slice(&x.to_le_bytes());
-            } else if let Ok(x) = u16::try_from(v) {
-                out.push(b'S');
-                out.extend_from_slice(&x.to_le_bytes());
-            } else if let Ok(x) = i32::try_from(v) {
-                out.push(b'i');
-                out.extend_from_slice(&x.to_le_bytes());
-            } else if let Ok(x) = u32::try_from(v) {
-                out.push(b'I');
-                out.extend_from_slice(&x.to_le_bytes());
-            } else {
-                return Err(Error::InvalidTag(format!("integer {v} unrepresentable in BAM")));
-            }
-        }
+        TagValue::Int(v) => put_int_tag(*v, out)?,
         TagValue::Float(f) => {
             out.push(b'f');
             out.extend_from_slice(&f.to_le_bytes());
@@ -187,7 +168,7 @@ pub fn encoded_tags_len(tags: &[Tag]) -> Result<usize> {
         // Key, type byte, then the value.
         len += 3 + match &t.value {
             TagValue::Char(_) => 1,
-            TagValue::Int(v) => int_tag_width(*v)?,
+            TagValue::Int(v) => int_tag_type(*v)?.1,
             TagValue::Float(_) => 4,
             TagValue::String(s) | TagValue::Hex(s) => s.len() + 1,
             TagValue::Array(a) => {
@@ -202,20 +183,6 @@ pub fn encoded_tags_len(tags: &[Tag]) -> Result<usize> {
         };
     }
     Ok(len)
-}
-
-/// Bytes [`encode_tag`] spends on the integer `v`: the narrowest of
-/// `c C s S i I` that holds it.
-fn int_tag_width(v: i64) -> Result<usize> {
-    if i8::try_from(v).is_ok() || u8::try_from(v).is_ok() {
-        Ok(1)
-    } else if i16::try_from(v).is_ok() || u16::try_from(v).is_ok() {
-        Ok(2)
-    } else if i32::try_from(v).is_ok() || u32::try_from(v).is_ok() {
-        Ok(4)
-    } else {
-        Err(Error::InvalidTag(format!("integer {v} unrepresentable in BAM")))
-    }
 }
 
 /// Decodes a BAM tag block back into a tag list.
@@ -412,8 +379,9 @@ fn decode_tag(c: &mut Cursor<'_>) -> Result<Tag> {
 
 /// Measures one BAM record *body* (excluding the `block_size` prefix)
 /// without decoding it: the three counts sit at fixed offsets, and the
-/// tag length is a walk over the raw tag block that sizes every integer
-/// by value, as [`encode_tags`] will re-encode it — so a BAM whose
+/// tag length is the transcoder's walk over the raw tag block
+/// ([`view::transcode`]) counting instead of copying, every integer sized
+/// by value as [`encode_tags`] will re-encode it — so a BAM whose
 /// writer stored `5` as an `i` measures exactly what
 /// `FieldLengths::of(&decode_record(..)?)` reports. Every length is
 /// bounds-checked against the body. Field *contents* (CIGAR op codes,
@@ -440,7 +408,7 @@ pub fn measure_record(body: &[u8]) -> Result<FieldLengths> {
     c.take(l_seq)?;
     let mut tags = 0usize;
     while c.remaining() > 0 {
-        tags += measure_tag(&mut c)?;
+        view::transcode_tag(&mut c, &mut tags)?;
     }
     Ok(FieldLengths {
         // `observe` counts a missing name as the one byte of `*`.
@@ -449,38 +417,6 @@ pub fn measure_record(body: &[u8]) -> Result<FieldLengths> {
         seq: l_seq,
         tags,
     })
-}
-
-/// Steps over one raw tag and returns the bytes [`encode_tag`] will spend
-/// on its decoded form (the grammar of [`decode_tag`], minus the values).
-fn measure_tag(c: &mut Cursor<'_>) -> Result<usize> {
-    c.take(2)?;
-    let value = match c.u8()? {
-        b'A' => c.take(1)?.len(),
-        b'c' => int_tag_width(c.u8()? as i8 as i64)?,
-        b'C' => int_tag_width(c.u8()? as i64)?,
-        b's' => int_tag_width(c.u16()? as i16 as i64)?,
-        b'S' => int_tag_width(c.u16()? as i64)?,
-        b'i' => int_tag_width(c.i32()? as i64)?,
-        b'I' => int_tag_width(c.u32()? as i64)?,
-        b'f' => c.take(4)?.len(),
-        b'Z' | b'H' => c.cstr()?.len() + 1,
-        b'B' => {
-            let width = match c.u8()? {
-                b'c' | b'C' => 1,
-                b's' | b'S' => 2,
-                b'i' | b'I' | b'f' => 4,
-                other => {
-                    return Err(Error::InvalidTag(format!("unknown array subtype {other}")))
-                }
-            };
-            let n = c.u32()? as usize;
-            // Subtype byte, u32 count, elements.
-            1 + 4 + c.take(n.saturating_mul(width))?.len()
-        }
-        other => return Err(Error::InvalidTag(format!("unknown tag type {other}"))),
-    };
-    Ok(3 + value)
 }
 
 // ---------------------------------------------------------------------------
@@ -502,20 +438,48 @@ pub fn encode_header(header: &SamHeader, out: &mut Vec<u8>) {
 }
 
 fn read_exact_into<R: Read>(r: &mut R, n: usize) -> Result<Vec<u8>> {
-    // Grow in bounded steps: `n` comes from an untrusted length prefix, so
-    // reserving it up front would let a corrupt field drive a multi-GiB
-    // allocation before the read ever fails at EOF.
+    let mut buf = Vec::new();
+    append_exact(r, &mut buf, n)?;
+    Ok(buf)
+}
+
+/// Appends exactly `n` bytes of `r` to `out`, growing it in bounded
+/// steps: `n` comes from an untrusted length prefix, so reserving it up
+/// front would let a corrupt field drive a multi-GiB allocation before
+/// the read ever fails at EOF.
+fn append_exact<R: Read>(r: &mut R, out: &mut Vec<u8>, n: usize) -> Result<()> {
     const STEP: usize = 1 << 20;
-    let mut buf = Vec::with_capacity(n.min(STEP));
     let mut remaining = n;
     while remaining > 0 {
         let step = remaining.min(STEP);
-        let start = buf.len();
-        buf.resize(start + step, 0);
-        r.read_exact(&mut buf[start..])?;
+        let start = out.len();
+        out.resize(start + step, 0);
+        r.read_exact(&mut out[start..])?;
         remaining -= step;
     }
-    Ok(buf)
+    Ok(())
+}
+
+/// Appends one record as a BAM stream stores it (`block_size`, then the
+/// body) to `out` and returns the body length; `None` at a clean end of
+/// stream.
+fn read_stored<R: Read>(r: &mut R, out: &mut Vec<u8>) -> Result<Option<usize>> {
+    let mut size = [0u8; 4];
+    let mut filled = 0usize;
+    while filled < 4 {
+        let n = r.read(&mut size[filled..])?;
+        if n == 0 {
+            if filled == 0 {
+                return Ok(None);
+            }
+            return Err(Error::InvalidBam("truncated block_size".into()));
+        }
+        filled += n;
+    }
+    let block_size = u32::from_le_bytes(size) as usize;
+    out.extend_from_slice(&size);
+    append_exact(r, out, block_size)?;
+    Ok(Some(block_size))
 }
 
 /// Parses the BAM prologue from a decompressed stream.
@@ -604,24 +568,16 @@ impl<S: Read> BamReader<S> {
     /// Reads the next record's raw body (the bytes after `block_size`),
     /// undecoded; `None` at EOF. The slice is valid until the next read.
     pub fn read_body(&mut self) -> Result<Option<&[u8]>> {
-        let mut size_buf = [0u8; 4];
-        // Detect clean EOF: zero bytes available.
-        let mut filled = 0usize;
-        while filled < 4 {
-            let n = self.inner.read(&mut size_buf[filled..])?;
-            if n == 0 {
-                if filled == 0 {
-                    return Ok(None);
-                }
-                return Err(Error::InvalidBam("truncated block_size".into()));
-            }
-            filled += n;
-        }
-        let block_size = u32::from_le_bytes(size_buf) as usize;
         self.scratch.clear();
-        self.scratch.resize(block_size, 0);
-        self.inner.read_exact(&mut self.scratch)?;
-        Ok(Some(&self.scratch))
+        Ok(read_stored(&mut self.inner, &mut self.scratch)?.map(|_| &self.scratch[4..]))
+    }
+
+    /// Appends the next record to `out` as the stream stores it — the
+    /// `block_size` prefix, then the body — and returns the body length;
+    /// `None` at EOF. On an error `out` is left as it was.
+    pub fn append_record(&mut self, out: &mut Vec<u8>) -> Result<Option<usize>> {
+        let start = out.len();
+        read_stored(&mut self.inner, out).inspect_err(|_| out.truncate(start))
     }
 
     /// Reads the next record; `None` at EOF.
@@ -629,7 +585,7 @@ impl<S: Read> BamReader<S> {
         if self.read_body()?.is_none() {
             return Ok(None);
         }
-        decode_record(&self.scratch, &self.header).map(Some)
+        decode_record(&self.scratch[4..], &self.header).map(Some)
     }
 
     /// Iterator-style adapter.

@@ -140,37 +140,8 @@ impl Cigar {
 
     /// Parses the SAM text form (`*` → empty).
     pub fn parse(text: &[u8]) -> Result<Self> {
-        if text == b"*" {
-            return Ok(Cigar::empty());
-        }
-        if text.is_empty() {
-            return Err(Error::InvalidCigar("empty CIGAR string".into()));
-        }
         let mut ops = Vec::new();
-        let mut num: u64 = 0;
-        let mut have_digit = false;
-        for &c in text {
-            if c.is_ascii_digit() {
-                num = num * 10 + (c - b'0') as u64;
-                if num > u32::MAX as u64 {
-                    return Err(Error::InvalidCigar("operation length overflow".into()));
-                }
-                have_digit = true;
-            } else {
-                if !have_digit {
-                    return Err(Error::InvalidCigar("op without length".into()));
-                }
-                if num == 0 {
-                    return Err(Error::InvalidCigar("zero-length op".into()));
-                }
-                ops.push((num as u32, CigarOp::from_char(c)?));
-                num = 0;
-                have_digit = false;
-            }
-        }
-        if have_digit {
-            return Err(Error::InvalidCigar("trailing length without op".into()));
-        }
+        parse_ops_into(text, &mut ops)?;
         Ok(Cigar(ops))
     }
 
@@ -212,6 +183,43 @@ impl fmt::Display for Cigar {
         self.write_sam(&mut v);
         f.write_str(std::str::from_utf8(&v).expect("CIGAR text is ASCII"))
     }
+}
+
+/// Appends the operations of the SAM text form (`*` → none) to `ops` —
+/// the one CIGAR text grammar, behind [`Cigar::parse`] and the SAM
+/// front-ends.
+pub(crate) fn parse_ops_into(text: &[u8], ops: &mut Vec<(u32, CigarOp)>) -> Result<()> {
+    if text == b"*" {
+        return Ok(());
+    }
+    if text.is_empty() {
+        return Err(Error::InvalidCigar("empty CIGAR string".into()));
+    }
+    let mut num: u64 = 0;
+    let mut have_digit = false;
+    for &c in text {
+        if c.is_ascii_digit() {
+            num = num * 10 + (c - b'0') as u64;
+            if num > u32::MAX as u64 {
+                return Err(Error::InvalidCigar("operation length overflow".into()));
+            }
+            have_digit = true;
+        } else {
+            if !have_digit {
+                return Err(Error::InvalidCigar("op without length".into()));
+            }
+            if num == 0 {
+                return Err(Error::InvalidCigar("zero-length op".into()));
+            }
+            ops.push((num as u32, CigarOp::from_char(c)?));
+            num = 0;
+            have_digit = false;
+        }
+    }
+    if have_digit {
+        return Err(Error::InvalidCigar("trailing length without op".into()));
+    }
+    Ok(())
 }
 
 /// Scratch buffer for integer formatting without allocation.

@@ -8,6 +8,9 @@
 //! * [`sam`] text parsing/serialization and the [`header`] model;
 //! * [`bam`] binary encode/decode over the `ngs-bgzf` substrate, plus the
 //!   [`binning`] scheme BAM records and BAI-style indexes use;
+//! * [`fields`]: a record's fields in BAMX form, borrowed from a BAM body
+//!   or a SAM line without building a record — what preprocessing feeds
+//!   the BAMX encoders;
 //! * line-oriented target emitters: [`bed`], [`bedgraph`], [`fasta`],
 //!   [`fastq`], [`json`], [`yaml`], [`wig`], [`gff`].
 //!
@@ -25,6 +28,7 @@ pub mod cigar;
 pub mod error;
 pub mod fasta;
 pub mod fastq;
+pub mod fields;
 pub mod flags;
 pub mod gff;
 pub mod header;

@@ -1,88 +1,193 @@
-//! SAM text format: parsing alignment lines into [`AlignmentRecord`]s and
-//! serializing records back to text.
+//! SAM text format: parsing alignment lines into [`AlignmentRecord`]s
+//! (or straight into BAMX-form [`RecordFields`]) and serializing records
+//! back to text.
 
 use std::io::{BufRead, Write};
 
-use crate::cigar::{itoa_buffer, write_i64, write_u64, Cigar};
+use crate::bam::{self, encoded_tags_len};
+use crate::cigar::{itoa_buffer, parse_ops_into, write_i64, write_u64, Cigar, CigarOp};
 use crate::error::{Error, Result};
+use crate::fields::{cigar_words_into, pos0_of, FieldsScratch, RecordFields, RefIds};
 use crate::flags::Flags;
 use crate::header::SamHeader;
-use crate::bam::encoded_tags_len;
 use crate::record::{AlignmentRecord, FieldLengths};
+use crate::seq;
 use crate::tags::Tag;
 
 /// Parses one tab-delimited SAM alignment line (no trailing newline).
 ///
 /// `line_no` is used only for error reporting.
 pub fn parse_record(line: &[u8], line_no: u64) -> Result<AlignmentRecord> {
-    let mut fields = line.split(|&b| b == b'\t');
-    let mut next = |name: &'static str| {
-        fields.next().ok_or_else(|| Error::sam(line_no, format!("missing field {name}")))
-    };
+    let mut ops = Vec::new();
+    let line = split_line(line, line_no, &mut ops)?;
+    let mut tags = Vec::new();
+    for field in line.tags {
+        tags.push(parse_tag(field, line_no)?);
+    }
+    Ok(AlignmentRecord {
+        // "*" is the reserved "unavailable" name; normalize to empty,
+        // matching the BAM decoder so records agree across formats.
+        qname: if line.qname == b"*" { Vec::new() } else { line.qname.to_vec() },
+        flag: Flags(line.flag),
+        rname: line.rname.to_vec(),
+        pos: line.pos,
+        mapq: line.mapq,
+        cigar: Cigar(ops),
+        rnext: line.rnext.to_vec(),
+        pnext: line.pnext,
+        tlen: line.tlen,
+        seq: line.seq.to_vec(),
+        qual: phred(line.qual).collect(),
+        tags,
+    })
+}
 
-    let qname_field = next("QNAME")?;
-    // "*" is the reserved "unavailable" name; normalize to empty, matching
-    // the BAM decoder so records agree across formats.
-    let qname = if qname_field == b"*" { Vec::new() } else { qname_field.to_vec() };
+/// Parses one SAM alignment line straight into BAMX-form fields — no
+/// record is built: SEQ is packed from the text, QUAL is the text − 33,
+/// CIGAR becomes BAM words and each tag is encoded as BAM stores it,
+/// all into `scratch`; names resolve through `refs`.
+///
+/// Accepts and rejects exactly the lines [`parse_record`] followed by
+/// [`RecordFields::from_record`] does, with the same first error: every
+/// error of the SAM grammar, in field order, then an unknown RNAME or
+/// RNEXT, a tag integer BAM cannot hold, and a POS or PNEXT outside the
+/// i32 domain.
+pub fn parse_fields<'a>(
+    line: &'a [u8],
+    line_no: u64,
+    refs: &RefIds,
+    scratch: &'a mut FieldsScratch,
+) -> Result<RecordFields<'a>> {
+    let FieldsScratch { ops, cigar, seq: packed, qual, tags } = scratch;
+    ops.clear();
+    let line = split_line(line, line_no, ops)?;
+    tags.clear();
+    let mut unencodable = None;
+    for field in line.tags {
+        let tag = parse_tag(field, line_no)?;
+        // Every tag must still parse: a later grammar error comes first.
+        if unencodable.is_none() {
+            unencodable = bam::encode_tag(&tag, tags).err();
+        }
+    }
+    let ref_id = refs.resolve(line.rname)?;
+    let next_ref_id = refs.resolve_mate(line.rnext, ref_id)?;
+    if let Some(e) = unencodable {
+        return Err(e);
+    }
+    let pos0 = pos0_of("POS", line.pos)?;
+    let next_pos0 = pos0_of("PNEXT", line.pnext)?;
+    cigar_words_into(ops.iter().copied(), cigar);
+    packed.clear();
+    seq::pack_into(line.seq, packed);
+    qual.clear();
+    qual.extend(phred(line.qual));
+    Ok(RecordFields {
+        flag: line.flag,
+        mapq: line.mapq,
+        ref_id,
+        pos0,
+        next_ref_id,
+        next_pos0,
+        tlen: line.tlen,
+        qname: if line.qname.is_empty() { b"*" } else { line.qname },
+        cigar,
+        l_seq: line.seq.len(),
+        seq: packed,
+        // Empty qualities are absent, as on an owned record.
+        qual: (!qual.is_empty()).then_some(&qual[..]),
+        tags,
+    })
+}
+
+/// The tab-separated columns of a line, as `split` on `\t` yields them.
+struct Columns<'a>(Option<&'a [u8]>);
+
+impl<'a> Iterator for Columns<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.0?;
+        match rest.iter().position(|&b| b == b'\t') {
+            Some(i) => {
+                self.0 = Some(&rest[i + 1..]);
+                Some(&rest[..i])
+            }
+            None => {
+                self.0 = None;
+                Some(rest)
+            }
+        }
+    }
+}
+
+/// One alignment line split into its eleven mandatory columns, with the
+/// integer columns parsed and range-checked, CIGAR parsed into the
+/// caller's buffer and QUAL checked, and the optional tag columns left
+/// to the caller. The one SAM field grammar: [`parse_record`] and
+/// [`parse_fields`] both read lines through it, so they accept the same
+/// lines and report the same first error.
+struct Line<'a> {
+    qname: &'a [u8],
+    flag: u16,
+    rname: &'a [u8],
+    pos: i64,
+    mapq: u8,
+    rnext: &'a [u8],
+    pnext: i64,
+    tlen: i64,
+    /// The bases; empty for `*`.
+    seq: &'a [u8],
+    /// The qualities as Phred+33 text, every byte checked; empty for `*`.
+    qual: &'a [u8],
+    tags: Columns<'a>,
+}
+
+fn split_line<'a>(line: &'a [u8], line_no: u64, ops: &mut Vec<(u32, CigarOp)>) -> Result<Line<'a>> {
+    let mut columns = Columns(Some(line));
+    let mut next = |name: &'static str| {
+        columns.next().ok_or_else(|| Error::sam(line_no, format!("missing field {name}")))
+    };
+    let qname = next("QNAME")?;
     let flag_text = next("FLAG")?;
-    let rname = next("RNAME")?.to_vec();
+    let rname = next("RNAME")?;
     let pos_text = next("POS")?;
     let mapq_text = next("MAPQ")?;
     let cigar_text = next("CIGAR")?;
-    let rnext = next("RNEXT")?.to_vec();
+    let rnext = next("RNEXT")?;
     let pnext_text = next("PNEXT")?;
     let tlen_text = next("TLEN")?;
     let seq_text = next("SEQ")?;
     let qual_text = next("QUAL")?;
 
-    let flag = Flags(parse_int(flag_text, line_no, "FLAG")? as u16);
+    let flag = u16::try_from(parse_int(flag_text, line_no, "FLAG")?)
+        .map_err(|_| Error::sam(line_no, "FLAG out of range"))?;
     let pos = parse_int(pos_text, line_no, "POS")?;
-    let mapq_v = parse_int(mapq_text, line_no, "MAPQ")?;
-    if !(0..=255).contains(&mapq_v) {
-        return Err(Error::sam(line_no, "MAPQ out of range"));
-    }
-    let cigar = Cigar::parse(cigar_text)
-        .map_err(|e| Error::sam(line_no, format!("{e}")))?;
+    let mapq = u8::try_from(parse_int(mapq_text, line_no, "MAPQ")?)
+        .map_err(|_| Error::sam(line_no, "MAPQ out of range"))?;
+    parse_ops_into(cigar_text, ops).map_err(|e| Error::sam(line_no, format!("{e}")))?;
     let pnext = parse_int(pnext_text, line_no, "PNEXT")?;
     let tlen = parse_int(tlen_text, line_no, "TLEN")?;
 
-    let seq = if seq_text == b"*" { Vec::new() } else { seq_text.to_vec() };
-    let qual = if qual_text == b"*" {
-        Vec::new()
-    } else {
-        // SAM stores Phred+33.
-        let mut q = Vec::with_capacity(qual_text.len());
-        for &c in qual_text {
-            if c < 33 {
-                return Err(Error::sam(line_no, "QUAL character below '!'"));
-            }
-            q.push(c - 33);
-        }
-        q
-    };
+    let seq = if seq_text == b"*" { &[][..] } else { seq_text };
+    let qual = if qual_text == b"*" { &[][..] } else { qual_text };
+    // SAM stores Phred+33.
+    if qual.iter().any(|&c| c < 33) {
+        return Err(Error::sam(line_no, "QUAL character below '!'"));
+    }
     if !seq.is_empty() && !qual.is_empty() && seq.len() != qual.len() {
         return Err(Error::sam(line_no, "SEQ and QUAL lengths differ"));
     }
+    Ok(Line { qname, flag, rname, pos, mapq, rnext, pnext, tlen, seq, qual, tags: columns })
+}
 
-    let mut tags = Vec::new();
-    for field in fields {
-        tags.push(Tag::parse_sam(field).map_err(|e| Error::sam(line_no, format!("{e}")))?);
-    }
+/// Raw Phred qualities of checked Phred+33 text.
+fn phred(qual: &[u8]) -> impl Iterator<Item = u8> + '_ {
+    qual.iter().map(|&c| c - 33)
+}
 
-    Ok(AlignmentRecord {
-        qname,
-        flag,
-        rname,
-        pos,
-        mapq: mapq_v as u8,
-        cigar,
-        rnext,
-        pnext,
-        tlen,
-        seq,
-        qual,
-        tags,
-    })
+fn parse_tag(field: &[u8], line_no: u64) -> Result<Tag> {
+    Tag::parse_sam(field).map_err(|e| Error::sam(line_no, format!("{e}")))
 }
 
 /// Measures one SAM alignment line (no trailing newline) without parsing
@@ -94,7 +199,7 @@ pub fn parse_record(line: &[u8], line_no: u64) -> Result<AlignmentRecord> {
 /// at, so a line that is bad only in those passes here and fails in
 /// [`parse_record`].
 pub fn measure_record(line: &[u8], line_no: u64) -> Result<FieldLengths> {
-    let mut fields = line.split(|&b| b == b'\t');
+    let mut fields = Columns(Some(line));
     let mut next = |name: &'static str| {
         fields.next().ok_or_else(|| Error::sam(line_no, format!("missing field {name}")))
     };
@@ -363,6 +468,19 @@ mod tests {
         assert!(parse_record("r\tx\tchr1\t1\t60\t*\t*\t0\t0\t*\t*".as_bytes(), 1).is_err());
         assert!(parse_record("r\t0\tchr1\t1\t999\t*\t*\t0\t0\t*\t*".as_bytes(), 1).is_err());
         assert!(parse_record("r\t0\tchr1\t1\t60\t*\t*\t0\t0\tACGT\tII".as_bytes(), 1).is_err());
+    }
+
+    /// Regression: FLAG was cast to u16 unchecked, so `70000` read as
+    /// 4464, `-1` as every flag bit and `65536` as 0.
+    #[test]
+    fn flag_outside_u16_is_an_error_not_a_wrap() {
+        for flag in ["70000", "-1", "65536"] {
+            let line = format!("r\t{flag}\tchr1\t1\t60\t*\t*\t0\t0\t*\t*");
+            let err = parse_record(line.as_bytes(), 3).unwrap_err();
+            assert!(matches!(&err, Error::InvalidSam { line: 3, msg } if msg.contains("FLAG")), "{err}");
+        }
+        let max = parse_record(b"r\t65535\tchr1\t1\t60\t*\t*\t0\t0\t*\t*", 1).unwrap();
+        assert_eq!(max.flag.0, 65535);
     }
 
     #[test]

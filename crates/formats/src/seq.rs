@@ -8,43 +8,43 @@ pub const CODE_TO_BASE: [u8; 16] = [
     b'N',
 ];
 
+/// [`CODE_TO_BASE`] inverted over every byte, either case; anything else
+/// is `N` (15).
+const BASE_TO_CODE: [u8; 256] = {
+    let mut table = [15u8; 256];
+    let mut code = 0;
+    while code < 16 {
+        let base = CODE_TO_BASE[code];
+        table[base as usize] = code as u8;
+        table[base.to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
+    }
+    table
+};
+
 /// Maps an ASCII base to its BAM 4-bit code (case-insensitive; unknown
 /// characters map to `N`).
 #[inline]
 pub fn base_to_code(base: u8) -> u8 {
-    match base.to_ascii_uppercase() {
-        b'=' => 0,
-        b'A' => 1,
-        b'C' => 2,
-        b'M' => 3,
-        b'G' => 4,
-        b'R' => 5,
-        b'S' => 6,
-        b'V' => 7,
-        b'T' => 8,
-        b'W' => 9,
-        b'Y' => 10,
-        b'H' => 11,
-        b'K' => 12,
-        b'D' => 13,
-        b'B' => 14,
-        _ => 15, // N and anything unexpected
-    }
+    BASE_TO_CODE[base as usize]
 }
 
 /// Packs ASCII bases into BAM nybbles (two bases per byte, high nybble
 /// first; odd-length sequences pad the final low nybble with zero).
 pub fn pack(bases: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; bases.len().div_ceil(2)];
-    for (i, &b) in bases.iter().enumerate() {
-        let code = base_to_code(b);
-        if i % 2 == 0 {
-            out[i / 2] = code << 4;
-        } else {
-            out[i / 2] |= code;
-        }
-    }
+    let mut out = Vec::with_capacity(bases.len().div_ceil(2));
+    pack_into(bases, &mut out);
     out
+}
+
+/// [`pack`], appending to `out`.
+pub fn pack_into(bases: &[u8], out: &mut Vec<u8>) {
+    let pairs = bases.chunks_exact(2);
+    let odd = pairs.remainder().first().copied();
+    out.extend(pairs.map(|p| base_to_code(p[0]) << 4 | base_to_code(p[1])));
+    if let Some(base) = odd {
+        out.push(base_to_code(base) << 4);
+    }
 }
 
 /// Unpacks `len` bases from BAM nybbles.

@@ -3,7 +3,9 @@
 //! the input — returns a typed error with nothing recorded: the manifest
 //! is byte-for-byte what it was, the previously published shard set
 //! still verifies, the only debris is the stray temp a crash would leave,
-//! and every read-ahead helper thread has been joined (DESIGN.md §16).
+//! and every read-ahead, splitter and encode-worker thread has been
+//! joined (DESIGN.md §16). With several bad records the one reported is
+//! the first in the stream, whichever worker met it first.
 //!
 //! One `#[test]` on purpose: the helper-thread check counts this
 //! process's threads, which only means something when no other test runs
@@ -34,22 +36,41 @@ fn member_offsets(file: &[u8]) -> Vec<usize> {
     offsets
 }
 
-/// A BAM of `ds` whose record `victim` carries CIGAR op code 15 — a
-/// record every length check passes and only the decoder rejects.
-fn bam_with_bad_cigar_op(ds: &Dataset, victim: usize) -> Vec<u8> {
+/// Content damage every length check passes and only the decoder
+/// rejects, applied to one record's body.
+#[derive(Clone, Copy)]
+enum Damage {
+    /// CIGAR op code 15 (`InvalidCigar`).
+    CigarOp,
+    /// A mate refID outside the dictionary (`InvalidBam`).
+    MateRef,
+}
+
+/// A BAM of `ds` with each `(record, damage)` applied.
+fn bam_with(ds: &Dataset, damaged: &[(usize, Damage)]) -> Vec<u8> {
     let header = ds.header();
     let mut raw = Vec::new();
     bam::encode_header(&header, &mut raw);
     for (i, record) in ds.records.iter().enumerate() {
-        let start = raw.len();
+        let body = raw.len() + 4;
         bam::encode_record(record, &header, &mut raw).unwrap();
-        if i == victim {
-            assert!(!record.cigar.is_empty(), "victim needs a CIGAR");
-            let l_read_name = raw[start + 4 + 8] as usize;
-            raw[start + 4 + 32 + l_read_name] |= 0x0F;
+        for &(_, damage) in damaged.iter().filter(|(victim, _)| *victim == i) {
+            match damage {
+                Damage::CigarOp => {
+                    assert!(!record.cigar.is_empty(), "victim needs a CIGAR");
+                    let l_read_name = raw[body + 8] as usize;
+                    raw[body + 32 + l_read_name] |= 0x0F;
+                }
+                Damage::MateRef => raw[body + 20..body + 24].copy_from_slice(&999i32.to_le_bytes()),
+            }
         }
     }
     ngs_bgzf::compress_sequential(&raw, ngs_bgzf::Options::default())
+}
+
+/// A record of `ds` with a CIGAR at or after `at`.
+fn mapped_from(ds: &Dataset, at: usize) -> usize {
+    at + ds.records[at..].iter().position(|r| !r.cigar.is_empty()).unwrap()
 }
 
 struct Published {
@@ -116,7 +137,14 @@ fn failed_preprocess_records_nothing_keeps_the_old_shards_and_joins_its_helpers(
     flipped[mid + 40] ^= 0x04; // inside the middle member's DEFLATE body
     let corrupt_member = input("corrupt", &flipped);
     let truncated = input("truncated", &good[..mid + 100]);
-    let bad_record = input("bad-record", &bam_with_bad_cigar_op(&ds, ds.records.len() / 2));
+    let bad_record = input("bad-record", &bam_with(&ds, &[(mapped_from(&ds, ds.records.len() / 2), Damage::CigarOp)]));
+    // Pass 2 transcodes 1024-record batches on `ranks` workers. A bad
+    // record in batch 1 and another, of a different kind, in batch 2:
+    // the error reported is batch 1's, the first in stream order.
+    let two_bad = input("two-bad", &bam_with(&ds, &[(mapped_from(&ds, 1100), Damage::CigarOp), (2500, Damage::MateRef)]));
+    // A bad record at the start of the stream: its worker fails while
+    // every other batch buffer is already filled and waiting.
+    let first_bad = input("first-bad", &bam_with(&ds, &[(mapped_from(&ds, 3), Damage::CigarOp)]));
     let good = input("good", &good);
 
     for version in [BamxVersion::V1, BamxVersion::V2] {
@@ -144,6 +172,10 @@ fn failed_preprocess_records_nothing_keeps_the_old_shards_and_joins_its_helpers(
         // The lengths pass cannot see a bad op code: pass 2 reports it,
         // with the shard half-staged.
         let err = assert_fails_cleanly(&converter, &bad_record, &repo, &before, true, "bad CIGAR op");
+        assert!(matches!(err, Error::InvalidCigar(_)), "{err}");
+        let err = assert_fails_cleanly(&converter, &two_bad, &repo, &before, true, "bad records in batches 1 and 2");
+        assert!(matches!(err, Error::InvalidCigar(_)), "{err}");
+        let err = assert_fails_cleanly(&converter, &first_bad, &repo, &before, true, "bad record in batch 0");
         assert!(matches!(err, Error::InvalidCigar(_)), "{err}");
 
         // And the repository still takes a good run afterwards.
