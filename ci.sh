@@ -213,4 +213,19 @@ print(f"v2/v1 size ratio: {b['v2_over_v1_size_ratio']}; "
       f"of {b['full_scan_column_bytes']} column bytes")
 PY
 
+# Figures: every paper table and figure regenerates from the threaded
+# entry points, timed by their simulated-cluster busy time (DESIGN.md
+# §4b), and no sequential twin or second serving path creeps back.
+echo "==> figures (table1 + fig6-fig12 at smoke scale, no *_simulated twins)"
+cargo run --release -p ngs-bench --bin repro -- \
+    table1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 --scale 0.02 --cores 1,2,4,8 > /dev/null
+if grep -rn "_simulated" crates/*/src crates/bench; then
+    echo "a *_simulated twin is back: time the threaded entry point instead" >&2
+    exit 1
+fi
+if grep -n "ngs-pipeline" crates/query/Cargo.toml; then
+    echo "ngs-query serves Convert through convert_index_list only" >&2
+    exit 1
+fi
+
 echo "==> ci.sh: all green"

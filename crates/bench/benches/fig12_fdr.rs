@@ -2,7 +2,9 @@
 //! summation-permutation (Eq. 7–9) vs the two-phase ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ngs_stats::{build_fdr_input, fdr_direct, fdr_fused, fdr_simulated, fdr_simulated_two_phase, NullModel};
+use ngs_stats::{
+    build_fdr_input, fdr_direct, fdr_fused, fdr_parallel, fdr_parallel_two_phase, NullModel,
+};
 
 fn bench(c: &mut Criterion) {
     let mut rng = ngs_simgen::Rng::seed_from_u64(0x12);
@@ -17,11 +19,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("direct_eq4_6", |b| b.iter(|| fdr_direct(&input, p_t)));
     g.bench_function("fused_eq7_9", |b| b.iter(|| fdr_fused(&input, p_t)));
     for ranks in [1usize, 4, 16] {
-        g.bench_with_input(BenchmarkId::new("simulated_fused", ranks), &ranks, |b, &n| {
-            b.iter(|| fdr_simulated(&input, p_t, n))
+        g.bench_with_input(BenchmarkId::new("makespan_fused", ranks), &ranks, |b, &n| {
+            b.iter_custom(|_| fdr_parallel(&input, p_t, n).1.makespan())
         });
-        g.bench_with_input(BenchmarkId::new("simulated_two_phase", ranks), &ranks, |b, &n| {
-            b.iter(|| fdr_simulated_two_phase(&input, p_t, n))
+        g.bench_with_input(BenchmarkId::new("makespan_two_phase", ranks), &ranks, |b, &n| {
+            b.iter_custom(|_| fdr_parallel_two_phase(&input, p_t, n).1.makespan())
         });
     }
     g.finish();

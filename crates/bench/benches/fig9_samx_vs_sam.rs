@@ -1,5 +1,6 @@
 //! Figure 9 bench: original SAM converter vs preprocessing-optimized
-//! (_P) conversion from BAMX shards, same target, same rank count.
+//! (_P) conversion from BAMX shards, same target, same rank count,
+//! simulated-cluster busy time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ngs_bench::{DataCache, Scale};
@@ -11,7 +12,7 @@ fn bench(c: &mut Criterion) {
     let source = FileSource::open(&sam).unwrap();
     let samx = SamxConverter::new(ConvertConfig::with_ranks(1));
     let shards_dir = cache.scratch("fig9-bench-shards").unwrap();
-    let prep = samx.preprocess_source_simulated(&source, &shards_dir, "x").unwrap();
+    let prep = samx.preprocess_source(&source, &shards_dir, "x").unwrap();
 
     let mut g = c.benchmark_group("fig9");
     g.sample_size(10);
@@ -20,16 +21,16 @@ fn bench(c: &mut Criterion) {
     for ranks in [1usize, 4] {
         g.bench_with_input(BenchmarkId::new("original_sam_to_bed", ranks), &ranks, |b, &n| {
             let conv = SamConverter::new(ConvertConfig::with_ranks(n));
-            b.iter(|| {
+            b.iter_custom(|_| {
                 let out = cache.scratch("fig9-bench-a").unwrap();
-                conv.convert_source_simulated(&source, TargetFormat::Bed, &out, "x").unwrap()
+                conv.convert_source(&source, TargetFormat::Bed, &out, "x").unwrap().busy
             })
         });
         g.bench_with_input(BenchmarkId::new("optimized_samx_to_bed", ranks), &ranks, |b, &n| {
             let conv = SamxConverter::new(ConvertConfig::with_ranks(n));
-            b.iter(|| {
+            b.iter_custom(|_| {
                 let out = cache.scratch("fig9-bench-b").unwrap();
-                conv.convert_shards_simulated(&prep.shards, TargetFormat::Bed, &out).unwrap()
+                conv.convert_shards(&prep.shards, TargetFormat::Bed, &out).unwrap().busy
             })
         });
     }

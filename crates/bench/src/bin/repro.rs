@@ -70,10 +70,12 @@ fn main() {
         cfg.cores = c;
     }
 
+    let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let mut report = String::new();
     report.push_str(&format!(
-        "ngs-parallel reproduction report (scale {:.3}, cores {:?})\n\
-         simulated-cluster timing: per-rank loops run alone; parallel time = max(rank times)\n\n",
+        "ngs-parallel reproduction report (scale {:.3}, cores {:?}, host cores {host_cores})\n\
+         simulated-cluster timing: ranks run on real threads; parallel time = serial sections \
+         + max(per-rank on-CPU time)\n\n",
         scale.0, cfg.cores
     ));
 

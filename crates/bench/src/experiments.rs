@@ -1,11 +1,11 @@
 //! One function per table/figure of the paper's evaluation (Section V).
 //!
-//! All parallel timings use the *simulated-cluster* execution mode (each
-//! rank's loop timed alone; makespan = max) so the speedup shapes are
-//! observable regardless of host core count — see DESIGN.md §3 and the
-//! `ngs-converter::simulate` module docs. Results are returned as
-//! [`Figure`]/[`Table1`] values whose `Display` renders the same
-//! rows/series the paper reports.
+//! The figures run the threaded entry points once per point and plot
+//! their *simulated-cluster* busy time (DESIGN.md §4b): serial sections'
+//! wall time plus the largest per-rank on-CPU time, what the run would
+//! take with a core per rank, so the speedup shapes show on any host.
+//! Results are returned as [`Figure`]/[`Table1`] values whose `Display`
+//! renders the same rows/series the paper reports.
 
 use std::time::{Duration, Instant};
 
@@ -15,7 +15,7 @@ use ngs_converter::{
 };
 use ngs_formats::error::Result;
 use ngs_stats::{
-    build_fdr_input, fdr_simulated, fdr_simulated_two_phase, nlmeans_simulated, NlMeansParams,
+    build_fdr_input, fdr_parallel, fdr_parallel_two_phase, nlmeans_distributed, NlMeansParams,
     NullModel,
 };
 
@@ -138,8 +138,7 @@ pub fn fig6(cfg: &ExperimentConfig) -> Result<Figure> {
             let conv = SamConverter::new(cfg.config(n));
             let t = cfg.best_of(|| {
                 let out = cfg.cache.scratch(&format!("fig6-{name}-{n}"))?;
-                let report = conv.convert_source_simulated(&source, target, &out, "x")?;
-                Ok(report.partition_time + report.convert_time)
+                Ok(conv.convert_source(&source, target, &out, "x")?.busy)
             })?;
             timings.push((n, t));
         }
@@ -168,8 +167,7 @@ pub fn fig7(cfg: &ExperimentConfig) -> Result<Figure> {
             let conv = BamConverter::new(cfg.config(n));
             let t = cfg.best_of(|| {
                 let out = cfg.cache.scratch(&format!("fig7-{name}-{n}"))?;
-                let report = conv.convert_bamx_simulated(&prep.bamx_path, target, &out)?;
-                Ok(report.convert_time)
+                Ok(conv.convert_bamx(&prep.bamx_path, target, &out)?.busy)
             })?;
             timings.push((n, t));
         }
@@ -207,14 +205,14 @@ pub fn fig8(cfg: &ExperimentConfig) -> Result<Figure> {
             let conv = BamConverter::new(cfg.config(n));
             let t = cfg.best_of(|| {
                 let out = cfg.cache.scratch(&format!("fig8-{pct}-{n}"))?;
-                let report = conv.convert_partial_simulated(
+                let report = conv.convert_partial(
                     &prep.bamx_path,
                     &prep.baix_path,
                     &region,
                     TargetFormat::Sam,
                     &out,
                 )?;
-                Ok(report.convert_time)
+                Ok(report.busy)
             })?;
             series.push(n, t.as_secs_f64() * 1e3);
         }
@@ -238,26 +236,14 @@ pub fn fig9(cfg: &ExperimentConfig) -> Result<Figure> {
         "speedup (each family normalized to the original converter's 1-core time)",
     );
 
-    // One-core reference time: the ORIGINAL converter, so the _P series
-    // also expose their absolute advantage.
-    let base_out = cfg.cache.scratch("fig9-base")?;
-    let base_report = SamConverter::new(cfg.config(1)).convert_source_simulated(
-        &source,
-        TargetFormat::Bed,
-        &base_out,
-        "b",
-    )?;
-    let _ = base_report;
-
     for (target, name) in LINE_TARGETS {
         // Original converter series.
         let mut plain_timings = Vec::new();
         for &n in &cfg.cores {
             let t = cfg.best_of(|| {
                 let out = cfg.cache.scratch(&format!("fig9-plain-{name}-{n}"))?;
-                let report = SamConverter::new(cfg.config(n))
-                    .convert_source_simulated(&source, target, &out, "x")?;
-                Ok(report.partition_time + report.convert_time)
+                let conv = SamConverter::new(cfg.config(n));
+                Ok(conv.convert_source(&source, target, &out, "x")?.busy)
             })?;
             plain_timings.push((n, t));
         }
@@ -270,17 +256,17 @@ pub fn fig9(cfg: &ExperimentConfig) -> Result<Figure> {
 
         // Preprocessing-optimized series (conversion only, preprocessing
         // excluded as in the paper's "_P" bars), normalized against the
-        // same original-converter 1-core base.
+        // original converter's 1-core time, so the _P series also expose
+        // their absolute advantage.
         let samx = SamxConverter::new(cfg.config(1));
         let shards_dir = cfg.cache.scratch(&format!("fig9-shards-{name}"))?;
-        let prep = samx.preprocess_source_simulated(&source, &shards_dir, "x")?;
+        let prep = samx.preprocess_source(&source, &shards_dir, "x")?;
         let mut opt = Series::new(format!("SAM→{name}_P"));
         for &n in &cfg.cores {
             let samx_n = SamxConverter::new(cfg.config(n));
             let t = cfg.best_of(|| {
                 let out = cfg.cache.scratch(&format!("fig9-opt-{name}-{n}"))?;
-                let report = samx_n.convert_shards_simulated(&prep.shards, target, &out)?;
-                Ok(report.convert_time)
+                Ok(samx_n.convert_shards(&prep.shards, target, &out)?.busy)
             })?;
             opt.push(n, base / t.as_secs_f64().max(1e-12));
         }
@@ -293,7 +279,9 @@ pub fn fig9(cfg: &ExperimentConfig) -> Result<Figure> {
 // Figure 10
 // ---------------------------------------------------------------------------
 
-/// Figure 10: speedup of the (parallelized) SAM preprocessing step.
+/// Figure 10: speedup of the (parallelized) SAM preprocessing step, on
+/// the production path: shards and indexes published through the
+/// `ShardRepo`.
 pub fn fig10(cfg: &ExperimentConfig) -> Result<Figure> {
     let sam = cfg.cache.sam(cfg.scale.fig9_records(), 3)?;
     let source = ngs_converter::FileSource::open(&sam)?;
@@ -306,8 +294,7 @@ pub fn fig10(cfg: &ExperimentConfig) -> Result<Figure> {
         let samx = SamxConverter::new(cfg.config(n));
         let t = cfg.best_of(|| {
             let out = cfg.cache.scratch(&format!("fig10-{n}"))?;
-            let prep = samx.preprocess_source_simulated(&source, &out, "x")?;
-            Ok(prep.elapsed)
+            Ok(samx.preprocess_source(&source, &out, "x")?.busy)
         })?;
         timings.push((n, t));
     }
@@ -337,10 +324,7 @@ pub fn fig11(cfg: &ExperimentConfig) -> Result<Figure> {
         let params = NlMeansParams { search_radius: r, half_patch: 15, sigma: 10.0 };
         let mut timings = Vec::new();
         for &n in &cfg.cores {
-            let t = cfg.best_of(|| {
-                let (_, timing) = nlmeans_simulated(&data, &params, n);
-                Ok(timing.makespan())
-            })?;
+            let t = cfg.best_of(|| Ok(nlmeans_distributed(&data, &params, n).1.makespan()))?;
             timings.push((n, t));
         }
         fig.series.push(to_speedup(&format!("r = {r}"), &timings));
@@ -381,9 +365,9 @@ pub fn fig12(cfg: &ExperimentConfig) -> Result<Figure> {
     let mut fused_timings = Vec::new();
     let mut unfused_timings = Vec::new();
     for &n in &cores {
-        let tf = cfg.best_of(|| Ok(fdr_simulated(&input, p_t, n).1.makespan()))?;
+        let tf = cfg.best_of(|| Ok(fdr_parallel(&input, p_t, n).1.makespan()))?;
         fused_timings.push((n, tf));
-        let tu = cfg.best_of(|| Ok(fdr_simulated_two_phase(&input, p_t, n).1.makespan()))?;
+        let tu = cfg.best_of(|| Ok(fdr_parallel_two_phase(&input, p_t, n).1.makespan()))?;
         unfused_timings.push((n, tu));
     }
     // Both normalized to the fused 1-core time so the ablation's cost is

@@ -25,7 +25,7 @@ impl std::error::Error for ArgError {}
 
 /// Boolean flags that take no value.
 const SWITCHES: &[&str] =
-    &["sorted", "compress", "simulated", "analyze", "crash", "dist", "overload", "json", "help"];
+    &["sorted", "compress", "analyze", "crash", "dist", "overload", "json", "help"];
 
 impl Args {
     /// Parses raw arguments (after the subcommand name).

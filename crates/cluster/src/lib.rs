@@ -25,5 +25,5 @@ pub mod scope;
 pub mod transport;
 
 pub use comm::Communicator;
-pub use scope::{run_ranks, time_ranks};
+pub use scope::{run_ranks, time_ranks, RankTimes};
 pub use transport::{Transport, BARRIER_TAG, RESERVED_TAG_BASE};

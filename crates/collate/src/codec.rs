@@ -45,7 +45,7 @@ mod tests {
     use ngs_simgen::{Dataset, DatasetSpec};
 
     #[test]
-    fn codec_round_trips_simulated_records() {
+    fn codec_round_trips_generated_records() {
         let ds = Dataset::generate(&DatasetSpec { n_records: 60, ..Default::default() });
         let codec = RecordCodec { header: Arc::new(ds.header()) };
         let mut buf = Vec::new();

@@ -35,7 +35,7 @@ pub fn i64_key(v: i64) -> [u8; 8] {
 }
 
 /// Reference id of `rname` under `header`, `u32::MAX` for unmapped or
-/// unknown references (sorting them last, like `ngs_tools::sort`).
+/// unknown references, so they sort after every known reference.
 pub fn tid_of(header: &SamHeader, rname: &[u8]) -> u32 {
     if rname == b"*" {
         return u32::MAX;
@@ -64,8 +64,8 @@ pub fn name_key(rec: &AlignmentRecord) -> Key {
     k
 }
 
-/// Coordinate sort key: `(tid, pos)` with unmapped/unknown references
-/// last — the same order as `ngs_tools::sort::SortOrder::Coordinate`.
+/// Coordinate sort key: reference id in header order, then position;
+/// unmapped and unknown references sort last, ties keep arrival order.
 pub fn coord_key(header: &SamHeader, rec: &AlignmentRecord) -> Key {
     let mut k = Vec::with_capacity(12);
     k.extend_from_slice(&tid_of(header, &rec.rname).to_be_bytes());

@@ -15,12 +15,12 @@ use std::time::{Duration, Instant};
 use ngs_bamx::repo::ShardRepo;
 use ngs_bamx::{Baix, BamxCompression, BamxFile, BamxLayout, BamxVersion, ColumnSet, Region};
 use ngs_bgzf::ReadAheadReader;
-use ngs_cluster::run_ranks;
+use ngs_cluster::time_ranks;
 use ngs_formats::bam::{self, BamReader};
 use ngs_formats::error::{Error, Result};
 use ngs_formats::record::AlignmentRecord;
 
-use crate::runtime::{ConvertConfig, ConvertReport, RankOutput, RankStats};
+use crate::runtime::{collect_report, ConvertConfig, ConvertReport, RankOutput, RankStats};
 use crate::shard::ShardTarget;
 use crate::target::{builtin, TargetFormat};
 use crate::transcode::transcode_into;
@@ -194,6 +194,7 @@ impl BamConverter {
         target: TargetFormat,
         out_dir: impl AsRef<Path>,
     ) -> Result<ConvertReport> {
+        let start = Instant::now();
         let bamx_path = bamx_path.as_ref();
         let out_dir = out_dir.as_ref();
         std::fs::create_dir_all(out_dir)?;
@@ -202,24 +203,17 @@ impl BamConverter {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "bamx".into());
 
-        let probe = BamxFile::open(bamx_path)?;
-        let n_records = probe.len();
-        drop(probe);
-
-        let t = Instant::now();
-        let results: Vec<Result<(RankStats, PathBuf)>> =
-            run_ranks(self.config.ranks, |comm| {
-                let rank = comm.rank();
-                let n = comm.size() as u64;
-                let lo = rank as u64 * n_records / n;
-                let hi = (rank as u64 + 1) * n_records / n;
-                // Each rank opens its own handle (independent preads).
-                let shard = BamxFile::open(bamx_path)?;
-                convert_record_range(&shard, lo, hi, target, out_dir, &stem, rank, rank == 0, &self.config)
-            });
-        let convert_time = t.elapsed();
-
-        collect_report(results, convert_time)
+        let n_records = BamxFile::open(bamx_path)?.len();
+        let (results, times) = time_ranks(self.config.ranks, |comm| {
+            let rank = comm.rank();
+            let n = comm.size() as u64;
+            let lo = rank as u64 * n_records / n;
+            let hi = (rank as u64 + 1) * n_records / n;
+            // Each rank opens its own handle (independent preads).
+            let shard = BamxFile::open(bamx_path)?;
+            convert_record_range(&shard, lo, hi, target, out_dir, &stem, rank, rank == 0, &self.config)
+        });
+        collect_report(start, results, &times)
     }
 
     /// Parallel *partial* conversion: only alignments whose start falls
@@ -233,6 +227,7 @@ impl BamConverter {
         target: TargetFormat,
         out_dir: impl AsRef<Path>,
     ) -> Result<ConvertReport> {
+        let start = Instant::now();
         let bamx_path = bamx_path.as_ref();
         let out_dir = out_dir.as_ref();
         std::fs::create_dir_all(out_dir)?;
@@ -253,28 +248,25 @@ impl BamConverter {
         let entry_range = baix.locate(ref_id, region);
         let indices = baix.shard_indices(entry_range);
 
-        let t = Instant::now();
-        let results: Vec<Result<(RankStats, PathBuf)>> =
-            run_ranks(self.config.ranks, |comm| {
-                let rank = comm.rank();
-                let n = comm.size();
-                // Evenly split the BAIX subregion across ranks.
-                let lo = rank * indices.len() / n;
-                let hi = (rank + 1) * indices.len() / n;
-                let shard = BamxFile::open(bamx_path)?;
-                convert_index_list(
-                    &shard,
-                    &indices[lo..hi],
-                    target,
-                    out_dir,
-                    &stem,
-                    rank,
-                    rank == 0,
-                    &self.config,
-                )
-            });
-        let convert_time = t.elapsed();
-        collect_report(results, convert_time)
+        let (results, times) = time_ranks(self.config.ranks, |comm| {
+            let rank = comm.rank();
+            let n = comm.size();
+            // Evenly split the BAIX subregion across ranks.
+            let lo = rank * indices.len() / n;
+            let hi = (rank + 1) * indices.len() / n;
+            let shard = BamxFile::open(bamx_path)?;
+            convert_index_list(
+                &shard,
+                &indices[lo..hi],
+                target,
+                out_dir,
+                &stem,
+                rank,
+                rank == 0,
+                &self.config,
+            )
+        });
+        collect_report(start, results, &times)
     }
 
     /// Sequential conversion *without* preprocessing (used by the Table I
@@ -323,25 +315,13 @@ impl BamConverter {
         stats.elapsed = t.elapsed();
 
         Ok(ConvertReport {
-            convert_time: t.elapsed(),
+            convert_time: stats.elapsed,
+            busy: stats.elapsed,
             per_rank: vec![stats],
             outputs: vec![path],
             ..Default::default()
         })
     }
-}
-
-fn collect_report(
-    results: Vec<Result<(RankStats, PathBuf)>>,
-    convert_time: Duration,
-) -> Result<ConvertReport> {
-    let mut report = ConvertReport { convert_time, ..Default::default() };
-    for r in results {
-        let (stats, path) = r?;
-        report.per_rank.push(stats);
-        report.outputs.push(path);
-    }
-    Ok(report)
 }
 
 /// Converts a contiguous record range of a BAMX shard. `write_prologue`
@@ -524,6 +504,7 @@ impl Emitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::assert_busy_within_wall;
     use ngs_simgen::{Dataset, DatasetSpec};
     use tempfile::tempdir;
 
@@ -694,6 +675,9 @@ mod tests {
             c8.convert_bamx(&prep.bamx_path, TargetFormat::Bed, dir.path().join("b")).unwrap();
         assert_eq!(r1.records_out(), r8.records_out());
         assert_eq!(r1.bytes_out(), r8.bytes_out());
+        for r in [&r1, &r8] {
+            assert_busy_within_wall(r.busy, r.convert_time);
+        }
     }
 
     #[test]
@@ -726,6 +710,7 @@ mod tests {
             .count() as u64;
         assert_eq!(report.records_in(), expected);
         assert!(expected > 0);
+        assert_busy_within_wall(report.busy, report.convert_time);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod sam_converter;
 pub mod samx_converter;
 pub mod scan;
 mod shard;
-pub mod simulate;
 pub mod source;
 pub mod target;
 mod transcode;

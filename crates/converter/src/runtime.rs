@@ -4,8 +4,9 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use ngs_cluster::RankTimes;
 use ngs_formats::error::Result;
 use ngs_formats::header::SamHeader;
 
@@ -67,10 +68,12 @@ pub struct RankStats {
 pub struct ConvertReport {
     /// Time spent in preprocessing (zero when not applicable).
     pub preprocess_time: Duration,
-    /// Time spent partitioning.
-    pub partition_time: Duration,
-    /// Makespan of the parallel conversion phase.
+    /// Wall time of the conversion phase.
     pub convert_time: Duration,
+    /// Simulated-cluster time of the conversion phase (DESIGN.md §4b):
+    /// the serial sections' wall time plus the largest per-rank on-CPU
+    /// time — what the phase would take with a core per rank.
+    pub busy: Duration,
     /// Per-rank breakdown.
     pub per_rank: Vec<RankStats>,
     /// Paths of the files produced.
@@ -93,10 +96,41 @@ impl ConvertReport {
         self.per_rank.iter().map(|r| r.bytes_out).sum()
     }
 
-    /// End-to-end time (preprocess + partition + convert).
+    /// End-to-end wall time (preprocess + convert).
     pub fn total_time(&self) -> Duration {
-        self.preprocess_time + self.partition_time + self.convert_time
+        self.preprocess_time + self.convert_time
     }
+}
+
+/// The report of a call that started at `start` and ran one rank world,
+/// timed in `times`; the first failed rank's error wins.
+pub(crate) fn collect_report(
+    start: Instant,
+    results: Vec<Result<(RankStats, PathBuf)>>,
+    times: &RankTimes,
+) -> Result<ConvertReport> {
+    let mut report = ConvertReport::default();
+    for r in results {
+        let (stats, path) = r?;
+        report.per_rank.push(stats);
+        report.outputs.push(path);
+    }
+    report.convert_time = start.elapsed();
+    report.busy = busy_time(start, [times]);
+    Ok(report)
+}
+
+/// Busy time (DESIGN.md §4b) of a call that started at `start` and ran
+/// the rank worlds timed in `worlds`: its wall time outside the worlds
+/// plus each world's makespan.
+pub(crate) fn busy_time<'a>(
+    start: Instant,
+    worlds: impl IntoIterator<Item = &'a RankTimes>,
+) -> Duration {
+    let (wall, makespan) = worlds
+        .into_iter()
+        .fold((Duration::ZERO, Duration::ZERO), |(w, m), t| (w + t.wall, m + t.makespan()));
+    start.elapsed().saturating_sub(wall) + makespan
 }
 
 /// Scans the SAM header (`@`-prefixed lines) from the start of a source.
@@ -172,6 +206,12 @@ impl RankOutput {
         self.writer.flush()?;
         Ok((self.path, self.bytes))
     }
+}
+
+/// Asserts a call's busy time is positive and within its wall time.
+#[cfg(test)]
+pub(crate) fn assert_busy_within_wall(busy: Duration, wall: Duration) {
+    assert!(busy > Duration::ZERO && busy <= wall, "busy {busy:?}, wall {wall:?}");
 }
 
 #[cfg(test)]

@@ -7,13 +7,15 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use ngs_cluster::run_ranks;
+use ngs_cluster::time_ranks;
 use ngs_formats::bam::BamWriter;
 use ngs_formats::error::{Error, Result};
 use ngs_formats::header::SamHeader;
 
 use crate::partition::{partition_distributed, ByteRange};
-use crate::runtime::{scan_sam_header, ConvertConfig, ConvertReport, RankOutput, RankStats};
+use crate::runtime::{
+    collect_report, scan_sam_header, ConvertConfig, ConvertReport, RankOutput, RankStats,
+};
 use crate::scan::scan_records;
 use crate::source::{ByteSource, FileSource};
 use crate::target::{builtin, TargetFormat};
@@ -55,16 +57,11 @@ impl SamConverter {
         out_dir: &Path,
         stem: &str,
     ) -> Result<ConvertReport> {
+        let start = Instant::now();
         std::fs::create_dir_all(out_dir)?;
         let (header, _) = scan_sam_header(source)?;
 
-        let t_partition = Instant::now();
-        // Partitioning runs inside the rank world below, but we time the
-        // serial reference pass here to expose its (trivial) cost.
-        let partition_time = t_partition.elapsed();
-
-        let t_convert = Instant::now();
-        let results: Vec<Result<(RankStats, PathBuf)>> = run_ranks(self.config.ranks, |comm| {
+        let (results, times) = time_ranks(self.config.ranks, |comm| {
             let range = partition_distributed(source, comm, self.config.variant)?;
             convert_sam_range(
                 source,
@@ -77,19 +74,7 @@ impl SamConverter {
                 &self.config,
             )
         });
-        let convert_time = t_convert.elapsed();
-
-        let mut report = ConvertReport {
-            partition_time,
-            convert_time,
-            ..Default::default()
-        };
-        for r in results {
-            let (stats, path) = r?;
-            report.per_rank.push(stats);
-            report.outputs.push(path);
-        }
-        Ok(report)
+        collect_report(start, results, &times)
     }
 }
 
@@ -181,6 +166,7 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::assert_busy_within_wall;
     use crate::source::MemSource;
     use ngs_simgen::{Dataset, DatasetSpec};
     use tempfile::tempdir;
@@ -225,6 +211,9 @@ mod tests {
 
         assert_eq!(concat_outputs(&r1), concat_outputs(&r7));
         assert_eq!(r1.records_out(), r7.records_out());
+        for r in [&r1, &r7] {
+            assert_busy_within_wall(r.busy, r.convert_time);
+        }
         // Unmapped reads are skipped by BED.
         assert!(r1.records_out() < r1.records_in());
     }

@@ -11,13 +11,13 @@ use std::time::{Duration, Instant};
 
 use ngs_bamx::repo::ShardRepo;
 use ngs_bamx::{BamxCompression, BamxFile, BamxLayout, BamxVersion};
-use ngs_cluster::run_ranks;
+use ngs_cluster::time_ranks;
 use ngs_formats::error::Result;
 use ngs_formats::fields::RefIds;
 
 use crate::bam_converter::{compression_name, convert_record_range};
 use crate::partition::partition_distributed;
-use crate::runtime::{scan_sam_header, ConvertConfig, ConvertReport, RankStats};
+use crate::runtime::{busy_time, scan_sam_header, ConvertConfig, ConvertReport};
 use crate::scan::{scan_fields, scan_lengths};
 use crate::shard::ShardTarget;
 use crate::source::{ByteSource, FileSource};
@@ -42,8 +42,11 @@ pub struct Shard {
 pub struct SamxPreprocessReport {
     /// One shard per preprocessing rank (the paper's M files).
     pub shards: Vec<Shard>,
-    /// Makespan of the parallel preprocessing.
+    /// Wall time of the parallel preprocessing.
     pub elapsed: Duration,
+    /// Simulated-cluster time of the same span (DESIGN.md §4b): serial
+    /// sections' wall time plus the largest per-rank on-CPU time.
+    pub busy: Duration,
 }
 
 impl SamxPreprocessReport {
@@ -147,9 +150,9 @@ impl SamxConverter {
         repo.set_meta("ranks", &ranks_meta)?;
         repo.set_meta("compression", compression)?;
         repo.set_meta("format", format)?;
-        let t = Instant::now();
+        let start = Instant::now();
 
-        let results: Vec<Result<Shard>> = run_ranks(self.config.ranks, |comm| {
+        let (results, times) = time_ranks(self.config.ranks, |comm| {
             let rank = comm.rank();
             // Collective: always runs, even for ranks that will resume.
             let range = partition_distributed(source, comm, self.config.variant)?;
@@ -187,11 +190,12 @@ impl SamxConverter {
             Ok(Shard { bamx_path, baix_path, records, resumed: false })
         });
 
-        let mut shards = Vec::with_capacity(self.config.ranks);
-        for r in results {
-            shards.push(r?);
-        }
-        Ok(SamxPreprocessReport { shards, elapsed: t.elapsed() })
+        let shards = results.into_iter().collect::<Result<Vec<Shard>>>()?;
+        Ok(SamxPreprocessReport {
+            shards,
+            elapsed: start.elapsed(),
+            busy: busy_time(start, [&times]),
+        })
     }
 
     /// Reconciles the recorded shard set of `stem` against this run's
@@ -252,16 +256,18 @@ impl SamxConverter {
 
     /// Parallel conversion phase (Figure 5, right): converts each BAMX
     /// shard with N ranks, producing the paper's M × N target files.
+    /// Shards convert one after another, so `busy` sums their makespans.
     pub fn convert_shards(
         &self,
         shards: &[Shard],
         target: TargetFormat,
         out_dir: impl AsRef<Path>,
     ) -> Result<ConvertReport> {
+        let start = Instant::now();
         let out_dir = out_dir.as_ref();
         std::fs::create_dir_all(out_dir)?;
-        let t = Instant::now();
         let mut report = ConvertReport::default();
+        let mut worlds = Vec::with_capacity(shards.len());
 
         for (shard_idx, shard) in shards.iter().enumerate() {
             let stem = shard
@@ -270,33 +276,34 @@ impl SamxConverter {
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "shard".into());
             let n_records = BamxFile::open(&shard.bamx_path)?.len();
-            let results: Vec<Result<(RankStats, PathBuf)>> =
-                run_ranks(self.config.ranks, |comm| {
-                    let rank = comm.rank();
-                    let n = comm.size() as u64;
-                    let lo = rank as u64 * n_records / n;
-                    let hi = (rank as u64 + 1) * n_records / n;
-                    let file = BamxFile::open(&shard.bamx_path)?;
-                    // Only the very first output file carries the prologue.
-                    convert_record_range(
-                        &file,
-                        lo,
-                        hi,
-                        target,
-                        out_dir,
-                        &stem,
-                        rank,
-                        shard_idx == 0 && rank == 0,
-                        &self.config,
-                    )
-                });
+            let (results, times) = time_ranks(self.config.ranks, |comm| {
+                let rank = comm.rank();
+                let n = comm.size() as u64;
+                let lo = rank as u64 * n_records / n;
+                let hi = (rank as u64 + 1) * n_records / n;
+                let file = BamxFile::open(&shard.bamx_path)?;
+                // Only the very first output file carries the prologue.
+                convert_record_range(
+                    &file,
+                    lo,
+                    hi,
+                    target,
+                    out_dir,
+                    &stem,
+                    rank,
+                    shard_idx == 0 && rank == 0,
+                    &self.config,
+                )
+            });
             for r in results {
                 let (stats, path) = r?;
                 report.per_rank.push(stats);
                 report.outputs.push(path);
             }
+            worlds.push(times);
         }
-        report.convert_time = t.elapsed();
+        report.convert_time = start.elapsed();
+        report.busy = busy_time(start, &worlds);
         Ok(report)
     }
 
@@ -318,6 +325,7 @@ impl SamxConverter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::assert_busy_within_wall;
     use crate::source::MemSource;
     use ngs_simgen::{Dataset, DatasetSpec};
     use tempfile::tempdir;
@@ -370,6 +378,8 @@ mod tests {
             conv.convert_shards(&prep.shards, TargetFormat::Bed, dir.path().join("out")).unwrap();
         assert_eq!(report.outputs.len(), 9, "M × N = 3 × 3 files");
         assert_eq!(report.records_in(), 600);
+        assert_busy_within_wall(prep.busy, prep.elapsed);
+        assert_busy_within_wall(report.busy, report.convert_time);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl Framework {
 
     /// Parallel NL-means denoising of a histogram.
     pub fn denoise(&self, histogram: &CoverageHistogram) -> Vec<f64> {
-        nlmeans_distributed(&histogram.bins, &self.config.nlmeans, self.config.ranks)
+        nlmeans_distributed(&histogram.bins, &self.config.nlmeans, self.config.ranks).0
     }
 
     /// Parallel FDR at threshold `p_t` against `rounds` simulated
@@ -200,12 +200,12 @@ impl Framework {
         seed: u64,
     ) -> f64 {
         let input = ngs_stats::build_fdr_input(bins.to_vec(), rounds, model, seed);
-        fdr_parallel(&input, p_t, self.config.ranks)
+        fdr_parallel(&input, p_t, self.config.ranks).0
     }
 
     /// Parallel FDR with a caller-provided input.
     pub fn fdr_with_input(&self, input: &FdrInput, p_t: f64) -> f64 {
-        fdr_parallel(input, p_t, self.config.ranks)
+        fdr_parallel(input, p_t, self.config.ranks).0
     }
 }
 

@@ -6,9 +6,8 @@
 //! [`ManualClock`] by hand — keeping deadline behaviour fully
 //! deterministic, as CLAUDE.md requires of all tests.
 //!
-//! The trait's canonical home is [`ngs_pipeline::clock`]; this module
-//! re-exports it so the query engine and the streaming pipeline share
-//! one time axis (an engine's injected clock also drives the per-stage
-//! metrics of any pipeline it spawns).
+//! The trait's canonical home is [`ngs_obs::clock`]; this module
+//! re-exports it so the query engine shares one time axis with every
+//! other instrumented subsystem.
 
-pub use ngs_pipeline::clock::{Clock, ManualClock, SystemClock};
+pub use ngs_obs::clock::{Clock, ManualClock, SystemClock};

@@ -28,9 +28,8 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use ngs_bamx::Region;
 use ngs_converter::bam_converter::convert_index_list;
 use ngs_converter::ConvertConfig;
-use ngs_formats::error::{Error, Result};
+use ngs_formats::error::Result;
 use ngs_obs::{span, Registry, Tracer};
-use ngs_pipeline::{PipelineConfig, ShardInput, StreamConverter};
 use ngs_stats::CoverageHistogram;
 use parking_lot::{Condvar, Mutex};
 
@@ -87,12 +86,6 @@ pub struct EngineConfig {
     /// parallelism comes from concurrent requests, so `ranks` is
     /// ignored.
     pub convert: ConvertConfig,
-    /// When set, `Convert` requests stream through the bounded
-    /// `ngs-pipeline` graph instead of the one-shot `convert_index_list`
-    /// call — same bytes (enforced by `tests/query_engine.rs`), but the
-    /// peak working set per request is bounded by the pipeline window
-    /// instead of the coalesced read-range size.
-    pub streaming: Option<PipelineConfig>,
     /// Shared observability registry the ledger publishes into (so
     /// `ngsp stats` sees the same `query.*` counters the engine uses).
     /// `None` gives the ledger a private registry.
@@ -114,7 +107,6 @@ impl Default for EngineConfig {
             age_promote: Duration::from_millis(100),
             shed_retry_unit: Duration::from_micros(500),
             convert: ConvertConfig::with_ranks(1),
-            streaming: None,
             obs: None,
             tracer: None,
         }
@@ -371,13 +363,12 @@ impl QueryEngine {
             let ledger = Arc::clone(&ledger);
             let clock = Arc::clone(&clock);
             let convert = config.convert.clone();
-            let streaming = config.streaming.clone();
             let tracer = config.tracer.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("ngs-query-{i}"))
                     .spawn(move || {
-                        worker_loop(sched, store, ledger, clock, convert, streaming, tracer, batch)
+                        worker_loop(sched, store, ledger, clock, convert, tracer, batch)
                     })?,
             );
         }
@@ -442,14 +433,12 @@ impl Drop for QueryEngine {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     sched: Arc<Scheduler>,
     store: Arc<ShardStore>,
     ledger: Arc<Ledger>,
     clock: Arc<dyn Clock>,
     convert: ConvertConfig,
-    streaming: Option<PipelineConfig>,
     tracer: Option<Arc<Tracer>>,
     batch: usize,
 ) {
@@ -482,7 +471,7 @@ fn worker_loop(
         ledger.record_batch(claimed.len() as u64);
         for job in claimed.drain(..) {
             let slot = (sched.hot_shard_cap > 0).then(|| job.request.dataset.clone());
-            run_job(job, &sched, &store, &ledger, &clock, &convert, streaming.as_ref(), tracer.as_ref());
+            run_job(job, &sched, &store, &ledger, &clock, &convert, tracer.as_ref());
             if let Some(dataset) = slot {
                 sched.release(&dataset);
             }
@@ -490,7 +479,6 @@ fn worker_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     job: Job,
     sched: &Scheduler,
@@ -498,7 +486,6 @@ fn run_job(
     ledger: &Arc<Ledger>,
     clock: &Arc<dyn Clock>,
     convert: &ConvertConfig,
-    streaming: Option<&PipelineConfig>,
     tracer: Option<&Arc<Tracer>>,
 ) {
     let Job { request, submitted_at, reply } = job;
@@ -533,7 +520,7 @@ fn run_job(
             return;
         }
     }
-    let executed = execute(store, &request, convert, streaming, clock);
+    let executed = execute(store, &request, convert);
     metrics.finished_at = clock.now();
     metrics.service_time = metrics.finished_at.saturating_sub(started_at);
     if executed.is_err() {
@@ -571,8 +558,6 @@ fn execute(
     store: &ShardStore,
     request: &QueryRequest,
     convert: &ConvertConfig,
-    streaming: Option<&PipelineConfig>,
-    clock: &Arc<dyn Clock>,
 ) -> Result<(QueryOutcome, bool)> {
     let (shard, cache_hit) = store.get(&request.dataset)?;
     let region = Region::parse(&request.region, shard.bamx.header())?;
@@ -583,60 +568,28 @@ fn execute(
             std::fs::create_dir_all(out_dir)?;
             // Same stem formula as `BamConverter::convert_partial`, so a
             // request's part file is byte-identical (name and content)
-            // to the single-rank one-shot path — on BOTH branches below
-            // (`tests/query_engine.rs` enforces it).
+            // to the single-rank one-shot path (`tests/query_engine.rs`
+            // enforces it).
             let stem = format!(
                 "{}.{}",
                 request.dataset,
                 region.to_string().replace([':', '-'], "_")
             );
-            if let Some(pipeline) = streaming {
-                // Bounded streaming response path: same records, same
-                // bytes, working set capped by the pipeline window.
-                let converter = StreamConverter::with_clock(pipeline.clone(), Arc::clone(clock));
-                let run = converter.convert(
-                    vec![ShardInput {
-                        name: request.dataset.clone(),
-                        bamx: Arc::clone(&shard.bamx),
-                        indices: Some(indices),
-                    }],
-                    *format,
-                    out_dir,
-                    &stem,
-                    0,
-                    true,
-                )?;
-                // A single-shard request has no "other shards to keep
-                // serving": a quarantine here is the request failing.
-                if let Some(q) = run.quarantined.first() {
-                    return Err(Error::InvalidRecord(format!(
-                        "shard {:?} failed structurally mid-stream: {}",
-                        q.shard, q.error
-                    )));
-                }
-                QueryOutcome::Converted {
-                    output: run.path,
-                    records_in: run.records_in,
-                    records_out: run.records_out,
-                    bytes_out: run.bytes_out,
-                }
-            } else {
-                let (stats, path) = convert_index_list(
-                    &shard.bamx,
-                    &indices,
-                    *format,
-                    out_dir,
-                    &stem,
-                    0,
-                    true,
-                    convert,
-                )?;
-                QueryOutcome::Converted {
-                    output: path,
-                    records_in: stats.records_in,
-                    records_out: stats.records_out,
-                    bytes_out: stats.bytes_out,
-                }
+            let (stats, path) = convert_index_list(
+                &shard.bamx,
+                &indices,
+                *format,
+                out_dir,
+                &stem,
+                0,
+                true,
+                convert,
+            )?;
+            QueryOutcome::Converted {
+                output: path,
+                records_in: stats.records_in,
+                records_out: stats.records_out,
+                bytes_out: stats.bytes_out,
             }
         }
         QueryKind::Coverage { bin_size } => {

@@ -20,7 +20,7 @@
 //!
 //! Complexity Θ(M·B²).
 
-use ngs_cluster::run_ranks;
+use ngs_cluster::{time_ranks, RankTimes};
 
 /// The FDR inputs: one observed series and `B` simulated series, all of
 /// equal length `M`.
@@ -140,15 +140,16 @@ fn finish(diamond: u64, star: u64, b_count: usize) -> f64 {
 
 /// Algorithm 2: bin-direction partitioning; each rank computes fused
 /// local sums; a single gather at the master computes both global sums at
-/// once (one synchronization), and the result is broadcast back.
-pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> f64 {
+/// once (one synchronization), and the result is broadcast back. The
+/// rank world's timing comes back beside the value.
+pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, RankTimes) {
     const TAG_SUMS: u64 = 0x21;
     const TAG_RESULT: u64 = 0x22;
     assert!(ranks > 0 && input.rounds() > 0 && input.bins() > 0);
     let m = input.bins();
     let b_count = input.rounds();
 
-    let results = run_ranks(ranks, |comm| {
+    let (results, times) = time_ranks(ranks, |comm| {
         let rank = comm.rank();
         let size = comm.size();
         // Line 1: even bin-direction partitioning.
@@ -189,18 +190,18 @@ pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> f64 {
             f64::from_le_bytes(bytes[0..8].try_into().expect("f64"))
         }
     });
-    results[0]
+    (results[0], times)
 }
 
 /// The unfused ablation: numerator and denominator are reduced in two
 /// separate steps with an extra global synchronization between them —
 /// what Algorithm 2's summation permutation avoids.
-pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> f64 {
+pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, RankTimes) {
     assert!(ranks > 0 && input.rounds() > 0 && input.bins() > 0);
     let m = input.bins();
     let b_count = input.rounds();
 
-    let results = run_ranks(ranks, |comm| {
+    let (results, times) = time_ranks(ranks, |comm| {
         let rank = comm.rank();
         let size = comm.size();
         let lo = rank * m / size;
@@ -238,19 +239,13 @@ pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> f64 {
 
         finish(total_d, total_s, b_count)
     });
-    results[0]
-}
-
-/// Crate-internal re-export used by the simulated execution mode.
-#[inline]
-pub(crate) fn fused_bin_sums_pub(input: &FdrInput, i: usize, p_t: f64) -> (u64, u64) {
-    fused_bin_sums(input, i, p_t)
+    (results[0], times)
 }
 
 /// Sweeps thresholds, returning `(p_t, FDR(p_t))` pairs — the curve used
 /// to pick a region-selection threshold.
 pub fn fdr_curve(input: &FdrInput, thresholds: &[f64], ranks: usize) -> Vec<(f64, f64)> {
-    thresholds.iter().map(|&t| (t, fdr_parallel(input, t, ranks))).collect()
+    thresholds.iter().map(|&t| (t, fdr_parallel(input, t, ranks).0)).collect()
 }
 
 #[cfg(test)]
@@ -297,8 +292,8 @@ mod tests {
         for ranks in [1, 2, 4, 8, 16] {
             for p_t in [1.0, 4.0] {
                 let seq = fdr_fused(&input, p_t);
-                let par = fdr_parallel(&input, p_t, ranks);
-                let two = fdr_parallel_two_phase(&input, p_t, ranks);
+                let par = fdr_parallel(&input, p_t, ranks).0;
+                let two = fdr_parallel_two_phase(&input, p_t, ranks).0;
                 assert_eq!(seq.to_bits(), par.to_bits(), "ranks {ranks}, p_t {p_t}");
                 assert_eq!(seq.to_bits(), two.to_bits(), "two-phase ranks {ranks}");
             }

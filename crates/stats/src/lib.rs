@@ -20,11 +20,9 @@ pub mod histogram;
 pub mod nlmeans;
 pub mod peaks;
 pub mod simulate;
-pub mod simulated;
 
 pub use fdr::{fdr_curve, fdr_direct, fdr_fused, fdr_parallel, fdr_parallel_two_phase, FdrInput};
 pub use histogram::{mse, psnr, BinnedCounts, CoverageHistogram};
 pub use nlmeans::{nlmeans_distributed, nlmeans_rayon, nlmeans_sequential, NlMeansParams};
 pub use peaks::{call_peaks, peaks_to_bed, pick_threshold, select_bins, Peak};
 pub use simulate::{build_fdr_input, simulate, NullModel};
-pub use simulated::{fdr_simulated, fdr_simulated_two_phase, nlmeans_simulated, SimTiming};

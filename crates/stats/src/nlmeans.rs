@@ -17,7 +17,7 @@
 //! neighbour, run NL-means over the enlarged chunk but only *update* the
 //! original chunk. Output is bit-identical to the sequential pass.
 
-use ngs_cluster::{run_ranks, Communicator};
+use ngs_cluster::{time_ranks, Communicator, RankTimes};
 
 /// NL-means parameters (the paper's symbols: `r`, `l`, `sigma`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,18 +74,6 @@ pub(crate) fn denoise_range(data: &[f64], lo: usize, hi: usize, params: &NlMeans
     }
 }
 
-/// Crate-internal re-export used by the simulated execution mode.
-#[inline]
-pub(crate) fn denoise_range_pub(
-    data: &[f64],
-    lo: usize,
-    hi: usize,
-    params: &NlMeansParams,
-    out: &mut [f64],
-) {
-    denoise_range(data, lo, hi, params, out)
-}
-
 /// Sequential NL-means over the whole histogram.
 pub fn nlmeans_sequential(data: &[f64], params: &NlMeansParams) -> Vec<f64> {
     let mut out = vec![0.0; data.len()];
@@ -114,18 +102,18 @@ pub fn nlmeans_rayon(data: &[f64], params: &NlMeansParams) -> Vec<f64> {
 ///
 /// `data` is only read on rank 0, which scatters chunks; results are
 /// gathered back to rank 0 and returned from every rank for convenience.
-pub fn nlmeans_distributed(data: &[f64], params: &NlMeansParams, ranks: usize) -> Vec<f64> {
+/// The rank world's timing comes back beside the output.
+pub fn nlmeans_distributed(
+    data: &[f64],
+    params: &NlMeansParams,
+    ranks: usize,
+) -> (Vec<f64>, RankTimes) {
     assert!(ranks > 0);
-    let n = data.len();
-    if n == 0 {
-        return Vec::new();
+    if data.is_empty() {
+        return (Vec::new(), RankTimes::default());
     }
-    let results = run_ranks(ranks, |comm| nlmeans_rank(data, params, comm));
-    let mut out = Vec::with_capacity(n);
-    for part in results {
-        out.extend_from_slice(&part);
-    }
-    out
+    let (parts, times) = time_ranks(ranks, |comm| nlmeans_rank(data, params, comm));
+    (parts.concat(), times)
 }
 
 /// One rank's part of the distributed NL-means. `data` stands in for this
@@ -261,7 +249,7 @@ mod tests {
         let params = small_params();
         let seq = nlmeans_sequential(&noisy, &params);
         for ranks in [1, 2, 3, 8] {
-            let dist = nlmeans_distributed(&noisy, &params, ranks);
+            let dist = nlmeans_distributed(&noisy, &params, ranks).0;
             assert_eq!(dist, seq, "{ranks} ranks");
         }
     }
@@ -274,7 +262,7 @@ mod tests {
         let (_, noisy) = noisy_signal(100, 4);
         let params = small_params();
         let seq = nlmeans_sequential(&noisy, &params);
-        let dist = nlmeans_distributed(&noisy, &params, 16);
+        let dist = nlmeans_distributed(&noisy, &params, 16).0;
         assert_eq!(dist, seq);
     }
 
@@ -283,7 +271,7 @@ mod tests {
         assert!(nlmeans_sequential(&[], &small_params()).is_empty());
         let one = nlmeans_sequential(&[3.0], &small_params());
         assert!((one[0] - 3.0).abs() < 1e-12);
-        assert!(nlmeans_distributed(&[], &small_params(), 4).is_empty());
+        assert!(nlmeans_distributed(&[], &small_params(), 4).0.is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn params(r: usize, l: usize) -> NlMeansParams {
 /// Asserts distributed == sequential, bit for bit.
 fn assert_identical(data: &[f64], p: &NlMeansParams, ranks: usize) {
     let seq = nlmeans_sequential(data, p);
-    let dist = nlmeans_distributed(data, p, ranks);
+    let dist = nlmeans_distributed(data, p, ranks).0;
     assert_eq!(dist, seq, "{ranks} ranks, r={} l={} n={}", p.search_radius, p.half_patch, data.len());
 }
 
@@ -103,6 +103,6 @@ fn rank_count_sweep_stays_identical() {
     let p = params(6, 3);
     let seq = nlmeans_sequential(&data, &p);
     for ranks in 1..=48 {
-        assert_eq!(nlmeans_distributed(&data, &p, ranks), seq, "{ranks} ranks");
+        assert_eq!(nlmeans_distributed(&data, &p, ranks).0, seq, "{ranks} ranks");
     }
 }

@@ -3,8 +3,6 @@
 //! samtools-style utilities layered on the `ngs-parallel` stack — the
 //! operational glue a downstream adopter needs around the converter:
 //!
-//! * [`sort`] — coordinate/queryname sorting and k-way merge of sorted
-//!   runs (parallel with rayon);
 //! * [`merge`] — stitching per-rank converter part files back into
 //!   single SAM/BAM files;
 //! * [`mod@flagstat`] — `samtools flagstat`-shaped category counts;
@@ -13,9 +11,7 @@
 pub mod depth;
 pub mod flagstat;
 pub mod merge;
-pub mod sort;
 
 pub use depth::{depth, windowed_depth, DepthTrack};
 pub use flagstat::{flagstat, FlagStats};
-pub use merge::{cat_bam_parts, cat_sam_parts, merge_sorted_sam};
-pub use sort::{is_sorted, merge_sorted, sort_records, SortOrder};
+pub use merge::{cat_bam_parts, cat_sam_parts};

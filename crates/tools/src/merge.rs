@@ -1,17 +1,11 @@
 //! Merging converter outputs: the parallel converters emit one file per
-//! rank; these helpers stitch part files back into single SAM/BAM files
-//! (and merge sorted inputs keeping order).
+//! rank; these helpers stitch part files back into single SAM/BAM files.
 
 use std::io::{BufReader, Write};
 use std::path::Path;
 
 use ngs_formats::bam::{BamReader, BamWriter};
 use ngs_formats::error::{Error, Result};
-use ngs_formats::header::SamHeader;
-use ngs_formats::record::AlignmentRecord;
-use ngs_formats::sam::SamReader;
-
-use crate::sort::{merge_sorted, SortOrder};
 
 /// Concatenates SAM part files (as produced by the SAM converter, where
 /// only part 0 carries the header) into one SAM file. Returns records
@@ -72,40 +66,6 @@ pub fn cat_bam_parts(parts: &[impl AsRef<Path>], output: impl AsRef<Path>) -> Re
     Ok(n)
 }
 
-/// Merges *sorted* SAM inputs into one sorted SAM output (k-way merge on
-/// the given order). Inputs are fully read; suited to the laptop-scale
-/// shards this workspace produces.
-pub fn merge_sorted_sam(
-    inputs: &[impl AsRef<Path>],
-    order: SortOrder,
-    output: impl AsRef<Path>,
-) -> Result<u64> {
-    if inputs.is_empty() {
-        return Err(Error::InvalidRecord("no inputs to merge".into()));
-    }
-    let mut header: Option<SamHeader> = None;
-    let mut runs: Vec<Vec<AlignmentRecord>> = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        let mut reader =
-            SamReader::new(BufReader::new(std::fs::File::open(input.as_ref())?))?;
-        if header.is_none() && reader.header().reference_count() > 0 {
-            header = Some(reader.header().clone());
-        }
-        let records: std::result::Result<Vec<_>, _> = reader.records().collect();
-        runs.push(records?);
-    }
-    let header = header.unwrap_or_default();
-    let merged = merge_sorted(runs, &header, order);
-
-    let mut writer =
-        ngs_formats::sam::SamWriter::new(std::io::BufWriter::new(std::fs::File::create(output)?), &header)?;
-    for rec in &merged {
-        writer.write_record(rec)?;
-    }
-    writer.finish()?;
-    Ok(merged.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,33 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_sam_files() {
-        let dir = tempdir().unwrap();
-        // Two sorted datasets over the same genome.
-        let a = dataset(200, true);
-        let spec_b = DatasetSpec { n_records: 150, coordinate_sorted: true, seed: 99, ..Default::default() };
-        let b = Dataset::generate(&spec_b);
-        let pa = dir.path().join("a.sam");
-        let pb = dir.path().join("b.sam");
-        a.write_sam(&pa).unwrap();
-        b.write_sam(&pb).unwrap();
-
-        let out = dir.path().join("merged.sam");
-        let n = merge_sorted_sam(&[&pa, &pb], SortOrder::Coordinate, &out).unwrap();
-        assert_eq!(n, 350);
-        let mut reader =
-            SamReader::new(BufReader::new(std::fs::File::open(&out).unwrap())).unwrap();
-        let header = reader.header().clone();
-        let records: Vec<_> = reader.records().map(|r| r.unwrap()).collect();
-        assert!(crate::sort::is_sorted(&records, &header, SortOrder::Coordinate));
-    }
-
-    #[test]
     fn empty_inputs_rejected() {
         let dir = tempdir().unwrap();
         let out = dir.path().join("o");
         assert!(cat_sam_parts(&([] as [&Path; 0]), &out).is_err());
         assert!(cat_bam_parts(&([] as [&Path; 0]), &out).is_err());
-        assert!(merge_sorted_sam(&([] as [&Path; 0]), SortOrder::Coordinate, &out).is_err());
     }
 }

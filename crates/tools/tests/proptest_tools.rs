@@ -1,20 +1,12 @@
-//! Property tests over the tools crate: sorting and merging must be
-//! permutation-stable, and flagstat must be invariant under reordering.
+//! Property tests over the tools crate: flagstat must be invariant under
+//! reordering.
 
 use proptest::prelude::*;
 
 use ngs_formats::cigar::{Cigar, CigarOp};
 use ngs_formats::flags::Flags;
-use ngs_formats::header::{ReferenceSequence, SamHeader};
 use ngs_formats::record::AlignmentRecord;
-use ngs_tools::{flagstat, is_sorted, merge_sorted, sort_records, SortOrder};
-
-fn header() -> SamHeader {
-    SamHeader::from_references(vec![
-        ReferenceSequence { name: b"chr1".to_vec(), length: 10_000_000 },
-        ReferenceSequence { name: b"chr2".to_vec(), length: 10_000_000 },
-    ])
-}
+use ngs_tools::flagstat;
 
 prop_compose! {
     fn arb_record()(
@@ -51,42 +43,6 @@ prop_compose! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn sort_is_idempotent_and_content_preserving(mut records in proptest::collection::vec(arb_record(), 0..120)) {
-        let h = header();
-        let original = records.clone();
-        for order in [SortOrder::Coordinate, SortOrder::QueryName] {
-            sort_records(&mut records, &h, order);
-            prop_assert!(is_sorted(&records, &h, order));
-            let once = records.clone();
-            sort_records(&mut records, &h, order);
-            prop_assert_eq!(&records, &once, "idempotent");
-            // Same multiset of records.
-            let key = |r: &AlignmentRecord| (r.qname.clone(), r.flag.0, r.rname.clone(), r.pos);
-            let mut a: Vec<_> = records.iter().map(key).collect();
-            let mut b: Vec<_> = original.iter().map(key).collect();
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn merge_of_sorted_chunks_is_sorted(records in proptest::collection::vec(arb_record(), 0..150),
-                                        chunks in 1usize..6) {
-        let h = header();
-        let mut runs: Vec<Vec<AlignmentRecord>> = Vec::new();
-        let size = records.len().div_ceil(chunks).max(1);
-        for chunk in records.chunks(size) {
-            let mut run = chunk.to_vec();
-            sort_records(&mut run, &h, SortOrder::Coordinate);
-            runs.push(run);
-        }
-        let merged = merge_sorted(runs, &h, SortOrder::Coordinate);
-        prop_assert_eq!(merged.len(), records.len());
-        prop_assert!(is_sorted(&merged, &h, SortOrder::Coordinate));
-    }
 
     #[test]
     fn flagstat_is_order_invariant(records in proptest::collection::vec(arb_record(), 0..200)) {

@@ -4,9 +4,10 @@
 //! this crate keeps the workspace's `[[bench]]` targets compiling and
 //! running with the criterion API subset they use: `criterion_group!`/
 //! `criterion_main!`, `benchmark_group`, `bench_function`,
-//! `bench_with_input`, `BenchmarkId`, and `Bencher::iter`. Timing is a
-//! plain median-of-samples wall-clock measurement printed to stdout —
-//! no statistics engine, plots, or HTML reports.
+//! `bench_with_input`, `BenchmarkId`, and `Bencher::iter`/`iter_custom`.
+//! Timing is a plain median of samples (wall clock, or the routine's own
+//! figure under `iter_custom`) printed to stdout — no statistics engine,
+//! plots, or HTML reports.
 
 use std::time::{Duration, Instant};
 
@@ -180,6 +181,23 @@ impl Bencher {
         }
     }
 
+    /// Like [`Bencher::iter`], but `routine(iters)` runs the work
+    /// `iters` times and returns the time to record for them.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        let warm_deadline = Instant::now() + self.warm_up_time;
+        while Instant::now() < warm_deadline {
+            black_box(routine(1));
+        }
+        let budget = Instant::now() + self.measurement_time;
+        self.samples.clear();
+        for _ in 0..self.sample_size {
+            self.samples.push(routine(1));
+            if Instant::now() >= budget {
+                break;
+            }
+        }
+    }
+
     fn report(&self, group: &str, id: &str) {
         let label =
             if group.is_empty() { id.to_string() } else { format!("{group}/{id}") };
@@ -251,6 +269,18 @@ mod tests {
             g.finish();
         }
         assert!(calls >= 2);
+    }
+
+    #[test]
+    fn iter_custom_records_the_returned_time() {
+        let mut c = Criterion::default();
+        let c = quick(&mut c);
+        let mut g = c.benchmark_group("t");
+        g.bench_function("custom", |b| {
+            b.iter_custom(Duration::from_millis);
+            assert!(!b.samples.is_empty());
+            assert!(b.samples.iter().all(|&s| s == Duration::from_millis(1)));
+        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cross-crate integration for the BAMX v2 columnar layout (DESIGN.md
 //! §14): a query engine serving v2 shards must be byte-for-byte
 //! indistinguishable from one serving v1 shards — for every target
-//! format, worker count, and streaming mode. The storage layout is an
+//! format and worker count. The storage layout is an
 //! implementation detail; nothing a client downloads may depend on it.
 
 use ngs_bamx::{BamxFile, BamxVersion, Region};
@@ -26,8 +26,8 @@ const ALL_FORMATS: [TargetFormat; 10] = [
 ];
 
 /// Every target format, served from a v1 shard repo and a v2 shard repo
-/// by engines at several worker counts with and without the streaming
-/// pipeline, produces identical part files — all anchored to
+/// by engines at several worker counts, produces identical part files —
+/// all anchored to
 /// single-threaded one-shot conversion from the v1 shard.
 #[test]
 fn v2_engine_output_is_byte_identical_to_v1_for_every_format() {
@@ -77,65 +77,52 @@ fn v2_engine_output_is_byte_identical_to_v1_for_every_format() {
         .collect();
 
     for workers in [1usize, 4, 8] {
-        for streaming in [false, true] {
-            for (version, shard_dir) in [("v1", &shards_v1), ("v2", &shards_v2)] {
-                let config = EngineConfig {
-                    workers,
-                    convert: ConvertConfig::with_ranks(1),
-                    streaming: streaming.then(|| ngs_pipeline::PipelineConfig {
-                        workers: 2,
-                        batch_size: 64,
-                        channel_bound: 2,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
+        for (version, shard_dir) in [("v1", &shards_v1), ("v2", &shards_v2)] {
+            let config = EngineConfig {
+                workers,
+                convert: ConvertConfig::with_ranks(1),
+                ..Default::default()
+            };
+            let engine = QueryEngine::new(shard_dir, config).unwrap();
+            let tickets: Vec<_> = mix
+                .iter()
+                .enumerate()
+                .map(|(i, (region_text, target))| {
+                    let out_dir = dir.path().join(format!("{version}-w{workers}-{i}"));
+                    engine
+                        .submit(QueryRequest {
+                            dataset: "input".into(),
+                            region: (*region_text).into(),
+                            kind: QueryKind::Convert { format: *target, out_dir },
+                            deadline: None,
+                            class: QueryClass::Interactive,
+                        })
+                        .unwrap()
+                })
+                .collect();
+            for (i, ticket) in tickets.into_iter().enumerate() {
+                let label = format!("{version} workers={workers} request={:?}", mix[i]);
+                let QueryOutcome::Converted { output, .. } = ticket
+                    .wait()
+                    .outcome
+                    .unwrap_or_else(|e| panic!("{label}: failed: {e}"))
+                else {
+                    panic!("{label}: expected a conversion outcome");
                 };
-                let engine = QueryEngine::new(shard_dir, config).unwrap();
-                let tickets: Vec<_> = mix
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (region_text, target))| {
-                        let out_dir = dir
-                            .path()
-                            .join(format!("{version}-w{workers}-p{streaming}-{i}"));
-                        engine
-                            .submit(QueryRequest {
-                                dataset: "input".into(),
-                                region: (*region_text).into(),
-                                kind: QueryKind::Convert { format: *target, out_dir },
-                                deadline: None,
-                                class: QueryClass::Interactive,
-                            })
-                            .unwrap()
-                    })
-                    .collect();
-                for (i, ticket) in tickets.into_iter().enumerate() {
-                    let label = format!(
-                        "{version} workers={workers} streaming={streaming} request={:?}",
-                        mix[i]
-                    );
-                    let QueryOutcome::Converted { output, .. } = ticket
-                        .wait()
-                        .outcome
-                        .unwrap_or_else(|e| panic!("{label}: failed: {e}"))
-                    else {
-                        panic!("{label}: expected a conversion outcome");
-                    };
-                    assert_eq!(
-                        output.file_name().unwrap(),
-                        reference[i].0,
-                        "{label}: part-file name"
-                    );
-                    assert_eq!(
-                        std::fs::read(&output).unwrap(),
-                        reference[i].1,
-                        "{label}: bytes must match the v1 one-shot reference"
-                    );
-                }
-                let stats = engine.drain();
-                assert_eq!(stats.completed, mix.len() as u64, "{version} workers={workers}");
-                assert_eq!(stats.failed, 0);
+                assert_eq!(
+                    output.file_name().unwrap(),
+                    reference[i].0,
+                    "{label}: part-file name"
+                );
+                assert_eq!(
+                    std::fs::read(&output).unwrap(),
+                    reference[i].1,
+                    "{label}: bytes must match the v1 one-shot reference"
+                );
             }
+            let stats = engine.drain();
+            assert_eq!(stats.completed, mix.len() as u64, "{version} workers={workers}");
+            assert_eq!(stats.failed, 0);
         }
     }
 }

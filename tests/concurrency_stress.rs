@@ -98,9 +98,9 @@ fn thread_parallel_conversion_is_repeatable() {
 fn nlmeans_distributed_is_deterministic_under_thread_scheduling() {
     let data: Vec<f64> = (0..4000).map(|i| ((i * 37) % 101) as f64).collect();
     let params = ngs_stats::NlMeansParams { search_radius: 12, half_patch: 4, sigma: 6.0 };
-    let first = ngs_stats::nlmeans_distributed(&data, &params, 7);
+    let first = ngs_stats::nlmeans_distributed(&data, &params, 7).0;
     for _ in 0..5 {
-        let again = ngs_stats::nlmeans_distributed(&data, &params, 7);
+        let again = ngs_stats::nlmeans_distributed(&data, &params, 7).0;
         assert_eq!(again, first);
     }
 }
@@ -113,9 +113,9 @@ fn fdr_parallel_is_deterministic_under_thread_scheduling() {
         ngs_stats::NullModel::Poisson,
         5,
     );
-    let first = ngs_stats::fdr_parallel(&input, 2.0, 9);
+    let first = ngs_stats::fdr_parallel(&input, 2.0, 9).0;
     for _ in 0..10 {
-        assert_eq!(ngs_stats::fdr_parallel(&input, 2.0, 9).to_bits(), first.to_bits());
+        assert_eq!(ngs_stats::fdr_parallel(&input, 2.0, 9).0.to_bits(), first.to_bits());
     }
 }
 

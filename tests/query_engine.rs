@@ -1,9 +1,7 @@
 //! Cross-crate integration: the long-lived query engine must be a
 //! drop-in for one-shot partial conversion — for the same region and
 //! target format it produces byte-identical part files, because both
-//! drive the same `convert_index_list` work unit. When the opt-in
-//! streaming path (`EngineConfig::streaming`) is enabled, the bounded
-//! pipeline must preserve that guarantee byte for byte.
+//! drive the same `convert_index_list` work unit.
 
 use std::sync::Arc;
 
@@ -93,117 +91,6 @@ fn engine_matches_one_shot_partial_conversion_byte_for_byte() {
     // One dataset, capacity-bounded cache: exactly one miss, rest hits.
     assert_eq!(stats.cache_misses, 1);
     assert_eq!(stats.cache_hits, stats.completed - 1);
-}
-
-/// The opt-in streaming Convert path (`EngineConfig::streaming`) must be
-/// indistinguishable on disk from the default `convert_index_list`
-/// path: same part-file names, same bytes, same record counts, for
-/// every region × format pair — otherwise enabling bounded-memory
-/// serving would silently change what clients download.
-#[test]
-fn engine_streaming_convert_matches_batch_engine_byte_for_byte() {
-    use ngs_pipeline::PipelineConfig;
-
-    let ds = Dataset::generate(&DatasetSpec {
-        n_records: 1_200,
-        n_chroms: 2,
-        coordinate_sorted: true,
-        ..Default::default()
-    });
-    let dir = tempdir().unwrap();
-    let bam_path = dir.path().join("input.bam");
-    ds.write_bam(&bam_path).unwrap();
-    let conv = BamConverter::new(ConvertConfig::with_ranks(1));
-    let shard_dir = dir.path().join("shards");
-    let prep = conv.preprocess(&bam_path, &shard_dir).unwrap();
-
-    let batch_engine = QueryEngine::new(
-        &shard_dir,
-        EngineConfig { workers: 1, convert: ConvertConfig::with_ranks(1), ..Default::default() },
-    )
-    .unwrap();
-    let streaming_engine = QueryEngine::new(
-        &shard_dir,
-        EngineConfig {
-            workers: 1,
-            convert: ConvertConfig::with_ranks(1),
-            streaming: Some(PipelineConfig {
-                workers: 2,
-                batch_size: 64,
-                channel_bound: 2,
-                ..Default::default()
-            }),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let header_probe = ngs_bamx::BamxFile::open(&prep.bamx_path).unwrap();
-    let regions = ["chr1:1-3000", "chr2:1-100000"];
-    let formats = [TargetFormat::Sam, TargetFormat::Bed, TargetFormat::Json, TargetFormat::Bam];
-    for (i, (region_text, target)) in
-        regions.iter().flat_map(|r| formats.iter().map(move |t| (*r, *t))).enumerate()
-    {
-        // Sanity anchor: the batch engine itself still matches one-shot.
-        let region = Region::parse(region_text, header_probe.header()).unwrap();
-        let oneshot_dir = dir.path().join(format!("s-oneshot-{i}"));
-        let oneshot =
-            conv.convert_partial(&prep.bamx_path, &prep.baix_path, &region, target, &oneshot_dir)
-                .unwrap();
-
-        let mut outputs = Vec::new();
-        for (label, engine) in [("batch", &batch_engine), ("streaming", &streaming_engine)] {
-            let out_dir = dir.path().join(format!("s-{label}-{i}"));
-            let response = engine
-                .submit(QueryRequest {
-                    dataset: "input".into(),
-                    region: (*region_text).into(),
-                    kind: QueryKind::Convert { format: target, out_dir },
-                    deadline: None,
-                    class: QueryClass::Interactive,
-                })
-                .unwrap()
-                .wait();
-            let QueryOutcome::Converted { output, records_in, records_out, .. } =
-                response.outcome.unwrap_or_else(|e| {
-                    panic!("{label} convert of {region_text} as {target:?} failed: {e}")
-                })
-            else {
-                panic!("expected a conversion outcome");
-            };
-            assert_eq!(records_in, oneshot.records_in(), "{label} {region_text} {target:?}");
-            assert_eq!(records_out, oneshot.records_out(), "{label} {region_text} {target:?}");
-            outputs.push((label, output));
-        }
-        let (batch_out, streaming_out) = (&outputs[0].1, &outputs[1].1);
-        assert_eq!(
-            batch_out.file_name(),
-            streaming_out.file_name(),
-            "{region_text} as {target:?}: part-file names must agree"
-        );
-        assert_eq!(
-            batch_out.file_name(),
-            oneshot.outputs[0].file_name(),
-            "{region_text} as {target:?}"
-        );
-        let batch_bytes = std::fs::read(batch_out).unwrap();
-        assert_eq!(
-            batch_bytes,
-            std::fs::read(streaming_out).unwrap(),
-            "{region_text} as {target:?}: streaming engine must emit identical bytes"
-        );
-        assert_eq!(
-            batch_bytes,
-            std::fs::read(&oneshot.outputs[0]).unwrap(),
-            "{region_text} as {target:?}: engine bytes must match one-shot"
-        );
-    }
-
-    for engine in [batch_engine, streaming_engine] {
-        let stats = engine.drain();
-        assert_eq!(stats.completed, (regions.len() * formats.len()) as u64);
-        assert_eq!(stats.failed, 0);
-    }
 }
 
 /// Under injected *lossless* faults — transient open failures plus short
@@ -314,17 +201,15 @@ fn engine_retries_transient_faults_to_byte_identical_output() {
 }
 
 /// The identity guarantee must survive the segmented-store rebuild: for
-/// every worker count × segment count × streaming mode, and for every
-/// region × format in a mixed request batch submitted all at once, the
+/// every worker count × segment count, and for every region × format
+/// in a mixed request batch submitted all at once, the
 /// part file is byte-identical to single-threaded one-shot partial
 /// conversion (`convert_index_list` under `convert_partial`). Workers
 /// race on the shared cache — including the cold single-flight decode —
 /// and batching drains several queued requests per wakeup; none of that
 /// may change a single output byte.
 #[test]
-fn engine_byte_identity_holds_across_workers_segments_and_streaming() {
-    use ngs_pipeline::PipelineConfig;
-
+fn engine_byte_identity_holds_across_workers_and_segments() {
     let ds = Dataset::generate(&DatasetSpec {
         n_records: 1_000,
         n_chroms: 2,
@@ -360,74 +245,61 @@ fn engine_byte_identity_holds_across_workers_segments_and_streaming() {
 
     for workers in [1usize, 4, 8] {
         for segments in [1usize, 4] {
-            for streaming in [false, true] {
-                let config = EngineConfig {
-                    workers,
-                    segments,
-                    convert: ConvertConfig::with_ranks(1),
-                    streaming: streaming.then(|| PipelineConfig {
-                        workers: 2,
-                        batch_size: 64,
-                        channel_bound: 2,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
+            let config = EngineConfig {
+                workers,
+                segments,
+                convert: ConvertConfig::with_ranks(1),
+                ..Default::default()
+            };
+            let engine = QueryEngine::new(&shard_dir, config).unwrap();
+            assert_eq!(engine.store().segment_count(), segments);
+            // Submit the whole mix at once so the workers genuinely
+            // race (and the cold open genuinely coalesces).
+            let tickets: Vec<_> = mix
+                .iter()
+                .enumerate()
+                .map(|(i, (region_text, target))| {
+                    let out_dir = dir.path().join(format!("m-w{workers}-s{segments}-{i}"));
+                    engine
+                        .submit(QueryRequest {
+                            dataset: "input".into(),
+                            region: (*region_text).into(),
+                            kind: QueryKind::Convert { format: *target, out_dir },
+                            deadline: None,
+                            class: QueryClass::Interactive,
+                        })
+                        .unwrap()
+                })
+                .collect();
+            for (i, ticket) in tickets.into_iter().enumerate() {
+                let label =
+                    format!("workers={workers} segments={segments} request={:?}", mix[i]);
+                let QueryOutcome::Converted { output, .. } = ticket
+                    .wait()
+                    .outcome
+                    .unwrap_or_else(|e| panic!("{label}: failed: {e}"))
+                else {
+                    panic!("{label}: expected a conversion outcome");
                 };
-                let engine = QueryEngine::new(&shard_dir, config).unwrap();
-                assert_eq!(engine.store().segment_count(), segments);
-                // Submit the whole mix at once so the workers genuinely
-                // race (and the cold open genuinely coalesces).
-                let tickets: Vec<_> = mix
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (region_text, target))| {
-                        let out_dir = dir
-                            .path()
-                            .join(format!("m-w{workers}-s{segments}-p{streaming}-{i}"));
-                        engine
-                            .submit(QueryRequest {
-                                dataset: "input".into(),
-                                region: (*region_text).into(),
-                                kind: QueryKind::Convert { format: *target, out_dir },
-                                deadline: None,
-                                class: QueryClass::Interactive,
-                            })
-                            .unwrap()
-                    })
-                    .collect();
-                for (i, ticket) in tickets.into_iter().enumerate() {
-                    let label = format!(
-                        "workers={workers} segments={segments} streaming={streaming} \
-                         request={:?}",
-                        mix[i]
-                    );
-                    let QueryOutcome::Converted { output, .. } = ticket
-                        .wait()
-                        .outcome
-                        .unwrap_or_else(|e| panic!("{label}: failed: {e}"))
-                    else {
-                        panic!("{label}: expected a conversion outcome");
-                    };
-                    assert_eq!(
-                        output.file_name().unwrap(),
-                        reference[i].0,
-                        "{label}: part-file name"
-                    );
-                    assert_eq!(
-                        std::fs::read(&output).unwrap(),
-                        reference[i].1,
-                        "{label}: bytes must match single-threaded one-shot"
-                    );
-                }
-                // One dataset: exactly one decode however many workers
-                // raced for the cold shard.
-                let counters = engine.store().counters();
-                assert_eq!(counters.decodes, 1, "workers={workers} segments={segments}");
-                assert_eq!(counters.hits + counters.misses, mix.len() as u64);
-                let stats = engine.drain();
-                assert_eq!(stats.completed, mix.len() as u64, "workers={workers}");
-                assert_eq!(stats.failed, 0);
+                assert_eq!(
+                    output.file_name().unwrap(),
+                    reference[i].0,
+                    "{label}: part-file name"
+                );
+                assert_eq!(
+                    std::fs::read(&output).unwrap(),
+                    reference[i].1,
+                    "{label}: bytes must match single-threaded one-shot"
+                );
             }
+            // One dataset: exactly one decode however many workers
+            // raced for the cold shard.
+            let counters = engine.store().counters();
+            assert_eq!(counters.decodes, 1, "workers={workers} segments={segments}");
+            assert_eq!(counters.hits + counters.misses, mix.len() as u64);
+            let stats = engine.drain();
+            assert_eq!(stats.completed, mix.len() as u64, "workers={workers}");
+            assert_eq!(stats.failed, 0);
         }
     }
 }
