@@ -11,6 +11,18 @@ set -eu
 quick=0
 [ "${1:-}" = "--quick" ] && quick=1
 
+root=$(cd "$(dirname "$0")" && pwd)
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+
+# The repro drills write their BENCH_*.json into the working directory:
+# run them in the scratch directory, so the committed results (recorded
+# at --scale 1.0) are never overwritten at smoke scale.
+repro() {
+    (cd "$smoke" && cargo run --release --quiet --manifest-path "$root/Cargo.toml" \
+        -p ngs-bench --bin repro -- "$@")
+}
+
 echo "==> cargo build --workspace --all-targets"
 cargo build --workspace --all-targets
 
@@ -42,8 +54,6 @@ cargo run -p ngs-cli --bin ngsp -- chaos --crash --points 8 --records 300
 # byte-identity against the batch converter, plus the quarantine /
 # transient-retry drain tests under injected faults (DESIGN.md §8).
 echo "==> ngsp pipeline smoke (both graphs, byte-identity, fault drain)"
-smoke=$(mktemp -d)
-trap 'rm -rf "$smoke"' EXIT
 cargo run -p ngs-cli --bin ngsp -- \
     generate --records 1500 --out "$smoke/in.bam" --sorted
 cargo run -p ngs-cli --bin ngsp -- \
@@ -76,8 +86,8 @@ for cmd in "sort --by coord" "sort --by name" "collate" "markdup"; do
 done
 cargo test --quiet -p ngs-collate --test collate_identity
 echo "==> repro collate (shuffle scaling + spill sweep, BENCH_collate.json)"
-cargo run --release -p ngs-bench --bin repro -- collate --scale 0.05 > /dev/null
-python3 -c 'import json; json.load(open("BENCH_collate.json"))'
+repro collate --scale 0.05 > /dev/null
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$smoke/BENCH_collate.json"
 
 # Observability smoke: the unified registry report must stay valid JSON
 # (CI is the consumer the byte-determinism contract protects), and the
@@ -91,25 +101,16 @@ cargo run -p ngs-cli --bin ngsp -- \
 python3 -c 'import json,sys; [json.loads(l) for l in open(sys.argv[1])]' \
     "$smoke/pipeline.trace"
 echo "==> repro obs (instrumentation overhead, BENCH_obs.json)"
-cargo run --release -p ngs-bench --bin repro -- obs --scale 0.05 > /dev/null
-python3 -c 'import json; json.load(open("BENCH_obs.json"))'
+repro obs --scale 0.05 > /dev/null
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$smoke/BENCH_obs.json"
 
 # Query-scaling smoke: the concurrency battery behind the segmented
-# store + single-flight decode (DESIGN.md §11), then a smoke-scale
-# BENCH_query.json regeneration gated on the regression this exists to
-# kill — warm throughput at 8 workers must not drop below 1 worker.
+# store + single-flight decode (DESIGN.md §11) and engine byte-identity
+# across workers x segments. Serving throughput is timed by perfbench
+# (serve_warm, serve_churn_v2), run at the end.
 echo "==> query-scaling (segmented store + single-flight + engine identity)"
 cargo test --quiet -p ngs-query --test store_concurrency --test single_flight
 cargo test --quiet -p ngs-repro --test query_engine
-echo "==> repro query (worker-scaling gate, BENCH_query.json)"
-cargo run --release -p ngs-bench --bin repro -- query --scale 0.05 > /dev/null
-python3 - <<'PY'
-import json
-rows = json.load(open("BENCH_query.json"))["rows"]
-warm = {r["workers"]: r["warm"]["requests_per_sec"] for r in rows}
-assert warm[8] >= warm[1], f"warm req/s regressed with workers: {warm}"
-print(f"warm req/s 1->8 workers: {warm[1]} -> {warm[8]}")
-PY
 
 # Dist smoke: the distributed tier's acceptance gates (DESIGN.md §12) —
 # placement math stays proptest-pinned, the socket loopback failover
@@ -124,31 +125,21 @@ cargo run -p ngs-cli --bin ngsp -- chaos --dist --plans 8 --records 200
 cargo run -p ngs-cli --bin ngsp -- \
     dist --transport socket --kill 0 --records 200 > /dev/null
 echo "==> repro dist (placement scaling + failover latency, BENCH_dist.json)"
-cargo run --release -p ngs-bench --bin repro -- dist --scale 0.05 > /dev/null
-python3 -c 'import json; json.load(open("BENCH_dist.json"))'
+repro dist --scale 0.05 > /dev/null
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$smoke/BENCH_dist.json"
 
 # Load-smoke: graceful degradation under sustained overload
 # (DESIGN.md §13). The deadline/priority/shed acceptance suites run in
 # the workspace tests above; here the overload chaos matrix verifies
 # typed shed-before-decode + byte-identity + no-quarantine under
-# delivery faults end to end, and a smoke-scale BENCH_load.json is
-# gated on the headline property: goodput *rate* at 2x offered load must
-# hold at >= 80% of the rate at 1x (shedding the excess, not collapsing;
-# completion counts are not comparable across rows because the open-loop
-# replay span shrinks as the offered rate rises).
+# delivery faults end to end, and `repro load` fails unless the goodput
+# *rate* at 2x offered load holds at >= 80% of the rate at 1x (shedding
+# the excess, not collapsing).
 echo "==> load-smoke (overload chaos matrix + goodput-retention gate)"
 cargo test --quiet -p ngs-query --test overload --test deadline_edges
 cargo run -p ngs-cli --bin ngsp -- chaos --overload --plans 4 --records 200
-echo "==> repro load (open-loop overload sweep, BENCH_load.json)"
-cargo run --release -p ngs-bench --bin repro -- load --scale 0.05 > /dev/null
-python3 - <<'PY'
-import json
-rows = json.load(open("BENCH_load.json"))["rows"]
-rps = {r["offered_multiplier"]: r["goodput_rps"] for r in rows}
-assert rps[2.0] >= 0.8 * rps[1.0], \
-    f"goodput rate collapsed under 2x overload: {rps}"
-print(f"goodput req/s 1x -> 2x offered: {rps[1.0]} -> {rps[2.0]}")
-PY
+echo "==> repro load (open-loop overload sweep + goodput gate, BENCH_load.json)"
+repro load --scale 0.05 > /dev/null
 
 # Codec gate: the DEFLATE/CRC kernels (DESIGN.md §15) against the
 # hand-derived golden vectors, the bit-at-a-time differential oracle and
@@ -192,33 +183,19 @@ cargo clippy -p ngs-formats -p ngs-bamx -- -D warnings
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # BAMX v2 smoke: columnar-layout acceptance (DESIGN.md §14). The
-# corruption and byte-identity suites run in the workspace tests above;
-# here the v2 chaos sweep runs end to end and a smoke-scale
-# BENCH_bamx2.json is gated on the two headline properties: the v2 shard
-# is smaller than v1 on disk, and a positions-only projected scan
-# decodes strictly fewer column bytes than a full scan.
-echo "==> bamx2-smoke (v1/v2 identity + projection gate)"
+# corruption suites run in the workspace tests above; here v1 ≡ v2
+# byte-identity through the engine, and a positions-only projected scan
+# reading strictly fewer shard bytes than a full scan. The v2 shard being
+# smaller than v1 is pinned by codec_pins (codec gate above).
+echo "==> bamx2-smoke (v1/v2 identity + projection reads fewer bytes)"
 cargo test --quiet -p ngs-repro --test bamx_v2
-echo "==> repro bamx2 (columnar size + projection gate, BENCH_bamx2.json)"
-cargo run --release -p ngs-bench --bin repro -- bamx2 --scale 0.05 > /dev/null
-python3 - <<'PY'
-import json
-b = json.load(open("BENCH_bamx2.json"))
-assert b["v2_shard_bytes"] < b["v1_shard_bytes"], \
-    f"v2 shard not smaller: {b['v2_shard_bytes']} vs {b['v1_shard_bytes']}"
-assert b["positions_scan_column_bytes"] < b["full_scan_column_bytes"], \
-    "projection decoded no fewer bytes than a full scan"
-print(f"v2/v1 size ratio: {b['v2_over_v1_size_ratio']}; "
-      f"projected scan: {b['positions_scan_column_bytes']} "
-      f"of {b['full_scan_column_bytes']} column bytes")
-PY
+cargo test --quiet -p ngs-bamx --test projection_bytes
 
 # Figures: every paper table and figure regenerates from the threaded
 # entry points, timed by their simulated-cluster busy time (DESIGN.md
 # §4b), and no sequential twin or second serving path creeps back.
 echo "==> figures (table1 + fig6-fig12 at smoke scale, no *_simulated twins)"
-cargo run --release -p ngs-bench --bin repro -- \
-    table1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 --scale 0.02 --cores 1,2,4,8 > /dev/null
+repro table1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 --scale 0.02 --cores 1,2,4,8 > /dev/null
 if grep -rn "_simulated" crates/*/src crates/bench; then
     echo "a *_simulated twin is back: time the threaded entry point instead" >&2
     exit 1
@@ -227,5 +204,11 @@ if grep -n "ngs-pipeline" crates/query/Cargo.toml; then
     echo "ngs-query serves Convert through convert_index_list only" >&2
     exit 1
 fi
+
+# The benchmark: the only timer of the serving, streaming-graph and v2
+# paths. Every workload at --trace 0 and 1 for 2 s, each result line
+# validated against BENCHMARK.json, plus the bare-directory check.
+echo "==> perfbench smoke (every workload, both trace modes, result contract)"
+bash perfbench/smoke.sh
 
 echo "==> ci.sh: all green"

@@ -11,14 +11,13 @@
 use std::io::Write;
 
 use ngs_bench::{
-    bamx2_bench, collate_bench, dist_bench, fault_bench, fig10, fig11, fig12, fig6, fig7, fig8,
-    fig9, load_bench, obs_bench, pipeline_bench, query_bench, recovery_bench, table1,
-    ExperimentConfig, Scale,
+    collate_bench, dist_bench, fault_bench, fig10, fig11, fig12, fig6, fig7, fig8, fig9,
+    load_bench, obs_bench, recovery_bench, table1, ExperimentConfig, Scale,
 };
 
-const ALL: [&str; 17] = [
-    "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "query", "fault",
-    "pipeline", "recovery", "obs", "collate", "dist", "load", "bamx2",
+const ALL: [&str; 14] = [
+    "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fault", "recovery",
+    "obs", "collate", "dist", "load",
 ];
 
 fn usage() -> ! {
@@ -91,15 +90,12 @@ fn main() {
             "fig10" => fig10(&cfg).expect("fig10").to_string(),
             "fig11" => fig11(&cfg).expect("fig11").to_string(),
             "fig12" => fig12(&cfg).expect("fig12").to_string(),
-            "query" => query_bench(&cfg).expect("query"),
             "fault" => fault_bench(&cfg).expect("fault"),
-            "pipeline" => pipeline_bench(&cfg).expect("pipeline"),
             "recovery" => recovery_bench(&cfg).expect("recovery"),
             "obs" => obs_bench(&cfg).expect("obs"),
             "collate" => collate_bench(&cfg).expect("collate"),
             "dist" => dist_bench(&cfg).expect("dist"),
             "load" => load_bench(&cfg).expect("load"),
-            "bamx2" => bamx2_bench(&cfg).expect("bamx2"),
             _ => unreachable!(),
         };
         eprintln!("[repro] {name} done in {:.1}s", start.elapsed().as_secs_f64());

@@ -52,27 +52,21 @@ impl Scale {
         ((80.0 * self.0.min(1.0)) as usize).clamp(8, 80)
     }
 
-    /// Records per dataset in the query-engine throughput experiment.
+    /// Records per dataset (or shard) in the serving, fault and
+    /// recovery experiments.
     pub fn query_records(&self) -> usize {
         self.n(8_000)
     }
 
-    /// Requests per pass in the query-engine throughput experiment.
-    /// Sized so a warm pass runs long enough (hundreds of ms at scale
-    /// 1.0) that worker-count differences exceed run-to-run timer noise
-    /// — the old fixed 64-request pass finished in ~5 ms and measured
-    /// mostly scheduling jitter.
+    /// Planned arrivals per row of the overload experiment. Sized so a
+    /// closed-loop pass runs hundreds of ms at scale 1.0, long enough
+    /// that the calibrated rate exceeds run-to-run timer noise.
     pub fn query_requests(&self) -> usize {
         self.n(2_048).max(128)
     }
 
-    /// Records in the streaming-pipeline experiment.
+    /// Records in the observability-overhead and collate experiments.
     pub fn pipeline_records(&self) -> usize {
-        self.n(24_000)
-    }
-
-    /// Records in the BAMX v2 columnar-layout experiment.
-    pub fn bamx2_records(&self) -> usize {
         self.n(24_000)
     }
 

@@ -10,6 +10,7 @@
 use std::time::{Duration, Instant};
 
 use ngs_bamx::Region;
+use ngs_cluster::time_ranks;
 use ngs_converter::{
     BamConverter, ConvertConfig, PicardLikeConverter, SamConverter, SamxConverter, TargetFormat,
 };
@@ -386,350 +387,68 @@ pub fn fig12(cfg: &ExperimentConfig) -> Result<Figure> {
     Ok(fig)
 }
 
-/// Times one closure (utility shared with the criterion benches).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+/// Times one closure.
+fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t = Instant::now();
     let v = f();
     (v, t.elapsed())
 }
 
 // ---------------------------------------------------------------------------
-// Query-engine throughput (BENCH_query.json)
+// What the drills share
 // ---------------------------------------------------------------------------
 
-/// Serving-side experiment (no corresponding paper figure): throughput
-/// and latency percentiles of the long-lived `ngs-query` engine over a
-/// worker axis, cold shard cache vs warm.
-///
-/// Each row reports **two timing modes**, following the workspace-wide
-/// convention (CLAUDE.md) that parallel scaling is timed in
-/// simulated-cluster mode because CI hosts may have one core:
-///
-/// * The scaling columns (`requests_per_sec`) use the simulated-cluster
-///   convention: the seeded plan is split into `workers` contiguous
-///   equal shares, each share runs alone through a one-worker engine
-///   over the *shared* segmented store, and the pass time is the
-///   makespan (max share time) — what the wall clock would show with a
-///   core per worker. This measures the work each worker actually does
-///   (store lookups, single-flight decodes, conversion) without
-///   charging it for scheduler interference between threads that have
-///   no core to run on.
-/// * The `threaded_*` fields run the same plan through a real
-///   `workers`-thread engine — the correctness-and-contention pass that
-///   exercises the segmented store, single-flight coalescing, and
-///   worker batching under true concurrency, and feeds the queue-wait /
-///   service-time histogram percentiles (from the engine's own
-///   `ngs-obs` registry; warm values are warm-pass-only deltas).
-///   Submission keeps at most `4 × workers` requests in flight, so the
-///   queue-wait percentiles measure steady-state queueing behind a
-///   bounded client, not the drain time of a full-plan backlog (which
-///   is a constant of the plan size, not of the engine).
-///
-/// The workload is a seeded mixed request plan with hot-key skew —
-/// ~60% of requests hammer one dataset's two hottest windows (the
-/// single-flight/contention path), the rest spread uniformly, and a
-/// quarter are coverage queries — generated once and replayed
-/// identically for every worker count, pass, and mode. Reported
-/// requests/sec are rounded to three significant figures (the honest
-/// resolution of sub-second passes). Writes `BENCH_query.json` into
-/// the working directory and returns a rendered table.
-pub fn query_bench(cfg: &ExperimentConfig) -> Result<String> {
-    use ngs_obs::{HistogramSnapshot, Registry};
-    use ngs_query::{
-        EngineConfig, QueryClass, QueryEngine, QueryKind, QueryRequest, RetryPolicy, ShardStore,
-        SystemClock,
-    };
-    use std::path::Path;
-    use std::sync::Arc;
+/// Rank axis of the collate and dist scaling sweeps.
+const SCALING_RANKS: [usize; 5] = [1, 2, 4, 8, 16];
 
-    const DATASETS: usize = 4;
-    const WINDOWS: usize = 8;
-    const WORKER_AXIS: [usize; 5] = [1, 2, 4, 8, 16];
-    let records = cfg.scale.query_records();
-    let requests = cfg.scale.query_requests();
+/// How a scaling row is timed, recorded in the drill's JSON.
+const SCALING_TIMING: &str = "makespan = largest per-rank on-CPU time of one threaded run \
+     (ngs_cluster::time_ranks), best of the configured repeats; speedup against the 1-rank row";
 
-    // Preprocess DATASETS distinct BAMs into one shard directory.
-    let shard_dir = cfg.cache.scratch("query-shards")?;
-    let conv = BamConverter::new(ConvertConfig::with_ranks(1));
-    let mut names = Vec::new();
-    let mut chr1_len = 0u64;
-    for i in 0..DATASETS {
-        let n = records + i * 97;
-        let bam = cfg.cache.bam(n, 3)?;
-        let prep = conv.preprocess(&bam, &shard_dir)?;
-        chr1_len = chr1_len.max((n as u64 * 40).max(100_000));
-        names.push(
-            prep.bamx_path
-                .file_stem()
-                .expect("bamx stem")
-                .to_string_lossy()
-                .into_owned(),
-        );
+/// A drill's results before its JSON is written into the working
+/// directory.
+struct Drill {
+    /// The rendered table `repro` prints.
+    table: String,
+    /// The JSON document.
+    json: String,
+}
+
+impl Drill {
+    /// Writes the JSON into the working directory as `file` and returns
+    /// the table.
+    fn publish(self, file: &str) -> Result<String> {
+        std::fs::write(file, &self.json)?;
+        Ok(format!("{}JSON written to {file}\n", self.table))
     }
-    // Eight chr1 windows the requests draw from.
-    let windows: Vec<String> = (0..WINDOWS)
-        .map(|w| {
-            let span = chr1_len / WINDOWS as u64;
-            format!("chr1:{}-{}", w as u64 * span + 1, (w as u64 + 1) * span)
-        })
-        .collect();
+}
 
-    // The seeded request plan: (dataset, window, coverage?) triples from
-    // a splitmix-style LCG, identical for every worker count and pass.
-    // ~60% of requests go to dataset 0's windows 0-1 (hot keys — cache
-    // hits and, on the cold pass, single-flight coalescing), the rest
-    // are uniform; every 4th request is a coverage query instead of a
-    // BED conversion (mixed read/convert service times), so contiguous
-    // equal shares of the plan carry identical request mixes.
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut roll = |m: usize| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as usize) % m
-    };
-    let plan: Vec<(usize, usize, bool)> = (0..requests)
-        .map(|r| {
-            let (dataset, window) = if roll(100) < 60 {
-                (0, roll(2))
-            } else {
-                (roll(DATASETS), roll(WINDOWS))
-            };
-            (dataset, window, r % 4 == 3)
-        })
-        .collect();
-
-    let build_request = |r: usize, out_root: &Path| -> QueryRequest {
-        let (dataset, window, coverage) = plan[r];
-        QueryRequest {
-            dataset: names[dataset].clone(),
-            region: windows[window].clone(),
-            kind: if coverage {
-                QueryKind::Coverage { bin_size: 200 }
-            } else {
-                QueryKind::Convert {
-                    format: TargetFormat::Bed,
-                    // Unique directory per request: identical requests
-                    // must not race on one part file.
-                    out_dir: out_root.join(r.to_string()),
-                }
-            },
-            deadline: None,
-            class: QueryClass::Interactive,
-        }
-    };
-
-    // Runs plan[lo..hi] through `engine` and times submit-to-drain.
-    // Submission keeps at most `max_inflight` requests outstanding
-    // (settle the oldest before submitting the next): a closed loop
-    // with bounded client concurrency. Submitting the whole plan up
-    // front would park every request behind an O(plan) backlog and
-    // pin the queue-wait percentiles to the backlog drain time — a
-    // constant of the plan size, not a property of the engine.
-    let run_slice = |engine: &QueryEngine,
-                     out_root: &Path,
-                     lo: usize,
-                     hi: usize,
-                     max_inflight: usize|
-     -> Result<Duration> {
-        let t = Instant::now();
-        let mut inflight = std::collections::VecDeque::with_capacity(max_inflight);
-        let settle = |ticket: ngs_query::Ticket| -> Result<()> {
-            if let Err(e) = ticket.wait().outcome {
-                return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                    "query failed: {e}"
-                )));
-            }
-            Ok(())
-        };
-        for r in lo..hi {
-            if inflight.len() == max_inflight {
-                if let Some(oldest) = inflight.pop_front() {
-                    settle(oldest)?;
-                }
-            }
-            // The queue is sized to the pass, so submit never overloads.
-            let ticket = engine.submit(build_request(r, out_root)).map_err(|e| {
-                ngs_formats::error::Error::InvalidRecord(format!("submit failed: {e}"))
-            })?;
-            inflight.push_back(ticket);
-        }
-        for ticket in inflight {
-            settle(ticket)?;
-        }
-        Ok(t.elapsed())
-    };
-    let run_pass = |engine: &QueryEngine, out_root: &Path, max_inflight: usize| {
-        run_slice(engine, out_root, 0, requests, max_inflight)
-    };
-
-    // Simulated-cluster pass over a shared store: each rank's contiguous
-    // share runs alone through a fresh one-worker engine; the pass time
-    // is the makespan. Cold decodes land on whichever rank misses first
-    // (rank 0, in sequential order) and are charged to the makespan.
-    let sim_clock: Arc<dyn ngs_query::Clock> = Arc::new(SystemClock::new());
-    let sim_pass = |store: &Arc<ShardStore>, out_root: &Path, workers: usize| -> Result<Duration> {
-        let mut makespan = Duration::ZERO;
-        for rank in 0..workers {
-            let engine = QueryEngine::with_store(
-                Arc::clone(store),
-                EngineConfig {
-                    workers: 1,
-                    queue_capacity: requests,
-                    convert: ConvertConfig::with_ranks(1),
-                    ..EngineConfig::default()
-                },
-                Arc::clone(&sim_clock),
-            )?;
-            let (lo, hi) = (rank * requests / workers, (rank + 1) * requests / workers);
-            makespan = makespan.max(run_slice(&engine, out_root, lo, hi, 4)?);
-            engine.drain();
-        }
-        Ok(makespan)
-    };
-
-    // Warm-pass-only histogram: total minus the pre-warm snapshot
-    // (bucketwise — log2 buckets subtract exactly).
-    let hist_delta = |total: &HistogramSnapshot, prior: &HistogramSnapshot| {
-        let mut d = HistogramSnapshot::default();
-        for (i, slot) in d.buckets.iter_mut().enumerate() {
-            *slot = total.buckets[i].saturating_sub(prior.buckets[i]);
-        }
-        d.count = total.count.saturating_sub(prior.count);
-        d.sum = total.sum.saturating_sub(prior.sum);
-        d
-    };
-    // Three significant figures: the honest resolution of a sub-second
-    // wall-clock pass (finer digits are scheduler jitter, not signal).
-    let round_sig = |x: f64| {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let mag = x.log10().floor();
-        let factor = 10f64.powf(2.0 - mag);
-        (x * factor).round() / factor
-    };
-    let pcts = |h: &HistogramSnapshot| {
-        format!(
-            "{{\"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99)
-        )
-    };
-
-    let mut table = String::from(
-        "Query engine throughput (cold vs warm shard cache)\n",
-    );
-    table.push_str(&format!(
-        "{DATASETS} datasets x {records}+ records, {requests} mixed skewed requests per pass\n\
-         req/s: simulated-cluster makespan (per-rank share timed alone); thr = real worker threads\n",
-    ));
-    table.push_str("workers  cold req/s  warm req/s  scaling  warm hit%  thr warm req/s  thr p95 svc\n");
-    let mut json_rows = Vec::new();
-    let mut warm_rps_at_1 = 0.0f64;
-    for &workers in &WORKER_AXIS {
-        let out = cfg.cache.scratch(&format!("query-out-{workers}"))?;
-
-        // Threaded mode: real worker pool, contention and histograms.
-        let registry = Arc::new(Registry::new());
-        let engine = QueryEngine::new(
-            &shard_dir,
-            EngineConfig {
-                workers,
-                queue_capacity: requests,
-                cache_capacity: DATASETS,
-                convert: ConvertConfig::with_ranks(1),
-                obs: Some(Arc::clone(&registry)),
-                ..EngineConfig::default()
-            },
-        )?;
-        // The cold pass runs exactly once — repeating it would measure a
-        // warm cache. Only warm passes are best-of-N.
-        let thr_cold = run_pass(&engine, &out.join("cold"), workers * 4)?;
-        let after_cold = engine.stats();
-        let cold_snap = registry.snapshot();
-        let thr_warm = cfg.best_of(|| run_pass(&engine, &out.join("warm"), workers * 4))?;
-        let warm_snap = registry.snapshot();
-        let stats = engine.drain();
-        let warm_hits = stats.cache_hits - after_cold.cache_hits;
-        let warm_misses = stats.cache_misses - after_cold.cache_misses;
-        let warm_hit_rate = warm_hits as f64 / (warm_hits + warm_misses).max(1) as f64;
-        let cold_hit_rate = after_cold.cache_hit_rate();
-        let thr_cold_rps = round_sig(requests as f64 / thr_cold.as_secs_f64());
-        let thr_warm_rps = round_sig(requests as f64 / thr_warm.as_secs_f64());
-        let cold_queue = &cold_snap.histograms["query.queue_wait_ns"];
-        let cold_service = &cold_snap.histograms["query.service_ns"];
-        let warm_queue =
-            hist_delta(&warm_snap.histograms["query.queue_wait_ns"], cold_queue);
-        let warm_service =
-            hist_delta(&warm_snap.histograms["query.service_ns"], cold_service);
-
-        // Simulated-cluster mode: a fresh shared store per worker count;
-        // the cold pass leaves it warm for the warm best-of.
-        let sim_store = Arc::new(
-            ShardStore::open_with(
-                &shard_dir,
-                DATASETS,
-                Arc::clone(&sim_clock),
-                RetryPolicy::default(),
-            )?
-            .with_segments(EngineConfig::default().segments),
-        );
-        let sim_cold = sim_pass(&sim_store, &out.join("sim-cold"), workers)?;
-        let sim_warm = cfg.best_of(|| sim_pass(&sim_store, &out.join("sim-warm"), workers))?;
-        let cold_rps = round_sig(requests as f64 / sim_cold.as_secs_f64());
-        let warm_rps = round_sig(requests as f64 / sim_warm.as_secs_f64());
-        if workers == 1 {
-            warm_rps_at_1 = warm_rps;
-        }
-
-        table.push_str(&format!(
-            "{workers:>7}  {cold_rps:>10.0}  {warm_rps:>10.0}  {:>6.2}x  {:>8.0}  {thr_warm_rps:>14.0}  {:>9}ns\n",
-            warm_rps / warm_rps_at_1.max(1.0),
-            warm_hit_rate * 100.0,
-            warm_service.quantile(0.95),
-        ));
-        json_rows.push(format!(
-            "    {{\"workers\": {workers}, \
-             \"cold\": {{\"makespan_seconds\": {:.6}, \"requests_per_sec\": {cold_rps}, \
-             \"threaded_seconds\": {:.6}, \"threaded_requests_per_sec\": {thr_cold_rps}, \
-             \"cache_hit_rate\": {cold_hit_rate:.4}, \
-             \"queue_wait_ns\": {}, \"service_ns\": {}}}, \
-             \"warm\": {{\"makespan_seconds\": {:.6}, \"requests_per_sec\": {warm_rps}, \
-             \"threaded_seconds\": {:.6}, \"threaded_requests_per_sec\": {thr_warm_rps}, \
-             \"cache_hit_rate\": {warm_hit_rate:.4}, \
-             \"queue_wait_ns\": {}, \"service_ns\": {}}}}}",
-            sim_cold.as_secs_f64(),
-            thr_cold.as_secs_f64(),
-            pcts(cold_queue),
-            pcts(cold_service),
-            sim_warm.as_secs_f64(),
-            thr_warm.as_secs_f64(),
-            pcts(&warm_queue),
-            pcts(&warm_service),
+/// Renders `(ranks, makespan)` rows as table lines and JSON rows, each
+/// with its speedup against the first (1-rank) row.
+fn render_scaling(rows: &[(usize, Duration)]) -> (String, String) {
+    let base = rows.first().map_or(0.0, |&(_, t)| t.as_secs_f64());
+    let mut table = String::from("        ranks  makespan    speedup\n");
+    let mut json = Vec::with_capacity(rows.len());
+    for &(ranks, makespan) in rows {
+        let speedup = base / makespan.as_secs_f64().max(1e-12);
+        table.push_str(&format!("{ranks:>13}  {makespan:>8.2?}  {speedup:>8.2}x\n"));
+        json.push(format!(
+            "    {{\"ranks\": {ranks}, \"makespan_seconds\": {:.6}, \"speedup\": {speedup:.3}}}",
+            makespan.as_secs_f64(),
         ));
     }
-    let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let json = format!(
-        "{{\n  \"experiment\": \"query_engine_throughput\",\n  \"datasets\": {DATASETS},\n  \
-         \"records_per_dataset\": {records},\n  \"requests_per_pass\": {requests},\n  \
-         \"hot_key_fraction\": 0.6,\n  \"coverage_fraction\": 0.25,\n  \
-         \"host_cores\": {host_cores},\n  \
-         \"timing\": \"requests_per_sec = simulated-cluster makespan (contiguous equal \
-         per-rank shares of the seeded plan, each timed alone on a one-worker engine over \
-         the shared segmented store, makespan = max share; the workspace convention for \
-         parallel timings on one-core CI hosts). threaded_* = the same plan on a real \
-         N-worker engine with at most 4 x workers requests in flight, which also feeds \
-         the queue-wait/service histograms (bounded in-flight keeps queue-wait a \
-         steady-state measurement, not a full-plan backlog drain).\",\n  \
-         \"requests_per_sec_resolution\": \"3 significant figures\",\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n"),
-    );
-    std::fs::write("BENCH_query.json", json)?;
-    table.push_str("JSON written to BENCH_query.json\n");
-    Ok(table)
+    (table, json.join(",\n"))
+}
+
+/// The fields every drill's JSON opens with: what ran, at which
+/// `--scale`, on how many host cores.
+fn json_head(cfg: &ExperimentConfig, experiment: &str) -> String {
+    format!(
+        "{{\n  \"experiment\": \"{experiment}\",\n  \"scale\": {:?},\n  \
+         \"host_cores\": {},\n  ",
+        cfg.scale.0,
+        std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -751,11 +470,13 @@ pub fn query_bench(cfg: &ExperimentConfig) -> Result<String> {
 /// before any decode work with a `retry_after` hint — instead of
 /// dragging every request's latency into its deadline.
 ///
-/// Timing note: this is wall-clock threaded serving (like the
-/// `threaded_*` columns of `repro query`), not simulated-cluster mode —
-/// the measured object is admission control under real queue contention,
-/// not parallel scaling. CI gates only the goodput *ratio* between the
-/// 2× and 1× rows, which is stable across host speeds.
+/// Timing note: this is wall-clock threaded serving, not simulated-cluster
+/// mode — the measured object is admission control under real queue
+/// contention, not parallel scaling. The drill fails unless the goodput
+/// *rate* at 2× offered load holds at ≥ 80 % of the rate at 1× (shedding
+/// the excess, not collapsing); that ratio is stable across host speeds.
+/// Completion counts are not compared across rows, because the open-loop
+/// replay span shrinks as the offered rate rises.
 pub fn load_bench(cfg: &ExperimentConfig) -> Result<String> {
     use ngs_obs::{HistogramSnapshot, Registry};
     use ngs_query::{
@@ -772,7 +493,7 @@ pub fn load_bench(cfg: &ExperimentConfig) -> Result<String> {
     let records = cfg.scale.query_records();
     let requests = cfg.scale.query_requests();
 
-    // The same shard layout as `query_bench`.
+    // DATASETS distinct BAMs preprocessed into one shard directory.
     let shard_dir = cfg.cache.scratch("load-shards")?;
     let conv = BamConverter::new(ConvertConfig::with_ranks(1));
     let mut names = Vec::new();
@@ -913,6 +634,7 @@ pub fn load_bench(cfg: &ExperimentConfig) -> Result<String> {
         "offered  offered/s  goodput  goodput/s  shed  overfl  int p99 ms  batch p99 ms\n",
     );
     let mut json_rows = Vec::new();
+    let mut goodput_rates = Vec::with_capacity(MULTIPLIERS.len());
     for &mult in &MULTIPLIERS {
         let offered_rps = capacity_rps * mult;
         let swept = generate_load(&LoadProfile { rate_per_sec: offered_rps, ..profile.clone() });
@@ -965,6 +687,7 @@ pub fn load_bench(cfg: &ExperimentConfig) -> Result<String> {
             &before.histograms["query.class.batch.latency_ns"],
         );
         let goodput_rps = round_sig(goodput as f64 / span.as_secs_f64().max(1e-9));
+        goodput_rates.push((mult, goodput_rps));
         table.push_str(&format!(
             "{:>6.1}x  {:>9.0}  {goodput:>7}  {goodput_rps:>9.0}  {shed:>4}  {overloaded:>6}  \
              {:>10.1}  {:>12.1}\n",
@@ -991,12 +714,9 @@ pub fn load_bench(cfg: &ExperimentConfig) -> Result<String> {
             pcts(&batch_lat),
         ));
     }
-    let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let json = format!(
-        "{{\n  \"experiment\": \"overload_graceful_degradation\",\n  \
-         \"datasets\": {DATASETS},\n  \"records_per_dataset\": {records},\n  \
+        "{}\"datasets\": {DATASETS},\n  \"records_per_dataset\": {records},\n  \
          \"requests_per_row\": {requests},\n  \"workers\": {WORKERS},\n  \
-         \"host_cores\": {host_cores},\n  \
          \"saturation_rps\": {},\n  \
          \"profile\": {{\"hot_pct\": {}, \"interactive_pct\": {}, \"analyze_pct\": {}, \
          \"interactive_deadline_ms\": 250, \"batch_deadline_ms\": 5000}},\n  \
@@ -1005,14 +725,24 @@ pub fn load_bench(cfg: &ExperimentConfig) -> Result<String> {
          deadline; shed/overloaded = typed load-control rejections before any decode \
          work. Rates rounded to 3 significant figures.\",\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        json_head(cfg, "overload_graceful_degradation"),
         round_sig(capacity_rps),
         profile.hot_pct,
         profile.interactive_pct,
         profile.analyze_pct,
         json_rows.join(",\n"),
     );
-    std::fs::write("BENCH_load.json", json)?;
-    table.push_str("JSON written to BENCH_load.json\n");
+    let table = Drill { table, json }.publish("BENCH_load.json")?;
+
+    // Graceful, not collapsing: 2x offered load keeps >= 80 % of the
+    // goodput rate at 1x.
+    let rate_at = |m: f64| goodput_rates.iter().find(|&&(x, _)| x == m).map_or(0.0, |&(_, r)| r);
+    let (at_1x, at_2x) = (rate_at(1.0), rate_at(2.0));
+    if at_2x < 0.8 * at_1x {
+        return Err(ngs_formats::error::Error::InvalidRecord(format!(
+            "goodput rate collapsed under 2x overload: {at_1x} req/s at 1x, {at_2x} req/s at 2x"
+        )));
+    }
     Ok(table)
 }
 
@@ -1161,252 +891,14 @@ pub fn fault_bench(cfg: &ExperimentConfig) -> Result<String> {
         ));
     }
     let json = format!(
-        "{{\n  \"experiment\": \"fault_matrix\",\n  \"records\": {records},\n  \
+        "{}\"records\": {records},\n  \
          \"plans_per_class\": {PLANS_PER_KIND},\n  \"clean_decode_seconds\": {:.6},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        json_head(cfg, "fault_matrix"),
         clean_time.as_secs_f64(),
         json_rows.join(",\n"),
     );
-    std::fs::write("BENCH_fault.json", json)?;
-    table.push_str("JSON written to BENCH_fault.json\n");
-    Ok(table)
-}
-
-// ---------------------------------------------------------------------------
-// Streaming pipeline (BENCH_pipeline.json)
-// ---------------------------------------------------------------------------
-
-/// Streaming-pipeline experiment (no corresponding paper figure):
-/// throughput and peak buffered bytes of the bounded dataflow engine
-/// (`ngs-pipeline`, DESIGN.md §8) against the batch converter, over a
-/// worker axis plus batch-size and channel-bound sweeps.
-///
-/// Two timing modes, following the repo-wide convention:
-///
-/// * **Simulated overlap** — each stage's loop (decode, convert, emit)
-///   is timed alone; the streamed makespan is the bottleneck stage,
-///   `max(decode, convert/W, emit)`, against the batch total
-///   `decode + convert + emit` (which also materializes the record
-///   vector between phases). This is the number that shows the
-///   pipelining win regardless of host core count.
-/// * **Measured threads** — real concurrent runs of the graph, which
-///   verify byte-identity against the batch converter and measure the
-///   peak buffered bytes (the bounded-memory claim). On a one-core CI
-///   host these wall-clock numbers show scheduling overhead, not
-///   speedup, so they are reported but not normalized.
-///
-/// The batch baseline's memory proxy is the resident cost of the fully
-/// materialized record vector — exactly what the streaming graph never
-/// holds. Writes `BENCH_pipeline.json` into the working directory and
-/// returns a rendered table.
-pub fn pipeline_bench(cfg: &ExperimentConfig) -> Result<String> {
-    use ngs_pipeline::{AnalyzeOptions, Cost, Pipeline, PipelineConfig};
-
-    const TARGET: TargetFormat = TargetFormat::Json;
-    const WORKER_AXIS: [usize; 5] = [1, 2, 4, 8, 16];
-    const BATCH_AXIS: [usize; 4] = [64, 256, 1024, 4096];
-    const BOUND_AXIS: [usize; 4] = [1, 2, 4, 8];
-    let records = cfg.scale.pipeline_records();
-    let bam = cfg.cache.bam(records, 3)?;
-    let shard_dir = cfg.cache.scratch("pipeline-shards")?;
-    let conv = BamConverter::new(ConvertConfig::with_ranks(1));
-    let prep = conv.preprocess(&bam, &shard_dir)?;
-    let out_root = cfg.cache.scratch("pipeline-out")?;
-
-    // Batch baseline: one-shot conversion materializes every record; its
-    // resident-set proxy is the cost of that vector.
-    let shard = ngs_bamx::BamxFile::open(&prep.bamx_path)?;
-    let all_records = shard.read_range(0, shard.len())?;
-    let batch_resident = ngs_formats::record::AlignmentRecord::slice_cost(&all_records);
-    let batch_dir = out_root.join("batch");
-    let batch_report = conv.convert_bamx(&prep.bamx_path, TARGET, &batch_dir)?;
-    let batch_bytes = std::fs::read(&batch_report.outputs[0])?;
-    let batch_time = cfg.best_of(|| {
-        let dir = out_root.join("batch-timed");
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir)?;
-        }
-        let t = Instant::now();
-        conv.convert_bamx(&prep.bamx_path, TARGET, &dir)?;
-        Ok(t.elapsed())
-    })?;
-    let batch_rps = records as f64 / batch_time.as_secs_f64().max(1e-12);
-
-    // Per-stage loops timed alone (simulated-cluster convention): decode
-    // every record, convert every record, emit every byte — each phase
-    // run by itself, best-of-N.
-    let converter = ngs_converter::target::builtin(TARGET)
-        .ok_or_else(|| ngs_formats::error::Error::InvalidRecord("no BED converter".into()))?;
-    let t_decode = cfg.best_of(|| {
-        let t = Instant::now();
-        std::hint::black_box(shard.read_range(0, shard.len())?);
-        Ok(t.elapsed())
-    })?;
-    let mut converted = Vec::new();
-    let t_convert = cfg.best_of(|| {
-        let t = Instant::now();
-        converted.clear();
-        converter.prologue(shard.header(), &mut converted);
-        for r in &all_records {
-            converter.convert(r, &mut converted);
-        }
-        Ok(t.elapsed())
-    })?;
-    let t_emit = cfg.best_of(|| {
-        let path = out_root.join("emit-phase.json");
-        let t = Instant::now();
-        std::fs::write(&path, &converted)?;
-        Ok(t.elapsed())
-    })?;
-    let phase_sum = t_decode + t_convert + t_emit;
-
-    // One streaming configuration: best-of-N elapsed, worst-of-N peak.
-    let stream = |workers: usize, batch_size: usize, channel_bound: usize, tag: &str|
-     -> Result<(Duration, u64)> {
-        let pipeline = Pipeline::new(PipelineConfig {
-            workers,
-            batch_size,
-            channel_bound,
-            ..PipelineConfig::default()
-        });
-        let (mut best, mut peak) = (Duration::MAX, 0u64);
-        for rep in 0..cfg.repeats.max(1) {
-            let dir = out_root.join(format!("{tag}-{rep}"));
-            let t = Instant::now();
-            let run = pipeline.convert_file(&prep.bamx_path, TARGET, &dir)?;
-            best = best.min(t.elapsed());
-            peak = peak.max(run.metrics.peak_buffered_bytes);
-            if rep == 0 && std::fs::read(&run.path)? != batch_bytes {
-                return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                    "streaming output diverged from batch at {tag}"
-                )));
-            }
-        }
-        Ok((best, peak))
-    };
-
-    let mut table = String::from(
-        "Streaming pipeline vs batch conversion (JSON target)\n",
-    );
-    table.push_str(&format!(
-        "{records} records; batch baseline {batch_rps:.0} rec/s holding {batch_resident} \
-         resident bytes\n",
-    ));
-
-    // Simulated overlap: the streamed makespan is the bottleneck stage.
-    table.push_str(&format!(
-        "phases timed alone: decode {t_decode:.2?}, convert {t_convert:.2?}, emit \
-         {t_emit:.2?} (sum {phase_sum:.2?})\n"
-    ));
-    table.push_str("simulated overlap (makespan = max stage, convert split over W workers):\n");
-    table.push_str("      workers  makespan   vs batch sum\n");
-    let mut simulated_rows = Vec::new();
-    for &w in &WORKER_AXIS {
-        let makespan_s = t_decode
-            .as_secs_f64()
-            .max(t_convert.as_secs_f64() / w as f64)
-            .max(t_emit.as_secs_f64());
-        let speedup = phase_sum.as_secs_f64() / makespan_s.max(1e-12);
-        table.push_str(&format!(
-            "{w:>13}  {:>8.2?}  {speedup:>11.2}x\n",
-            Duration::from_secs_f64(makespan_s),
-        ));
-        simulated_rows.push(format!(
-            "      {{\"workers\": {w}, \"makespan_seconds\": {makespan_s:.6}, \
-             \"speedup_vs_batch\": {speedup:.3}}}"
-        ));
-    }
-
-    let mut sections = Vec::new();
-    table.push_str("measured thread-parallel runs (byte-identity + bounded memory):\n");
-    for (axis_name, rows) in [
-        ("workers", WORKER_AXIS.iter().map(|&w| (w, 1024, 4)).collect::<Vec<_>>()),
-        ("batch_size", BATCH_AXIS.iter().map(|&b| (4, b, 4)).collect()),
-        ("channel_bound", BOUND_AXIS.iter().map(|&c| (4, 1024, c)).collect()),
-    ] {
-        table.push_str(&format!("{axis_name:>13}  rec/s    peak buffered\n"));
-        let mut json_rows = Vec::new();
-        for (workers, batch_size, channel_bound) in rows {
-            let tag = format!("{axis_name}-{workers}-{batch_size}-{channel_bound}");
-            let (elapsed, peak) = stream(workers, batch_size, channel_bound, &tag)?;
-            let rps = records as f64 / elapsed.as_secs_f64().max(1e-12);
-            let value = match axis_name {
-                "workers" => workers,
-                "batch_size" => batch_size,
-                _ => channel_bound,
-            };
-            table.push_str(&format!("{value:>13}  {rps:>7.0}  {peak:>10} B\n"));
-            json_rows.push(format!(
-                "      {{\"workers\": {workers}, \"batch_size\": {batch_size}, \
-                 \"channel_bound\": {channel_bound}, \"seconds\": {:.6}, \
-                 \"records_per_sec\": {rps:.2}, \"peak_buffered_bytes\": {peak}}}",
-                elapsed.as_secs_f64(),
-            ));
-        }
-        sections.push(format!(
-            "    \"{axis_name}\": [\n{}\n    ]",
-            json_rows.join(",\n")
-        ));
-    }
-
-    // Analysis graph: streaming coverage→FDR vs its batch equivalent
-    // (materialize all records, then accumulate + FDR sequentially).
-    let options = AnalyzeOptions { fdr_rounds: 4, ..AnalyzeOptions::default() };
-    let analyze_pipeline = Pipeline::new(PipelineConfig::with_workers(4));
-    let mut analyze_peak = 0u64;
-    let stream_analyze = cfg.best_of(|| {
-        let t = Instant::now();
-        let run = analyze_pipeline.analyze_file(&prep.bamx_path, options.clone())?;
-        analyze_peak = analyze_peak.max(run.metrics.peak_buffered_bytes);
-        Ok(t.elapsed())
-    })?;
-    let batch_analyze = cfg.best_of(|| {
-        let t = Instant::now();
-        let recs = shard.read_range(0, shard.len())?;
-        let mut counts = ngs_stats::BinnedCounts::new(shard.header(), options.bin_size);
-        for r in &recs {
-            counts.add_alignment(r);
-        }
-        let hist = counts.into_histogram();
-        let input = build_fdr_input(
-            hist.bins.clone(),
-            options.fdr_rounds,
-            options.null_model,
-            options.seed,
-        );
-        std::hint::black_box(ngs_stats::fdr_curve(&input, &options.fdr_thresholds, 1));
-        Ok(t.elapsed())
-    })?;
-    table.push_str(&format!(
-        "analysis graph: streaming {:.0} rec/s (peak {analyze_peak} B buffered) vs batch \
-         {:.0} rec/s (holding {batch_resident} B)\n",
-        records as f64 / stream_analyze.as_secs_f64().max(1e-12),
-        records as f64 / batch_analyze.as_secs_f64().max(1e-12),
-    ));
-
-    let json = format!(
-        "{{\n  \"experiment\": \"streaming_pipeline\",\n  \"records\": {records},\n  \
-         \"target\": \"json\",\n  \"batch_baseline\": {{\"seconds\": {:.6}, \
-         \"records_per_sec\": {batch_rps:.2}, \"resident_bytes\": {batch_resident}}},\n  \
-         \"phases\": {{\"decode_seconds\": {:.6}, \"convert_seconds\": {:.6}, \
-         \"emit_seconds\": {:.6}, \"sum_seconds\": {:.6}}},\n  \
-         \"simulated_overlap\": [\n{}\n  ],\n  \
-         \"measured\": {{\n{}\n  }},\n  \
-         \"analysis\": {{\"streaming_seconds\": {:.6}, \"batch_seconds\": {:.6}, \
-         \"streaming_peak_buffered_bytes\": {analyze_peak}}}\n}}\n",
-        batch_time.as_secs_f64(),
-        t_decode.as_secs_f64(),
-        t_convert.as_secs_f64(),
-        t_emit.as_secs_f64(),
-        phase_sum.as_secs_f64(),
-        simulated_rows.join(",\n"),
-        sections.join(",\n"),
-        stream_analyze.as_secs_f64(),
-        batch_analyze.as_secs_f64(),
-    );
-    std::fs::write("BENCH_pipeline.json", json)?;
-    table.push_str("JSON written to BENCH_pipeline.json\n");
-    Ok(table)
+    Drill { table, json }.publish("BENCH_fault.json")
 }
 
 // ---------------------------------------------------------------------------
@@ -1497,7 +989,7 @@ pub fn obs_bench(cfg: &ExperimentConfig) -> Result<String> {
     ));
 
     let json = format!(
-        "{{\n  \"experiment\": \"obs_overhead\",\n  \"records\": {records},\n  \
+        "{}\"records\": {records},\n  \
          \"target\": \"bed\",\n  \"repeats\": {},\n  \
          \"disabled_seconds\": {:.6},\n  \"enabled_seconds\": {:.6},\n  \
          \"overhead_percent\": {overhead_percent:.3},\n  \
@@ -1505,13 +997,12 @@ pub fn obs_bench(cfg: &ExperimentConfig) -> Result<String> {
          \"within_budget\": {within_budget},\n  \
          \"bgzf_blocks_inflated\": {inflated_delta},\n  \
          \"registry_metrics\": {published}\n}}\n",
+        json_head(cfg, "obs_overhead"),
         repeats,
         disabled.as_secs_f64(),
         enabled.as_secs_f64(),
     );
-    std::fs::write("BENCH_obs.json", json)?;
-    table.push_str("JSON written to BENCH_obs.json\n");
-    Ok(table)
+    Drill { table, json }.publish("BENCH_obs.json")
 }
 
 // ---------------------------------------------------------------------------
@@ -1639,15 +1130,14 @@ pub fn recovery_bench(cfg: &ExperimentConfig) -> Result<String> {
         ));
     }
     let json = format!(
-        "{{\n  \"experiment\": \"crash_recovery\",\n  \"records\": {records},\n  \
+        "{}\"records\": {records},\n  \
          \"ranks\": {RANKS},\n  \"publication_stream_bytes\": {total},\n  \
          \"full_preprocess_seconds\": {:.6},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        json_head(cfg, "crash_recovery"),
         full.as_secs_f64(),
         json_rows.join(",\n"),
     );
-    std::fs::write("BENCH_recovery.json", json)?;
-    table.push_str("JSON written to BENCH_recovery.json\n");
-    Ok(table)
+    Drill { table, json }.publish("BENCH_recovery.json")
 }
 
 // ---------------------------------------------------------------------------
@@ -1661,11 +1151,12 @@ pub fn recovery_bench(cfg: &ExperimentConfig) -> Result<String> {
 ///
 /// * **Simulated-cluster scaling** — records are partitioned by
 ///   signature-key hash modulo R (key-disjoint, so no duplicate group
-///   straddles a rank), each rank's in-memory reference pass is timed
-///   alone, makespan = max(rank times) — the shuffle's scaling shape
-///   independent of host core count. Correctness gate: the per-rank
-///   passes together must mark exactly as many duplicates as the
-///   sequential pass.
+///   straddles a rank), and the R ranks run their in-memory reference
+///   passes on [`time_ranks`]; makespan =
+///   [`RankTimes::makespan`](ngs_cluster::RankTimes::makespan), the
+///   shuffle's scaling shape independent of host core count. Correctness
+///   gate: in every timed run the ranks together must mark exactly as
+///   many duplicates as the sequential pass.
 /// * **Spill-threshold sweep** — the thread-parallel streaming engine
 ///   runs under budgets from "never spill" down to an eighth of the
 ///   input's gauge working set; each run must produce output identical
@@ -1674,12 +1165,15 @@ pub fn recovery_bench(cfg: &ExperimentConfig) -> Result<String> {
 ///
 /// Writes `BENCH_collate.json` and returns a rendered table.
 pub fn collate_bench(cfg: &ExperimentConfig) -> Result<String> {
+    collate_drill(cfg)?.publish("BENCH_collate.json")
+}
+
+fn collate_drill(cfg: &ExperimentConfig) -> Result<Drill> {
     use ngs_collate::{keys, reference_run, CollateConfig, Collator, Workload};
     use ngs_formats::record::AlignmentRecord;
     use ngs_pipeline::{Cost, PipelineConfig};
     use ngs_simgen::{Dataset, DatasetSpec, ReadProfile};
 
-    const RANK_AXIS: [usize; 5] = [1, 2, 4, 8, 16];
     const WORKLOAD: Workload = Workload::MarkDup;
     let records = cfg.scale.pipeline_records();
     let ds = Dataset::generate(&DatasetSpec {
@@ -1692,59 +1186,40 @@ pub fn collate_bench(cfg: &ExperimentConfig) -> Result<String> {
     let header = ds.header();
     let n = ds.records.len();
 
-    // Sequential baseline: the in-memory reference pass over everything.
-    // Its output is also the identity oracle for the spill sweep.
+    // The sequential pass: the duplicate count every partitioned run must
+    // reproduce, and the identity oracle for the spill sweep.
     let (expected, seq_counts) = reference_run(&header, &ds.records, WORKLOAD);
-    let seq = cfg.best_of(|| {
-        let t = Instant::now();
-        std::hint::black_box(reference_run(&header, &ds.records, WORKLOAD));
-        Ok(t.elapsed())
-    })?;
 
     let mut table = String::from("Collate shuffle: duplicate marking over the regroup stage\n");
-    table.push_str(&format!(
-        "{n} records ({} duplicates), sequential reference pass {seq:.2?}\n",
-        seq_counts.duplicates_marked
-    ));
+    table.push_str(&format!("{n} records ({} duplicates)\n", seq_counts.duplicates_marked));
 
-    // Simulated-cluster scaling: key-disjoint partitions, per-rank
-    // passes timed alone, makespan = max.
+    // Simulated-cluster scaling: key-disjoint partitions, one rank each.
     let key_fn = keys::key_fn_for(WORKLOAD, std::sync::Arc::new(header.clone()));
-    table.push_str("simulated shuffle scaling (makespan = max rank time):\n");
-    table.push_str("        ranks  makespan    speedup\n");
-    let mut scaling_rows = Vec::new();
-    for &ranks in &RANK_AXIS {
+    let mut scaling = Vec::new();
+    for &ranks in &SCALING_RANKS {
         let mut parts: Vec<Vec<AlignmentRecord>> = vec![Vec::new(); ranks];
         for r in &ds.records {
             let slot = (keys::fnv1a64(&key_fn(r)) % ranks as u64) as usize;
             parts[slot].push(r.clone());
         }
-        let mut makespan = Duration::ZERO;
-        for part in &parts {
-            let t = cfg.best_of(|| {
-                let t = Instant::now();
-                std::hint::black_box(reference_run(&header, part, WORKLOAD));
-                Ok(t.elapsed())
-            })?;
-            makespan = makespan.max(t);
-        }
-        let total_marked: u64 = parts
-            .iter()
-            .map(|p| reference_run(&header, p, WORKLOAD).1.duplicates_marked)
-            .sum();
-        if total_marked != seq_counts.duplicates_marked {
-            return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                "{ranks}-rank partition marked {total_marked} duplicates, sequential marked {}",
-                seq_counts.duplicates_marked
-            )));
-        }
-        let speedup = seq.as_secs_f64() / makespan.as_secs_f64().max(1e-12);
-        table.push_str(&format!("{ranks:>13}  {makespan:>8.2?}  {speedup:>8.2}x\n"));
-        scaling_rows.push(format!(
-            "    {{\"ranks\": {ranks}, \"makespan_seconds\": {:.6}, \"speedup\": {speedup:.3}}}",
-            makespan.as_secs_f64(),
-        ));
+        let makespan = cfg.best_of(|| {
+            let (marked, times) = time_ranks(ranks, |comm| {
+                reference_run(&header, &parts[comm.rank()], WORKLOAD).1.duplicates_marked
+            });
+            let total_marked: u64 = marked.iter().sum();
+            if total_marked != seq_counts.duplicates_marked {
+                return Err(ngs_formats::error::Error::InvalidRecord(format!(
+                    "{ranks}-rank partition marked {total_marked} duplicates, sequential marked {}",
+                    seq_counts.duplicates_marked
+                )));
+            }
+            Ok(times.makespan())
+        })?;
+        scaling.push((ranks, makespan));
     }
+    let (scaling_table, scaling_json) = render_scaling(&scaling);
+    table.push_str("simulated shuffle scaling (makespan = max rank on-CPU time):\n");
+    table.push_str(&scaling_table);
 
     // Spill-threshold sweep: thread-parallel engine, identity-gated.
     let working_set = AlignmentRecord::slice_cost(&ds.records);
@@ -1806,18 +1281,15 @@ pub fn collate_bench(cfg: &ExperimentConfig) -> Result<String> {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"collate_shuffle\",\n  \"workload\": \"markdup\",\n  \
+        "{}\"workload\": \"markdup\",\n  \
          \"records\": {n},\n  \"duplicates_marked\": {},\n  \
-         \"sequential_seconds\": {:.6},\n  \"working_set_bytes\": {working_set},\n  \
-         \"simulated_scaling\": [\n{}\n  ],\n  \"spill_sweep\": [\n{}\n  ]\n}}\n",
+         \"working_set_bytes\": {working_set},\n  \"timing\": \"{SCALING_TIMING}\",\n  \
+         \"simulated_scaling\": [\n{scaling_json}\n  ],\n  \"spill_sweep\": [\n{}\n  ]\n}}\n",
+        json_head(cfg, "collate_shuffle"),
         seq_counts.duplicates_marked,
-        seq.as_secs_f64(),
-        scaling_rows.join(",\n"),
         sweep_rows.join(",\n"),
     );
-    std::fs::write("BENCH_collate.json", json)?;
-    table.push_str("JSON written to BENCH_collate.json\n");
-    Ok(table)
+    Ok(Drill { table, json })
 }
 
 // ---------------------------------------------------------------------------
@@ -1829,10 +1301,11 @@ pub fn collate_bench(cfg: &ExperimentConfig) -> Result<String> {
 /// axes:
 ///
 /// * **Simulated-cluster scaling** — shards placed with R = 2 over a
-///   rank axis; each rank serves the queries whose *primary* replica it
-///   holds, timed alone against its own replica repository; makespan =
-///   max(rank times), speedup vs. one rank serving the whole plan. A
-///   byte-identity gate checks every answer against the single-rank
+///   rank axis; on [`time_ranks`], each rank serves the queries whose
+///   *primary* replica it holds against its own replica repository;
+///   makespan = [`RankTimes::makespan`](ngs_cluster::RankTimes::makespan),
+///   speedup vs. one rank serving the whole plan. A byte-identity gate
+///   checks every answer of every timed run against the single-rank
 ///   baseline, so partitioned serving can never drift.
 /// * **Failover** — a [`Router`] over the same replicas on the real
 ///   clock: the busiest primary is killed mid-plan, every query must
@@ -1841,6 +1314,10 @@ pub fn collate_bench(cfg: &ExperimentConfig) -> Result<String> {
 ///
 /// Writes `BENCH_dist.json` and returns a rendered table.
 pub fn dist_bench(cfg: &ExperimentConfig) -> Result<String> {
+    dist_drill(cfg)?.publish("BENCH_dist.json")
+}
+
+fn dist_drill(cfg: &ExperimentConfig) -> Result<Drill> {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -1852,7 +1329,6 @@ pub fn dist_bench(cfg: &ExperimentConfig) -> Result<String> {
     use ngs_query::{RetryPolicy, ShardStore};
     use ngs_simgen::{Dataset, DatasetSpec};
 
-    const RANK_AXIS: [usize; 5] = [1, 2, 4, 8, 16];
     let n_shards = cfg.scale.dist_shards();
     let records = cfg.scale.dist_records();
 
@@ -1896,71 +1372,66 @@ pub fn dist_bench(cfg: &ExperimentConfig) -> Result<String> {
         "{n_shards} shards x {records} records, {n_queries} queries, R = 2\n"
     ));
 
-    // Simulated-cluster scaling over the rank axis. The 1-rank pass is
+    // Simulated-cluster scaling over the rank axis. The 1-rank run is
     // both the sequential baseline and the byte-identity oracle.
-    table.push_str("simulated serving scaling (makespan = max rank time):\n");
-    table.push_str("        ranks  makespan    speedup\n");
     let mut baseline: Vec<Vec<u8>> = Vec::new();
-    let mut seq = Duration::ZERO;
-    let mut scaling_rows = Vec::new();
-    for &ranks in &RANK_AXIS {
+    let mut scaling = Vec::new();
+    for &ranks in &SCALING_RANKS {
         let members: BTreeSet<usize> = (0..ranks).collect();
         let map = place(&datasets, &members, &PlacementConfig::default());
         let root = cfg.cache.scratch(&format!("dist-root-{ranks}"))?;
         replicate(&source, &map, &root)?;
 
-        // Each rank serves the queries whose primary replica it holds.
-        let mut makespan = Duration::ZERO;
-        let mut answers: Vec<(usize, Vec<u8>)> = Vec::new();
-        for rank in 0..ranks {
-            let share: Vec<(usize, &DistQuery)> = queries
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| map.replicas(&q.dataset).first() == Some(&rank))
-                .collect();
-            if share.is_empty() {
-                continue;
-            }
-            let store = open_store(&root, rank)?;
-            let out_dir = root.join(format!("serve{rank:03}"));
-            let elapsed = cfg.best_of(|| {
-                let t = Instant::now();
-                for (_, q) in &share {
-                    std::hint::black_box(serve_query(&store, q, &convert, &out_dir)?);
-                }
-                Ok(t.elapsed())
-            })?;
-            makespan = makespan.max(elapsed);
-            for (i, q) in &share {
-                answers.push((*i, serve_query(&store, q, &convert, &out_dir)?));
+        // Each rank serves the queries whose primary replica it holds,
+        // from a store opened once, so repeats after the first run warm.
+        let mut shares: Vec<Vec<(usize, &DistQuery)>> = vec![Vec::new(); ranks];
+        for (i, q) in queries.iter().enumerate() {
+            if let Some(&rank) = map.replicas(&q.dataset).first() {
+                shares[rank].push((i, q));
             }
         }
-        answers.sort_by_key(|(i, _)| *i);
-        if answers.len() != n_queries {
-            return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                "{ranks}-rank serving answered {} of {n_queries} queries",
-                answers.len()
-            )));
-        }
-        if ranks == 1 {
-            seq = makespan;
-            baseline = answers.into_iter().map(|(_, b)| b).collect();
-        } else {
-            for (i, got) in &answers {
-                if got != &baseline[*i] {
-                    return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                        "{ranks}-rank serving diverged from the 1-rank baseline on query {i}"
-                    )));
-                }
+        let stores = shares
+            .iter()
+            .enumerate()
+            .map(|(rank, share)| {
+                (!share.is_empty()).then(|| open_store(&root, rank)).transpose()
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let makespan = cfg.best_of(|| {
+            let (served, times) = time_ranks(ranks, |comm| {
+                let rank = comm.rank();
+                let Some(store) = &stores[rank] else { return Ok(Vec::new()) };
+                let out_dir = root.join(format!("serve{rank:03}"));
+                shares[rank]
+                    .iter()
+                    .map(|&(i, q)| Ok((i, serve_query(store, q, &convert, &out_dir)?)))
+                    .collect::<Result<Vec<_>>>()
+            });
+            let mut answers = Vec::with_capacity(n_queries);
+            for share in served {
+                answers.extend(share?);
             }
-        }
-        let speedup = seq.as_secs_f64() / makespan.as_secs_f64().max(1e-12);
-        table.push_str(&format!("{ranks:>13}  {makespan:>8.2?}  {speedup:>8.2}x\n"));
-        scaling_rows.push(format!(
-            "    {{\"ranks\": {ranks}, \"makespan_seconds\": {:.6}, \"speedup\": {speedup:.3}}}",
-            makespan.as_secs_f64(),
-        ));
+            answers.sort_by_key(|(i, _)| *i);
+            if answers.len() != n_queries {
+                return Err(ngs_formats::error::Error::InvalidRecord(format!(
+                    "{ranks}-rank serving answered {} of {n_queries} queries",
+                    answers.len()
+                )));
+            }
+            if ranks == 1 {
+                baseline = answers.into_iter().map(|(_, b)| b).collect();
+            } else if let Some((i, _)) = answers.iter().find(|(i, got)| got != &baseline[*i]) {
+                return Err(ngs_formats::error::Error::InvalidRecord(format!(
+                    "{ranks}-rank serving diverged from the 1-rank baseline on query {i}"
+                )));
+            }
+            Ok(times.makespan())
+        })?;
+        scaling.push((ranks, makespan));
     }
+    let (scaling_table, scaling_json) = render_scaling(&scaling);
+    table.push_str("simulated serving scaling (makespan = max rank on-CPU time):\n");
+    table.push_str(&scaling_table);
 
     // Failover: kill the busiest primary under a Router on the real
     // clock; identity gate + latency percentiles from the histogram.
@@ -2007,167 +1478,22 @@ pub fn dist_bench(cfg: &ExperimentConfig) -> Result<String> {
     ));
 
     let json = format!(
-        "{{\n  \"experiment\": \"dist_serving\",\n  \"shards\": {n_shards},\n  \
+        "{}\"shards\": {n_shards},\n  \
          \"records_per_shard\": {records},\n  \"queries\": {n_queries},\n  \
-         \"replicas\": 2,\n  \"simulated_scaling\": [\n{}\n  ],\n  \
+         \"replicas\": 2,\n  \"timing\": \"{SCALING_TIMING}\",\n  \
+         \"simulated_scaling\": [\n{scaling_json}\n  ],\n  \
          \"failover\": {{\"ranks\": {fo_ranks}, \"killed_rank\": {victim}, \
          \"failovers\": {failovers}, \"byte_identical\": true, \
          \"latency_ns\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \
          \"p99\": {}}}}}\n}}\n",
-        scaling_rows.join(",\n"),
+        json_head(cfg, "dist_serving"),
         hist.count,
         hist.mean(),
         hist.p50(),
         hist.p95(),
         hist.p99(),
     );
-    std::fs::write("BENCH_dist.json", json)?;
-    table.push_str("JSON written to BENCH_dist.json\n");
-    Ok(table)
-}
-
-// ---------------------------------------------------------------------------
-// BAMX v2 columnar layout (BENCH_bamx2.json)
-// ---------------------------------------------------------------------------
-
-/// Columnar-layout experiment (DESIGN.md §14; no corresponding paper
-/// figure — it extends the paper's fixed-width BAMX shard with a
-/// compressed column-block layout): shard size on disk, full-scan decode
-/// time, and the projected-scan savings from skipping column streams a
-/// target format never reads.
-///
-/// Byte accounting uses the `bamx.column_bytes_decoded` counter on the
-/// global `ngs-obs` registry — deltas around each pass, with metrics
-/// enabled for the duration of the experiment. The v1 reader does not
-/// feed this counter (its one `pread` always fetches whole records), so
-/// byte rows are reported for the v2 shard only; `ci.sh` gates that the
-/// v2 shard is smaller than v1 on disk and that a positions-only scan
-/// decodes strictly fewer column bytes than a full scan.
-pub fn bamx2_bench(cfg: &ExperimentConfig) -> Result<String> {
-    use ngs_bamx::{BamxFile, BamxVersion, ColumnKind, ColumnSet};
-
-    let records = cfg.scale.bamx2_records();
-    let bam = cfg.cache.bam(records, 3)?;
-
-    // One shard repo per version, same input, one rank (one shard).
-    let mut shards = Vec::new();
-    for version in [BamxVersion::V1, BamxVersion::V2] {
-        let dir = cfg.cache.scratch(&format!("bamx2-{}", version.name()))?;
-        let mut conv = BamConverter::new(ConvertConfig::with_ranks(1));
-        conv.format_version = version;
-        let prep = conv.preprocess(&bam, &dir)?;
-        let bytes = std::fs::metadata(&prep.bamx_path)?.len();
-        shards.push((version, prep.bamx_path, bytes));
-    }
-    let (v1_bytes, v2_bytes) = (shards[0].2, shards[1].2);
-
-    let was_enabled = ngs_obs::enabled();
-    ngs_obs::set_enabled(true);
-    let col_bytes = || {
-        ngs_obs::global()
-            .snapshot()
-            .counters
-            .get("bamx.column_bytes_decoded")
-            .copied()
-            .unwrap_or(0)
-    };
-
-    // Scan passes over the v2 shard under progressively narrower
-    // projections, plus the v1 shard as the time baseline. Each row
-    // decodes the whole shard; what varies is which column streams the
-    // reader touches.
-    let projections: [(&str, ColumnSet); 3] = [
-        ("full", ColumnSet::ALL),
-        ("bed (cigar+qname)", ColumnSet::of(&[ColumnKind::Cigar, ColumnKind::Qname])),
-        ("positions-only", ColumnSet::POSITIONS),
-    ];
-    let mut table = String::from("BAMX v2 columnar layout\n");
-    table.push_str(&format!(
-        "{records} records; v1 shard {v1_bytes} B, v2 shard {v2_bytes} B \
-         ({:.2}x smaller)\n",
-        v1_bytes as f64 / v2_bytes.max(1) as f64
-    ));
-    table.push_str("shard  projection         scan time   column bytes decoded\n");
-    let mut json_rows = Vec::new();
-    let mut full_scan_bytes = 0u64;
-    let mut positions_bytes = 0u64;
-    for (version, path, _) in &shards {
-        for (label, set) in &projections {
-            if *version == BamxVersion::V1 && *label != "full" {
-                continue; // v1 has no projected path — one pread fetches all
-            }
-            let mut decoded = 0u64;
-            let elapsed = cfg.best_of(|| {
-                let f = BamxFile::open(path)?;
-                let before = col_bytes();
-                let start = Instant::now();
-                let recs = f.read_range_projected(0, f.len(), *set)?;
-                let t = start.elapsed();
-                assert_eq!(recs.len() as u64, f.len());
-                decoded = col_bytes() - before;
-                Ok(t)
-            })?;
-            if *version == BamxVersion::V2 {
-                match *label {
-                    "full" => full_scan_bytes = decoded,
-                    "positions-only" => positions_bytes = decoded,
-                    _ => {}
-                }
-            }
-            table.push_str(&format!(
-                "{:>5}  {label:<17}  {:>8.1}ms  {decoded:>20}\n",
-                version.name(),
-                elapsed.as_secs_f64() * 1e3,
-            ));
-            json_rows.push(format!(
-                "    {{\"shard\": \"{}\", \"projection\": \"{label}\", \
-                 \"scan_seconds\": {:.6}, \"column_bytes_decoded\": {decoded}}}",
-                version.name(),
-                elapsed.as_secs_f64(),
-            ));
-        }
-    }
-    ngs_obs::set_enabled(was_enabled);
-
-    // O(1) region access: a point lookup in the middle of each shard
-    // touches one block (v2) or one record-sized pread (v1), not the
-    // whole file.
-    let mut point_json = Vec::new();
-    for (version, path, _) in &shards {
-        let f = BamxFile::open(path)?;
-        let mid = f.len() / 2;
-        let point = cfg.best_of(|| {
-            let start = Instant::now();
-            let recs = f.read_range(mid, mid + 1)?;
-            assert_eq!(recs.len(), 1);
-            Ok(start.elapsed())
-        })?;
-        table.push_str(&format!(
-            "{:>5}  point lookup (1 record): {:.1}us\n",
-            version.name(),
-            point.as_secs_f64() * 1e6
-        ));
-        point_json.push(format!(
-            "    {{\"shard\": \"{}\", \"point_lookup_seconds\": {:.9}}}",
-            version.name(),
-            point.as_secs_f64()
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"bamx2_columnar_layout\",\n  \"records\": {records},\n  \
-         \"v1_shard_bytes\": {v1_bytes},\n  \"v2_shard_bytes\": {v2_bytes},\n  \
-         \"v2_over_v1_size_ratio\": {:.4},\n  \
-         \"full_scan_column_bytes\": {full_scan_bytes},\n  \
-         \"positions_scan_column_bytes\": {positions_bytes},\n  \
-         \"scans\": [\n{}\n  ],\n  \"point_lookups\": [\n{}\n  ]\n}}\n",
-        v2_bytes as f64 / v1_bytes.max(1) as f64,
-        json_rows.join(",\n"),
-        point_json.join(",\n"),
-    );
-    std::fs::write("BENCH_bamx2.json", json)?;
-    table.push_str("JSON written to BENCH_bamx2.json\n");
-    Ok(table)
+    Ok(Drill { table, json })
 }
 
 #[cfg(test)]
@@ -2225,5 +1551,26 @@ mod tests {
         let f12 = fig12(&cfg).unwrap();
         assert_eq!(f12.series.len(), 2);
         assert!((f12.series[0].at(1).unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    /// The `makespan_seconds` of every scaling row in a drill's JSON.
+    fn makespans(json: &str) -> Vec<f64> {
+        json.split("\"makespan_seconds\": ")
+            .skip(1)
+            .map(|rest| rest.split(',').next().unwrap().parse().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn collate_and_dist_scaling_runs_on_time_ranks_and_keeps_its_gates() {
+        // The drills return Err if a rank count changes the duplicate
+        // count (collate) or a served answer (dist).
+        let cfg = tiny_config();
+        for drill in [collate_drill(&cfg).unwrap(), dist_drill(&cfg).unwrap()] {
+            let rows = makespans(&drill.json);
+            assert_eq!(rows.len(), SCALING_RANKS.len(), "{}", drill.json);
+            assert!(rows.iter().all(|&t| t > 0.0), "{rows:?}");
+            assert!(drill.json.contains("\"host_cores\": "));
+        }
     }
 }
