@@ -188,7 +188,8 @@ pub(crate) mod obs {
     pub(crate) struct Counters {
         /// Decompressed column-stream bytes made available to decoders —
         /// the projection win is this counter shrinking versus a full
-        /// scan (`repro bamx2` gates on it).
+        /// scan (`tests/projection_bytes.rs` checks the same win in shard
+        /// bytes read).
         pub(crate) column_bytes_decoded: Arc<Counter>,
         /// Column streams skipped entirely by a projection.
         pub(crate) columns_skipped: Arc<Counter>,

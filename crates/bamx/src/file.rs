@@ -678,7 +678,8 @@ impl BamxFile {
     }
 
     /// Per-block first position keys (v2 only; empty iterator on v1) —
-    /// block-level pruning diagnostics for `repro bamx2`.
+    /// block-level pruning diagnostics (`tests/projection_bytes.rs`
+    /// checks the bytes a projected scan saves).
     pub fn block_first_keys(&self) -> Vec<u64> {
         match &self.inner {
             Inner::V1(_) => Vec::new(),

@@ -24,8 +24,7 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Boolean flags that take no value.
-const SWITCHES: &[&str] =
-    &["sorted", "compress", "analyze", "crash", "dist", "overload", "json", "help"];
+const SWITCHES: &[&str] = &["sorted", "compress", "analyze", "json", "help"];
 
 impl Args {
     /// Parses raw arguments (after the subcommand name).
@@ -83,6 +82,14 @@ impl Args {
         self.flags.contains_key(name)
     }
 
+    /// Rejects any flag not in `known` (the first, alphabetically).
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.flags.keys().filter(|f| !known.contains(&f.as_str())).min() {
+            None => Ok(()),
+            Some(f) => Err(ArgError(format!("unknown flag --{f}"))),
+        }
+    }
+
     /// The positional operands.
     pub fn positional(&self) -> &[String] {
         &self.positional
@@ -130,6 +137,9 @@ mod tests {
         assert!(a.get_or("ranks", 1usize).is_err());
         assert!(a.required("missing").is_err());
         assert!(a.one_positional("input").is_err());
+        let a = parse(&["--ranks", "2", "--rank", "1", "--out", "o"]);
+        assert!(a.reject_unknown(&["ranks", "out"]).unwrap_err().0.contains("--rank"));
+        assert!(a.reject_unknown(&["rank", "ranks", "out"]).is_ok());
     }
 
     #[test]

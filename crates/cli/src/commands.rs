@@ -34,6 +34,10 @@ macro_rules! outln {
     }};
 }
 
+/// Rank count of `convert` and `preprocess` without `--ranks`, and of
+/// `repair` when the MANIFEST records none.
+const DEFAULT_RANKS: usize = 4;
+
 fn err(msg: impl Into<String>) -> Box<dyn std::error::Error> {
     Box::new(ArgError(msg.into()))
 }
@@ -134,7 +138,7 @@ pub fn convert(args: &Args) -> CmdResult {
     let to = args.required("to")?;
     let target = TargetFormat::parse(to).ok_or_else(|| err(format!("unknown format {to:?}")))?;
     let out_dir = args.required("out")?;
-    let ranks: usize = args.get_or("ranks", 4)?;
+    let ranks: usize = args.get_or("ranks", DEFAULT_RANKS)?;
     let config = ConvertConfig::with_ranks(ranks);
 
     let default_instance = if input.ends_with(".bam") { "bam" } else { "sam" };
@@ -200,7 +204,7 @@ fn parse_format_version(args: &Args) -> Result<ngs_bamx::BamxVersion, Box<dyn st
 pub fn preprocess(args: &Args) -> CmdResult {
     let input = args.one_positional("input file")?;
     let out_dir = args.required("out")?;
-    let ranks: usize = args.get_or("ranks", 4)?;
+    let ranks: usize = args.get_or("ranks", DEFAULT_RANKS)?;
     let compression = if args.switch("compress") {
         ngs_bamx::BamxCompression::Bgzf
     } else {
@@ -885,209 +889,6 @@ pub fn query_cmd(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `ngsp load [--records N] [--requests N] [--workers N] [--seed S]
-/// [--hot PCT] [--interactive PCT] [--deadline-ms D]
-/// [--batch-deadline-ms D] [--multipliers 0.5,1,2,4]`
-///
-/// Self-contained graceful-degradation drill (DESIGN.md §13). Builds a
-/// small deterministic shard directory, calibrates the engine's
-/// *closed-loop* saturation throughput, then replays the same seeded
-/// **open-loop** arrival plan (`ngs_query::load`) at each multiplier of
-/// that rate — arrivals paced by the plan, never by the engine, the only
-/// regime where overload is observable — and prints offered vs goodput
-/// with the shed / overflow breakdown and per-class p99 latency.
-/// Degradation is graceful when goodput holds near capacity past 1×
-/// while the excess is shed before any decode work.
-pub fn load_cmd(args: &Args) -> CmdResult {
-    use ngs_bamx::{write_bamx_file, Baix, BamxCompression, BamxFile};
-    use ngs_obs::{HistogramSnapshot, Registry};
-    use ngs_query::{
-        generate_load, EngineConfig, LoadProfile, QueryEngine, RetryPolicy, ShardStore,
-        SystemClock, Ticket,
-    };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    const DATASETS: usize = 3;
-    const WINDOWS: usize = 4;
-    let records: usize = args.get_or("records", 400usize)?;
-    let requests: usize = args.get_or("requests", 256usize)?;
-    let workers: usize = args.get_or("workers", 2usize)?;
-    let seed: u64 = args.get_or("seed", 0x10AD_10ADu64)?;
-    let multipliers: Vec<f64> = args
-        .optional("multipliers")
-        .unwrap_or("0.5,1,2,4")
-        .split(',')
-        .map(|s| s.trim().parse::<f64>().map_err(|_| err(format!("bad multiplier {s:?}"))))
-        .collect::<Result<_, _>>()?;
-
-    let tmp = tempfile::tempdir()?;
-    let shard_dir = tmp.path().join("shards");
-    std::fs::create_dir_all(&shard_dir)?;
-    let mut names = Vec::new();
-    for i in 0..DATASETS {
-        let ds = Dataset::generate(&DatasetSpec {
-            n_records: records + i * 37,
-            n_chroms: 2,
-            coordinate_sorted: true,
-            seed: seed.wrapping_add(i as u64),
-            ..Default::default()
-        });
-        let name = format!("load{i}");
-        let path = shard_dir.join(format!("{name}.bamx"));
-        write_bamx_file(&path, &ds.header(), &ds.records, BamxCompression::Plain)?;
-        Baix::build(&BamxFile::open(&path)?)?.save(path.with_extension("baix"))?;
-        names.push(name);
-    }
-    let span_bp = (records as u64 * 40).max(20_000) / WINDOWS as u64;
-    let windows: Vec<String> = (0..WINDOWS as u64)
-        .map(|w| format!("chr1:{}-{}", w * span_bp + 1, (w + 1) * span_bp))
-        .collect();
-
-    let profile = LoadProfile {
-        seed,
-        requests,
-        datasets: DATASETS,
-        windows: WINDOWS,
-        hot_pct: args.get_or("hot", 60u8)?,
-        interactive_pct: args.get_or("interactive", 70u8)?,
-        interactive_deadline: Some(Duration::from_millis(args.get_or("deadline-ms", 250u64)?)),
-        batch_deadline: Some(Duration::from_millis(args.get_or("batch-deadline-ms", 5000u64)?)),
-        ..LoadProfile::default()
-    };
-    let plan = generate_load(&profile);
-
-    let engine_at = |registry: &Arc<Registry>| -> Result<
-        (QueryEngine, Arc<dyn ngs_query::Clock>),
-        Box<dyn std::error::Error>,
-    > {
-        let clock: Arc<dyn ngs_query::Clock> = Arc::new(SystemClock::new());
-        let store = Arc::new(
-            ShardStore::open_with(&shard_dir, DATASETS, Arc::clone(&clock), RetryPolicy::default())?
-                .with_segments(EngineConfig::default().segments),
-        );
-        let engine = QueryEngine::with_store(
-            store,
-            EngineConfig {
-                workers,
-                // Roomy enough for the closed-loop calibration, small
-                // enough that the overload rows can overflow it.
-                queue_capacity: (requests / 8).max(16),
-                cache_capacity: DATASETS,
-                obs: Some(Arc::clone(registry)),
-                ..EngineConfig::default()
-            },
-            Arc::clone(&clock),
-        )?;
-        Ok((engine, clock))
-    };
-    let wait_ok = |ticket: Ticket| -> CmdResult {
-        ticket.wait().outcome.map(|_| ()).map_err(|e| err(format!("load query failed: {e}")))
-    };
-    // Touch every (dataset, window) once so measured passes run warm.
-    let warm_up = |engine: &QueryEngine, out: &Path| -> CmdResult {
-        for (i, a) in plan.iter().take(DATASETS * WINDOWS * 2).enumerate() {
-            let req = a.to_request(&names, &windows, &out.join("warm"), i, None);
-            wait_ok(engine.submit(req).map_err(|e| err(format!("warmup submit: {e}")))?)?;
-        }
-        Ok(())
-    };
-
-    // Closed-loop calibration: bounded in-flight, no deadlines — the
-    // saturation rate the open-loop sweep is anchored to.
-    let capacity_rps = {
-        let registry = Arc::new(Registry::new());
-        let (engine, _clock) = engine_at(&registry)?;
-        let out = tmp.path().join("calibrate");
-        warm_up(&engine, &out)?;
-        let t0 = Instant::now();
-        let mut inflight = std::collections::VecDeque::new();
-        for (i, a) in plan.iter().enumerate() {
-            if inflight.len() == workers * 4 {
-                if let Some(oldest) = inflight.pop_front() {
-                    wait_ok(oldest)?;
-                }
-            }
-            let req = a.to_request(&names, &windows, &out.join("pass"), i, None);
-            inflight
-                .push_back(engine.submit(req).map_err(|e| err(format!("calibrate: {e}")))?);
-        }
-        for ticket in inflight {
-            wait_ok(ticket)?;
-        }
-        let elapsed = t0.elapsed();
-        engine.drain();
-        requests as f64 / elapsed.as_secs_f64().max(1e-9)
-    };
-
-    let hist_delta = |total: &HistogramSnapshot, prior: &HistogramSnapshot| {
-        let mut d = HistogramSnapshot::default();
-        for (i, slot) in d.buckets.iter_mut().enumerate() {
-            *slot = total.buckets[i].saturating_sub(prior.buckets[i]);
-        }
-        d.count = total.count.saturating_sub(prior.count);
-        d.sum = total.sum.saturating_sub(prior.sum);
-        d
-    };
-
-    outln!(
-        "open-loop overload drill: {DATASETS} datasets, {requests} arrivals/row, \
-         {workers} workers; saturation (closed-loop warm) = {capacity_rps:.0} req/s"
-    )?;
-    outln!("offered  offered/s  goodput  shed  overfl  int p99 ms  batch p99 ms")?;
-    for mult in multipliers {
-        let offered_rps = capacity_rps * mult;
-        let swept = generate_load(&LoadProfile { rate_per_sec: offered_rps, ..profile.clone() });
-        let registry = Arc::new(Registry::new());
-        let (engine, clock) = engine_at(&registry)?;
-        let out = tmp.path().join(format!("x{}", (mult * 10.0) as u32));
-        warm_up(&engine, &out)?;
-        let before = registry.snapshot();
-
-        // Open-loop replay: pacing comes from the plan alone; typed
-        // rejections return immediately and the ledger tallies them.
-        let t0 = Instant::now();
-        let mut tickets = Vec::with_capacity(swept.len());
-        for (i, a) in swept.iter().enumerate() {
-            let elapsed = t0.elapsed();
-            if a.at > elapsed {
-                std::thread::sleep(a.at - elapsed);
-            }
-            let deadline = a.deadline.map(|d| clock.now() + d);
-            let req = a.to_request(&names, &windows, &out.join("pass"), i, deadline);
-            if let Ok(ticket) = engine.submit(req) {
-                tickets.push(ticket);
-            }
-        }
-        for t in tickets {
-            // Shed-in-queue / deadline outcomes are data, not errors.
-            let _ = t.wait();
-        }
-        engine.drain();
-        let after = registry.snapshot();
-
-        let delta = |name: &str| -> u64 {
-            after.counters.get(name).copied().unwrap_or(0)
-                - before.counters.get(name).copied().unwrap_or(0)
-        };
-        let p99_ms = |name: &str| -> f64 {
-            let d = hist_delta(&after.histograms[name], &before.histograms[name]);
-            d.quantile(0.99) as f64 / 1e6
-        };
-        outln!(
-            "{:>6.1}x  {:>9.0}  {:>7}  {:>4}  {:>6}  {:>10.1}  {:>12.1}",
-            mult,
-            offered_rps,
-            delta("query.goodput_completed"),
-            delta("query.shed"),
-            delta("query.rejected"),
-            p99_ms("query.class.interactive.latency_ns"),
-            p99_ms("query.class.batch.latency_ns"),
-        )?;
-    }
-    Ok(())
-}
-
 /// `ngsp stats [--records N] [--seed S] [--json]`
 ///
 /// Runs a self-contained instrumented smoke workload — synthesize a
@@ -1211,1265 +1012,6 @@ pub fn stats_cmd(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `ngsp chaos [--plans N] [--records R] [--seed S]`
-///
-/// Self-contained fault-injection verification. Builds a deterministic
-/// shard pair, then checks three layers of the failure model
-/// (DESIGN.md §7):
-///
-/// 1. **Byte level** — `--plans` seeded random [`ngs_fault::FaultPlan`]s
-///    corrupt the shard bytes; every decode must end in a typed error or
-///    a clean decode, never a panic or a silent divergence that a
-///    checksum could have caught.
-/// 2. **Delivery level** — lossless plans (short reads + transient
-///    errors) run through a full `QueryEngine` with a fault-injecting
-///    shard opener; the retried conversion must be byte-identical to
-///    the clean engine's output.
-/// 3. **Quarantine** — structurally corrupt shards on disk must be
-///    quarantined by the shard store on first decode failure and
-///    fail fast (without re-opening) afterwards.
-pub fn chaos_cmd(args: &Args) -> CmdResult {
-    use ngs_bamx::{write_bamx_file, Baix, BamxCompression, BamxFile};
-    use ngs_fault::{Fault, FaultPlan, FaultyFile};
-    use ngs_query::{
-        EngineConfig, ManualClock, QueryClass, QueryEngine, QueryKind, QueryOutcome,
-        QueryRequest, RetryPolicy, ShardStore, SourceOpener,
-    };
-    use std::sync::Arc;
-
-    if args.switch("crash") {
-        return chaos_crash(args);
-    }
-    if args.switch("dist") {
-        return chaos_dist(args);
-    }
-    if args.switch("overload") {
-        return chaos_overload(args);
-    }
-
-    let plans: u64 = args.get_or("plans", 64u64)?;
-    let records: usize = args.get_or("records", 400usize)?;
-    let seed: u64 = args.get_or("seed", 20140519u64)?;
-
-    let ds = Dataset::generate(&DatasetSpec {
-        n_records: records,
-        n_chroms: 2,
-        coordinate_sorted: true,
-        seed,
-        ..Default::default()
-    });
-    let dir = tempfile::tempdir()?;
-    let shard_dir = dir.path().join("shards");
-    std::fs::create_dir_all(&shard_dir)?;
-    let bamx_path = shard_dir.join("chaos.bamx");
-    write_bamx_file(&bamx_path, &ds.header(), &ds.records, BamxCompression::Bgzf)?;
-    Baix::build(&BamxFile::open(&bamx_path)?)?.save(bamx_path.with_extension("baix"))?;
-    let pristine = std::fs::read(&bamx_path)?;
-    let len = pristine.len() as u64;
-
-    let clean = BamxFile::open_with(Box::new(pristine.clone()), "chaos")?;
-    let baseline_records = clean.read_range(0, clean.len())?;
-
-    // --- 1. Byte-level sweep ------------------------------------------------
-    let (mut rejected, mut decoded, mut diverged) = (0u64, 0u64, 0u64);
-    for p in 0..plans {
-        let plan = FaultPlan::random(seed.wrapping_add(p), len);
-        let bytes = plan.corrupt(&pristine);
-        match BamxFile::open_with(Box::new(bytes), "chaos") {
-            Err(_) => rejected += 1,
-            Ok(f) => {
-                let n = f.len();
-                let full = f.read_range(0, n);
-                let _ = f.read_record(n / 2);
-                let _ = f.positions();
-                let _ = Baix::build(&f);
-                match full {
-                    Err(_) => rejected += 1,
-                    Ok(recs) if recs == baseline_records => decoded += 1,
-                    Ok(_) => diverged += 1,
-                }
-            }
-        }
-    }
-    outln!(
-        "byte level: {plans} plans -> {rejected} rejected (typed), {decoded} decoded clean, \
-         {diverged} diverged (unchecksummed region), 0 panics"
-    )?;
-
-    // --- 1b. Byte-level sweep over the v2 columnar layout -------------------
-    let bamx2_path = shard_dir.join("chaos2.bamx");
-    ngs_bamx::write_bamx_file_versioned(
-        &bamx2_path,
-        &ds.header(),
-        &ds.records,
-        BamxCompression::Plain,
-        ngs_bamx::BamxVersion::V2,
-    )?;
-    let pristine2 = std::fs::read(&bamx2_path)?;
-    // One shard directory must stay single-version for the engine runs
-    // below; the v2 copy only feeds the byte sweep.
-    std::fs::remove_file(&bamx2_path)?;
-    let len2 = pristine2.len() as u64;
-    let (mut rejected2, mut decoded2, mut diverged2) = (0u64, 0u64, 0u64);
-    for p in 0..plans {
-        let plan = FaultPlan::random(seed.wrapping_add(p).wrapping_mul(31), len2);
-        let bytes = plan.corrupt(&pristine2);
-        match BamxFile::open_with(Box::new(bytes), "chaos-v2") {
-            Err(_) => rejected2 += 1,
-            Ok(f) => {
-                let n = f.len();
-                let full = f.read_range(0, n);
-                let _ = f.positions();
-                let _ = f.read_range_projected(0, n, ngs_bamx::ColumnSet::POSITIONS);
-                let _ = Baix::build(&f);
-                match full {
-                    Err(_) => rejected2 += 1,
-                    Ok(recs) if recs == baseline_records => decoded2 += 1,
-                    Ok(_) => diverged2 += 1,
-                }
-            }
-        }
-    }
-    outln!(
-        "byte level (v2): {plans} plans -> {rejected2} rejected (typed), {decoded2} decoded \
-         clean, {diverged2} diverged (unchecksummed region), 0 panics"
-    )?;
-
-    // --- 2. Delivery-level engine runs --------------------------------------
-    // Clean baseline conversion bytes, once.
-    let clean_engine = QueryEngine::new(&shard_dir, EngineConfig::with_workers(1))?;
-    let request = |out_dir: std::path::PathBuf| QueryRequest {
-        dataset: "chaos".into(),
-        region: "chr1".into(),
-        kind: QueryKind::Convert { format: TargetFormat::Sam, out_dir },
-        deadline: None,
-        class: QueryClass::Interactive,
-    };
-    let baseline_out = match clean_engine
-        .submit(request(dir.path().join("clean-out")))
-        .map_err(|e| err(format!("baseline submit: {e}")))?
-        .wait()
-        .outcome
-    {
-        Ok(QueryOutcome::Converted { output, .. }) => std::fs::read(output)?,
-        other => return Err(err(format!("baseline conversion failed: {other:?}"))),
-    };
-    drop(clean_engine);
-
-    const DELIVERY_RUNS: u64 = 6;
-    let mut retries_absorbed = 0u64;
-    for run in 0..DELIVERY_RUNS {
-        let plan = FaultPlan::new(vec![
-            Fault::TransientIo { failures: 1 + (run % 3) as u32 },
-            Fault::ShortRead { max: 1 + (seed ^ run) % 31 },
-        ]);
-        assert!(plan.is_lossless());
-        // One shared wrapper per path, so the transient budget drains
-        // across the store's retries like a recovering mount.
-        let budget = plan.total_transient_failures();
-        let sources: std::sync::Mutex<
-            std::collections::HashMap<std::path::PathBuf, Arc<FaultyFile<Vec<u8>>>>,
-        > = std::sync::Mutex::new(std::collections::HashMap::new());
-        let plan_for_opener = plan.clone();
-        let opener: Box<SourceOpener> = Box::new(move |path| {
-            let mut map = sources.lock().expect("chaos opener mutex");
-            let source = map.entry(path.to_path_buf()).or_insert_with(|| {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                Arc::new(FaultyFile::new(bytes, plan_for_opener.clone()))
-            });
-            Ok(Box::new(Arc::clone(source)))
-        });
-        let clock = Arc::new(ManualClock::new());
-        let store = Arc::new(
-            ShardStore::open_with(
-                &shard_dir,
-                4,
-                clock.clone(),
-                // Both the .bamx and .baix wrappers carry the full budget;
-                // size attempts so one get always drains them.
-                RetryPolicy { attempts: budget * 2 + 1, ..RetryPolicy::default() },
-            )?
-            .with_opener(opener),
-        );
-        let engine = QueryEngine::with_store(store, EngineConfig::with_workers(1), clock)?;
-        let outcome = engine
-            .submit(request(dir.path().join(format!("chaos-out-{run}"))))
-            .map_err(|e| err(format!("delivery run {run} submit: {e}")))?
-            .wait()
-            .outcome;
-        let Ok(QueryOutcome::Converted { output, .. }) = outcome else {
-            return Err(err(format!(
-                "delivery run {run}: conversion failed under lossless plan {plan:?}: {outcome:?}"
-            )));
-        };
-        if std::fs::read(&output)? != baseline_out {
-            return Err(err(format!(
-                "delivery run {run}: output bytes diverged under lossless plan {plan:?}"
-            )));
-        }
-        retries_absorbed += engine.drain().transient_retries;
-    }
-    outln!(
-        "delivery level: {DELIVERY_RUNS} engine runs -> {DELIVERY_RUNS} byte-identical \
-         conversions, {retries_absorbed} transient retries absorbed"
-    )?;
-
-    // --- 3. Quarantine ------------------------------------------------------
-    const QUARANTINE_RUNS: u64 = 8;
-    let clock = Arc::new(ManualClock::new());
-    let store =
-        ShardStore::open_with(&shard_dir, 4, clock, RetryPolicy::default())?;
-    let mut quarantined = 0u64;
-    let mut survived_corruption = 0u64;
-    for q in 0..QUARANTINE_RUNS {
-        // Damage that open-time validation sees: flipped magic/prologue
-        // bytes or a mid-file truncation. (Payload-only damage hides
-        // until a read decompresses the block, so it cannot exercise the
-        // open-failure quarantine this phase verifies.)
-        let plan = if q % 2 == 0 {
-            FaultPlan::new(vec![Fault::TruncateAt { offset: len / 2 + q }])
-        } else {
-            FaultPlan::new(vec![Fault::BitFlip { offset: q % 10, mask: 0x7F }])
-        };
-        let name = format!("corrupt-{q}");
-        std::fs::write(shard_dir.join(format!("{name}.bamx")), plan.corrupt(&pristine))?;
-        std::fs::copy(
-            bamx_path.with_extension("baix"),
-            shard_dir.join(format!("{name}.baix")),
-        )?;
-        match store.get(&name) {
-            Ok(_) => survived_corruption += 1, // damage landed in slack
-            Err(first) => {
-                if !store.is_quarantined(&name) {
-                    return Err(err(format!(
-                        "quarantine run {q}: structural failure did not quarantine: {first}"
-                    )));
-                }
-                let second = store.get(&name).expect_err("quarantined dataset must keep failing");
-                if !second.to_string().contains("quarantined") {
-                    return Err(err(format!(
-                        "quarantine run {q}: expected fail-fast quarantine error, got: {second}"
-                    )));
-                }
-                quarantined += 1;
-            }
-        }
-    }
-    outln!(
-        "quarantine: {QUARANTINE_RUNS} corrupt shards -> {quarantined} quarantined + \
-         fail-fast verified, {survived_corruption} decoded clean (damage in slack); \
-         store counters: {:?}",
-        store.counters()
-    )?;
-    outln!("chaos: all checks passed ({plans} plans, seed {seed}, {records} records)")?;
-    Ok(())
-}
-
-/// `ngsp chaos --crash [--points N] [--records R] [--ranks M] [--seed S]`
-///
-/// The power-cut matrix (DESIGN.md §7.5). A reference preprocessing run
-/// measures the total publication byte stream; then for `--points`
-/// evenly spaced offsets the run is killed at exactly that byte via
-/// [`ngs_fault::FaultyFs`], and after each simulated crash the harness
-/// asserts the crash-consistency invariant end to end:
-///
-/// 1. the repository reopens and `verify()` reports **no damaged
-///    artifact** (the manifest never references a torn file);
-/// 2. a resumed preprocess rebuilds only what was lost and restores a
-///    **byte-identical** shard set (including the MANIFEST);
-/// 3. a query engine over the recovered directory serves the same
-///    bytes as one over the reference directory.
-///
-/// A second sweep kills a *rank-count-change* rerun at byte offsets of
-/// its publication stream — covering the prune / meta-rewrite / rebuild
-/// window — and asserts resume never serves shards from the old layout.
-///
-/// A third sweep targets the collate shuffle (DESIGN.md §10): power
-/// cuts at byte offsets of a spilling duplicate-marking run's spill
-/// stream, plus merge-consumer kills partway through the merged output.
-/// After every cut the spill repositories must verify clean and a rerun
-/// over the same directory must be byte-identical.
-fn chaos_crash(args: &Args) -> CmdResult {
-    use ngs_bamx::repo::ShardRepo;
-    use ngs_converter::MemSource;
-    use ngs_fault::{Fault, FaultPlan, FaultyFs};
-    use ngs_query::{EngineConfig, QueryClass, QueryEngine, QueryKind, QueryOutcome, QueryRequest};
-    use std::sync::Arc;
-
-    let points: u64 = args.get_or("points", 10u64)?;
-    let records: usize = args.get_or("records", 400usize)?;
-    let ranks: usize = args.get_or("ranks", 3usize)?;
-    let seed: u64 = args.get_or("seed", 20140519u64)?;
-
-    let ds = Dataset::generate(&DatasetSpec {
-        n_records: records,
-        n_chroms: 2,
-        coordinate_sorted: true,
-        seed,
-        ..Default::default()
-    });
-    let source = MemSource::new(ds.to_sam_bytes());
-    let conv = SamxConverter::new(ConvertConfig::with_ranks(ranks));
-    let dir = tempfile::tempdir()?;
-
-    // Reference run through an instrumented (fault-free) fs, to learn the
-    // total publication stream length and snapshot the expected bytes.
-    let ref_dir = dir.path().join("reference");
-    let fs = FaultyFs::new(FaultPlan::none());
-    let total = {
-        let state = Arc::clone(fs.state());
-        let repo = ShardRepo::create_with(&ref_dir, Arc::new(fs))?;
-        conv.preprocess_source_repo(&source, &repo, "x", false)?;
-        state.written()
-    };
-    let mut reference = std::collections::BTreeMap::new();
-    for entry in std::fs::read_dir(&ref_dir)? {
-        let path = entry?.path();
-        if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-            reference.insert(name.to_string(), std::fs::read(&path)?);
-        }
-    }
-
-    // Reference query bytes: one region conversion over the clean repo.
-    let query_bytes = |shard_dir: &Path, out: std::path::PathBuf| -> Result<Vec<u8>, Box<dyn std::error::Error>> {
-        let engine = QueryEngine::new(shard_dir, EngineConfig::with_workers(1))?;
-        let dataset = engine
-            .store()
-            .datasets()?
-            .first()
-            .cloned()
-            .ok_or_else(|| err("no datasets in repaired directory"))?;
-        let outcome = engine
-            .submit(QueryRequest {
-                dataset,
-                region: "chr1".into(),
-                kind: QueryKind::Convert { format: TargetFormat::Sam, out_dir: out },
-                deadline: None,
-                class: QueryClass::Interactive,
-            })
-            .map_err(|e| err(format!("submit: {e}")))?
-            .wait()
-            .outcome;
-        match outcome {
-            Ok(QueryOutcome::Converted { output, .. }) => Ok(std::fs::read(output)?),
-            other => Err(err(format!("query failed: {other:?}"))),
-        }
-    };
-    let baseline_query = query_bytes(&ref_dir, dir.path().join("ref-out"))?;
-
-    // Evenly spaced crash points, plus tail points: the rank threads
-    // publish concurrently, so most shards seal near the stream's end —
-    // only late crashes leave recorded shards for resume to skip, and the
-    // matrix must exercise that path too (not just full rebuilds).
-    let mut offsets: Vec<u64> = (0..points).map(|p| total * p / points).collect();
-    offsets.push(total.saturating_sub(total / 50).max(1));
-    offsets.push(total.saturating_sub(1));
-    offsets.dedup();
-
-    let (mut crashed, mut resumed_shards, mut rebuilt_shards) = (0u64, 0u64, 0u64);
-    for (p, offset) in offsets.iter().copied().enumerate() {
-        let crash_dir = dir.path().join(format!("crash-{p}"));
-        let plan = FaultPlan::new(vec![Fault::CrashAtByte { offset }]);
-        let run = ShardRepo::create_with(&crash_dir, Arc::new(FaultyFs::new(plan)))
-            .and_then(|repo| conv.preprocess_source_repo(&source, &repo, "x", false));
-        if run.is_err() {
-            crashed += 1;
-        } else {
-            return Err(err(format!(
-                "crash point {p} (byte {offset} of {total}): run survived its own crash"
-            )));
-        }
-
-        // Invariant 1: the repository reopens and nothing the manifest
-        // lists is torn — a crash leaves old state or new state, never a
-        // half-written artifact behind a manifest entry.
-        let repo = ShardRepo::create(&crash_dir)?;
-        let report = repo.verify()?;
-        if !report.is_clean() {
-            return Err(err(format!(
-                "crash point {p} (byte {offset}): manifest references damaged artifacts: {:?}",
-                report.damaged
-            )));
-        }
-        repo.clean_stray_temps()?;
-
-        // Invariant 2: resume redoes only the lost tail and restores a
-        // byte-identical shard set, MANIFEST included.
-        let prep = conv.preprocess_source_repo(&source, &repo, "x", true)?;
-        resumed_shards += prep.shards.iter().filter(|s| s.resumed).count() as u64;
-        rebuilt_shards += prep.shards.iter().filter(|s| !s.resumed).count() as u64;
-        for (name, bytes) in &reference {
-            let recovered = std::fs::read(crash_dir.join(name))?;
-            if recovered != *bytes {
-                return Err(err(format!(
-                    "crash point {p} (byte {offset}): {name} diverged after resume \
-                     ({} vs {} bytes)",
-                    recovered.len(),
-                    bytes.len()
-                )));
-            }
-        }
-        let mut names: Vec<String> = std::fs::read_dir(&crash_dir)?
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .collect();
-        names.sort();
-        let expected: Vec<&String> = reference.keys().collect();
-        if names.iter().collect::<Vec<_>>() != expected {
-            return Err(err(format!(
-                "crash point {p} (byte {offset}): directory contents diverged: {names:?}"
-            )));
-        }
-
-        // Invariant 3: the query engine serves the recovered repository
-        // identically to the reference.
-        let out = query_bytes(&crash_dir, dir.path().join(format!("crash-out-{p}")))?;
-        if out != baseline_query {
-            return Err(err(format!(
-                "crash point {p} (byte {offset}): query output diverged after recovery"
-            )));
-        }
-    }
-    outln!(
-        "crash matrix: {crashed} simulated power cuts over a {total}-byte publication \
-         stream ({ranks} ranks) -> every repository reopened clean, {resumed_shards} \
-         shard(s) resumed, {rebuilt_shards} rebuilt, all byte-identical, queries identical"
-    )?;
-
-    // --- Meta-update window ------------------------------------------------
-    // A rank-count change rewrites the manifest meta before rebuilding a
-    // single shard; a crash inside that window leaves a meta that matches
-    // the *next* run over shards built under the old layout. Sweep byte
-    // offsets of a narrow rerun's publication stream over a wide
-    // repository (covering prune, meta rewrite, and rebuild), and assert
-    // the same three invariants after each cut.
-    let wide = SamxConverter::new(ConvertConfig::with_ranks(ranks + 1));
-    let wide_dir = dir.path().join("meta-wide");
-    wide.preprocess_source(&source, &wide_dir, "x")?;
-    let copy_dir = |from: &Path, to: &Path| -> std::io::Result<()> {
-        std::fs::create_dir_all(to)?;
-        for entry in std::fs::read_dir(from)? {
-            let entry = entry?;
-            std::fs::copy(entry.path(), to.join(entry.file_name()))?;
-        }
-        Ok(())
-    };
-    // Instrumented uncrashed rerun to learn the rank-change stream length.
-    let rerun_total = {
-        let probe_dir = dir.path().join("meta-probe");
-        copy_dir(&wide_dir, &probe_dir)?;
-        let fs = FaultyFs::new(FaultPlan::none());
-        let state = Arc::clone(fs.state());
-        let repo = ShardRepo::open_with(&probe_dir, Arc::new(fs))?;
-        conv.preprocess_source_repo(&source, &repo, "x", true)?;
-        state.written()
-    };
-    let meta_points = points.clamp(4, 8);
-    let mut meta_offsets: Vec<u64> =
-        (0..meta_points).map(|p| 1 + rerun_total * p / meta_points).collect();
-    meta_offsets.push(rerun_total.saturating_sub(1));
-    meta_offsets.dedup();
-    let mut meta_crashes = 0u64;
-    for (p, offset) in meta_offsets.iter().copied().enumerate() {
-        let crash_dir = dir.path().join(format!("meta-crash-{p}"));
-        copy_dir(&wide_dir, &crash_dir)?;
-        let plan = FaultPlan::new(vec![Fault::CrashAtByte { offset }]);
-        let run = ShardRepo::open_with(&crash_dir, Arc::new(FaultyFs::new(plan)))
-            .and_then(|repo| conv.preprocess_source_repo(&source, &repo, "x", true));
-        if run.is_err() {
-            meta_crashes += 1;
-        } else {
-            return Err(err(format!(
-                "meta-window point {p} (byte {offset} of {rerun_total}): run survived \
-                 its own crash"
-            )));
-        }
-
-        let repo = ShardRepo::create(&crash_dir)?;
-        let report = repo.verify()?;
-        if !report.is_clean() {
-            return Err(err(format!(
-                "meta-window point {p} (byte {offset}): damaged artifacts behind the \
-                 manifest: {:?}",
-                report.damaged
-            )));
-        }
-        repo.clean_stray_temps()?;
-
-        let prep = conv.preprocess_source_repo(&source, &repo, "x", true)?;
-        let total_records: u64 = prep.shards.iter().map(|s| s.records).sum();
-        if total_records != records as u64 {
-            return Err(err(format!(
-                "meta-window point {p} (byte {offset}): resume served {total_records} of \
-                 {records} records — stale shards survived the rank change"
-            )));
-        }
-        for (name, bytes) in &reference {
-            let recovered = std::fs::read(crash_dir.join(name))?;
-            if recovered != *bytes {
-                return Err(err(format!(
-                    "meta-window point {p} (byte {offset}): {name} diverged after resume"
-                )));
-            }
-        }
-        let mut names: Vec<String> = std::fs::read_dir(&crash_dir)?
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .collect();
-        names.sort();
-        if names.iter().collect::<Vec<_>>() != reference.keys().collect::<Vec<_>>() {
-            return Err(err(format!(
-                "meta-window point {p} (byte {offset}): stale shards left behind: {names:?}"
-            )));
-        }
-        let out = query_bytes(&crash_dir, dir.path().join(format!("meta-out-{p}")))?;
-        if out != baseline_query {
-            return Err(err(format!(
-                "meta-window point {p} (byte {offset}): query output diverged"
-            )));
-        }
-    }
-    outln!(
-        "meta-update window: {meta_crashes} power cuts across a {} -> {ranks} rank change \
-         ({rerun_total}-byte rerun stream) -> no stale shard served, all byte-identical",
-        ranks + 1
-    )?;
-
-    // --- Collate spill / merge kill points ---------------------------------
-    // The regroup shuffle publishes every spilled run through the same
-    // temp+rename manifest protocol (DESIGN.md §10.3). Kill the writer
-    // at swept byte offsets of its spill stream, reopen, and assert the
-    // spill repositories verify clean and a rerun over the same
-    // directory is byte-identical. A second sweep kills the *merge
-    // consumer* after k emitted records — the merge is read-only, so
-    // the repositories must stay clean there too.
-    let dup_ds = Dataset::generate(&DatasetSpec {
-        n_records: records,
-        n_chroms: 2,
-        seed,
-        profile: ngs_simgen::ReadProfile { duplicate_rate: 0.15, ..Default::default() },
-        ..Default::default()
-    });
-    let header = dup_ds.header();
-    let collate_config = |spill_dir: std::path::PathBuf,
-                          fs: Option<Arc<dyn ngs_bamx::repo::RepoFs>>| CollateConfig {
-        spill_budget: 4_000,
-        spill_dir: Some(spill_dir),
-        spill_fs: fs,
-        ..Default::default()
-    };
-    let run_markdup = |config: CollateConfig| -> Result<Vec<AlignmentRecord>, Box<dyn std::error::Error>> {
-        let mut out = Vec::new();
-        Collator::new(config).run_records(&header, dup_ds.records.clone(), Workload::MarkDup, &mut |r| {
-            out.push(r);
-            Ok(())
-        })?;
-        Ok(out)
-    };
-
-    // Instrumented fault-free reference: learn the spill stream length
-    // and the expected output.
-    let spill_ref = dir.path().join("collate-ref");
-    let fs = FaultyFs::new(FaultPlan::none());
-    let spill_state = Arc::clone(fs.state());
-    let expected_out = run_markdup(collate_config(spill_ref.clone(), Some(Arc::new(fs))))?;
-    let spill_total = spill_state.written();
-    if spill_total == 0 {
-        return Err(err("collate crash sweep: the budget did not force spilling"));
-    }
-
-    let spill_points = points.clamp(4, 10);
-    let mut spill_offsets: Vec<u64> =
-        (0..spill_points).map(|p| 1 + spill_total * p / spill_points).collect();
-    spill_offsets.push(spill_total.saturating_sub(1));
-    spill_offsets.dedup();
-    let verify_spill_repos = |spill_dir: &Path| -> CmdResult {
-        for phase in ["markdup", "restore"] {
-            let phase_dir = spill_dir.join(phase);
-            // A crash can land before a phase publishes anything.
-            if !ngs_bamx::repo::ShardRepo::is_managed(&phase_dir) {
-                continue;
-            }
-            let repo = ngs_bamx::repo::ShardRepo::open(&phase_dir)?;
-            let report = repo.verify()?;
-            if !report.is_clean() {
-                return Err(err(format!(
-                    "collate spill repo {phase:?} damaged after kill: {:?}",
-                    report.damaged
-                )));
-            }
-            repo.clean_stray_temps()?;
-        }
-        Ok(())
-    };
-    let mut spill_kills = 0u64;
-    for (p, offset) in spill_offsets.iter().copied().enumerate() {
-        let spill_dir = dir.path().join(format!("collate-crash-{p}"));
-        let plan = FaultPlan::new(vec![Fault::CrashAtByte { offset }]);
-        let killed = run_markdup(collate_config(
-            spill_dir.clone(),
-            Some(Arc::new(FaultyFs::new(plan))),
-        ));
-        if killed.is_err() {
-            spill_kills += 1;
-        } else {
-            return Err(err(format!(
-                "collate spill point {p} (byte {offset} of {spill_total}): run survived \
-                 its own crash"
-            )));
-        }
-        verify_spill_repos(&spill_dir)?;
-        // Rerun over the surviving directory: deterministic run names
-        // republish through the manifest; output must be byte-identical.
-        let rerun = run_markdup(collate_config(spill_dir.clone(), None))?;
-        if rerun != expected_out {
-            return Err(err(format!(
-                "collate spill point {p} (byte {offset}): rerun output diverged"
-            )));
-        }
-        verify_spill_repos(&spill_dir)?;
-    }
-
-    // Merge-kill: fail the emit sink partway through the merged stream.
-    let mut merge_kills = 0u64;
-    for (p, keep) in [1u64, records as u64 / 2, records as u64 - 1].iter().enumerate() {
-        let spill_dir = dir.path().join(format!("collate-merge-kill-{p}"));
-        let mut emitted = 0u64;
-        let run = Collator::new(collate_config(spill_dir.clone(), None)).run_records(
-            &header,
-            dup_ds.records.clone(),
-            Workload::MarkDup,
-            &mut |_| {
-                if emitted == *keep {
-                    return Err(ngs_formats::Error::InvalidRecord(
-                        "injected merge-consumer kill".into(),
-                    ));
-                }
-                emitted += 1;
-                Ok(())
-            },
-        );
-        if run.is_err() {
-            merge_kills += 1;
-        } else {
-            return Err(err(format!(
-                "collate merge kill {p} (after {keep} records): run survived its own kill"
-            )));
-        }
-        verify_spill_repos(&spill_dir)?;
-        let rerun = run_markdup(collate_config(spill_dir.clone(), None))?;
-        if rerun != expected_out {
-            return Err(err(format!(
-                "collate merge kill {p}: rerun output diverged"
-            )));
-        }
-    }
-    outln!(
-        "collate kill matrix: {spill_kills} spill-stream power cuts \
-         ({spill_total}-byte stream) + {merge_kills} merge-consumer kills -> every spill \
-         repository reopened clean, reruns byte-identical"
-    )?;
-
-    outln!(
-        "chaos --crash: all checks passed ({} crash points, seed {seed})",
-        offsets.len() + meta_offsets.len() + spill_offsets.len() + 3
-    )?;
-    Ok(())
-}
-
-/// Writes `n_shards` deterministic datasets (`d00.bamx`/`.baix`, …)
-/// into `source`, returning their names. Shared by `ngsp dist` and
-/// `ngsp chaos --dist`.
-fn dist_fixture(source: &Path, n_shards: usize, records: usize, seed: u64) -> CmdResult2<Vec<String>> {
-    use ngs_bamx::{write_bamx_file, Baix, BamxCompression, BamxFile};
-    let mut names = Vec::with_capacity(n_shards);
-    for i in 0..n_shards {
-        let name = format!("d{i:02}");
-        let ds = Dataset::generate(&DatasetSpec {
-            n_records: records,
-            n_chroms: 2,
-            coordinate_sorted: true,
-            seed: seed.wrapping_add(i as u64),
-            ..Default::default()
-        });
-        let bamx_path = source.join(format!("{name}.bamx"));
-        write_bamx_file(&bamx_path, &ds.header(), &ds.records, BamxCompression::Bgzf)?;
-        Baix::build(&BamxFile::open(&bamx_path)?)?.save(bamx_path.with_extension("baix"))?;
-        names.push(name);
-    }
-    Ok(names)
-}
-
-/// Value-returning sibling of [`CmdResult`].
-type CmdResult2<T> = Result<T, Box<dyn std::error::Error>>;
-
-/// The query plan `ngsp dist` serves: whole-chromosome and windowed
-/// regions per dataset, SAM output (the paper's partial-conversion
-/// query shape).
-fn dist_queries(datasets: &[String]) -> Vec<ngs_dist::DistQuery> {
-    let mut out = Vec::new();
-    for d in datasets {
-        for region in ["chr1", "chr1:1-60000", "chr2"] {
-            out.push(ngs_dist::DistQuery {
-                dataset: d.clone(),
-                region: region.into(),
-                format: TargetFormat::Sam,
-            });
-        }
-    }
-    out
-}
-
-/// `ngsp dist [--ranks N] [--replicas R] [--shards S] [--records N]
-///            [--kill RANK] [--transport thread|socket] [--seed S] [--vnodes V]`
-///
-/// End-to-end distributed serving (DESIGN.md §12): synthesizes datasets,
-/// places them with R-way replication (seeded rendezvous hashing),
-/// materialises replicas into per-rank crash-safe repositories, then
-/// serves the query plan — through the in-process failover [`Router`]
-/// (`--transport thread`, default) or over the framed loopback socket
-/// transport with one RPC server per rank (`--transport socket`).
-/// `--kill RANK` kills that rank mid-plan and verifies every answer
-/// stays byte-identical to the healthy run. Prints the `dist.*` metrics.
-pub fn dist_cmd(args: &Args) -> CmdResult {
-    use ngs_dist::{place, replicate, PlacementConfig, Router, RouterConfig};
-    use ngs_query::ManualClock;
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    let n_ranks: usize = args.get_or("ranks", 3usize)?;
-    let replicas: usize = args.get_or("replicas", 2usize)?;
-    let n_shards: usize = args.get_or("shards", 4usize)?;
-    let records: usize = args.get_or("records", 300usize)?;
-    let seed: u64 = args.get_or("seed", 20140519u64)?;
-    let vnodes: u32 = args.get_or("vnodes", 16u32)?;
-    let kill: Option<usize> = match args.optional("kill") {
-        Some(k) => Some(k.parse().map_err(|_| err(format!("--kill {k:?}: not a rank")))?),
-        None => None,
-    };
-    let transport = args.optional("transport").unwrap_or("thread");
-    if n_ranks == 0 {
-        return Err(err("--ranks must be at least 1"));
-    }
-    if let Some(k) = kill {
-        if k >= n_ranks {
-            return Err(err(format!("--kill {k} out of range (world has {n_ranks} ranks)")));
-        }
-        if n_ranks < 2 || replicas < 2 {
-            return Err(err("--kill needs --ranks >= 2 and --replicas >= 2 to fail over"));
-        }
-    }
-
-    let dir = tempfile::tempdir()?;
-    let source = dir.path().join("source");
-    std::fs::create_dir_all(&source)?;
-    let datasets = dist_fixture(&source, n_shards, records, seed)?;
-    let ranks: BTreeSet<usize> = (0..n_ranks).collect();
-    let config = PlacementConfig { seed, vnodes, replicas };
-    let map = place(&datasets, &ranks, &config);
-    let published = replicate(&source, &map, dir.path())?;
-    outln!(
-        "placement: {n_shards} shards x {} replicas over {n_ranks} ranks \
-         (seed {seed}, {vnodes} vnodes), {published} artifacts published"
-    , map.config().replicas.min(n_ranks))?;
-    for d in &datasets {
-        outln!("  {d} -> ranks {:?}", map.replicas(d))?;
-    }
-
-    let queries = dist_queries(&datasets);
-    let registry = Arc::new(ngs_obs::Registry::new());
-    let scratch = dir.path().join("scratch");
-
-    // Healthy baseline through the in-process router (replicas serve
-    // identical bytes, so this is the reference for both transports).
-    let (healthy, _) = {
-        let reg = Arc::new(ngs_obs::Registry::new());
-        let router = Router::new(
-            map.clone(),
-            dir.path(),
-            &dir.path().join("healthy-scratch"),
-            Arc::new(ManualClock::new()),
-            Arc::clone(&reg),
-            RouterConfig::default(),
-        )?;
-        (router, reg)
-    };
-    let mut baseline = Vec::with_capacity(queries.len());
-    for q in &queries {
-        baseline.push(healthy.query(q).map_err(|e| err(format!("healthy {q:?}: {e}")))?);
-    }
-    drop(healthy);
-
-    match transport {
-        "thread" => {
-            let router = Router::new(
-                map.clone(),
-                dir.path(),
-                &scratch,
-                Arc::new(ManualClock::new()),
-                Arc::clone(&registry),
-                RouterConfig::default(),
-            )?;
-            if let Some(k) = kill {
-                router.kill(k);
-                outln!("killed rank {k} before serving")?;
-            }
-            for (q, want) in queries.iter().zip(&baseline) {
-                let got = router.query(q).map_err(|e| err(format!("{q:?}: {e}")))?;
-                if &got != want {
-                    return Err(err(format!("{q:?}: bytes diverged from healthy run")));
-                }
-            }
-        }
-        "socket" => {
-            // World layout: ranks 0..n_ranks serve their repos over the
-            // wire; the extra last rank is the client, so placement
-            // ranks and world ids coincide and --kill means the same
-            // rank in both transports.
-            let client_rank = n_ranks;
-            let world = ngs_dist::SocketTransport::create_world_obs(n_ranks + 1, &registry)
-                .map_err(|e| err(format!("socket world: {e}")))?;
-            let dist_metrics = ngs_dist::DistMetrics::register(&registry);
-            let convert = ConvertConfig::with_ranks(1);
-            let root = dir.path();
-            let outcome: CmdResult = std::thread::scope(|s| {
-                let (world, queries, baseline, convert, map, scratch, dist_metrics) =
-                    (&world, &queries, &baseline, &convert, &map, &scratch, &dist_metrics);
-                let mut handles = Vec::with_capacity(n_ranks);
-                for (rank, endpoint) in world.iter().take(n_ranks).enumerate() {
-                    handles.push((rank, s.spawn(move || -> ngs_formats::error::Result<()> {
-                        let store = ngs_query::ShardStore::open_with(
-                            ngs_dist::rank_repo_dir(root, rank),
-                            16,
-                            Arc::new(ManualClock::new()),
-                            ngs_query::RetryPolicy::default(),
-                        )?;
-                        ngs_dist::rpc::serve(
-                            endpoint,
-                            client_rank,
-                            &store,
-                            convert,
-                            &scratch.join(format!("rank{rank:03}")),
-                        )
-                    })));
-                }
-                let client = ngs_dist::DistClient::new(&world[client_rank]);
-                if let Some(k) = kill {
-                    world[k].close();
-                    outln!("killed rank {k} (socket endpoint closed) before serving")?;
-                }
-                for (q, want) in queries.iter().zip(baseline.iter()) {
-                    let got = client
-                        .query_with_failover(map.replicas(&q.dataset), q, Some(dist_metrics))
-                        .map_err(|e| err(format!("{q:?}: {e}")))?;
-                    if &got != want {
-                        return Err(err(format!("{q:?}: bytes diverged from healthy run")));
-                    }
-                }
-                // Release the surviving server loops, then surface any
-                // server-side error.
-                for rank in 0..n_ranks {
-                    if kill != Some(rank) {
-                        client.shutdown(rank)?;
-                    }
-                }
-                for (rank, h) in handles {
-                    match h.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => return Err(err(format!("rank {rank} server: {e}"))),
-                        Err(_) => return Err(err(format!("rank {rank} server panicked"))),
-                    }
-                }
-                Ok(())
-            });
-            outcome?;
-        }
-        other => return Err(err(format!("--transport {other:?}: use thread or socket"))),
-    }
-
-    outln!(
-        "served {} queries over {transport} transport{}: all byte-identical to the healthy run",
-        queries.len(),
-        match kill {
-            Some(k) => format!(" with rank {k} dead"),
-            None => String::new(),
-        }
-    )?;
-    let snapshot = registry.snapshot();
-    for (name, value) in &snapshot.counters {
-        if name.starts_with("dist.") {
-            outln!("  {name} = {value}")?;
-        }
-    }
-    Ok(())
-}
-
-/// `ngsp chaos --dist [--plans N] [--records R] [--ranks M] [--seed S]`
-///
-/// The distributed failure matrix (DESIGN.md §12):
-///
-/// 1. **Kill-a-rank** — R = 2 replicas over `--ranks` ranks; each rank
-///    in turn is killed mid-query-plan and every query must answer
-///    byte-identically to the healthy run, both via failover routing
-///    and after a permanent `apply_leave` rebalance.
-/// 2. **Delivery faults** — `--plans` seeded
-///    [`ngs_fault::FaultPlan::random_transport`] plans (drop, duplicate,
-///    delay, mid-frame disconnect) strike the RPC client's transport;
-///    every response must stay byte-identical.
-///
-/// Exits nonzero on any violation.
-fn chaos_dist(args: &Args) -> CmdResult {
-    use ngs_cluster::Communicator;
-    use ngs_dist::{place, replicate, PlacementConfig, Router, RouterConfig};
-    use ngs_fault::{FaultPlan, FaultyTransport};
-    use ngs_query::ManualClock;
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    let plans: u64 = args.get_or("plans", 12u64)?;
-    let records: usize = args.get_or("records", 300usize)?;
-    let n_ranks: usize = args.get_or("ranks", 3usize)?;
-    let seed: u64 = args.get_or("seed", 20140519u64)?;
-    if n_ranks < 2 {
-        return Err(err("--dist needs --ranks >= 2 (failover requires a survivor)"));
-    }
-
-    let dir = tempfile::tempdir()?;
-    let source = dir.path().join("source");
-    std::fs::create_dir_all(&source)?;
-    let datasets = dist_fixture(&source, 3, records, seed)?;
-    let ranks: BTreeSet<usize> = (0..n_ranks).collect();
-    let config = PlacementConfig { seed, ..Default::default() };
-    let map = place(&datasets, &ranks, &config);
-    replicate(&source, &map, dir.path())?;
-    let queries = dist_queries(&datasets);
-
-    let build_router = |scratch: &Path| -> CmdResult2<Router> {
-        Ok(Router::new(
-            map.clone(),
-            dir.path(),
-            scratch,
-            Arc::new(ManualClock::new()),
-            Arc::new(ngs_obs::Registry::new()),
-            RouterConfig::default(),
-        )?)
-    };
-    let healthy = build_router(&dir.path().join("scratch-healthy"))?;
-    let mut baseline = Vec::with_capacity(queries.len());
-    for q in &queries {
-        baseline.push(healthy.query(q)?);
-    }
-    drop(healthy);
-
-    // --- 1. Kill-a-rank matrix ---------------------------------------------
-    for dead in 0..n_ranks {
-        let router = build_router(&dir.path().join(format!("scratch-kill{dead}")))?;
-        router.kill(dead);
-        for (q, want) in queries.iter().zip(&baseline) {
-            let got = router.query(q).map_err(|e| {
-                err(format!("rank {dead} dead: {q:?} unanswerable: {e}"))
-            })?;
-            if &got != want {
-                return Err(err(format!("rank {dead} dead: {q:?} diverged from healthy run")));
-            }
-        }
-    }
-    // Permanent departure: rebalance, then verify identity again.
-    let mut router = build_router(&dir.path().join("scratch-leave"))?;
-    let plan = router.apply_leave(n_ranks - 1)?;
-    for (q, want) in queries.iter().zip(&baseline) {
-        if &router.query(q)? != want {
-            return Err(err(format!("after apply_leave: {q:?} diverged from healthy run")));
-        }
-    }
-    outln!(
-        "kill matrix: {n_ranks} single-rank deaths + 1 permanent leave \
-         ({} slots rebalanced) -> {} queries byte-identical each time",
-        plan.moves.len(),
-        queries.len()
-    )?;
-
-    // --- 2. Delivery-fault RPC matrix --------------------------------------
-    // A dedicated 2-rank, R = 2 placement so rank 0's repo holds every
-    // dataset and one RPC server can answer the whole query plan.
-    let rpc_root = dir.path().join("rpc");
-    let rpc_ranks: BTreeSet<usize> = (0..2).collect();
-    let rpc_map = place(&datasets, &rpc_ranks, &config);
-    replicate(&source, &rpc_map, &rpc_root)?;
-    let convert = ConvertConfig::with_ranks(1);
-    for p in 0..plans {
-        let fault_plan = FaultPlan::random_transport(seed.wrapping_add(p), 24);
-        let world = Communicator::create_world(2);
-        let server_out = dir.path().join(format!("rpc-out-{p}"));
-        let outcome: CmdResult = std::thread::scope(|s| {
-            let (queries, baseline, convert, fault_plan, rpc_root, server_out) =
-                (&queries, &baseline, &convert, &fault_plan, &rpc_root, &server_out);
-            let (client_t, server_t) = {
-                let mut it = world.iter();
-                let c = it.next().ok_or_else(|| err("empty world"))?;
-                (c, it.next().ok_or_else(|| err("one-rank world"))?)
-            };
-            let handle = s.spawn(move || -> ngs_formats::error::Result<()> {
-                let store = ngs_query::ShardStore::open_with(
-                    ngs_dist::rank_repo_dir(rpc_root, 0),
-                    16,
-                    Arc::new(ManualClock::new()),
-                    ngs_query::RetryPolicy::default(),
-                )?;
-                ngs_dist::rpc::serve(server_t, 0, &store, convert, server_out)
-            });
-            // Faults strike the client's side of the wire; every reply
-            // must still be byte-identical to the healthy baseline.
-            let faulty = FaultyTransport::new(client_t, fault_plan.clone());
-            let client = ngs_dist::DistClient::new(&faulty);
-            for (q, want) in queries.iter().zip(baseline.iter()) {
-                let got = client
-                    .query(1, q)
-                    .map_err(|e| err(format!("plan {p} ({fault_plan:?}): {q:?}: {e}")))?;
-                if &got != want {
-                    return Err(err(format!(
-                        "plan {p} ({fault_plan:?}): {q:?} diverged under delivery faults"
-                    )));
-                }
-            }
-            // Clean shutdown over the raw transport (a fault on the
-            // shutdown exchange could strand the server).
-            ngs_dist::DistClient::new(client_t)
-                .shutdown(1)
-                .map_err(|e| err(format!("plan {p}: shutdown: {e}")))?;
-            match handle.join() {
-                Ok(Ok(())) => Ok(()),
-                Ok(Err(e)) => Err(err(format!("plan {p}: server: {e}"))),
-                Err(_) => Err(err(format!("plan {p}: server panicked"))),
-            }
-        });
-        outcome?;
-    }
-    outln!(
-        "delivery matrix: {plans} transport fault plans (drop/duplicate/delay/mid-frame) \
-         -> all RPC responses byte-identical"
-    )?;
-    outln!("chaos --dist: all checks passed ({n_ranks} ranks, {plans} plans, seed {seed})")?;
-    Ok(())
-}
-
-/// `ngsp chaos --overload [--plans N] [--records R] [--seed S]`
-///
-/// The overload matrix (DESIGN.md §13): seeded *lossless* delivery
-/// faults (transient I/O + short reads) strike the shard opener while a
-/// burst of requests far past queue capacity hammers a small engine.
-/// For every fault plan the run must hold the degradation invariants:
-///
-/// 1. every rejection is **typed** (`Overloaded` with a nonzero
-///    `retry_after`, or a `Shed` reason) — never a panic or an untyped
-///    failure;
-/// 2. every *accepted* request completes, and its conversion output is
-///    **byte-identical** to a clean, unloaded engine's (load control
-///    changes who is served, never what they are served);
-/// 3. the ledger drains exactly: admitted = completed, failed = 0, and
-///    the rejection tally matches the submit loop's count;
-/// 4. overload plus transient faults alone never **quarantine** a
-///    healthy shard — shedding is a delivery decision, not a data
-///    verdict.
-fn chaos_overload(args: &Args) -> CmdResult {
-    use ngs_bamx::{write_bamx_file, Baix, BamxCompression, BamxFile};
-    use ngs_fault::{Fault, FaultPlan, FaultyFile};
-    use ngs_query::{
-        generate_load, EngineConfig, LoadProfile, ManualClock, QueryEngine, QueryError,
-        QueryOutcome, RetryPolicy, ShardStore, SourceOpener,
-    };
-    use std::sync::Arc;
-
-    const DATASETS: usize = 3;
-    const WINDOWS: usize = 4;
-    let plans: u64 = args.get_or("plans", 6u64)?;
-    let records: usize = args.get_or("records", 300usize)?;
-    let seed: u64 = args.get_or("seed", 20140519u64)?;
-
-    let dir = tempfile::tempdir()?;
-    let shard_dir = dir.path().join("shards");
-    std::fs::create_dir_all(&shard_dir)?;
-    let mut names = Vec::new();
-    for i in 0..DATASETS {
-        let ds = Dataset::generate(&DatasetSpec {
-            n_records: records + i * 31,
-            n_chroms: 2,
-            coordinate_sorted: true,
-            seed: seed.wrapping_add(i as u64),
-            ..Default::default()
-        });
-        let name = format!("over{i}");
-        let path = shard_dir.join(format!("{name}.bamx"));
-        write_bamx_file(&path, &ds.header(), &ds.records, BamxCompression::Bgzf)?;
-        Baix::build(&BamxFile::open(&path)?)?.save(path.with_extension("baix"))?;
-        names.push(name);
-    }
-    let span_bp = (records as u64 * 40).max(20_000) / WINDOWS as u64;
-    let windows: Vec<String> = (0..WINDOWS as u64)
-        .map(|w| format!("chr1:{}-{}", w * span_bp + 1, (w + 1) * span_bp))
-        .collect();
-
-    // Rate 0 in the profile would skip the jitter rolls and change the
-    // request mix; any positive rate gives the same mix, and the burst
-    // below ignores arrival times anyway (instant offered load is the
-    // worst case for admission).
-    let plan = generate_load(&LoadProfile {
-        seed,
-        requests: 96,
-        datasets: DATASETS,
-        windows: WINDOWS,
-        interactive_deadline: None,
-        batch_deadline: None,
-        ..LoadProfile::default()
-    });
-
-    // Clean unloaded reference: one outcome per arrival index.
-    enum RefOut {
-        Bytes(Vec<u8>),
-        Bins(Vec<f64>, u32, u64),
-    }
-    let reference: Vec<RefOut> = {
-        let engine = QueryEngine::new(&shard_dir, EngineConfig::with_workers(1))?;
-        let out = dir.path().join("reference");
-        let mut refs = Vec::with_capacity(plan.len());
-        for (i, a) in plan.iter().enumerate() {
-            let req = a.to_request(&names, &windows, &out, i, None);
-            let outcome = engine
-                .submit(req)
-                .map_err(|e| err(format!("reference submit {i}: {e}")))?
-                .wait()
-                .outcome;
-            refs.push(match outcome {
-                Ok(QueryOutcome::Converted { output, .. }) => RefOut::Bytes(std::fs::read(output)?),
-                Ok(QueryOutcome::Coverage { bins, bin_size, records }) => {
-                    RefOut::Bins(bins, bin_size, records)
-                }
-                Err(e) => return Err(err(format!("reference request {i} failed: {e}"))),
-            });
-        }
-        engine.drain();
-        refs
-    };
-
-    let mut total_accepted = 0u64;
-    let mut total_rejected = 0u64;
-    for p in 0..plans {
-        let fault_plan = FaultPlan::new(vec![
-            Fault::TransientIo { failures: 1 + (p % 3) as u32 },
-            Fault::ShortRead { max: 1 + (seed ^ p) % 17 },
-        ]);
-        assert!(fault_plan.is_lossless());
-        let budget = fault_plan.total_transient_failures();
-        let sources: std::sync::Mutex<
-            std::collections::HashMap<std::path::PathBuf, Arc<FaultyFile<Vec<u8>>>>,
-        > = std::sync::Mutex::new(std::collections::HashMap::new());
-        let plan_for_opener = fault_plan.clone();
-        let opener: Box<SourceOpener> = Box::new(move |path| {
-            let mut map = sources.lock().expect("overload opener mutex");
-            let source = map.entry(path.to_path_buf()).or_insert_with(|| {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                Arc::new(FaultyFile::new(bytes, plan_for_opener.clone()))
-            });
-            Ok(Box::new(Arc::clone(source)))
-        });
-        let clock = Arc::new(ManualClock::new());
-        let store = Arc::new(
-            ShardStore::open_with(
-                &shard_dir,
-                DATASETS,
-                clock.clone(),
-                RetryPolicy { attempts: budget * 2 + 1, ..RetryPolicy::default() },
-            )?
-            .with_opener(opener),
-        );
-        let engine = QueryEngine::with_store(
-            Arc::clone(&store),
-            EngineConfig {
-                workers: 2,
-                queue_capacity: 4,
-                shed_retry_unit: std::time::Duration::from_millis(1),
-                ..EngineConfig::default()
-            },
-            clock,
-        )?;
-
-        let out = dir.path().join(format!("run-{p}"));
-        let mut accepted = Vec::new();
-        let mut rejected = 0u64;
-        for (i, a) in plan.iter().enumerate() {
-            let req = a.to_request(&names, &windows, &out, i, None);
-            match engine.submit(req) {
-                Ok(ticket) => accepted.push((i, ticket)),
-                Err(QueryError::Overloaded { retry_after }) => {
-                    if retry_after.is_zero() {
-                        return Err(err(format!("plan {p}: Overloaded without a retry hint")));
-                    }
-                    rejected += 1;
-                }
-                Err(QueryError::Shed { .. }) => rejected += 1,
-                Err(e) => return Err(err(format!("plan {p}: untyped rejection: {e}"))),
-            }
-        }
-        if rejected == 0 {
-            return Err(err(format!("plan {p}: the burst never overloaded the engine")));
-        }
-        let admitted = accepted.len() as u64;
-        for (i, ticket) in accepted {
-            match ticket.wait().outcome {
-                Ok(QueryOutcome::Converted { output, .. }) => {
-                    let RefOut::Bytes(want) = &reference[i] else {
-                        return Err(err(format!("plan {p}: request {i} changed kind")));
-                    };
-                    if &std::fs::read(&output)? != want {
-                        return Err(err(format!(
-                            "plan {p}: request {i} diverged from the unloaded engine"
-                        )));
-                    }
-                }
-                Ok(QueryOutcome::Coverage { bins, bin_size, records }) => {
-                    let RefOut::Bins(w_bins, w_size, w_recs) = &reference[i] else {
-                        return Err(err(format!("plan {p}: request {i} changed kind")));
-                    };
-                    if &bins != w_bins || bin_size != *w_size || records != *w_recs {
-                        return Err(err(format!(
-                            "plan {p}: coverage {i} diverged from the unloaded engine"
-                        )));
-                    }
-                }
-                Err(e) => {
-                    return Err(err(format!(
-                        "plan {p}: accepted request {i} failed under lossless faults: {e}"
-                    )))
-                }
-            }
-        }
-        let stats = engine.drain();
-        if stats.submitted != admitted
-            || stats.completed != admitted
-            || stats.failed != 0
-            || stats.rejected != rejected
-        {
-            return Err(err(format!(
-                "plan {p}: ledger did not drain exactly — admitted {admitted}, rejected \
-                 {rejected}, stats submitted {} completed {} failed {} rejected {}",
-                stats.submitted, stats.completed, stats.failed, stats.rejected
-            )));
-        }
-        if store.counters().quarantined != 0 {
-            return Err(err(format!(
-                "plan {p}: overload + transient faults quarantined a healthy shard"
-            )));
-        }
-        total_accepted += admitted;
-        total_rejected += rejected;
-    }
-    outln!(
-        "overload matrix: {plans} fault plans x {} burst arrivals -> {total_accepted} served \
-         byte-identical, {total_rejected} shed typed-before-decode, 0 failures, 0 quarantines",
-        plan.len()
-    )?;
-    outln!("chaos --overload: all checks passed ({plans} plans, seed {seed}, {records} records)")?;
-    Ok(())
-}
-
 /// `ngsp verify SHARD_DIR`
 ///
 /// Integrity scan of a manifest-managed shard directory: every artifact
@@ -2507,32 +1049,37 @@ pub fn verify_cmd(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `ngsp repair SHARD_DIR --from INPUT [--ranks N] [--compress]
-/// [--format-version v1|v2]`
+/// `ngsp repair SHARD_DIR --from INPUT`
 ///
 /// Self-healing: sweeps crash debris, then re-derives every damaged or
 /// missing shard from the original SAM/BAM via resumable preprocessing —
 /// manifest-verified shards are kept byte-for-byte, only the torn tail
-/// is rebuilt. `--ranks`/`--compress`/`--format-version` must match the
-/// original preprocessing run (a mismatch rebuilds everything, by
-/// design).
+/// is rebuilt. The layout (rank count, compression, format version) is
+/// the one the MANIFEST recorded; what it did not record (no MANIFEST at
+/// all, or a BAM repository's rank count, which its bytes do not depend
+/// on) takes `preprocess`'s defaults.
 pub fn repair_cmd(args: &Args) -> CmdResult {
     use ngs_bamx::repo::ShardRepo;
     use ngs_converter::FileSource;
 
     let dir = args.one_positional("shard directory")?;
     let input = args.required("from")?;
-    let ranks: usize = args.get_or("ranks", 4)?;
-    let compression = if args.switch("compress") {
-        ngs_bamx::BamxCompression::Bgzf
-    } else {
-        ngs_bamx::BamxCompression::Plain
-    };
-    let format_version = parse_format_version(args)?;
 
     // `create`, not `open`: a crash before the very first manifest write
     // leaves no MANIFEST, and repair must recover from that too.
     let repo = ShardRepo::create(dir)?;
+    let meta = repo.manifest()?.meta;
+    let ranks: usize = match meta.get("ranks") {
+        None => DEFAULT_RANKS,
+        Some(r) => r.parse().map_err(|_| err(format!("MANIFEST records ranks {r:?}")))?,
+    };
+    let compression = match meta.get("compression").map(String::as_str) {
+        Some("bgzf") => ngs_bamx::BamxCompression::Bgzf,
+        _ => ngs_bamx::BamxCompression::Plain,
+    };
+    let format = meta.get("format").map_or("v1", String::as_str);
+    let format_version = ngs_bamx::BamxVersion::parse(format)
+        .ok_or_else(|| err(format!("MANIFEST records format {format:?}")))?;
     let swept = repo.clean_stray_temps()?;
     if !swept.is_empty() {
         outln!("swept {} stray temp file(s): {}", swept.len(), swept.join(", "))?;

@@ -5,6 +5,40 @@ mod commands;
 
 use args::Args;
 
+/// A subcommand: its name, its entry point and the flags it reads.
+type Command = (&'static str, fn(&Args) -> commands::CmdResult, &'static [&'static str]);
+
+/// Every subcommand. Any flag a subcommand does not read is rejected
+/// before it runs, so a typo (`--rank` for `--ranks`) cannot silently
+/// fall back to a default.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("generate", commands::generate, &["records", "out", "chroms", "chr1-len", "sorted", "seed", "duplicates"]),
+    ("convert", commands::convert, &["to", "out", "ranks", "instance", "region", "trace"]),
+    ("preprocess", commands::preprocess, &["out", "ranks", "compress", "format-version"]),
+    ("index", commands::index_cmd, &["out"]),
+    ("view", commands::view_cmd, &["ranks"]),
+    ("sort", commands::sort_cmd, &["out", "by", "workers", "batch", "spill-budget", "spill-dir"]),
+    ("collate", commands::collate_cmd, &["out", "workers", "batch", "spill-budget", "spill-dir"]),
+    ("markdup", commands::markdup_cmd, &["out", "workers", "batch", "spill-budget", "spill-dir"]),
+    ("merge", commands::merge_cmd, &["out"]),
+    ("flagstat", commands::flagstat_cmd, &[]),
+    ("depth", commands::depth_cmd, &["window"]),
+    ("histogram", commands::histogram_cmd, &["out", "bin"]),
+    ("denoise", commands::denoise_cmd, &["out", "bin", "radius", "patch", "sigma"]),
+    ("fdr", commands::fdr_cmd, &["bin", "rounds", "seed", "model", "thresholds"]),
+    ("peaks", commands::peaks_cmd, &["bin", "rounds", "seed", "target-fdr", "gap", "thresholds", "out"]),
+    ("pipeline", commands::pipeline_cmd, &[
+        "to", "out", "workers", "batch", "bound", "region", "trace", "analyze", "bin", "rounds", "seed",
+    ]),
+    ("query", commands::query_cmd, &[
+        "requests", "out", "workers", "queue", "cache", "segments", "batch", "deadline-ms", "trace",
+    ]),
+    ("stats", commands::stats_cmd, &["records", "seed", "json"]),
+    ("verify", commands::verify_cmd, &[]),
+    ("repair", commands::repair_cmd, &["from"]),
+];
+
 const USAGE: &str = "\
 ngsp — parallel NGS format conversion and analysis
 
@@ -20,6 +54,7 @@ COMMANDS:
               [--instance sam|bam|samx] [--trace FILE]
   preprocess  build BAMX + BAIX from SAM/BAM
               INPUT --out DIR [--ranks N] [--compress]
+              [--format-version v1|v2]
   index       build a binned region index for a BAM file
               INPUT.bam [--out FILE.nbai]
   view        print records as SAM, optionally region-restricted
@@ -58,43 +93,15 @@ COMMANDS:
               one request per line: DATASET REGION FORMAT [CLASS]
               (FORMAT: a --to format, or coverage[:BIN];
                CLASS: interactive|batch, default interactive)
-  load        open-loop graceful-degradation drill: calibrate
-              saturation, then offer 0.5/1/2/4x that rate and print
-              goodput, shed, and per-class p99 latency
-              [--records N] [--requests N] [--workers N] [--seed S]
-              [--hot PCT] [--interactive PCT] [--deadline-ms D]
-              [--batch-deadline-ms D] [--multipliers 0.5,1,2,4]
   stats       run an instrumented smoke workload and print the unified
               ngs-obs metrics registry   [--records N] [--seed S] [--json]
               (counters, gauges, and log2 latency/size histograms with
                p50/p95/p99 across BGZF, shard repo, pipeline, and query)
-  chaos       verify the failure model with seeded fault injection
-              [--plans N] [--records R] [--seed S]
-              (byte-level corruption, engine retry byte-identity,
-               shard-store quarantine; exits nonzero on any violation)
-              --crash [--points N] [--records R] [--ranks M] [--seed S]
-              (power-cut matrix: kill preprocessing and collate
-               spill/merge at swept byte offsets, reopen, resume,
-               assert byte-identical recovery)
-              --dist [--plans N] [--records R] [--ranks M] [--seed S]
-              (distributed matrix: kill each rank mid-query-plan and
-               assert failover answers byte-identical to the healthy
-               run; RPC byte-identity under injected delivery faults)
-              --overload [--plans N] [--records R] [--seed S]
-              (overload matrix: delivery faults under a burst far past
-               queue capacity; typed rejections only, accepted output
-               byte-identical to an unloaded engine, exact ledger
-               drain, no quarantine of healthy shards)
-  dist        place, replicate, and serve shards with R-way replication
-              and failover routing (DESIGN.md §12)
-              [--ranks N] [--replicas R] [--shards S] [--records N]
-              [--kill RANK] [--transport thread|socket] [--seed S]
-              [--vnodes V]
   verify      integrity-scan a manifest-managed shard directory
               SHARD_DIR   (exits nonzero if any artifact is damaged)
   repair      re-derive damaged shards from the original input
-              SHARD_DIR --from INPUT [--ranks N] [--compress]
-              (manifest-verified shards are kept byte-for-byte)
+              SHARD_DIR --from INPUT   (layout as the MANIFEST records;
+              manifest-verified shards are kept byte-for-byte)
 
 Formats for --to: sam bam bed bedgraph fasta fastq json yaml wig gff3
 ";
@@ -140,44 +147,20 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.switch("help") {
+    if args.switch("help") || matches!(command.as_str(), "help" | "--help" | "-h") {
         eprint!("{USAGE}");
         return;
     }
-    let result = match command.as_str() {
-        "generate" => commands::generate(&args),
-        "convert" => commands::convert(&args),
-        "preprocess" => commands::preprocess(&args),
-        "index" => commands::index_cmd(&args),
-        "view" => commands::view_cmd(&args),
-        "sort" => commands::sort_cmd(&args),
-        "collate" => commands::collate_cmd(&args),
-        "markdup" => commands::markdup_cmd(&args),
-        "merge" => commands::merge_cmd(&args),
-        "flagstat" => commands::flagstat_cmd(&args),
-        "depth" => commands::depth_cmd(&args),
-        "histogram" => commands::histogram_cmd(&args),
-        "denoise" => commands::denoise_cmd(&args),
-        "fdr" => commands::fdr_cmd(&args),
-        "peaks" => commands::peaks_cmd(&args),
-        "pipeline" => commands::pipeline_cmd(&args),
-        "query" => commands::query_cmd(&args),
-        "load" => commands::load_cmd(&args),
-        "stats" => commands::stats_cmd(&args),
-        "chaos" => commands::chaos_cmd(&args),
-        "dist" => commands::dist_cmd(&args),
-        "verify" => commands::verify_cmd(&args),
-        "repair" => commands::repair_cmd(&args),
-        "help" | "--help" | "-h" => {
-            eprint!("{USAGE}");
-            return;
-        }
-        other => {
-            eprintln!("ngsp: unknown command {other:?}\n");
-            eprint!("{USAGE}");
-            std::process::exit(2);
-        }
+    let Some(&(_, run, flags)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        eprintln!("ngsp: unknown command {command:?}\n");
+        eprint!("{USAGE}");
+        std::process::exit(2);
     };
+    if let Err(e) = args.reject_unknown(flags) {
+        eprintln!("ngsp {command}: {e}");
+        std::process::exit(2);
+    }
+    let result = run(&args);
     if let Err(e) = result {
         if is_broken_pipe(e.as_ref()) {
             // The reader went away; nothing useful to say and possibly

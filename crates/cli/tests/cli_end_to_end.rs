@@ -161,6 +161,53 @@ fn error_paths_exit_nonzero() {
     assert!(!out.status.success());
     let out = ngsp(d, &["generate", "--records"]);
     assert!(!out.status.success());
+
+    // A flag the subcommand does not read (`--rank` for `--ranks`) is
+    // rejected before any output is written.
+    ok(d, &["generate", "--records", "50", "--out", "in.sam"]);
+    let out = ngsp(d, &["convert", "in.sam", "--to", "bed", "--out", "typo", "--rank", "1"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --rank"));
+    assert!(!d.join("typo").exists(), "a rejected command must write nothing");
+}
+
+/// Every file in `dir`, by name.
+fn snapshot(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn verify_flags_damage_and_repair_keeps_the_recorded_layout() {
+    let dir = tempdir().unwrap();
+    let d = dir.path();
+    ok(d, &["generate", "--records", "600", "--out", "in.sam"]);
+    ok(d, &["preprocess", "in.sam", "--out", "sh", "--ranks", "2", "--compress"]);
+    let pristine = snapshot(&d.join("sh"));
+    ok(d, &["verify", "sh"]);
+
+    let shard = d.join("sh/in.shard0001.bamx");
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&shard, bytes).unwrap();
+    let out = ngsp(d, &["verify", "sh"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("DAMAGED"));
+
+    // No layout flags: ranks, compression and format come from the
+    // MANIFEST, so the intact shard is kept and only the damaged one is
+    // rebuilt, byte for byte.
+    let text = ok(d, &["repair", "sh", "--from", "in.sam"]);
+    assert!(text.contains("1 shard(s) kept"), "got {text}");
+    ok(d, &["verify", "sh"]);
+    assert!(snapshot(&d.join("sh")) == pristine, "repair must restore the preprocessed bytes");
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! replicas of every shard, killing any single rank leaves every query
 //! answerable — and the answer **byte-identical** to the healthy run,
 //! because every replica serves the same published bytes through the
-//! same conversion path (`tests/failover.rs` enforces this; `ngsp chaos
-//! --dist` sweeps it).
+//! same conversion path (`tests/failover.rs` enforces this for every
+//! rank, over the socket, and under injected delivery faults).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -343,8 +343,9 @@ impl QueryEngine {
     }
 
     /// Starts an engine over a pre-built store — the seam through which
-    /// tests and `ngsp chaos` inject fault-wrapped shard sources (via
-    /// [`ShardStore::with_opener`]).
+    /// tests inject fault-wrapped shard sources (via
+    /// [`ShardStore::with_opener`]; `tests/query_engine.rs` and
+    /// `crates/query/tests/overload.rs`).
     pub fn with_store(
         store: Arc<ShardStore>,
         config: EngineConfig,

@@ -38,7 +38,8 @@
 //!   corrupt shards are quarantined so they fail fast instead of being
 //!   hot-retried on every request. Both surface in [`QueryStats`], and
 //!   the store's opener seam ([`ShardStore::with_opener`]) lets tests
-//!   and `ngsp chaos` inject `ngs-fault` wrappers.
+//!   (`tests/query_engine.rs`, `tests/overload.rs`) inject `ngs-fault`
+//!   wrappers.
 //! * **Graceful drain** — [`QueryEngine::drain`] stops admission,
 //!   finishes all queued work, joins the workers, and returns the final
 //!   statistics.

@@ -11,9 +11,7 @@
 //! This module is **pure planning**: [`generate`] maps a
 //! [`LoadProfile`] to a `Vec<Arrival>` using an in-module seeded LCG —
 //! no clock, no I/O, no engine. Drivers decide how to realize the
-//! timeline: `repro load` and `ngsp load` pace it in real time against
-//! a live engine; the overload test-suites replay the same plan on a
-//! `ManualClock`, where arrival offsets become exact clock settings.
+//! timeline: `repro load` paces it in real time against a live engine.
 
 use std::path::Path;
 use std::time::Duration;
@@ -137,8 +135,8 @@ impl Arrival {
     }
 }
 
-/// The seeded LCG behind the plan (same constants as the `repro query`
-/// request plan, so the two benches share an arrival idiom).
+/// The seeded LCG behind the plan (Knuth's MMIX multiplier and
+/// increment).
 struct Lcg(u64);
 
 impl Lcg {

@@ -75,8 +75,9 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::clock::{Clock, SystemClock};
 
 /// Opens a shard file as a positional read source. The indirection is
-/// what lets tests and the `ngsp chaos` harness substitute fault-
-/// injecting sources (`ngs_fault::FaultyFile`) for plain files.
+/// what lets tests (`tests/query_engine.rs`, `tests/overload.rs`)
+/// substitute fault-injecting sources (`ngs_fault::FaultyFile`) for
+/// plain files.
 pub type SourceOpener = dyn Fn(&Path) -> std::io::Result<Box<dyn ReadAt>> + Send + Sync;
 
 /// Re-derives a damaged dataset from its source of truth (typically a
@@ -410,7 +411,7 @@ impl ShardStore {
     }
 
     /// Replaces how shard files are opened — the fault-injection seam.
-    /// `ngsp chaos` and the store tests wrap real files in
+    /// The engine and overload tests wrap real files in
     /// `ngs_fault::FaultyFile` here.
     pub fn with_opener(mut self, opener: Box<SourceOpener>) -> Self {
         self.opener = opener;
@@ -1066,10 +1067,23 @@ mod tests {
     #[test]
     fn structural_decode_failure_quarantines_permanently() {
         let dir = tempfile::tempdir().unwrap();
-        write_shard(dir.path(), "good", &[100]);
-        // A corrupt shard: valid pairing on disk, garbage bytes inside.
-        std::fs::write(dir.path().join("bad.bamx"), b"BAMJUNKJUNKJUNKJUNKJUNKJUNKJUNK").unwrap();
-        std::fs::write(dir.path().join("bad.baix"), b"JUNK").unwrap();
+        write_shard(dir.path(), "good", &[100, 200, 300, 400, 500, 600]);
+        let good = std::fs::read(dir.path().join("good.bamx")).unwrap();
+        let mut flipped = good.clone();
+        flipped[12] ^= 0x7F; // inside the prologue
+        // Corrupt shards: valid pairing on disk, damaged bytes inside —
+        // garbage, a real shard cut at half its length, and a real shard
+        // with a prologue byte flipped.
+        let damaged: [(&str, &[u8]); 3] = [
+            ("junk", b"BAMJUNKJUNKJUNKJUNKJUNKJUNKJUNK"),
+            ("truncated", &good[..good.len() / 2]),
+            ("flipped", &flipped),
+        ];
+        for (name, bytes) in damaged {
+            std::fs::write(dir.path().join(format!("{name}.bamx")), bytes).unwrap();
+            std::fs::copy(dir.path().join("good.baix"), dir.path().join(format!("{name}.baix")))
+                .unwrap();
+        }
         let calls = Arc::new(AtomicU32::new(0));
         let store = ShardStore::open_with(
             dir.path(),
@@ -1080,19 +1094,21 @@ mod tests {
         .unwrap()
         .with_opener(flaky_opener(0, calls.clone()));
 
-        let err = store.get("bad").unwrap_err();
-        assert!(!err.is_transient(), "corrupt bytes must be structural: {err}");
-        assert!(store.is_quarantined("bad"));
-        assert_eq!(store.quarantined_datasets(), vec!["bad"]);
-        assert_eq!(store.counters().quarantined, 1);
-        let opens_after_quarantine = calls.load(Ordering::Relaxed);
+        for (i, (name, _)) in damaged.iter().enumerate() {
+            let err = store.get(name).unwrap_err();
+            assert!(!err.is_transient(), "{name}: damage must be structural: {err}");
+            assert!(store.is_quarantined(name), "{name}");
+            assert_eq!(store.counters().quarantined, i as u64 + 1);
+            let opens_after_quarantine = calls.load(Ordering::Relaxed);
 
-        // Quarantine is permanent and fail-fast: the opener is never
-        // consulted again, no matter how much time passes.
-        let err = store.get("bad").unwrap_err();
-        assert!(err.to_string().contains("quarantined"), "got: {err}");
-        assert_eq!(calls.load(Ordering::Relaxed), opens_after_quarantine);
-        assert_eq!(store.counters().quarantined, 1, "counted once, not per lookup");
+            // Quarantine is permanent and fail-fast: the opener is never
+            // consulted again, no matter how much time passes.
+            let err = store.get(name).unwrap_err();
+            assert!(err.to_string().contains("quarantined"), "{name}: got {err}");
+            assert_eq!(calls.load(Ordering::Relaxed), opens_after_quarantine);
+            assert_eq!(store.counters().quarantined, i as u64 + 1, "counted once, not per lookup");
+        }
+        assert_eq!(store.quarantined_datasets(), vec!["flipped", "junk", "truncated"]);
 
         // Healthy datasets are unaffected.
         assert!(store.get("good").is_ok());

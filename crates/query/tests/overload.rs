@@ -10,9 +10,13 @@
 //!   decodes of the victim — overload work costs the store nothing.
 //! * **Byte-identity under load**: every request the overloaded engine
 //!   *accepts and completes* produces output byte-identical to the same
-//!   request on an unloaded engine. Load control changes who gets
-//!   served, never what they are served.
+//!   request on an unloaded engine, even with lossless delivery faults
+//!   on every shard read; the ledger drains exactly and no healthy shard
+//!   is quarantined. Load control changes who gets served, never what
+//!   they are served.
 
+use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -20,6 +24,7 @@ use std::time::Duration;
 use ngs_bamx::{write_bamx_file, Baix, BamxCompression, BamxFile};
 use ngs_converter::TargetFormat;
 use ngs_formats::header::{ReferenceSequence, SamHeader};
+use ngs_fault::{Fault, FaultPlan, FaultyFile};
 use ngs_formats::sam;
 use ngs_query::store::SourceOpener;
 use ngs_query::{
@@ -213,8 +218,11 @@ fn overload_burst_sheds_without_touching_the_store() {
     assert_eq!(stats.completed, 1);
 }
 
-/// Requests accepted by an overloaded engine convert byte-for-byte like
-/// the same requests on an idle engine.
+/// Requests accepted by an overloaded engine produce exactly what the
+/// same requests produce on an idle engine, while lossless delivery
+/// faults (transient I/O errors and short reads) strike every shard
+/// read. Every rejection is typed and hinted, the ledger drains exactly,
+/// and the faults never quarantine a healthy shard.
 #[test]
 fn accepted_requests_are_byte_identical_to_unloaded_run() {
     let dir = tempfile::tempdir().unwrap();
@@ -225,34 +233,58 @@ fn accepted_requests_are_byte_identical_to_unloaded_run() {
     }
     let out_loaded = tempfile::tempdir().unwrap();
     let out_ref = tempfile::tempdir().unwrap();
-    let convert_req = |i: usize, root: &std::path::Path| QueryRequest {
+    // The first request always finds room, so the burst serves one
+    // coverage request.
+    const COVERAGE: usize = 0;
+    let request = |i: usize, root: &std::path::Path| QueryRequest {
         dataset: names[i % names.len()].into(),
         region: "chr1:1-100000".into(),
-        kind: QueryKind::Convert {
-            format: TargetFormat::Bed,
-            out_dir: root.join(i.to_string()),
+        kind: if i == COVERAGE {
+            QueryKind::Coverage { bin_size: 100 }
+        } else {
+            QueryKind::Convert { format: TargetFormat::Bed, out_dir: root.join(i.to_string()) }
         },
         deadline: None,
         class: if i.is_multiple_of(3) { QueryClass::Batch } else { QueryClass::Interactive },
     };
 
     // Overloaded run: every decode is gated until the whole burst has
-    // been submitted, so the tiny queues are guaranteed to overflow.
+    // been submitted, so the tiny queues are guaranteed to overflow. The
+    // shard bytes arrive through one fault wrapper per path, so the
+    // transient budget drains across the store's retries like a
+    // recovering mount.
+    let faults = FaultPlan::new(vec![
+        Fault::TransientIo { failures: 2 },
+        Fault::ShortRead { max: 7 },
+    ]);
+    assert!(faults.is_lossless());
+    let budget = faults.total_transient_failures();
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
     let gate = Arc::new(Gate::default());
     let g = Arc::clone(&gate);
+    let sources: Mutex<HashMap<PathBuf, Arc<FaultyFile<Vec<u8>>>>> = Mutex::default();
     let opener: Box<SourceOpener> = Box::new(move |path| {
         if path.extension().is_some_and(|e| e == "bamx") {
             g.wait();
         }
-        Ok(Box::new(std::fs::File::open(path)?))
+        let mut sources = sources.lock().unwrap();
+        if !sources.contains_key(path) {
+            let bytes = std::fs::read(path)?;
+            sources.insert(path.to_path_buf(), Arc::new(FaultyFile::new(bytes, faults.clone())));
+        }
+        Ok(Box::new(Arc::clone(&sources[path])))
     });
-    let store = ShardStore::open_with(dir.path(), 4, Arc::clone(&clock), RetryPolicy::default())
-        .unwrap()
-        .with_segments(4)
-        .with_opener(opener);
+    // The .bamx and .baix wrappers each carry the whole budget; one get
+    // has attempts enough to drain both.
+    let retry = RetryPolicy { attempts: budget * 2 + 1, ..RetryPolicy::default() };
+    let store = Arc::new(
+        ShardStore::open_with(dir.path(), 4, Arc::clone(&clock), retry)
+            .unwrap()
+            .with_segments(4)
+            .with_opener(opener),
+    );
     let engine = QueryEngine::with_store(
-        Arc::new(store),
+        Arc::clone(&store),
         EngineConfig { workers: 2, queue_capacity: 2, ..EngineConfig::default() },
         Arc::clone(&clock),
     )
@@ -260,25 +292,43 @@ fn accepted_requests_are_byte_identical_to_unloaded_run() {
 
     const BURST: usize = 32;
     let mut accepted = Vec::new();
-    let mut rejected = 0usize;
+    let mut rejected = Vec::new();
     for i in 0..BURST {
-        match engine.submit(convert_req(i, out_loaded.path())) {
+        match engine.submit(request(i, out_loaded.path())) {
             Ok(ticket) => accepted.push((i, ticket)),
-            Err(QueryError::Overloaded { .. }) => rejected += 1,
-            Err(other) => panic!("unexpected rejection: {other:?}"),
+            Err(e) => rejected.push((i, e)),
         }
     }
-    assert!(rejected > 0, "the burst must actually overload the engine");
+    // Release before asserting: a failed assert must not leave the
+    // workers parked on the gate.
     gate.release();
+    assert!(!rejected.is_empty(), "the burst must actually overload the engine");
+    for (i, e) in &rejected {
+        assert!(
+            matches!(e, QueryError::Overloaded { retry_after } if !retry_after.is_zero()),
+            "request {i}: expected Overloaded with a retry hint, got {e:?}"
+        );
+    }
+    assert!(
+        accepted.iter().any(|(i, _)| *i == COVERAGE),
+        "the coverage request must be among the accepted"
+    );
 
-    let mut outputs = Vec::new();
+    let admitted = accepted.len() as u64;
+    let mut outcomes = Vec::new();
     for (i, ticket) in accepted {
         match ticket.wait().outcome {
-            Ok(QueryOutcome::Converted { output, .. }) => outputs.push((i, output)),
-            other => panic!("accepted request {i} must complete, got {other:?}"),
+            Ok(outcome) => outcomes.push((i, outcome)),
+            Err(e) => panic!("accepted request {i} must complete under lossless faults: {e}"),
         }
     }
-    engine.drain();
+    let stats = engine.drain();
+    assert_eq!(stats.submitted, admitted);
+    assert_eq!(stats.completed, admitted);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.rejected, rejected.len() as u64);
+    assert!(store.counters().transient_retries > 0, "the delivery faults never struck");
+    assert_eq!(store.counters().quarantined, 0, "lossless faults quarantined a healthy shard");
 
     // Idle reference run over the same shard dir, same request indices.
     let ref_engine = QueryEngine::new(
@@ -286,14 +336,25 @@ fn accepted_requests_are_byte_identical_to_unloaded_run() {
         EngineConfig { workers: 1, queue_capacity: BURST, ..EngineConfig::default() },
     )
     .unwrap();
-    for (i, loaded_path) in &outputs {
-        let ticket = ref_engine.submit(convert_req(*i, out_ref.path())).unwrap();
-        let Ok(QueryOutcome::Converted { output, .. }) = ticket.wait().outcome else {
-            panic!("reference request {i} failed");
-        };
-        let loaded = std::fs::read(loaded_path).unwrap();
-        let reference = std::fs::read(output).unwrap();
-        assert_eq!(loaded, reference, "request {i}: bytes diverged under load");
+    for (i, loaded) in outcomes {
+        let ticket = ref_engine.submit(request(i, out_ref.path())).unwrap();
+        match (loaded, ticket.wait().outcome.unwrap()) {
+            (
+                QueryOutcome::Converted { output: loaded, .. },
+                QueryOutcome::Converted { output: reference, .. },
+            ) => assert_eq!(
+                std::fs::read(loaded).unwrap(),
+                std::fs::read(reference).unwrap(),
+                "request {i}: bytes diverged under load"
+            ),
+            (
+                QueryOutcome::Coverage { bins, bin_size, records },
+                QueryOutcome::Coverage { bins: want, bin_size: want_size, records: want_records },
+            ) => {
+                assert_eq!((bins, bin_size, records), (want, want_size, want_records), "coverage {i}")
+            }
+            _ => panic!("request {i} changed kind"),
+        }
     }
     ref_engine.drain();
 }

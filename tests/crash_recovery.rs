@@ -48,12 +48,7 @@ fn crash_matrix_reopens_clean_and_resumes_byte_identically() {
     conv.preprocess_source_repo(&source, &repo, "x", false).unwrap();
     let total = state.written();
 
-    let mut reference = std::collections::BTreeMap::new();
-    for entry in std::fs::read_dir(&ref_dir).unwrap() {
-        let path = entry.unwrap().path();
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        reference.insert(name, std::fs::read(&path).unwrap());
-    }
+    let reference = snapshot(&ref_dir);
     assert!(reference.contains_key("MANIFEST"));
     assert_eq!(reference.len(), 7, "MANIFEST + 3 × (bamx + baix)");
 
@@ -99,51 +94,103 @@ fn crash_matrix_reopens_clean_and_resumes_byte_identically() {
     assert!(any_resumed, "the tail crash points must exercise the resume path");
 }
 
+/// Every file in `dir`, by name.
+fn snapshot(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            (path.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// Copies the files of `from` into a new directory `to`.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
 /// A crash inside the meta-update window: a rank-count change writes
 /// `set_meta("ranks", ...)` and dies before rebuilding a single shard,
 /// leaving a manifest whose meta matches the *next* run over shards
 /// built under the old layout. Resume must detect the inconsistency
 /// (meta matches but out-of-range shard entries survive), distrust the
-/// whole stem, and rebuild — never serve the stale shard subset.
-/// Formerly `samx_converter::review_repro`, committed failing by the
-/// PR-4 review.
+/// whole stem, and rebuild — never serve the stale shard subset. The
+/// window is first faked with `set_meta`, then hit by real power cuts
+/// swept across the byte stream of a 4 → 3-rank rerun (prune, meta
+/// rewrite and rebuild).
 #[test]
 fn crash_in_meta_update_window_rebuilds_instead_of_serving_stale_shards() {
     let ds = dataset(500);
     let src = MemSource::new(ds.to_sam_bytes());
     let dir = tempdir().unwrap();
+    let wide_dir = dir.path().join("wide");
     let wide = SamxConverter::new(ConvertConfig::with_ranks(4));
-    wide.preprocess_source(&src, dir.path(), "x").unwrap();
+    wide.preprocess_source(&src, &wide_dir, "x").unwrap();
 
-    // Reference: what an uncrashed 2-rank run over a fresh directory
+    // Reference: what an uncrashed 3-rank run over a fresh directory
     // produces (deterministic partitioning → the recovery oracle).
     let ref_dir = dir.path().join("reference");
-    let narrow = SamxConverter::new(ConvertConfig::with_ranks(2));
+    let narrow = SamxConverter::new(ConvertConfig::with_ranks(3));
     narrow.preprocess_source(&src, &ref_dir, "x").unwrap();
+    let reference = snapshot(&ref_dir);
 
-    // Simulate: a 2-rank run starts, writes set_meta("ranks","2"), then
+    // Simulate: a 3-rank run starts, writes set_meta("ranks","3"), then
     // the process dies before any shard is rebuilt/recorded.
-    let repo = ShardRepo::open(dir.path()).unwrap();
-    repo.set_meta("ranks", "2").unwrap();
+    let faked = dir.path().join("faked");
+    copy_dir(&wide_dir, &faked);
+    let repo = ShardRepo::open(&faked).unwrap();
+    repo.set_meta("ranks", "3").unwrap();
 
-    // Restart the 2-rank run with resume=true.
+    // Restart the 3-rank run with resume=true.
     let prep = narrow.preprocess_source_repo(&src, &repo, "x", true).unwrap();
     assert_eq!(prep.records(), 500, "resume must not serve stale 4-rank shards");
     assert!(prep.shards.iter().all(|s| !s.resumed), "no stale shard may be resumed");
 
-    // The stale 4-rank shards are gone from manifest and disk, and the
-    // recovered set is byte-identical to the uncrashed reference.
-    let manifest = repo.manifest().unwrap();
-    assert!(manifest.entries.keys().all(|n| !n.contains("shard0002")));
-    assert!(!dir.path().join("x.shard0003.bamx").exists());
+    // The stale 4-rank shards are gone from manifest and disk: the
+    // recovered set, MANIFEST included, is byte-identical to the
+    // uncrashed reference.
     assert!(repo.verify().unwrap().is_clean());
-    for name in ["x.shard0000.bamx", "x.shard0000.baix", "x.shard0001.bamx", "x.shard0001.baix"]
-    {
+    assert!(snapshot(&faked) == reference, "faked window: recovered set diverged");
+
+    // Real power cuts: learn the rerun's stream length, then cut it at
+    // swept byte offsets and recover each cut the same way.
+    let probe = dir.path().join("probe");
+    copy_dir(&wide_dir, &probe);
+    let fs = FaultyFs::new(FaultPlan::none());
+    let state = Arc::clone(fs.state());
+    let repo = ShardRepo::open_with(&probe, Arc::new(fs)).unwrap();
+    narrow.preprocess_source_repo(&src, &repo, "x", true).unwrap();
+    let total = state.written();
+
+    let mut offsets: Vec<u64> = (0..6).map(|p| 1 + total * p / 6).collect();
+    offsets.push(total - 1);
+    for (i, offset) in offsets.into_iter().enumerate() {
+        let crash_dir = dir.path().join(format!("crash-{i}"));
+        copy_dir(&wide_dir, &crash_dir);
+        let plan = FaultPlan::new(vec![Fault::CrashAtByte { offset }]);
+        let run = ShardRepo::open_with(&crash_dir, Arc::new(FaultyFs::new(plan)))
+            .and_then(|repo| narrow.preprocess_source_repo(&src, &repo, "x", true));
+        assert!(run.is_err(), "crash at byte {offset}/{total} must abort the rerun");
+
+        let repo = ShardRepo::create(&crash_dir).unwrap();
+        let report = repo.verify().unwrap();
+        assert!(report.is_clean(), "crash at byte {offset}: damaged: {:?}", report.damaged);
+        repo.clean_stray_temps().unwrap();
+
+        let prep = narrow.preprocess_source_repo(&src, &repo, "x", true).unwrap();
+        assert_eq!(prep.records(), 500, "crash at byte {offset}: stale shards served");
+        let recovered = snapshot(&crash_dir);
         assert_eq!(
-            std::fs::read(dir.path().join(name)).unwrap(),
-            std::fs::read(ref_dir.join(name)).unwrap(),
-            "{name} diverged from the uncrashed reference"
+            recovered.keys().collect::<Vec<_>>(),
+            reference.keys().collect::<Vec<_>>(),
+            "crash at byte {offset}: file names diverged"
         );
+        assert!(recovered == reference, "crash at byte {offset}: bytes diverged");
     }
 }
 
@@ -300,7 +347,8 @@ fn collate_spill_crash_reopens_clean_and_rerun_is_byte_identical() {
 }
 
 /// Kill the collate *merge consumer* partway through the merged stream:
-/// the merge is read-only over sealed runs, so the spill repositories
+/// the merge is read-only over sealed runs, so the spill repositories —
+/// `coord` for sorting, `markdup` and `restore` for duplicate marking —
 /// must stay clean and a rerun over the same directory byte-identical.
 #[test]
 fn collate_merge_kill_leaves_repo_clean_and_rerun_is_byte_identical() {
@@ -310,46 +358,56 @@ fn collate_merge_kill_leaves_repo_clean_and_rerun_is_byte_identical() {
     let ds = dataset(300);
     let header = ds.header();
     let dir = tempdir().unwrap();
-    let spill_dir = dir.path().join("spill");
-    let config = || CollateConfig {
-        spill_budget: 4_000,
-        spill_dir: Some(spill_dir.clone()),
-        ..Default::default()
-    };
-    let workload = Workload::Sort(SortBy::Coordinate);
+    for workload in [Workload::Sort(SortBy::Coordinate), Workload::MarkDup] {
+        let spill_dir = dir.path().join(workload.stem());
+        let config = || CollateConfig {
+            spill_budget: 4_000,
+            spill_dir: Some(spill_dir.clone()),
+            ..Default::default()
+        };
+        let phases: &[&str] = match workload {
+            Workload::MarkDup => &["markdup", "restore"],
+            _ => &[workload.stem()],
+        };
 
-    let mut expected: Vec<AlignmentRecord> = Vec::new();
-    Collator::new(config())
-        .run_records(&header, ds.records.clone(), workload, &mut |r| {
-            expected.push(r);
-            Ok(())
-        })
-        .unwrap();
-
-    for keep in [0u64, 1, 150, 299] {
-        let mut emitted = 0u64;
-        let killed = Collator::new(config()).run_records(&header, ds.records.clone(), workload, &mut |_| {
-            if emitted == keep {
-                return Err(ngs_formats::Error::InvalidRecord(
-                    "injected merge-consumer kill".into(),
-                ));
-            }
-            emitted += 1;
-            Ok(())
-        });
-        assert!(killed.is_err(), "kill after {keep} records must abort the run");
-
-        let repo = ShardRepo::open(spill_dir.join(workload.stem())).unwrap();
-        assert!(repo.verify().unwrap().is_clean(), "merge kill after {keep} records");
-
-        let mut rerun: Vec<AlignmentRecord> = Vec::new();
+        let mut expected: Vec<AlignmentRecord> = Vec::new();
         Collator::new(config())
             .run_records(&header, ds.records.clone(), workload, &mut |r| {
-                rerun.push(r);
+                expected.push(r);
                 Ok(())
             })
             .unwrap();
-        assert_eq!(rerun, expected, "kill after {keep} records: rerun diverged");
+
+        for keep in [0u64, 1, 150, 299] {
+            let mut emitted = 0u64;
+            let killed = Collator::new(config()).run_records(&header, ds.records.clone(), workload, &mut |_| {
+                if emitted == keep {
+                    return Err(ngs_formats::Error::InvalidRecord(
+                        "injected merge-consumer kill".into(),
+                    ));
+                }
+                emitted += 1;
+                Ok(())
+            });
+            assert!(killed.is_err(), "{workload:?}: kill after {keep} records must abort the run");
+
+            for phase in phases {
+                let repo = ShardRepo::open(spill_dir.join(phase)).unwrap();
+                assert!(
+                    repo.verify().unwrap().is_clean(),
+                    "{workload:?} {phase}: merge kill after {keep} records"
+                );
+            }
+
+            let mut rerun: Vec<AlignmentRecord> = Vec::new();
+            Collator::new(config())
+                .run_records(&header, ds.records.clone(), workload, &mut |r| {
+                    rerun.push(r);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(rerun, expected, "{workload:?}: kill after {keep} records: rerun diverged");
+        }
     }
 }
 
