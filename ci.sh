@@ -163,14 +163,19 @@ fi
 # in stream order, nothing recorded, helpers joined), the BAIX suite in
 # the *release* profile (the profile that caught the `locate`
 # saturation bug), the never-panics corpus through the read-ahead
-# reader, clippy on the decode crates (the new view and fields modules
-# deny lossy casts), and a build of the untouched benchmark package, so
-# an API break against `perfbench/` fails here and not in the benchmark
-# pipeline.
-echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, fields ≡ records, rank-count identity, perfbench builds)"
+# reader, clippy on the decode crates (the view, fields and BAMX record
+# codec modules deny lossy casts), and a build of the untouched benchmark
+# package, so an API break against `perfbench/` fails here and not in the
+# benchmark pipeline. The read side rides along (DESIGN.md §17): the
+# hand-derived v1/v2 golden vectors, written fields ≡ the views read
+# back and every target's `convert_fields` ≡ `convert` (proptest_fields),
+# and coverage bins equal across layouts with v2 reading only the CIGAR.
+echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, fields ≡ records, views ≡ records, rank-count identity, perfbench builds)"
 cargo test --quiet -p ngs-bgzf --test proptest_codec read_ahead
 cargo test --quiet -p ngs-bgzf --lib readahead
 cargo test --quiet -p ngs-repro --test proptest_lengths --test proptest_fields --test preprocess_identity --test preprocess_faults
+cargo test --quiet -p ngs-bamx --test golden
+cargo test --quiet -p ngs-repro --test coverage_fields
 cargo test --quiet -p ngs-converter --lib transcode
 cargo test --quiet --release -p ngs-bamx --lib baix
 cargo test --quiet -p ngs-fault --test decode_never_panics

@@ -18,6 +18,7 @@ use ngs_formats::error::{DecodeErrorKind, Error, Result};
 use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
+use ngs_formats::view::{Alignment, FieldsView};
 
 use crate::baix::Baix;
 use crate::column::ColumnSet;
@@ -387,19 +388,29 @@ impl V1Reader {
 
     /// Reads the raw fixed-width bytes of records `lo..hi` into a buffer.
     pub fn read_raw_range(&self, lo: u64, hi: u64) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.read_raw_range_into(lo, hi, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Self::read_raw_range`] into `out`, replacing its contents; a
+    /// buffer reused across calls is allocated once.
+    fn read_raw_range_into(&self, lo: u64, hi: u64, out: &mut Vec<u8>) -> Result<()> {
         if lo > hi || hi > self.n_records {
             return Err(Error::InvalidRecord(format!("record range {lo}..{hi} out of bounds")));
         }
         let rsz = self.layout.record_size() as u64;
         match self.compression {
             BamxCompression::Plain => {
-                let mut buf = vec![0u8; ((hi - lo) * rsz) as usize];
-                self.source.read_exact_at(&mut buf, self.body_offset + lo * rsz)?;
-                Ok(buf)
+                // Same-length resizes of a reused buffer write nothing.
+                out.resize(((hi - lo) * rsz) as usize, 0);
+                self.source.read_exact_at(out, self.body_offset + lo * rsz)?;
+                Ok(())
             }
             BamxCompression::Bgzf => {
+                out.clear();
                 if hi == lo {
-                    return Ok(Vec::new());
+                    return Ok(());
                 }
                 let rpb = self.records_per_block as u64;
                 let first_block = (lo / rpb) as usize;
@@ -418,7 +429,7 @@ impl V1Reader {
                         ),
                     ));
                 }
-                let mut out = Vec::with_capacity(((hi - lo) * rsz) as usize);
+                out.reserve(((hi - lo) * rsz) as usize);
                 let mut scratch = Vec::new();
                 for b in first_block..=last_block {
                     let start = self.block_offsets[b];
@@ -460,16 +471,37 @@ impl V1Reader {
                         "compressed BAMX range short read",
                     ));
                 }
-                Ok(out)
+                Ok(())
             }
         }
     }
 
-    /// Decodes records `lo..hi`.
-    pub fn read_range(&self, lo: u64, hi: u64) -> Result<Vec<AlignmentRecord>> {
-        let raw = self.read_raw_range(lo, hi)?;
+    /// Visits records `lo..hi` in order as views borrowed from the record
+    /// bytes: one read of up to [`V1_READ_BYTES`] at a time into one
+    /// buffer, each record checked by [`record_codec::fields`].
+    fn for_each_fields(
+        &self,
+        lo: u64,
+        hi: u64,
+        f: &mut impl FnMut(FieldsView<'_>) -> Result<()>,
+    ) -> Result<()> {
+        if lo > hi || hi > self.n_records {
+            return Err(Error::InvalidRecord(format!("record range {lo}..{hi} out of bounds")));
+        }
         let rsz = self.layout.record_size();
-        raw.chunks_exact(rsz).map(|c| record_codec::decode(c, &self.header, &self.layout)).collect()
+        let per_read = (V1_READ_BYTES / rsz).max(1) as u64;
+        let mut buf = Vec::new();
+        let mut cur = lo;
+        while cur < hi {
+            let end = hi.min(cur + per_read);
+            self.read_raw_range_into(cur, end, &mut buf)?;
+            for record in buf.chunks_exact(rsz) {
+                let fields = record_codec::fields(record, &self.header, &self.layout)?;
+                f(FieldsView::new(fields, &self.header))?;
+            }
+            cur = end;
+        }
+        Ok(())
     }
 
     /// Streams `(ref_id, pos0)` keys for every record in file order —
@@ -489,6 +521,11 @@ impl V1Reader {
         Ok(out)
     }
 }
+
+/// Bytes of v1 records one read fetches: a range is read in pieces of
+/// this size into one reused buffer, so memory stays flat however many
+/// records a call visits.
+const V1_READ_BYTES: usize = 512 * 1024;
 
 /// On-disk format version of a BAMX shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -526,8 +563,9 @@ impl BamxVersion {
 /// The on-disk version is sniffed from the magic at open time: v1
 /// (fixed-width, optionally BGZF) and v2 (block-columnar, DESIGN.md §14)
 /// shards present the same read API. v2 additionally honours column
-/// *projection* — [`read_range_projected`](Self::read_range_projected)
-/// decodes only the streams the caller's [`ColumnSet`] names.
+/// *projection* — [`for_each_fields`](Self::for_each_fields) and
+/// [`read_range_projected`](Self::read_range_projected) decode only the
+/// streams the caller's [`ColumnSet`] names.
 pub struct BamxFile {
     inner: Inner,
 }
@@ -643,21 +681,45 @@ impl BamxFile {
         self.read_range_projected(lo, hi, ColumnSet::ALL)
     }
 
-    /// Decodes records `lo..hi` under a column projection. On v2 only
-    /// the selected streams are read and decompressed — unselected
-    /// fields come back as their empty defaults. On v1 the projection is
-    /// a no-op (one fixed-width `pread` already fetches everything), so
-    /// projected fields are byte-identical across versions and the
-    /// extras are simply ignored by the consumer.
+    /// Decodes records `lo..hi` under a column projection into owned
+    /// records: [`Self::for_each_fields`], then
+    /// [`Alignment::to_record`] of each view.
     pub fn read_range_projected(
         &self,
         lo: u64,
         hi: u64,
         set: ColumnSet,
     ) -> Result<Vec<AlignmentRecord>> {
+        let n = if lo <= hi && hi <= self.len() { hi - lo } else { 0 };
+        let mut out = Vec::with_capacity(usize::try_from(n).unwrap_or(0));
+        self.for_each_fields(lo, hi, set, |view| {
+            out.push(view.to_record());
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Visits records `lo..hi` in order, each as a [`FieldsView`]
+    /// borrowed from the shard bytes — no record is built. Every check an
+    /// owned decode makes is made, with the same error; the first error,
+    /// from the shard or from `f`, ends the visit.
+    ///
+    /// On v2 only the streams `set` selects are read and decompressed,
+    /// and unselected fields read as their empty defaults (no name, CIGAR,
+    /// SEQ, QUAL or tags; mate `*` at 0, TLEN 0). On v1 the projection is
+    /// a no-op — one fixed-width read fetches every field — so projected
+    /// fields are byte-identical across versions and the extras are
+    /// simply ignored by the consumer.
+    pub fn for_each_fields(
+        &self,
+        lo: u64,
+        hi: u64,
+        set: ColumnSet,
+        mut f: impl FnMut(FieldsView<'_>) -> Result<()>,
+    ) -> Result<()> {
         match &self.inner {
-            Inner::V1(v) => v.read_range(lo, hi),
-            Inner::V2(v) => v.read_range_projected(lo, hi, set),
+            Inner::V1(v) => v.for_each_fields(lo, hi, &mut f),
+            Inner::V2(v) => v.for_each_fields(lo, hi, set, &mut f),
         }
     }
 

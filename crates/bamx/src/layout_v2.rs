@@ -44,14 +44,13 @@ use ngs_bgzf::crc32::crc32;
 use ngs_bgzf::deflate::{deflate, Options};
 use ngs_bgzf::inflate::Inflater;
 use ngs_bgzf::ReadAt;
-use ngs_formats::bam::{decode_header, decode_tags, encode_header};
-use ngs_formats::cigar::{Cigar, CigarOp};
+use ngs_formats::bam::{decode_header, encode_header};
+use ngs_formats::cigar::CigarOp;
 use ngs_formats::error::{DecodeErrorKind, Error, Result};
-use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
-use ngs_formats::flags::Flags;
+use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds, StoredFields};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
-use ngs_formats::seq;
+use ngs_formats::view::FieldsView;
 
 use crate::baix::{position_key, Baix};
 use crate::column::{self, get_varint, put_varint, unzigzag, zigzag, ColumnKind, ColumnSet, N_COLUMNS};
@@ -693,17 +692,20 @@ impl V2Reader {
         )
     }
 
-    /// Decodes records `rel_lo..rel_hi` (block-relative) of block `b`
-    /// under the projection `set`, appending to `out`. Streams are
-    /// walked from the block start (delta chains and varint framing are
-    /// sequential), but only the requested records are materialized.
-    fn decode_block(
+    /// Visits records `rel_lo..rel_hi` (block-relative) of block `b`
+    /// under the projection `set`, each as a view borrowed from the
+    /// decoded column streams; CIGAR varints are re-encoded into BAM
+    /// words in one buffer reused from record to record. Streams are
+    /// walked, and every record checked, from the block start (delta
+    /// chains and varint framing are sequential), but only the requested
+    /// records are visited.
+    fn visit_block(
         &self,
         b: usize,
         rel_lo: usize,
         rel_hi: usize,
         set: ColumnSet,
-        out: &mut Vec<AlignmentRecord>,
+        f: &mut impl FnMut(FieldsView<'_>) -> Result<()>,
     ) -> Result<()> {
         use ColumnKind as K;
         let cols = self.read_columns(b, set)?;
@@ -712,16 +714,33 @@ impl V2Reader {
         let mut cur = [0usize; N_COLUMNS];
         let mut prev_ref = 0i64;
         let mut prev_pos = 0i64;
+        let mut cigar_words = Vec::new();
+        let i32_of = |v: i64, kind: K| {
+            i32::try_from(v).map_err(|_| self.corrupt(b, kind, "coordinate outside the i32 domain"))
+        };
+        // A length prefix within `max`, then that many bytes of stream `k`.
+        let take = |k: K, cur: &mut usize, max: u64, what: &str| -> Result<&[u8]> {
+            let s = col(k);
+            let len = get_varint(s, cur).ok_or_else(|| self.corrupt(b, k, "truncated varint"))?;
+            if len > max {
+                return Err(self.corrupt(b, k, what));
+            }
+            let end = usize::try_from(len).ok().and_then(|len| cur.checked_add(len));
+            let bytes = end
+                .and_then(|end| s.get(*cur..end))
+                .ok_or_else(|| self.corrupt(b, k, "truncated"))?;
+            *cur += bytes.len();
+            Ok(bytes)
+        };
 
         let want = |k: K| set.contains(k);
         for i in 0..rel_hi.min(n) {
             // flags (mandatory).
-            let f = col(K::Flags);
             let p = cur[K::Flags.index()];
-            let Some(bytes) = f.get(p..p + 3) else {
+            let Some(bytes) = col(K::Flags).get(p..p + 3) else {
                 return Err(self.corrupt(b, K::Flags, "truncated"));
             };
-            let flag = Flags(u16::from_le_bytes([bytes[0], bytes[1]]));
+            let flag = u16::from_le_bytes([bytes[0], bytes[1]]);
             let mapq = bytes[2];
             cur[K::Flags.index()] = p + 3;
 
@@ -732,160 +751,119 @@ impl V2Reader {
             let d_pos = get_varint(s, c).ok_or_else(|| self.corrupt(b, K::Pos, "truncated varint"))?;
             prev_ref += unzigzag(d_ref);
             prev_pos += unzigzag(d_pos);
-            let (ref_id, pos0) = (prev_ref, prev_pos);
-            if ref_id < i32::MIN as i64
-                || ref_id > i32::MAX as i64
-                || pos0 < i32::MIN as i64
-                || pos0 > i32::MAX as i64
-            {
-                return Err(self.corrupt(b, K::Pos, "coordinate outside the i32 domain"));
-            }
+            let (ref_id, pos0) = (i32_of(prev_ref, K::Pos)?, i32_of(prev_pos, K::Pos)?);
 
-            let mut rec = AlignmentRecord {
-                qname: Vec::new(),
-                flag,
-                rname: match self.header.reference_name(ref_id as i32) {
-                    Some(nm) => nm.to_vec(),
-                    None => b"*".to_vec(),
-                },
-                pos: pos0 + 1,
-                mapq,
-                cigar: Cigar(Vec::new()),
-                rnext: b"*".to_vec(),
-                pnext: 0,
-                tlen: 0,
-                seq: Vec::new(),
-                qual: Vec::new(),
-                tags: Vec::new(),
-            };
-
+            let (mut next_ref_id, mut next_pos0, mut tlen) = (-1, -1, 0);
             if want(K::Mate) {
                 let s = col(K::Mate);
                 let c = &mut cur[K::Mate.index()];
-                let nref = get_varint(s, c)
-                    .ok_or_else(|| self.corrupt(b, K::Mate, "truncated varint"))?;
-                let npos = get_varint(s, c)
-                    .ok_or_else(|| self.corrupt(b, K::Mate, "truncated varint"))?;
-                let tlen = get_varint(s, c)
-                    .ok_or_else(|| self.corrupt(b, K::Mate, "truncated varint"))?;
-                let next_ref_id = unzigzag(nref);
-                let next_pos0 = unzigzag(npos);
-                if next_ref_id < i32::MIN as i64
-                    || next_ref_id > i32::MAX as i64
-                    || next_pos0 < i32::MIN as i64
-                    || next_pos0 > i32::MAX as i64
-                {
-                    return Err(self.corrupt(b, K::Mate, "coordinate outside the i32 domain"));
-                }
-                rec.rnext = if next_ref_id < 0 {
-                    b"*".to_vec()
-                } else if next_ref_id == ref_id {
-                    b"=".to_vec()
-                } else {
-                    self.header
-                        .reference_name(next_ref_id as i32)
-                        .map(<[u8]>::to_vec)
-                        .ok_or_else(|| self.corrupt(b, K::Mate, "next_ref_id out of range"))?
+                let mut next = || {
+                    get_varint(s, c)
+                        .map(unzigzag)
+                        .ok_or_else(|| self.corrupt(b, K::Mate, "truncated varint"))
                 };
-                rec.pnext = next_pos0 + 1;
-                rec.tlen = unzigzag(tlen);
+                let (nref, npos, t) = (next()?, next()?, next()?);
+                (next_ref_id, next_pos0, tlen) = (i32_of(nref, K::Mate)?, i32_of(npos, K::Mate)?, t);
+                if next_ref_id >= 0
+                    && next_ref_id != ref_id
+                    && self.header.reference_name(next_ref_id).is_none()
+                {
+                    return Err(self.corrupt(b, K::Mate, "next_ref_id out of range"));
+                }
             }
 
+            let mut qname: &[u8] = b"*";
             if want(K::Qname) {
-                let s = col(K::Qname);
                 let c = &mut cur[K::Qname.index()];
-                let len = get_varint(s, c)
-                    .ok_or_else(|| self.corrupt(b, K::Qname, "truncated varint"))?;
-                if len > self.layout.max_qname as u64 {
-                    return Err(self.corrupt(b, K::Qname, "name length exceeds the layout"));
-                }
-                let bytes = s
-                    .get(*c..*c + len as usize)
-                    .ok_or_else(|| self.corrupt(b, K::Qname, "truncated"))?;
-                *c += len as usize;
-                if bytes != b"*" {
-                    rec.qname = bytes.to_vec();
-                }
+                let max = u64::from(self.layout.max_qname);
+                qname = take(K::Qname, c, max, "name length exceeds the layout")?;
             }
 
+            cigar_words.clear();
             if want(K::Cigar) {
                 let s = col(K::Cigar);
                 let c = &mut cur[K::Cigar.index()];
                 let n_ops = get_varint(s, c)
                     .ok_or_else(|| self.corrupt(b, K::Cigar, "truncated varint"))?;
-                if n_ops > self.layout.max_cigar_ops as u64 {
+                if n_ops > u64::from(self.layout.max_cigar_ops) {
                     return Err(self.corrupt(b, K::Cigar, "op count exceeds the layout"));
                 }
-                let mut ops = Vec::with_capacity(n_ops as usize);
                 for _ in 0..n_ops {
                     let enc = get_varint(s, c)
                         .ok_or_else(|| self.corrupt(b, K::Cigar, "truncated varint"))?;
-                    if enc > u32::MAX as u64 {
-                        return Err(self.corrupt(b, K::Cigar, "op outside the u32 domain"));
-                    }
-                    let enc = enc as u32;
-                    let op = CigarOp::from_bam_code(enc & 0xF)
+                    let enc = u32::try_from(enc)
+                        .map_err(|_| self.corrupt(b, K::Cigar, "op outside the u32 domain"))?;
+                    CigarOp::from_bam_code(enc & 0xF)
                         .map_err(|e| self.corrupt(b, K::Cigar, &e.to_string()))?;
-                    ops.push((enc >> 4, op));
+                    cigar_words.extend_from_slice(&enc.to_le_bytes());
                 }
-                rec.cigar = Cigar(ops);
             }
 
-            let mut seq_len = 0usize;
+            let (mut l_seq, mut packed): (usize, &[u8]) = (0, &[]);
             if want(K::Seq) {
                 let s = col(K::Seq);
                 let c = &mut cur[K::Seq.index()];
                 let bases = get_varint(s, c)
                     .ok_or_else(|| self.corrupt(b, K::Seq, "truncated varint"))?;
-                if bases > self.layout.max_seq as u64 {
+                if bases > u64::from(self.layout.max_seq) {
                     return Err(self.corrupt(b, K::Seq, "base count exceeds the layout"));
                 }
-                seq_len = bases as usize;
-                let packed_len = seq_len.div_ceil(2);
-                let packed = s
-                    .get(*c..*c + packed_len)
-                    .ok_or_else(|| self.corrupt(b, K::Seq, "truncated"))?;
-                *c += packed_len;
-                rec.seq = seq::unpack(packed, seq_len)
-                    .map_err(|e| self.corrupt(b, K::Seq, &e.to_string()))?;
+                l_seq = usize::try_from(bases)
+                    .map_err(|_| self.corrupt(b, K::Seq, "base count exceeds the layout"))?;
+                let end = *c + l_seq.div_ceil(2);
+                packed = s.get(*c..end).ok_or_else(|| self.corrupt(b, K::Seq, "truncated"))?;
+                *c = end;
             }
 
+            let mut qual = None;
             if want(K::Qual) {
                 let s = col(K::Qual);
                 let c = &mut cur[K::Qual.index()];
                 let len = get_varint(s, c)
                     .ok_or_else(|| self.corrupt(b, K::Qual, "truncated varint"))?;
-                if len > self.layout.max_seq as u64 {
+                if len > u64::from(self.layout.max_seq) {
                     return Err(self.corrupt(b, K::Qual, "length exceeds the layout"));
                 }
-                if want(K::Seq) && len != 0 && len as usize != seq_len {
+                let len = usize::try_from(len)
+                    .map_err(|_| self.corrupt(b, K::Qual, "length exceeds the layout"))?;
+                if want(K::Seq) && len != 0 && len != l_seq {
                     return Err(self.corrupt(b, K::Qual, "SEQ/QUAL length mismatch"));
                 }
-                let bytes = s
-                    .get(*c..*c + len as usize)
-                    .ok_or_else(|| self.corrupt(b, K::Qual, "truncated"))?;
-                *c += len as usize;
-                rec.qual = bytes.to_vec();
+                let bytes =
+                    s.get(*c..*c + len).ok_or_else(|| self.corrupt(b, K::Qual, "truncated"))?;
+                *c += len;
+                // Empty means absent (the writer's convention).
+                qual = (len != 0).then_some(bytes);
             }
 
+            let mut tags: &[u8] = &[];
             if want(K::Tags) {
-                let s = col(K::Tags);
                 let c = &mut cur[K::Tags.index()];
-                let len = get_varint(s, c)
-                    .ok_or_else(|| self.corrupt(b, K::Tags, "truncated varint"))?;
-                if len > self.layout.max_tags as u64 {
-                    return Err(self.corrupt(b, K::Tags, "tag bytes exceed the layout"));
-                }
-                let bytes = s
-                    .get(*c..*c + len as usize)
-                    .ok_or_else(|| self.corrupt(b, K::Tags, "truncated"))?;
-                *c += len as usize;
-                rec.tags =
-                    decode_tags(bytes).map_err(|e| self.corrupt(b, K::Tags, &e.to_string()))?;
+                let max = u64::from(self.layout.max_tags);
+                tags = take(K::Tags, c, max, "tag bytes exceed the layout")?;
             }
 
+            // CIGAR op codes were checked above and SEQ is exactly
+            // `l_seq.div_ceil(2)` bytes, so what this can still reject is
+            // the tag block.
+            let fields = RecordFields::from_stored(StoredFields {
+                flag,
+                mapq,
+                ref_id,
+                pos0,
+                next_ref_id,
+                next_pos0,
+                tlen,
+                qname,
+                cigar: &cigar_words,
+                l_seq,
+                seq: packed,
+                qual,
+                tags,
+            })
+            .map_err(|e| self.corrupt(b, K::Tags, &e.to_string()))?;
             if i >= rel_lo {
-                out.push(rec);
+                f(FieldsView::new(fields, &self.header))?;
             }
         }
 
@@ -904,21 +882,21 @@ impl V2Reader {
         Ok(())
     }
 
-    /// Decodes records `lo..hi` under a projection: unselected fields
-    /// come back as their empty defaults and their streams are never
-    /// read or decompressed.
-    pub(crate) fn read_range_projected(
+    /// Visits records `lo..hi` under a projection, one block at a time:
+    /// unselected fields read as their empty defaults and their streams
+    /// are never read or decompressed.
+    pub(crate) fn for_each_fields(
         &self,
         lo: u64,
         hi: u64,
         set: ColumnSet,
-    ) -> Result<Vec<AlignmentRecord>> {
+        f: &mut impl FnMut(FieldsView<'_>) -> Result<()>,
+    ) -> Result<()> {
         if lo > hi || hi > self.n_records {
             return Err(Error::InvalidRecord(format!("record range {lo}..{hi} out of bounds")));
         }
-        let mut out = Vec::with_capacity((hi - lo) as usize);
         if lo == hi {
-            return Ok(out);
+            return Ok(());
         }
         let rpb = self.records_per_block;
         let first_block = (lo / rpb) as usize;
@@ -927,9 +905,9 @@ impl V2Reader {
             let block_first = b as u64 * rpb;
             let rel_lo = lo.saturating_sub(block_first) as usize;
             let rel_hi = (hi - block_first).min(rpb) as usize;
-            self.decode_block(b, rel_lo, rel_hi, set, &mut out)?;
+            self.visit_block(b, rel_lo, rel_hi, set, f)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Streams `(ref_id, pos0)` keys for every record — decodes *only*
@@ -1015,6 +993,19 @@ mod tests {
 
     fn open(bytes: Vec<u8>) -> V2Reader {
         V2Reader::open_with(Box::new(bytes), "test.bamx2").unwrap()
+    }
+
+    impl V2Reader {
+        /// Records `lo..hi` under `set`, owned.
+        fn read_range_projected(&self, lo: u64, hi: u64, set: ColumnSet) -> Result<Vec<AlignmentRecord>> {
+            use ngs_formats::view::Alignment;
+            let mut out = Vec::new();
+            self.for_each_fields(lo, hi, set, &mut |v| {
+                out.push(v.to_record());
+                Ok(())
+            })?;
+            Ok(out)
+        }
     }
 
     #[test]

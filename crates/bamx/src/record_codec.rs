@@ -2,21 +2,43 @@
 //!
 //! Unlike BAM, every field slot has a layout-determined width; actual
 //! lengths are stored in the fixed prefix and the remainder of each slot
-//! is zero padding.
+//! is zero padding:
+//!
+//! | bytes | field |
+//! |---|---|
+//! | 0–1 | flag u16 |
+//! | 2 | mapq u8 |
+//! | 3 | reserved (0) |
+//! | 4–7 | ref_id i32 |
+//! | 8–11 | pos0 i32 |
+//! | 12–15 | next_ref_id i32 |
+//! | 16–19 | next_pos0 i32 |
+//! | 20–27 | tlen i64 |
+//! | 28–29 | qname length u16 |
+//! | 30–31 | CIGAR op count u16 |
+//! | 32–35 | SEQ length u32 |
+//! | 36–39 | tag block length u32 |
+//! | 40 | QUAL present u8 (0/1) |
+//! | 41– | slots: qname (`max_qname`), CIGAR words (`4 × max_cigar_ops`), packed SEQ (`⌈max_seq / 2⌉`), QUAL (`max_seq`), tags (`max_tags`) |
+//!
+//! All integers are little-endian. Reading a record back builds nothing:
+//! [`fields`] borrows its [`RecordFields`] from the record's bytes.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss
+)]
 
-use ngs_formats::bam::decode_tags;
-use ngs_formats::cigar::{Cigar, CigarOp};
 use ngs_formats::error::{Error, Result};
-use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
-use ngs_formats::flags::Flags;
+use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds, StoredFields};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
-use ngs_formats::seq;
+use ngs_formats::view::{Alignment, FieldsView};
 
 use crate::baix::position_key;
-use crate::layout::BamxLayout;
+use crate::layout::{BamxLayout, FIXED_FIELDS_SIZE};
 
 /// Encodes `record` into exactly `layout.record_size()` bytes appended to
 /// `out` — [`encode_fields`] over [`RecordFields::from_record`]. Builds
@@ -34,6 +56,11 @@ pub(crate) struct Lengths {
     pub(crate) cigar_ops: u16,
     pub(crate) seq: u32,
     pub(crate) tags: u32,
+}
+
+/// A layout maximum as a slot width.
+fn width(max: u32) -> Result<usize> {
+    usize::try_from(max).map_err(|_| Error::InvalidRecord("BAMX layout exceeds the address space".into()))
 }
 
 /// The one validation every BAMX encoder runs before writing a byte: each
@@ -82,19 +109,26 @@ pub fn encode_fields(f: &RecordFields<'_>, layout: &BamxLayout, out: &mut Vec<u8
     out.push(u8::from(f.qual().is_some()));
 
     out.extend_from_slice(f.qname());
-    pad(out, layout.max_qname as usize, f.qname().len());
+    pad(out, usize::from(layout.max_qname), f.qname().len());
     out.extend_from_slice(f.cigar_bytes());
-    pad(out, layout.max_cigar_ops as usize * 4, f.cigar_bytes().len());
+    pad(out, usize::from(layout.max_cigar_ops) * 4, f.cigar_bytes().len());
     out.extend_from_slice(f.packed_seq());
     pad(out, layout.seq_bytes(), f.packed_seq().len());
     let qual = f.qual().unwrap_or_default();
     out.extend_from_slice(qual);
-    pad(out, layout.max_seq as usize, qual.len());
+    pad(out, width(layout.max_seq)?, qual.len());
     out.extend_from_slice(f.tags());
-    pad(out, layout.max_tags as usize, f.tags().len());
+    pad(out, width(layout.max_tags)?, f.tags().len());
 
     debug_assert_eq!(out.len() - start, layout.record_size());
     Ok(position_key(f.ref_id(), f.pos0()))
+}
+
+/// `N` little-endian bytes at `at` (the caller has checked the length).
+fn le<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    let mut b = [0u8; N];
+    b.copy_from_slice(&buf[at..at + N]);
+    b
 }
 
 /// Reads the (ref_id, pos0) key of an encoded record without full decode —
@@ -103,92 +137,64 @@ pub fn peek_position(buf: &[u8]) -> Result<(i32, i32)> {
     if buf.len() < 12 {
         return Err(Error::InvalidRecord("BAMX record too short".into()));
     }
-    let ref_id = i32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    let pos0 = i32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-    Ok((ref_id, pos0))
+    Ok((i32::from_le_bytes(le(buf, 4)), i32::from_le_bytes(le(buf, 8))))
 }
 
-/// Decodes one fixed-width record from `buf` (which must be exactly one
-/// record of the given layout).
-pub fn decode(buf: &[u8], header: &SamHeader, layout: &BamxLayout) -> Result<AlignmentRecord> {
+/// The fields of one fixed-width record, borrowed from `buf` (which must
+/// hold at least one record of the given layout) — the v1 read
+/// front-end. In order, it rejects a short buffer, lengths beyond the
+/// layout, what [`RecordFields::from_stored`] rejects (a CIGAR op code
+/// above 8, a tag block that does not walk), and a mate reference id
+/// that is neither −1, the record's own, nor in `header`.
+pub fn fields<'a>(buf: &'a [u8], header: &SamHeader, layout: &BamxLayout) -> Result<RecordFields<'a>> {
     if buf.len() < layout.record_size() {
         return Err(Error::InvalidRecord("BAMX record truncated".into()));
     }
-    let flag = Flags(u16::from_le_bytes([buf[0], buf[1]]));
-    let mapq = buf[2];
-    let ref_id = i32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    let pos0 = i32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-    let next_ref_id = i32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]);
-    let next_pos0 = i32::from_le_bytes([buf[16], buf[17], buf[18], buf[19]]);
-    let tlen = {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&buf[20..28]);
-        i64::from_le_bytes(b)
-    };
-    let qname_len = u16::from_le_bytes([buf[28], buf[29]]) as usize;
-    let n_cigar = u16::from_le_bytes([buf[30], buf[31]]) as usize;
-    let seq_len = u32::from_le_bytes([buf[32], buf[33], buf[34], buf[35]]) as usize;
-    let tag_len = u32::from_le_bytes([buf[36], buf[37], buf[38], buf[39]]) as usize;
-    let qual_present = buf[40] != 0;
-
-    if qname_len > layout.max_qname as usize
-        || n_cigar > layout.max_cigar_ops as usize
-        || seq_len > layout.max_seq as usize
-        || tag_len > layout.max_tags as usize
+    let qname_len = usize::from(u16::from_le_bytes(le(buf, 28)));
+    let n_cigar = usize::from(u16::from_le_bytes(le(buf, 30)));
+    let seq_len = u32::from_le_bytes(le(buf, 32));
+    let tag_len = u32::from_le_bytes(le(buf, 36));
+    if qname_len > usize::from(layout.max_qname)
+        || n_cigar > usize::from(layout.max_cigar_ops)
+        || seq_len > layout.max_seq
+        || tag_len > layout.max_tags
     {
         return Err(Error::InvalidRecord("BAMX lengths exceed layout".into()));
     }
+    let (seq_len, tag_len) = (width(seq_len)?, width(tag_len)?);
 
-    let mut off = crate::layout::FIXED_FIELDS_SIZE;
-    let qname = buf[off..off + qname_len].to_vec();
-    off += layout.max_qname as usize;
-
-    let mut cigar_ops = Vec::with_capacity(n_cigar);
-    for i in 0..n_cigar {
-        let p = off + i * 4;
-        let enc = u32::from_le_bytes([buf[p], buf[p + 1], buf[p + 2], buf[p + 3]]);
-        cigar_ops.push((enc >> 4, CigarOp::from_bam_code(enc & 0xF)?));
+    let qname_at = FIXED_FIELDS_SIZE;
+    let cigar_at = qname_at + usize::from(layout.max_qname);
+    let seq_at = cigar_at + usize::from(layout.max_cigar_ops) * 4;
+    let qual_at = seq_at + layout.seq_bytes();
+    let tags_at = qual_at + width(layout.max_seq)?;
+    let ref_id = i32::from_le_bytes(le(buf, 4));
+    let next_ref_id = i32::from_le_bytes(le(buf, 12));
+    let fields = RecordFields::from_stored(StoredFields {
+        flag: u16::from_le_bytes(le(buf, 0)),
+        mapq: buf[2],
+        ref_id,
+        pos0: i32::from_le_bytes(le(buf, 8)),
+        next_ref_id,
+        next_pos0: i32::from_le_bytes(le(buf, 16)),
+        tlen: i64::from_le_bytes(le(buf, 20)),
+        qname: &buf[qname_at..qname_at + qname_len],
+        cigar: &buf[cigar_at..cigar_at + n_cigar * 4],
+        l_seq: seq_len,
+        seq: &buf[seq_at..qual_at],
+        qual: (buf[40] != 0).then(|| &buf[qual_at..qual_at + seq_len]),
+        tags: &buf[tags_at..tags_at + tag_len],
+    })?;
+    if next_ref_id >= 0 && next_ref_id != ref_id && header.reference_name(next_ref_id).is_none() {
+        return Err(Error::InvalidRecord("next_ref_id out of range".into()));
     }
-    off += layout.max_cigar_ops as usize * 4;
+    Ok(fields)
+}
 
-    let seq_bases = seq::unpack(&buf[off..off + layout.seq_bytes()], seq_len)?;
-    off += layout.seq_bytes();
-
-    let qual =
-        if qual_present { buf[off..off + seq_len].to_vec() } else { Vec::new() };
-    off += layout.max_seq as usize;
-
-    let tags = decode_tags(&buf[off..off + tag_len])?;
-
-    let rname = match header.reference_name(ref_id) {
-        Some(n) => n.to_vec(),
-        None => b"*".to_vec(),
-    };
-    let rnext = if next_ref_id < 0 {
-        b"*".to_vec()
-    } else if next_ref_id == ref_id {
-        b"=".to_vec()
-    } else {
-        header
-            .reference_name(next_ref_id)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| Error::InvalidRecord("next_ref_id out of range".into()))?
-    };
-
-    Ok(AlignmentRecord {
-        qname: if qname == b"*" { Vec::new() } else { qname },
-        flag,
-        rname,
-        pos: pos0 as i64 + 1,
-        mapq,
-        cigar: Cigar(cigar_ops),
-        rnext,
-        pnext: next_pos0 as i64 + 1,
-        tlen,
-        seq: seq_bases,
-        qual,
-        tags,
-    })
+/// Decodes one fixed-width record from `buf` into an owned record: the
+/// [`fields`] front-end, then [`Alignment::to_record`].
+pub fn decode(buf: &[u8], header: &SamHeader, layout: &BamxLayout) -> Result<AlignmentRecord> {
+    Ok(FieldsView::new(fields(buf, header, layout)?, header).to_record())
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use ngs_bgzf::ReadAheadReader;
 use ngs_cluster::time_ranks;
 use ngs_formats::bam::{self, BamReader};
 use ngs_formats::error::{Error, Result};
-use ngs_formats::record::AlignmentRecord;
+use ngs_formats::view::{Alignment, FieldsView};
 
 use crate::runtime::{collect_report, ConvertConfig, ConvertReport, RankOutput, RankStats};
 use crate::shard::ShardTarget;
@@ -343,17 +343,10 @@ pub(crate) fn convert_record_range(
     let mut stats = RankStats { rank, ..Default::default() };
     let mut sink = Emitter::create(shard, target, out_dir, stem, rank, write_prologue, config)?;
 
-    const BATCH: u64 = 2048;
-    let columns = sink.columns();
-    let mut cur = lo;
-    while cur < hi {
-        let batch_hi = (cur + BATCH).min(hi);
-        for rec in shard.read_range_projected(cur, batch_hi, columns)? {
-            stats.records_in += 1;
-            sink.emit(&rec, &mut stats)?;
-        }
-        cur = batch_hi;
-    }
+    shard.for_each_fields(lo, hi, sink.columns(), |view| {
+        stats.records_in += 1;
+        sink.emit(&view, &mut stats)
+    })?;
     let path = sink.finish(&mut stats)?;
     stats.elapsed = t.elapsed();
     Ok((stats, path))
@@ -387,10 +380,10 @@ pub fn convert_index_list(
             j += 1;
         }
         let run_end = indices[j - 1] + 1;
-        for rec in shard.read_range_projected(run_start, run_end, columns)? {
+        shard.for_each_fields(run_start, run_end, columns, |view| {
             stats.records_in += 1;
-            sink.emit(&rec, &mut stats)?;
-        }
+            sink.emit(&view, &mut stats)
+        })?;
         i = j;
     }
     let path = sink.finish(&mut stats)?;
@@ -463,10 +456,10 @@ impl Emitter {
         }
     }
 
-    fn emit(&mut self, rec: &AlignmentRecord, stats: &mut RankStats) -> Result<()> {
+    fn emit(&mut self, view: &FieldsView<'_>, stats: &mut RankStats) -> Result<()> {
         match self {
             Emitter::Line { out, converter, buf } => {
-                if converter.convert(rec, buf) {
+                if converter.convert_fields(view, buf) {
                     stats.records_out += 1;
                 }
                 if buf.len() >= 64 * 1024 {
@@ -475,7 +468,8 @@ impl Emitter {
                 }
             }
             Emitter::Bam { writer, .. } => {
-                writer.write_record(rec)?;
+                // BAM output re-encodes an owned record: it is deflate-bound.
+                writer.write_record(&view.to_record())?;
                 stats.records_out += 1;
             }
         }

@@ -11,6 +11,7 @@
 use ngs_bamx::{ColumnKind, ColumnSet};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
+use ngs_formats::view::{Alignment, FieldsView};
 use ngs_formats::{bed, bedgraph, fasta, fastq, gff, json, sam, wig, yaml};
 
 /// The built-in conversion targets.
@@ -99,6 +100,17 @@ pub trait RecordConverter: Send + Sync {
     /// record has no representation (e.g. unmapped → BED).
     fn convert(&self, record: &AlignmentRecord, out: &mut Vec<u8>) -> bool;
 
+    /// [`convert`](Self::convert) of one record read off a BAMX shard,
+    /// as fields borrowed from the shard bytes — what the conversion
+    /// runtime calls for every BAMX record. The default builds the owned
+    /// record ([`Alignment::to_record`]) and converts that, so a
+    /// converter that implements only `convert` works unchanged; the
+    /// built-in targets override it to emit straight from the fields,
+    /// with the same bytes.
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        self.convert(&view.to_record(), out)
+    }
+
     /// Bytes to emit once at the head of the *first* output file (e.g.
     /// the SAM header).
     fn prologue(&self, _header: &SamHeader, _out: &mut Vec<u8>) {}
@@ -127,6 +139,12 @@ impl RecordConverter for ToSam {
         true
     }
 
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        sam::emit(view, out);
+        out.push(b'\n');
+        true
+    }
+
     fn prologue(&self, header: &SamHeader, out: &mut Vec<u8>) {
         out.extend_from_slice(header.text.as_bytes());
     }
@@ -142,6 +160,10 @@ pub struct ToBed;
 impl RecordConverter for ToBed {
     fn convert(&self, record: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
         bed::write_alignment(record, out)
+    }
+
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        bed::emit(view, out)
     }
 
     fn extension(&self) -> &'static str {
@@ -164,6 +186,10 @@ impl RecordConverter for ToBedGraph {
         bedgraph::write_alignment(record, out)
     }
 
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        bedgraph::emit(view, out)
+    }
+
     fn extension(&self) -> &'static str {
         "bedgraph"
     }
@@ -180,6 +206,10 @@ pub struct ToFasta;
 impl RecordConverter for ToFasta {
     fn convert(&self, record: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
         fasta::write_alignment(record, out)
+    }
+
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        fasta::emit(view, out)
     }
 
     fn extension(&self) -> &'static str {
@@ -200,6 +230,10 @@ impl RecordConverter for ToFastq {
         fastq::write_alignment(record, out)
     }
 
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        fastq::emit(view, out)
+    }
+
     fn extension(&self) -> &'static str {
         "fastq"
     }
@@ -217,6 +251,10 @@ impl RecordConverter for ToJson {
         json::write_alignment(record, out)
     }
 
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        json::emit(view, out)
+    }
+
     fn extension(&self) -> &'static str {
         "json"
     }
@@ -230,6 +268,10 @@ impl RecordConverter for ToYaml {
         yaml::write_alignment(record, out)
     }
 
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        yaml::emit(view, out)
+    }
+
     fn extension(&self) -> &'static str {
         "yaml"
     }
@@ -241,6 +283,10 @@ pub struct ToWig;
 impl RecordConverter for ToWig {
     fn convert(&self, record: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
         wig::write_alignment(record, out)
+    }
+
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        wig::emit(view, out)
     }
 
     fn extension(&self) -> &'static str {
@@ -258,6 +304,10 @@ pub struct ToGff;
 impl RecordConverter for ToGff {
     fn convert(&self, record: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
         gff::write_alignment(record, out)
+    }
+
+    fn convert_fields(&self, view: &FieldsView<'_>, out: &mut Vec<u8>) -> bool {
+        gff::emit(view, out)
     }
 
     fn prologue(&self, _header: &SamHeader, out: &mut Vec<u8>) {

@@ -119,9 +119,30 @@ fn drive_bamx(source: Box<dyn ngs_bgzf::ReadAt>) {
     let n = f.len();
     let _ = f.read_range(0, n);
     let _ = f.read_range_projected(0, n, ColumnSet::POSITIONS);
+    let _ = f.for_each_fields(0, n, ColumnSet::ALL, |_| Ok(()));
     let _ = f.read_record(n / 2);
     let _ = f.positions();
     let _ = Baix::build(&f);
+}
+
+/// A corrupted shard (fixed bytes, so every read sees the same ones):
+/// visiting its records in place fails with the error the owned read
+/// gives, or both read every record, full and projected alike.
+fn visit_fails_as_read_fails(bytes: Vec<u8>) {
+    let Ok(f) = BamxFile::open_with(Box::new(bytes), "corpus") else {
+        return;
+    };
+    for set in [ColumnSet::ALL, ColumnSet::POSITIONS] {
+        let owned = f.read_range_projected(0, f.len(), set).map(|records| records.len());
+        let mut visited = 0;
+        let visit = f
+            .for_each_fields(0, f.len(), set, |_| {
+                visited += 1;
+                Ok(())
+            })
+            .map(|()| visited);
+        assert_eq!(format!("{visit:?}"), format!("{owned:?}"), "projection {set:?}");
+    }
 }
 
 proptest! {
@@ -133,6 +154,7 @@ proptest! {
         let fx = fixtures();
         let plan = FaultPlan::random(seed, fx.plain_bamx.len() as u64);
         drive_bamx(Box::new(plan.corrupt(&fx.plain_bamx)));
+        visit_fails_as_read_fails(plan.corrupt(&fx.plain_bamx));
     }
 
     /// Byte-level corruption of a BGZF-body shard never panics.
@@ -141,6 +163,7 @@ proptest! {
         let fx = fixtures();
         let plan = FaultPlan::random(seed, fx.bgzf_bamx.len() as u64);
         drive_bamx(Box::new(plan.corrupt(&fx.bgzf_bamx)));
+        visit_fails_as_read_fails(plan.corrupt(&fx.bgzf_bamx));
     }
 
     /// Byte-level corruption of a v2 columnar shard never panics: footer
@@ -151,6 +174,7 @@ proptest! {
         let fx = fixtures();
         let plan = FaultPlan::random(seed, fx.v2_bamx.len() as u64);
         drive_bamx(Box::new(plan.corrupt(&fx.v2_bamx)));
+        visit_fails_as_read_fails(plan.corrupt(&fx.v2_bamx));
     }
 
     /// I/O-level faults (short reads, transient errors, in-flight flips)
@@ -230,6 +254,7 @@ proptest! {
         let fx = fixtures();
         let plan = FaultPlan::random(seed, fx.v2_bomb.len() as u64);
         drive_bamx(Box::new(plan.corrupt(&fx.v2_bomb)));
+        visit_fails_as_read_fails(plan.corrupt(&fx.v2_bomb));
         drive_bamx(Box::new(FaultyFile::new(fx.v2_bomb.clone(), plan)));
     }
 

@@ -1,6 +1,7 @@
 //! BAM binary format: record encode/decode (SAM spec §4.2) and
 //! BGZF-wrapped file reading/writing.
 
+use std::borrow::Cow;
 use std::io::{Read, Seek, Write};
 
 use ngs_bgzf::{BgzfReader, BgzfWriter, VirtualOffset};
@@ -13,7 +14,7 @@ use crate::flags::Flags;
 use crate::header::{ReferenceSequence, SamHeader};
 use crate::record::{AlignmentRecord, FieldLengths};
 use crate::seq;
-use crate::tags::{Tag, TagArray, TagValue};
+use crate::tags::{Tag, TagArray, TagValue, TagValueRef};
 
 pub mod view;
 
@@ -187,12 +188,32 @@ pub fn encoded_tags_len(tags: &[Tag]) -> Result<usize> {
 
 /// Decodes a BAM tag block back into a tag list.
 pub fn decode_tags(bytes: &[u8]) -> Result<Vec<Tag>> {
+    tags(bytes)
+        .map(|tag| tag.map(|(key, value)| Tag { key, value: value.to_owned() }))
+        .collect()
+}
+
+/// The tags of a BAM tag block, borrowed: each `(key, value)` in order,
+/// or the error [`decode_tags`] gives at the first malformed tag, after
+/// which the iterator ends. Strings borrow from `bytes`; only arrays are
+/// decoded.
+pub fn tags(bytes: &[u8]) -> impl Iterator<Item = Result<([u8; 2], TagValueRef<'_>)>> + '_ {
     let mut c = Cursor { data: bytes, pos: 0 };
-    let mut tags = Vec::new();
-    while c.remaining() > 0 {
-        tags.push(decode_tag(&mut c)?);
-    }
-    Ok(tags)
+    let mut failed = false;
+    std::iter::from_fn(move || {
+        if failed || c.remaining() == 0 {
+            return None;
+        }
+        let tag = next_tag(&mut c);
+        failed = tag.is_err();
+        Some(tag)
+    })
+}
+
+/// Checks that `bytes` is a well-formed tag block, with the error
+/// [`decode_tags`] would give, without building any tag.
+pub fn check_tags(bytes: &[u8]) -> Result<()> {
+    tags(bytes).try_for_each(|tag| tag.map(drop))
 }
 
 // ---------------------------------------------------------------------------
@@ -289,10 +310,7 @@ pub fn decode_record(body: &[u8], header: &SamHeader) -> Result<AlignmentRecord>
     let qual_raw = c.take(l_seq)?;
     let qual = if qual_raw.iter().all(|&q| q == 0xFF) { Vec::new() } else { qual_raw.to_vec() };
 
-    let mut tags = Vec::new();
-    while c.remaining() > 0 {
-        tags.push(decode_tag(&mut c)?);
-    }
+    let tags = decode_tags(&body[c.pos..])?;
 
     let rname = match header.reference_name(ref_id) {
         Some(n) => n.to_vec(),
@@ -325,21 +343,22 @@ pub fn decode_record(body: &[u8], header: &SamHeader) -> Result<AlignmentRecord>
     })
 }
 
-fn decode_tag(c: &mut Cursor<'_>) -> Result<Tag> {
+/// Reads one tag off the cursor: the one BAM tag grammar.
+fn next_tag<'a>(c: &mut Cursor<'a>) -> Result<([u8; 2], TagValueRef<'a>)> {
     let key_bytes = c.take(2)?;
     let key = [key_bytes[0], key_bytes[1]];
     let type_char = c.u8()?;
     let value = match type_char {
-        b'A' => TagValue::Char(c.u8()?),
-        b'c' => TagValue::Int(c.u8()? as i8 as i64),
-        b'C' => TagValue::Int(c.u8()? as i64),
-        b's' => TagValue::Int(c.u16()? as i16 as i64),
-        b'S' => TagValue::Int(c.u16()? as i64),
-        b'i' => TagValue::Int(c.i32()? as i64),
-        b'I' => TagValue::Int(c.u32()? as i64),
-        b'f' => TagValue::Float(c.f32()?),
-        b'Z' => TagValue::String(c.cstr()?.to_vec()),
-        b'H' => TagValue::Hex(c.cstr()?.to_vec()),
+        b'A' => TagValueRef::Char(c.u8()?),
+        b'c' => TagValueRef::Int(c.u8()? as i8 as i64),
+        b'C' => TagValueRef::Int(c.u8()? as i64),
+        b's' => TagValueRef::Int(c.u16()? as i16 as i64),
+        b'S' => TagValueRef::Int(c.u16()? as i64),
+        b'i' => TagValueRef::Int(c.i32()? as i64),
+        b'I' => TagValueRef::Int(c.u32()? as i64),
+        b'f' => TagValueRef::Float(c.f32()?),
+        b'Z' => TagValueRef::String(c.cstr()?),
+        b'H' => TagValueRef::Hex(c.cstr()?),
         b'B' => {
             let subtype = c.u8()?;
             let n = c.u32()? as usize;
@@ -370,11 +389,11 @@ fn decode_tag(c: &mut Cursor<'_>) -> Result<Tag> {
                     return Err(Error::InvalidTag(format!("unknown array subtype {other}")))
                 }
             };
-            TagValue::Array(arr)
+            TagValueRef::Array(Cow::Owned(arr))
         }
         other => return Err(Error::InvalidTag(format!("unknown tag type {other}"))),
     };
-    Ok(Tag { key, value })
+    Ok((key, value))
 }
 
 /// Measures one BAM record *body* (excluding the `block_size` prefix)

@@ -106,7 +106,7 @@ pub fn transcode<'a>(
 /// Steps over one raw tag and writes it to `out` as
 /// [`encode_tag`](super::encode_tag) writes its decoded form: every
 /// integer in its narrowest type, everything else as stored. The grammar
-/// and error order of [`decode_tag`](super::decode_tag); the layout pass
+/// and error order of [`decode_tags`](super::decode_tags); the layout pass
 /// measures with a byte-counting `out`.
 pub(super) fn transcode_tag(c: &mut Cursor<'_>, out: &mut impl TagSink) -> Result<()> {
     out.put(c.take(2)?);

@@ -5,6 +5,7 @@
 use crate::cigar::{itoa_buffer, write_u64};
 use crate::error::{Error, Result};
 use crate::record::AlignmentRecord;
+use crate::view::Alignment;
 
 /// One BED6 interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,25 +43,30 @@ pub fn from_alignment(rec: &AlignmentRecord) -> Option<BedRecord> {
 /// directly into `out`, avoiding the intermediate struct. Returns `false`
 /// (and writes nothing) for unmapped records.
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
-    let (Some(start), Some(end)) = (rec.start0(), rec.end0()) else {
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one BED6 formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    let (Some(start), Some(end)) = (a.start0(), a.end0()) else {
         return false;
     };
     let mut buf = itoa_buffer();
-    out.extend_from_slice(&rec.rname);
+    out.extend_from_slice(a.rname());
     out.push(b'\t');
     out.extend_from_slice(write_u64(&mut buf, start as u64));
     out.push(b'\t');
     out.extend_from_slice(write_u64(&mut buf, end as u64));
     out.push(b'\t');
-    if rec.qname.is_empty() {
+    if a.qname().is_empty() {
         out.push(b'.');
     } else {
-        out.extend_from_slice(&rec.qname);
+        out.extend_from_slice(a.qname());
     }
     out.push(b'\t');
-    out.extend_from_slice(write_u64(&mut buf, rec.mapq as u64));
+    out.extend_from_slice(write_u64(&mut buf, u64::from(a.mapq())));
     out.push(b'\t');
-    out.push(rec.flag.strand() as u8);
+    out.push(a.flag().strand() as u8);
     out.push(b'\n');
     true
 }

@@ -4,6 +4,7 @@
 use crate::cigar::{itoa_buffer, write_u64};
 use crate::error::{Error, Result};
 use crate::record::AlignmentRecord;
+use crate::view::Alignment;
 
 /// One BEDGRAPH interval.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,11 +23,17 @@ pub struct BedGraphRecord {
 /// contributes unit coverage over its reference span. Returns `false` for
 /// unmapped records.
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
-    let (Some(start), Some(end)) = (rec.start0(), rec.end0()) else {
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one per-alignment
+/// BEDGRAPH formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    let (Some(start), Some(end)) = (a.start0(), a.end0()) else {
         return false;
     };
     let mut buf = itoa_buffer();
-    out.extend_from_slice(&rec.rname);
+    out.extend_from_slice(a.rname());
     out.push(b'\t');
     out.extend_from_slice(write_u64(&mut buf, start as u64));
     out.push(b'\t');

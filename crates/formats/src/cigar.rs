@@ -156,24 +156,31 @@ impl Cigar {
 
     /// Total reference bases covered (`M/D/N/=/X`).
     pub fn reference_len(&self) -> u64 {
-        self.0
-            .iter()
-            .filter(|(_, op)| op.consumes_reference())
-            .map(|&(n, _)| n as u64)
-            .sum()
+        reference_len(self.0.iter().copied())
     }
 
     /// Writes the SAM text form into `out` (`*` when empty).
     pub fn write_sam(&self, out: &mut Vec<u8>) {
-        if self.0.is_empty() {
-            out.push(b'*');
-            return;
-        }
-        let mut buf = itoa_buffer();
-        for &(n, op) in &self.0 {
-            out.extend_from_slice(write_u64(&mut buf, n as u64));
-            out.push(op.to_char() as u8);
-        }
+        write_sam(self.0.iter().copied(), out);
+    }
+}
+
+/// Total reference bases covered by `ops` (`M/D/N/=/X`).
+pub(crate) fn reference_len(ops: impl Iterator<Item = (u32, CigarOp)>) -> u64 {
+    ops.filter(|(_, op)| op.consumes_reference()).map(|(n, _)| u64::from(n)).sum()
+}
+
+/// Writes the SAM text form of `ops` into `out` (`*` when there are
+/// none): the one CIGAR formatting, for owned and borrowed records.
+pub(crate) fn write_sam(ops: impl Iterator<Item = (u32, CigarOp)>, out: &mut Vec<u8>) {
+    let mut buf = itoa_buffer();
+    let start = out.len();
+    for (n, op) in ops {
+        out.extend_from_slice(write_u64(&mut buf, u64::from(n)));
+        out.push(op.to_char() as u8);
+    }
+    if out.len() == start {
+        out.push(b'*');
     }
 }
 

@@ -4,7 +4,7 @@ use std::io::BufRead;
 
 use crate::error::{Error, Result};
 use crate::record::AlignmentRecord;
-use crate::seq::reverse_complement;
+use crate::view::Alignment;
 
 /// Line width used when wrapping sequences (0 = no wrapping).
 pub const DEFAULT_LINE_WIDTH: usize = 70;
@@ -14,20 +14,26 @@ pub const DEFAULT_LINE_WIDTH: usize = 70;
 /// orientation, matching `samtools fasta` behaviour. Records without
 /// sequence are skipped (returns `false`).
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
-    if rec.seq.is_empty() {
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one per-alignment FASTA
+/// formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    if a.seq_len() == 0 {
         return false;
     }
     out.push(b'>');
-    if rec.qname.is_empty() {
+    if a.qname().is_empty() {
         out.push(b'*');
     } else {
-        out.extend_from_slice(&rec.qname);
+        out.extend_from_slice(a.qname());
     }
     out.push(b'\n');
-    if rec.flag.is_reverse() {
-        out.extend_from_slice(&reverse_complement(&rec.seq));
+    if a.flag().is_reverse() {
+        a.push_seq_revcomp(out);
     } else {
-        out.extend_from_slice(&rec.seq);
+        a.push_seq(out);
     }
     out.push(b'\n');
     true

@@ -4,8 +4,9 @@
 use std::io::BufRead;
 
 use crate::error::{Error, Result};
+use crate::flags::Flags;
 use crate::record::AlignmentRecord;
-use crate::seq::reverse_complement;
+use crate::view::Alignment;
 
 /// Appends a FASTQ entry for one alignment. As with Picard's `SamToFastq`,
 /// reverse-flagged reads are restored to sequencing orientation (sequence
@@ -13,36 +14,41 @@ use crate::seq::reverse_complement;
 /// skipped (returns `false`). Missing qualities are emitted as `I` × len
 /// (Phred 40), a common convention.
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
-    if rec.seq.is_empty() {
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one FASTQ formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    let len = a.seq_len();
+    if len == 0 {
         return false;
     }
+    let flag = a.flag();
     out.push(b'@');
-    if rec.qname.is_empty() {
+    if a.qname().is_empty() {
         out.push(b'*');
     } else {
-        out.extend_from_slice(&rec.qname);
+        out.extend_from_slice(a.qname());
     }
     // Mate suffix for paired reads, as Picard writes /1 and /2.
-    if rec.flag.is_paired() {
-        if rec.flag.contains(crate::flags::Flags::FIRST_IN_PAIR) {
+    if flag.is_paired() {
+        if flag.contains(Flags::FIRST_IN_PAIR) {
             out.extend_from_slice(b"/1");
-        } else if rec.flag.contains(crate::flags::Flags::SECOND_IN_PAIR) {
+        } else if flag.contains(Flags::SECOND_IN_PAIR) {
             out.extend_from_slice(b"/2");
         }
     }
     out.push(b'\n');
-    if rec.flag.is_reverse() {
-        out.extend_from_slice(&reverse_complement(&rec.seq));
+    if flag.is_reverse() {
+        a.push_seq_revcomp(out);
     } else {
-        out.extend_from_slice(&rec.seq);
+        a.push_seq(out);
     }
     out.extend_from_slice(b"\n+\n");
-    if rec.qual.is_empty() {
-        out.extend(std::iter::repeat_n(b'I', rec.seq.len()));
-    } else if rec.flag.is_reverse() {
-        out.extend(rec.qual.iter().rev().map(|&q| q + 33));
+    if a.qual().is_empty() {
+        out.resize(out.len() + len, b'I');
     } else {
-        out.extend(rec.qual.iter().map(|&q| q + 33));
+        a.push_qual33(flag.is_reverse(), out);
     }
     out.push(b'\n');
     true

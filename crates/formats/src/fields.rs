@@ -173,6 +173,76 @@ impl<'a> RecordFields<'a> {
     }
 }
 
+/// One record's fields as a BAMX shard stores them, before the checks
+/// that make them [`RecordFields`] ([`RecordFields::from_stored`]).
+#[derive(Debug, Clone, Copy)]
+pub struct StoredFields<'a> {
+    /// Bitwise FLAG.
+    pub flag: u16,
+    /// Mapping quality.
+    pub mapq: u8,
+    /// Reference id as stored.
+    pub ref_id: i32,
+    /// 0-based position.
+    pub pos0: i32,
+    /// Mate reference id as stored.
+    pub next_ref_id: i32,
+    /// 0-based mate position.
+    pub next_pos0: i32,
+    /// Template length.
+    pub tlen: i64,
+    /// Read name; empty or `*` when unavailable.
+    pub qname: &'a [u8],
+    /// CIGAR words, 4 bytes each, little-endian.
+    pub cigar: &'a [u8],
+    /// Sequence length in bases.
+    pub l_seq: usize,
+    /// Packed bases: at least `l_seq.div_ceil(2)` bytes.
+    pub seq: &'a [u8],
+    /// Raw Phred qualities when present.
+    pub qual: Option<&'a [u8]>,
+    /// The BAM tag block.
+    pub tags: &'a [u8],
+}
+
+impl<'a> RecordFields<'a> {
+    /// The fields a shard stores — the constructor of the BAMX read
+    /// front-ends. Makes, in this order, the checks an owned decode of
+    /// the record makes: every CIGAR op code ≤ 8, the packed SEQ long
+    /// enough for `l_seq`, and a tag block that walks to its end — each
+    /// with the error that decode gives. An empty name is stored as `*`;
+    /// reference ids stay as stored, and the pad nibble of an odd SEQ is
+    /// kept.
+    pub fn from_stored(s: StoredFields<'a>) -> Result<Self> {
+        if !s.cigar.len().is_multiple_of(4) {
+            return Err(Error::InvalidCigar("CIGAR bytes not whole words".into()));
+        }
+        let fields = RecordFields {
+            flag: s.flag,
+            mapq: s.mapq,
+            ref_id: s.ref_id,
+            pos0: s.pos0,
+            next_ref_id: s.next_ref_id,
+            next_pos0: s.next_pos0,
+            tlen: s.tlen,
+            qname: if s.qname.is_empty() { b"*" } else { s.qname },
+            cigar: s.cigar,
+            l_seq: s.l_seq,
+            seq: s.seq,
+            qual: s.qual,
+            tags: s.tags,
+        };
+        for word in fields.cigar_words() {
+            CigarOp::from_bam_code(word & 0xF)?;
+        }
+        let Some(seq) = s.seq.get(..s.l_seq.div_ceil(2)) else {
+            return Err(Error::InvalidBam("packed sequence shorter than l_seq".into()));
+        };
+        crate::bam::check_tags(s.tags)?;
+        Ok(RecordFields { seq, ..fields })
+    }
+}
+
 /// Reusable buffers the front-ends encode into when the input's bytes do
 /// not already have BAMX form. One per thread; nothing is allocated per
 /// record once they have grown.

@@ -6,6 +6,8 @@
 use crate::cigar::{itoa_buffer, write_u64};
 use crate::error::{Error, Result};
 use crate::record::AlignmentRecord;
+use crate::tags::TagValueRef;
+use crate::view::Alignment;
 
 /// The GFF3 version pragma.
 pub const VERSION_PRAGMA: &str = "##gff-version 3\n";
@@ -17,24 +19,29 @@ pub const VERSION_PRAGMA: &str = "##gff-version 3\n";
 /// start/end, score (MAPQ), strand, phase (`.`), attributes
 /// (`ID=<qname>;nm=<NM>` when present).
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
-    let (Some(start), Some(end)) = (rec.start0(), rec.end0()) else {
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one GFF3 formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    let (Some(start), Some(end)) = (a.start0(), a.end0()) else {
         return false;
     };
     let mut buf = itoa_buffer();
-    out.extend_from_slice(&rec.rname);
+    out.extend_from_slice(a.rname());
     out.extend_from_slice(b"\tngs-parallel\tmatch\t");
     out.extend_from_slice(write_u64(&mut buf, (start + 1) as u64));
     out.push(b'\t');
     out.extend_from_slice(write_u64(&mut buf, end as u64));
     out.push(b'\t');
-    out.extend_from_slice(write_u64(&mut buf, rec.mapq as u64));
+    out.extend_from_slice(write_u64(&mut buf, u64::from(a.mapq())));
     out.push(b'\t');
-    out.push(rec.flag.strand() as u8);
+    out.push(a.flag().strand() as u8);
     out.extend_from_slice(b"\t.\tID=");
-    escape_attribute(if rec.qname.is_empty() { b"*" } else { &rec.qname }, out);
-    if let Some(crate::tags::TagValue::Int(nm)) = rec.tag(*b"NM") {
+    escape_attribute(if a.qname().is_empty() { b"*" } else { a.qname() }, out);
+    if let Some(TagValueRef::Int(nm)) = a.tag(*b"NM") {
         out.extend_from_slice(b";nm=");
-        out.extend_from_slice(crate::cigar::write_i64(&mut buf, *nm));
+        out.extend_from_slice(crate::cigar::write_i64(&mut buf, nm));
     }
     out.push(b'\n');
     true

@@ -3,61 +3,76 @@
 //! JSON as just another line-oriented target format.
 
 use crate::record::AlignmentRecord;
-use crate::tags::{TagArray, TagValue};
+use crate::tags::{TagArray, TagValueRef};
+use crate::view::Alignment;
 
 /// Appends one JSON object (newline-terminated) describing `rec`.
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one JSON formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    fn star_or(bytes: &[u8]) -> &[u8] {
+        if bytes.is_empty() {
+            b"*"
+        } else {
+            bytes
+        }
+    }
     out.push(b'{');
     write_key(out, "qname");
-    write_string(out, if rec.qname.is_empty() { b"*" } else { &rec.qname });
+    write_string(out, star_or(a.qname()));
     out.push(b',');
     write_key(out, "flag");
-    write_int(out, rec.flag.0 as i64);
+    write_int(out, i64::from(a.flag().0));
     out.push(b',');
     write_key(out, "rname");
-    write_string(out, if rec.rname.is_empty() { b"*" } else { &rec.rname });
+    write_string(out, star_or(a.rname()));
     out.push(b',');
     write_key(out, "pos");
-    write_int(out, rec.pos);
+    write_int(out, a.pos());
     out.push(b',');
     write_key(out, "mapq");
-    write_int(out, rec.mapq as i64);
+    write_int(out, i64::from(a.mapq()));
     out.push(b',');
     write_key(out, "cigar");
-    let mut cig = Vec::new();
-    rec.cigar.write_sam(&mut cig);
-    write_string(out, &cig);
+    write_string_with(out, |out| a.write_cigar(out));
     out.push(b',');
     write_key(out, "rnext");
-    write_string(out, if rec.rnext.is_empty() { b"*" } else { &rec.rnext });
+    write_string(out, star_or(a.rnext()));
     out.push(b',');
     write_key(out, "pnext");
-    write_int(out, rec.pnext);
+    write_int(out, a.pnext());
     out.push(b',');
     write_key(out, "tlen");
-    write_int(out, rec.tlen);
+    write_int(out, a.tlen());
     out.push(b',');
     write_key(out, "seq");
-    write_string(out, if rec.seq.is_empty() { b"*" } else { &rec.seq });
-    out.push(b',');
-    write_key(out, "qual");
-    if rec.qual.is_empty() {
+    if a.seq_len() == 0 {
         write_string(out, b"*");
     } else {
-        let ascii: Vec<u8> = rec.qual.iter().map(|&q| q + 33).collect();
-        write_string(out, &ascii);
+        write_string_with(out, |out| a.push_seq(out));
     }
-    if !rec.tags.is_empty() {
+    out.push(b',');
+    write_key(out, "qual");
+    if a.qual().is_empty() {
+        write_string(out, b"*");
+    } else {
+        write_string_with(out, |out| a.push_qual33(false, out));
+    }
+    let mut tags = a.tags().peekable();
+    if tags.peek().is_some() {
         out.push(b',');
         write_key(out, "tags");
         out.push(b'{');
-        for (i, tag) in rec.tags.iter().enumerate() {
+        for (i, (key, value)) in tags.enumerate() {
             if i > 0 {
                 out.push(b',');
             }
-            write_string(out, &tag.key);
+            write_string(out, &key);
             out.push(b':');
-            write_tag_value(out, &tag.value);
+            write_tag_value(out, &value);
         }
         out.push(b'}');
     }
@@ -91,6 +106,28 @@ fn write_f64(out: &mut Vec<u8>, v: f64) {
 /// input as Latin-1 — alignment data is ASCII in practice).
 pub fn write_string(out: &mut Vec<u8>, bytes: &[u8]) {
     out.push(b'"');
+    escape_into(out, bytes);
+    out.push(b'"');
+}
+
+/// [`write_string`] of the bytes `fill` appends, written in place and
+/// re-escaped only when they hold a byte that needs it.
+fn write_string_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    out.push(b'"');
+    let start = out.len();
+    fill(out);
+    if out[start..].iter().any(|&b| needs_escape(b)) {
+        let raw = out.split_off(start);
+        escape_into(out, &raw);
+    }
+    out.push(b'"');
+}
+
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | 0x00..=0x1F | 0x7F..=0xFF)
+}
+
+fn escape_into(out: &mut Vec<u8>, bytes: &[u8]) {
     for &b in bytes {
         match b {
             b'"' => out.extend_from_slice(b"\\\""),
@@ -106,16 +143,15 @@ pub fn write_string(out: &mut Vec<u8>, bytes: &[u8]) {
             _ => out.push(b),
         }
     }
-    out.push(b'"');
 }
 
-fn write_tag_value(out: &mut Vec<u8>, v: &TagValue) {
+fn write_tag_value(out: &mut Vec<u8>, v: &TagValueRef<'_>) {
     match v {
-        TagValue::Char(c) => write_string(out, &[*c]),
-        TagValue::Int(i) => write_int(out, *i),
-        TagValue::Float(f) => write_f64(out, *f as f64),
-        TagValue::String(s) | TagValue::Hex(s) => write_string(out, s),
-        TagValue::Array(a) => {
+        TagValueRef::Char(c) => write_string(out, &[*c]),
+        TagValueRef::Int(i) => write_int(out, *i),
+        TagValueRef::Float(f) => write_f64(out, *f as f64),
+        TagValueRef::String(s) | TagValueRef::Hex(s) => write_string(out, s),
+        TagValueRef::Array(a) => {
             out.push(b'[');
             macro_rules! write_nums {
                 ($v:expr) => {
@@ -127,7 +163,7 @@ fn write_tag_value(out: &mut Vec<u8>, v: &TagValue) {
                     }
                 };
             }
-            match a {
+            match a.as_ref() {
                 TagArray::I8(v) => write_nums!(v),
                 TagArray::U8(v) => write_nums!(v),
                 TagArray::I16(v) => write_nums!(v),
@@ -172,6 +208,16 @@ mod tests {
             String::from_utf8(out).unwrap(),
             "\"a\\\"b\\\\c\\nd\\te\\u0001f\\u0080\""
         );
+    }
+
+    #[test]
+    fn values_written_in_place_are_escaped_when_needed() {
+        // QUAL text `"\` (Phred 1 and 59) must be escaped; the bases need not.
+        let r = sam::parse_record(b"r\t0\tchr1\t1\t60\t2M\t*\t0\t0\tAC\t\"\\", 1).unwrap();
+        let mut out = Vec::new();
+        write_alignment(&r, &mut out);
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains(r#""seq":"AC","qual":"\"\\""#), "{text}");
     }
 
     #[test]

@@ -11,14 +11,17 @@
 //! * [`fields`]: a record's fields in BAMX form, borrowed from a BAM body
 //!   or a SAM line without building a record — what preprocessing feeds
 //!   the BAMX encoders;
+//! * [`view`]: the [`view::Alignment`] accessor every emitter reads, and
+//!   [`view::FieldsView`], a record's fields read off a BAMX shard;
 //! * line-oriented target emitters: [`bed`], [`bedgraph`], [`fasta`],
 //!   [`fastq`], [`json`], [`yaml`], [`wig`], [`gff`].
 //!
-//! Every emitter exposes `write_alignment(&AlignmentRecord, &mut Vec<u8>)
-//! -> bool` — the exact shape of the paper's "user program" converting an
-//! alignment object into a target object — returning `false` when the
-//! record has no representation in that format (e.g. an unmapped read has
-//! no BED interval).
+//! Every emitter is one `emit(&impl Alignment, &mut Vec<u8>) -> bool` —
+//! the exact shape of the paper's "user program" converting an alignment
+//! object into a target object — returning `false` when the record has no
+//! representation in that format (e.g. an unmapped read has no BED
+//! interval); `write_alignment(&AlignmentRecord, ..)` is the same emitter
+//! on an owned record.
 
 pub mod bam;
 pub mod bed;
@@ -37,6 +40,7 @@ pub mod record;
 pub mod sam;
 pub mod seq;
 pub mod tags;
+pub mod view;
 pub mod wig;
 pub mod yaml;
 
@@ -45,4 +49,5 @@ pub use error::{Error, Result};
 pub use flags::Flags;
 pub use header::{ReferenceSequence, SamHeader};
 pub use record::AlignmentRecord;
-pub use tags::{Tag, TagArray, TagValue};
+pub use tags::{Tag, TagArray, TagValue, TagValueRef};
+pub use view::{Alignment, FieldsView};

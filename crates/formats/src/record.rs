@@ -5,6 +5,7 @@ use crate::cigar::Cigar;
 use crate::error::Result;
 use crate::flags::Flags;
 use crate::tags::{Tag, TagValue};
+use crate::view::Alignment;
 
 /// A single sequence alignment record (one SAM line / one BAM record).
 ///
@@ -69,24 +70,18 @@ impl AlignmentRecord {
 
     /// True if the record is unmapped (by FLAG or missing coordinates).
     pub fn is_unmapped(&self) -> bool {
-        self.flag.is_unmapped() || self.rname == b"*" || self.pos == 0
+        Alignment::is_unmapped(self)
     }
 
     /// 0-based start position, or `None` if unmapped.
     pub fn start0(&self) -> Option<i64> {
-        if self.is_unmapped() {
-            None
-        } else {
-            Some(self.pos - 1)
-        }
+        Alignment::start0(self)
     }
 
     /// 0-based exclusive end position on the reference, derived from the
     /// CIGAR (or start+1 for an empty CIGAR), or `None` if unmapped.
     pub fn end0(&self) -> Option<i64> {
-        let start = self.start0()?;
-        let span = self.cigar.reference_len().max(1) as i64;
-        Some(start + span)
+        Alignment::end0(self)
     }
 
     /// Looks up a tag by key.

@@ -13,6 +13,7 @@ use crate::header::SamHeader;
 use crate::record::{AlignmentRecord, FieldLengths};
 use crate::seq;
 use crate::tags::Tag;
+use crate::view::Alignment;
 
 /// Parses one tab-delimited SAM alignment line (no trailing newline).
 ///
@@ -256,6 +257,11 @@ fn parse_int(text: &[u8], line_no: u64, field: &str) -> Result<i64> {
 /// Serializes `record` as one SAM line (without trailing newline) into
 /// `out`. The buffer is appended to, not cleared.
 pub fn write_record(record: &AlignmentRecord, out: &mut Vec<u8>) {
+    emit(record, out);
+}
+
+/// [`write_record`] for any [`Alignment`]: the one SAM line formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) {
     let mut buf = itoa_buffer();
     let push_star_or = |out: &mut Vec<u8>, bytes: &[u8]| {
         if bytes.is_empty() {
@@ -265,34 +271,38 @@ pub fn write_record(record: &AlignmentRecord, out: &mut Vec<u8>) {
         }
     };
 
-    push_star_or(out, &record.qname);
+    push_star_or(out, a.qname());
     out.push(b'\t');
-    out.extend_from_slice(write_u64(&mut buf, record.flag.0 as u64));
+    out.extend_from_slice(write_u64(&mut buf, u64::from(a.flag().0)));
     out.push(b'\t');
-    push_star_or(out, &record.rname);
+    push_star_or(out, a.rname());
     out.push(b'\t');
-    out.extend_from_slice(write_i64(&mut buf, record.pos));
+    out.extend_from_slice(write_i64(&mut buf, a.pos()));
     out.push(b'\t');
-    out.extend_from_slice(write_u64(&mut buf, record.mapq as u64));
+    out.extend_from_slice(write_u64(&mut buf, u64::from(a.mapq())));
     out.push(b'\t');
-    record.cigar.write_sam(out);
+    a.write_cigar(out);
     out.push(b'\t');
-    push_star_or(out, &record.rnext);
+    push_star_or(out, a.rnext());
     out.push(b'\t');
-    out.extend_from_slice(write_i64(&mut buf, record.pnext));
+    out.extend_from_slice(write_i64(&mut buf, a.pnext()));
     out.push(b'\t');
-    out.extend_from_slice(write_i64(&mut buf, record.tlen));
+    out.extend_from_slice(write_i64(&mut buf, a.tlen()));
     out.push(b'\t');
-    push_star_or(out, &record.seq);
-    out.push(b'\t');
-    if record.qual.is_empty() {
+    if a.seq_len() == 0 {
         out.push(b'*');
     } else {
-        out.extend(record.qual.iter().map(|&q| q + 33));
+        a.push_seq(out);
     }
-    for tag in &record.tags {
+    out.push(b'\t');
+    if a.qual().is_empty() {
+        out.push(b'*');
+    } else {
+        a.push_qual33(false, out);
+    }
+    for (key, value) in a.tags() {
         out.push(b'\t');
-        tag.write_sam(out);
+        value.write_sam(key, out);
     }
 }
 

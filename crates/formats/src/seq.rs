@@ -47,46 +47,86 @@ pub fn pack_into(bases: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+/// Both bases of every packed byte, high nibble first: unpacking looks
+/// up two bases at a time.
+const BASE_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0u8; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = [CODE_TO_BASE[byte >> 4], CODE_TO_BASE[byte & 0xF]];
+        byte += 1;
+    }
+    table
+};
+
 /// Unpacks `len` bases from BAM nybbles.
 pub fn unpack(packed: &[u8], len: usize) -> Result<Vec<u8>> {
     if packed.len() < len.div_ceil(2) {
         return Err(Error::InvalidBam("packed sequence shorter than l_seq".into()));
     }
     let mut out = Vec::with_capacity(len);
-    for i in 0..len {
-        let byte = packed[i / 2];
-        let code = if i % 2 == 0 { byte >> 4 } else { byte & 0xF };
-        out.push(CODE_TO_BASE[code as usize]);
-    }
+    unpack_into(packed, len, &mut out);
     Ok(out)
 }
+
+/// Appends the first `len` bases of `packed` to `out`, two per table
+/// lookup; bases past the end of `packed` are not written.
+pub fn unpack_into(packed: &[u8], len: usize, out: &mut Vec<u8>) {
+    let whole = packed.get(..len / 2).unwrap_or(packed);
+    out.reserve(len);
+    for &byte in whole {
+        out.extend_from_slice(&BASE_PAIRS[usize::from(byte)]);
+    }
+    if len % 2 == 1 {
+        if let Some(&byte) = packed.get(len / 2) {
+            out.push(CODE_TO_BASE[usize::from(byte >> 4)]);
+        }
+    }
+}
+
+/// The complement of every byte: IUPAC bases swap (case kept for ACGT,
+/// `U` → `A`), everything else maps to itself.
+const COMPLEMENT: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as u8;
+        b += 1;
+    }
+    let pairs: [(u8, u8); 19] = [
+        (b'A', b'T'),
+        (b'T', b'A'),
+        (b'C', b'G'),
+        (b'G', b'C'),
+        (b'a', b't'),
+        (b't', b'a'),
+        (b'c', b'g'),
+        (b'g', b'c'),
+        (b'U', b'A'),
+        (b'M', b'K'),
+        (b'K', b'M'),
+        (b'R', b'Y'),
+        (b'Y', b'R'),
+        (b'W', b'W'),
+        (b'S', b'S'),
+        (b'V', b'B'),
+        (b'B', b'V'),
+        (b'H', b'D'),
+        (b'D', b'H'),
+    ];
+    let mut i = 0;
+    while i < pairs.len() {
+        table[pairs[i].0 as usize] = pairs[i].1;
+        i += 1;
+    }
+    table
+};
 
 /// Complement of one IUPAC base (case preserved for ACGT, others best
 /// effort; unknown characters pass through).
 #[inline]
 pub fn complement(base: u8) -> u8 {
-    match base {
-        b'A' => b'T',
-        b'T' => b'A',
-        b'C' => b'G',
-        b'G' => b'C',
-        b'a' => b't',
-        b't' => b'a',
-        b'c' => b'g',
-        b'g' => b'c',
-        b'U' => b'A',
-        b'M' => b'K',
-        b'K' => b'M',
-        b'R' => b'Y',
-        b'Y' => b'R',
-        b'W' => b'W',
-        b'S' => b'S',
-        b'V' => b'B',
-        b'B' => b'V',
-        b'H' => b'D',
-        b'D' => b'H',
-        other => other,
-    }
+    COMPLEMENT[usize::from(base)]
 }
 
 /// Reverse complement, allocating a new buffer.
@@ -98,7 +138,7 @@ pub fn reverse_complement(bases: &[u8]) -> Vec<u8> {
 pub fn reverse_complement_in_place(bases: &mut [u8]) {
     bases.reverse();
     for b in bases.iter_mut() {
-        *b = complement(*b);
+        *b = COMPLEMENT[usize::from(*b)];
     }
 }
 
@@ -148,6 +188,54 @@ mod tests {
         let mut s = b"GATTACA".to_vec();
         reverse_complement_in_place(&mut s);
         assert_eq!(s, b"TGTAATC");
+    }
+
+    /// The table is the per-base `match` it replaced, on every byte.
+    #[test]
+    fn complement_table_matches_the_match() {
+        fn by_match(base: u8) -> u8 {
+            match base {
+                b'A' => b'T',
+                b'T' => b'A',
+                b'C' => b'G',
+                b'G' => b'C',
+                b'a' => b't',
+                b't' => b'a',
+                b'c' => b'g',
+                b'g' => b'c',
+                b'U' => b'A',
+                b'M' => b'K',
+                b'K' => b'M',
+                b'R' => b'Y',
+                b'Y' => b'R',
+                b'W' => b'W',
+                b'S' => b'S',
+                b'V' => b'B',
+                b'B' => b'V',
+                b'H' => b'D',
+                b'D' => b'H',
+                other => other,
+            }
+        }
+        for b in 0..=u8::MAX {
+            assert_eq!(complement(b), by_match(b), "byte {b}");
+        }
+    }
+
+    #[test]
+    fn unpack_into_takes_two_bases_per_byte() {
+        let all: Vec<u8> = (0..=u8::MAX).collect();
+        let mut out = Vec::new();
+        unpack_into(&all, 512, &mut out);
+        let by_nibble: Vec<u8> =
+            all.iter().flat_map(|&b| [CODE_TO_BASE[(b >> 4) as usize], CODE_TO_BASE[(b & 0xF) as usize]]).collect();
+        assert_eq!(out, by_nibble);
+        out.clear();
+        unpack_into(&[0x12, 0x48], 3, &mut out);
+        assert_eq!(out, b"ACG");
+        out.clear();
+        unpack_into(&[0x12], 5, &mut out);
+        assert_eq!(out, b"AC", "bases past the packed bytes are not written");
     }
 
     #[test]

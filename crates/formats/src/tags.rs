@@ -1,6 +1,7 @@
 //! Optional alignment tags (`TAG:TYPE:VALUE` columns in SAM, the tag block
 //! in BAM).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::cigar::{itoa_buffer, write_i64};
@@ -141,19 +142,82 @@ impl Tag {
 
     /// Writes the SAM text form (`KEY:TYPE:VALUE`) into `out`.
     pub fn write_sam(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.key);
+        TagValueRef::from(&self.value).write_sam(self.key, out);
+    }
+}
+
+/// A tag value borrowed from an owned [`TagValue`] or straight from a BAM
+/// tag block ([`crate::bam::tags`]): what the emitters render, so each
+/// tag rendering exists once for both record forms.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TagValueRef<'a> {
+    /// `A`: a single character.
+    Char(u8),
+    /// Any integer width.
+    Int(i64),
+    /// `f`: a float.
+    Float(f32),
+    /// `Z`: a string.
+    String(&'a [u8]),
+    /// `H`: hex text.
+    Hex(&'a [u8]),
+    /// `B`: a numeric array (decoded on demand off a BAM block; arrays
+    /// are rare).
+    Array(Cow<'a, TagArray>),
+}
+
+impl<'a> From<&'a TagValue> for TagValueRef<'a> {
+    fn from(v: &'a TagValue) -> Self {
+        match v {
+            TagValue::Char(c) => TagValueRef::Char(*c),
+            TagValue::Int(i) => TagValueRef::Int(*i),
+            TagValue::Float(f) => TagValueRef::Float(*f),
+            TagValue::String(s) => TagValueRef::String(s),
+            TagValue::Hex(s) => TagValueRef::Hex(s),
+            TagValue::Array(a) => TagValueRef::Array(Cow::Borrowed(a)),
+        }
+    }
+}
+
+impl TagValueRef<'_> {
+    /// The owned value.
+    pub fn to_owned(&self) -> TagValue {
+        match self {
+            TagValueRef::Char(c) => TagValue::Char(*c),
+            TagValueRef::Int(i) => TagValue::Int(*i),
+            TagValueRef::Float(f) => TagValue::Float(*f),
+            TagValueRef::String(s) => TagValue::String(s.to_vec()),
+            TagValueRef::Hex(s) => TagValue::Hex(s.to_vec()),
+            TagValueRef::Array(a) => TagValue::Array(a.clone().into_owned()),
+        }
+    }
+
+    fn type_char(&self) -> u8 {
+        match self {
+            TagValueRef::Char(_) => b'A',
+            TagValueRef::Int(_) => b'i',
+            TagValueRef::Float(_) => b'f',
+            TagValueRef::String(_) => b'Z',
+            TagValueRef::Hex(_) => b'H',
+            TagValueRef::Array(_) => b'B',
+        }
+    }
+
+    /// Writes the SAM text form of tag `key` (`KEY:TYPE:VALUE`) into `out`.
+    pub fn write_sam(&self, key: [u8; 2], out: &mut Vec<u8>) {
+        out.extend_from_slice(&key);
         out.push(b':');
-        out.push(self.value.type_char());
+        out.push(self.type_char());
         out.push(b':');
-        match &self.value {
-            TagValue::Char(c) => out.push(*c),
-            TagValue::Int(i) => {
+        match self {
+            TagValueRef::Char(c) => out.push(*c),
+            TagValueRef::Int(i) => {
                 let mut buf = itoa_buffer();
                 out.extend_from_slice(write_i64(&mut buf, *i));
             }
-            TagValue::Float(f) => out.extend_from_slice(format_float(*f).as_bytes()),
-            TagValue::String(s) | TagValue::Hex(s) => out.extend_from_slice(s),
-            TagValue::Array(a) => write_array_sam(a, out),
+            TagValueRef::Float(f) => out.extend_from_slice(format_float(*f).as_bytes()),
+            TagValueRef::String(s) | TagValueRef::Hex(s) => out.extend_from_slice(s),
+            TagValueRef::Array(a) => write_array_sam(a, out),
         }
     }
 }

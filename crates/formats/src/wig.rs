@@ -6,6 +6,7 @@
 use crate::cigar::{itoa_buffer, write_u64};
 use crate::error::{Error, Result};
 use crate::record::AlignmentRecord;
+use crate::view::Alignment;
 
 /// Appends a per-alignment WIG fragment: a `variableStep` declaration
 /// (span = reference span) plus one line at the alignment start with
@@ -15,12 +16,18 @@ use crate::record::AlignmentRecord;
 /// for binned tracks (see [`write_fixed_step`]); the converter supports
 /// it for completeness with the paper's format list.
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
-    let (Some(start), Some(end)) = (rec.start0(), rec.end0()) else {
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one per-alignment WIG
+/// formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    let (Some(start), Some(end)) = (a.start0(), a.end0()) else {
         return false;
     };
     let mut buf = itoa_buffer();
     out.extend_from_slice(b"variableStep chrom=");
-    out.extend_from_slice(&rec.rname);
+    out.extend_from_slice(a.rname());
     out.extend_from_slice(b" span=");
     out.extend_from_slice(write_u64(&mut buf, (end - start) as u64));
     out.push(b'\n');

@@ -2,35 +2,54 @@
 //! mapping, so a converted file is a single YAML sequence document.
 
 use crate::record::AlignmentRecord;
-use crate::tags::{TagArray, TagValue};
+use crate::tags::{TagArray, TagValueRef};
+use crate::view::Alignment;
 
 /// Appends one YAML sequence item describing `rec`.
 pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
-    write_scalar_field(out, b"- ", "qname", if rec.qname.is_empty() { b"*" } else { &rec.qname });
-    write_int_field(out, "flag", rec.flag.0 as i64);
-    write_scalar_field(out, b"  ", "rname", if rec.rname.is_empty() { b"*" } else { &rec.rname });
-    write_int_field(out, "pos", rec.pos);
-    write_int_field(out, "mapq", rec.mapq as i64);
-    let mut cig = Vec::new();
-    rec.cigar.write_sam(&mut cig);
-    write_scalar_field(out, b"  ", "cigar", &cig);
-    write_scalar_field(out, b"  ", "rnext", if rec.rnext.is_empty() { b"*" } else { &rec.rnext });
-    write_int_field(out, "pnext", rec.pnext);
-    write_int_field(out, "tlen", rec.tlen);
-    write_scalar_field(out, b"  ", "seq", if rec.seq.is_empty() { b"*" } else { &rec.seq });
-    if rec.qual.is_empty() {
-        write_scalar_field(out, b"  ", "qual", b"*");
-    } else {
-        let ascii: Vec<u8> = rec.qual.iter().map(|&q| q + 33).collect();
-        write_scalar_field(out, b"  ", "qual", &ascii);
+    emit(rec, out)
+}
+
+/// [`write_alignment`] for any [`Alignment`]: the one YAML formatter.
+pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
+    fn star_or(bytes: &[u8]) -> &[u8] {
+        if bytes.is_empty() {
+            b"*"
+        } else {
+            bytes
+        }
     }
-    if !rec.tags.is_empty() {
+    write_scalar_field(out, b"- ", "qname", |out| out.extend_from_slice(star_or(a.qname())));
+    write_int_field(out, "flag", i64::from(a.flag().0));
+    write_scalar_field(out, b"  ", "rname", |out| out.extend_from_slice(star_or(a.rname())));
+    write_int_field(out, "pos", a.pos());
+    write_int_field(out, "mapq", i64::from(a.mapq()));
+    write_scalar_field(out, b"  ", "cigar", |out| a.write_cigar(out));
+    write_scalar_field(out, b"  ", "rnext", |out| out.extend_from_slice(star_or(a.rnext())));
+    write_int_field(out, "pnext", a.pnext());
+    write_int_field(out, "tlen", a.tlen());
+    write_scalar_field(out, b"  ", "seq", |out| {
+        if a.seq_len() == 0 {
+            out.push(b'*');
+        } else {
+            a.push_seq(out);
+        }
+    });
+    write_scalar_field(out, b"  ", "qual", |out| {
+        if a.qual().is_empty() {
+            out.push(b'*');
+        } else {
+            a.push_qual33(false, out);
+        }
+    });
+    let mut tags = a.tags().peekable();
+    if tags.peek().is_some() {
         out.extend_from_slice(b"  tags:\n");
-        for tag in &rec.tags {
+        for (key, value) in tags {
             out.extend_from_slice(b"    ");
-            out.extend_from_slice(&tag.key);
+            out.extend_from_slice(&key);
             out.extend_from_slice(b": ");
-            write_tag_value(out, &tag.value);
+            write_tag_value(out, &value);
             out.push(b'\n');
         }
     }
@@ -46,11 +65,18 @@ fn write_int_field(out: &mut Vec<u8>, key: &str, v: i64) {
     out.push(b'\n');
 }
 
-fn write_scalar_field(out: &mut Vec<u8>, lead: &[u8], key: &str, value: &[u8]) {
+/// Writes `key: value` for the value `fill` appends, written in place
+/// and rewritten as a quoted scalar only when it needs quoting.
+fn write_scalar_field(out: &mut Vec<u8>, lead: &[u8], key: &str, fill: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(lead);
     out.extend_from_slice(key.as_bytes());
     out.extend_from_slice(b": ");
-    write_scalar(out, value);
+    let start = out.len();
+    fill(out);
+    if needs_quoting(&out[start..]) {
+        let raw = out.split_off(start);
+        write_scalar(out, &raw);
+    }
     out.push(b'\n');
 }
 
@@ -95,16 +121,16 @@ fn needs_quoting(value: &[u8]) -> bool {
         || value.ends_with(b" ")
 }
 
-fn write_tag_value(out: &mut Vec<u8>, v: &TagValue) {
+fn write_tag_value(out: &mut Vec<u8>, v: &TagValueRef<'_>) {
     match v {
-        TagValue::Char(c) => write_scalar(out, &[*c]),
-        TagValue::Int(i) => {
+        TagValueRef::Char(c) => write_scalar(out, &[*c]),
+        TagValueRef::Int(i) => {
             let mut buf = crate::cigar::itoa_buffer();
             out.extend_from_slice(crate::cigar::write_i64(&mut buf, *i));
         }
-        TagValue::Float(f) => out.extend_from_slice(format!("{f}").as_bytes()),
-        TagValue::String(s) | TagValue::Hex(s) => write_scalar(out, s),
-        TagValue::Array(a) => {
+        TagValueRef::Float(f) => out.extend_from_slice(format!("{f}").as_bytes()),
+        TagValueRef::String(s) | TagValueRef::Hex(s) => write_scalar(out, s),
+        TagValueRef::Array(a) => {
             out.push(b'[');
             macro_rules! write_nums {
                 ($v:expr) => {
@@ -116,7 +142,7 @@ fn write_tag_value(out: &mut Vec<u8>, v: &TagValue) {
                     }
                 };
             }
-            match a {
+            match a.as_ref() {
                 TagArray::I8(v) => write_nums!(v),
                 TagArray::U8(v) => write_nums!(v),
                 TagArray::I16(v) => write_nums!(v),

@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use ngs_bamx::Region;
+use ngs_bamx::{BamxFile, ColumnKind, ColumnSet, Region};
 use ngs_converter::bam_converter::convert_index_list;
 use ngs_converter::ConvertConfig;
 use ngs_formats::error::Result;
@@ -594,28 +594,42 @@ fn execute(
             }
         }
         QueryKind::Coverage { bin_size } => {
-            let mut hist = CoverageHistogram::new(shard.bamx.header(), *bin_size);
-            let mut records = 0u64;
-            // Coalesce consecutive indices into range reads, exactly as
-            // conversion does.
-            let mut i = 0usize;
-            while i < indices.len() {
-                let run_start = indices[i];
-                let mut j = i + 1;
-                while j < indices.len() && indices[j] == indices[j - 1] + 1 {
-                    j += 1;
-                }
-                let run_end = indices[j - 1] + 1;
-                for rec in shard.bamx.read_range(run_start, run_end)? {
-                    records += 1;
-                    hist.add_alignment(&rec);
-                }
-                i = j;
-            }
+            let (hist, records) = coverage(&shard.bamx, &indices, *bin_size)?;
             QueryOutcome::Coverage { bins: hist.bins, bin_size: *bin_size, records }
         }
     };
     Ok((outcome, cache_hit))
+}
+
+/// The coverage histogram of the records at `indices` (sorted) of
+/// `shard`, in `bin_size` bins, and how many records it read: what a
+/// coverage request answers. Each run of consecutive indices is one
+/// range visit, as conversion does, reading only FLAG, coordinates and
+/// CIGAR — a v2 shard inflates nothing else — and no record is built.
+pub fn coverage(
+    shard: &BamxFile,
+    indices: &[u64],
+    bin_size: u32,
+) -> Result<(CoverageHistogram, u64)> {
+    let mut hist = CoverageHistogram::new(shard.header(), bin_size);
+    let mut records = 0u64;
+    let columns = ColumnSet::of(&[ColumnKind::Cigar]);
+    let mut i = 0usize;
+    while i < indices.len() {
+        let run_start = indices[i];
+        let mut j = i + 1;
+        while j < indices.len() && indices[j] == indices[j - 1] + 1 {
+            j += 1;
+        }
+        let run_end = indices[j - 1] + 1;
+        shard.for_each_fields(run_start, run_end, columns, |view| {
+            records += 1;
+            hist.add_fields(&view);
+            Ok(())
+        })?;
+        i = j;
+    }
+    Ok((hist, records))
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use ngs_formats::bedgraph::{self, BedGraphRecord};
 use ngs_formats::error::{Error, Result};
 use ngs_formats::header::SamHeader;
 use ngs_formats::record::AlignmentRecord;
+use ngs_formats::view::{Alignment, FieldsView};
 
 /// A binned 1-D coverage histogram over one or more chromosomes,
 /// concatenated into a single bin axis (the layout the paper's NL-means
@@ -22,24 +23,50 @@ pub struct CoverageHistogram {
     pub bins: Vec<f64>,
     /// Per-chromosome extents: `(name, first_bin, n_bins)`.
     pub chroms: Vec<(Vec<u8>, usize, usize)>,
-    /// Name → index into `chroms` (accumulation is per-record hot).
+    /// Name → index into `chroms`; the first of a repeated name wins.
     chrom_index: std::collections::HashMap<Vec<u8>, usize>,
+    /// Reference id of the shaping header → `chrom_index` of its name:
+    /// records read as [`FieldsView`]s find their bins without a name
+    /// lookup.
+    by_ref_id: Vec<usize>,
+}
+
+/// `(chroms, chrom_index)` shaped by a header's reference dictionary,
+/// the first of a repeated name winning in the index.
+type Shape = (Vec<(Vec<u8>, usize, usize)>, std::collections::HashMap<Vec<u8>, usize>);
+
+fn shape(header: &SamHeader, bin_size: u32) -> Shape {
+    assert!(bin_size > 0);
+    let mut chroms = Vec::with_capacity(header.references.len());
+    let mut total = 0usize;
+    for r in &header.references {
+        let n = (r.length as usize).div_ceil(bin_size as usize);
+        chroms.push((r.name.clone(), total, n));
+        total += n;
+    }
+    let mut chrom_index = std::collections::HashMap::with_capacity(chroms.len());
+    for (i, c) in chroms.iter().enumerate() {
+        chrom_index.entry(c.0.clone()).or_insert(i);
+    }
+    (chroms, chrom_index)
 }
 
 impl CoverageHistogram {
     /// An empty histogram shaped by a header's reference dictionary.
     pub fn new(header: &SamHeader, bin_size: u32) -> Self {
-        assert!(bin_size > 0);
-        let mut chroms = Vec::with_capacity(header.references.len());
-        let mut total = 0usize;
-        for r in &header.references {
-            let n = (r.length as usize).div_ceil(bin_size as usize);
-            chroms.push((r.name.clone(), total, n));
-            total += n;
-        }
-        let chrom_index =
-            chroms.iter().enumerate().map(|(i, c)| (c.0.clone(), i)).collect();
-        CoverageHistogram { bin_size, bins: vec![0.0; total], chroms, chrom_index }
+        let (chroms, chrom_index) = shape(header, bin_size);
+        let total = chroms.last().map_or(0, |c| c.1 + c.2);
+        Self::with_shape(bin_size, vec![0.0; total], chroms, chrom_index)
+    }
+
+    fn with_shape(
+        bin_size: u32,
+        bins: Vec<f64>,
+        chroms: Vec<(Vec<u8>, usize, usize)>,
+        chrom_index: std::collections::HashMap<Vec<u8>, usize>,
+    ) -> Self {
+        let by_ref_id = chroms.iter().map(|c| chrom_index[&c.0]).collect();
+        CoverageHistogram { bin_size, bins, chroms, chrom_index, by_ref_id }
     }
 
     /// Total number of bins.
@@ -59,11 +86,31 @@ impl CoverageHistogram {
         let (Some(start), Some(end)) = (rec.start0(), rec.end0()) else {
             return false;
         };
-        let Some(&(_, first_bin, n_bins)) =
-            self.chrom_index.get(rec.rname.as_slice()).map(|&i| &self.chroms[i])
-        else {
+        match self.chrom_index.get(rec.rname.as_slice()) {
+            Some(&chrom) => self.add_span(chrom, start, end),
+            None => false,
+        }
+    }
+
+    /// [`Self::add_alignment`] of a record read off a BAMX shard whose
+    /// header shaped this histogram: its bins are found through its
+    /// reference id, with no name lookup. Only the CIGAR is read besides
+    /// FLAG and coordinates.
+    pub fn add_fields(&mut self, view: &FieldsView<'_>) -> bool {
+        let (Some(start), Some(end)) = (view.start0(), view.end0()) else {
             return false;
         };
+        // Mapped, so the id names a reference of the header.
+        let id = usize::try_from(view.fields().ref_id()).ok();
+        match id.and_then(|id| self.by_ref_id.get(id)) {
+            Some(&chrom) => self.add_span(chrom, start, end),
+            None => false,
+        }
+    }
+
+    /// Adds the span `start..end` on chromosome `chrom`.
+    fn add_span(&mut self, chrom: usize, start: i64, end: i64) -> bool {
+        let (_, first_bin, n_bins) = self.chroms[chrom];
         let bs = self.bin_size as i64;
         let lo_bin = (start / bs).clamp(0, n_bins as i64 - 1) as usize;
         let hi_bin = ((end - 1) / bs).clamp(0, n_bins as i64 - 1) as usize;
@@ -239,15 +286,8 @@ impl BinnedCounts {
     /// An empty counter shaped by a header's reference dictionary,
     /// mirroring [`CoverageHistogram::new`].
     pub fn new(header: &SamHeader, bin_size: u32) -> Self {
-        assert!(bin_size > 0);
-        let mut chroms = Vec::with_capacity(header.references.len());
-        let mut total = 0usize;
-        for r in &header.references {
-            let n = (r.length as usize).div_ceil(bin_size as usize);
-            chroms.push((r.name.clone(), total, n));
-            total += n;
-        }
-        let chrom_index = chroms.iter().enumerate().map(|(i, c)| (c.0.clone(), i)).collect();
+        let (chroms, chrom_index) = shape(header, bin_size);
+        let total = chroms.last().map_or(0, |c| c.1 + c.2);
         BinnedCounts { bin_size, counts: vec![0; total], chroms, chrom_index }
     }
 
@@ -310,12 +350,8 @@ impl BinnedCounts {
     /// (one `counts / bin_size` rounding per bin).
     pub fn into_histogram(self) -> CoverageHistogram {
         let bs = self.bin_size as f64;
-        CoverageHistogram {
-            bin_size: self.bin_size,
-            bins: self.counts.iter().map(|&c| c as f64 / bs).collect(),
-            chroms: self.chroms,
-            chrom_index: self.chrom_index,
-        }
+        let bins = self.counts.iter().map(|&c| c as f64 / bs).collect();
+        CoverageHistogram::with_shape(self.bin_size, bins, self.chroms, self.chrom_index)
     }
 }
 

@@ -5,13 +5,20 @@
 //! `sam::parse_record`, then the writer's `write_record` — byte for byte
 //! in v1 and v2 shards, and the same error on the same record when the
 //! input is damaged.
+//!
+//! Conversion builds none either (DESIGN.md §17): the fields written to a
+//! shard read back as views (`BamxFile::for_each_fields`) equal to them,
+//! and every built-in target converts a view to the bytes it converts
+//! the view's owned record to.
 
 use proptest::prelude::*;
 
-use ngs_bamx::{AnyBamxWriter, BamxCompression, BamxLayout, BamxVersion};
+use ngs_bamx::{AnyBamxWriter, BamxCompression, BamxFile, BamxLayout, BamxVersion, ColumnSet};
+use ngs_converter::target::{builtin, TargetFormat};
 use ngs_formats::bam::{self, view};
 use ngs_formats::error::{Error, Result};
-use ngs_formats::fields::{FieldsScratch, RefIds};
+use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
+use ngs_formats::view::Alignment;
 use ngs_formats::header::{ReferenceSequence, SamHeader};
 use ngs_formats::record::AlignmentRecord;
 use ngs_formats::sam;
@@ -235,6 +242,116 @@ proptest! {
                 let fields = shard(version, &lines, |w, l| w.write_fields(&sam::parse_fields(l, 1, &refs, &mut scratch)?));
                 prop_assert_eq!(&fields, &owned, "{:?} {}", version, String::from_utf8_lossy(text));
             }
+        }
+    }
+}
+
+/// The shard of `version` holding the transcoded fields of `bodies` that
+/// transcode and write, and how many did.
+fn fields_shard(version: BamxVersion, bodies: &[Vec<u8>]) -> (BamxFile, usize) {
+    let refs = RefIds::new(&header());
+    let mut scratch = FieldsScratch::default();
+    let mut writer =
+        AnyBamxWriter::new(version, Vec::new(), header(), roomy(), BamxCompression::Plain).unwrap();
+    let mut written = 0;
+    for body in bodies {
+        if let Ok(fields) = view::transcode(body, &refs, &mut scratch) {
+            if writer.write_fields(&fields).is_ok() {
+                written += 1;
+            }
+        }
+    }
+    let bytes = writer.finish().unwrap();
+    (BamxFile::open_with(Box::new(bytes), "fields").unwrap(), written)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Fields written by either layout's writer read back, through
+    /// `for_each_fields`, as exactly the fields written.
+    #[test]
+    fn written_fields_read_back_as_views_equal_to_them(
+        records in proptest::collection::vec(
+            (arb_bare_record(), proptest::collection::vec(arb_tag(), 0..5), arb_stored()),
+            1..8,
+        ),
+    ) {
+        let bodies: Vec<Vec<u8>> =
+            records.iter().map(|(record, tags, stored)| stored_body(record, tags, stored)).collect();
+        let refs = RefIds::new(&header());
+        let mut scratch = FieldsScratch::default();
+        let written: Vec<RecordFieldsOwned> = bodies
+            .iter()
+            .filter_map(|body| Some(RecordFieldsOwned::of(&view::transcode(body, &refs, &mut scratch).ok()?)))
+            .collect();
+        for version in VERSIONS {
+            let (file, n) = fields_shard(version, &bodies);
+            prop_assert_eq!(n, written.len());
+            let mut read = Vec::new();
+            file.for_each_fields(0, file.len(), ColumnSet::ALL, |v| {
+                read.push(RecordFieldsOwned::of(v.fields()));
+                Ok(())
+            }).unwrap();
+            prop_assert_eq!(&read, &written, "{:?}", version);
+        }
+    }
+
+    /// Every built-in line target, under its own projection, converts a
+    /// view to the bytes it converts the view's owned record to.
+    #[test]
+    fn every_target_converts_a_view_as_its_record(
+        records in proptest::collection::vec(
+            (arb_bare_record(), proptest::collection::vec(arb_tag(), 0..4), arb_stored()),
+            1..6,
+        ),
+    ) {
+        let bodies: Vec<Vec<u8>> =
+            records.iter().map(|(record, tags, stored)| stored_body(record, tags, stored)).collect();
+        for version in VERSIONS {
+            let (file, _) = fields_shard(version, &bodies);
+            for target in TargetFormat::ALL {
+                let Some(converter) = builtin(target) else { continue };
+                let (mut from_fields, mut from_record) = (Vec::new(), Vec::new());
+                file.for_each_fields(0, file.len(), converter.columns(), |v| {
+                    let a = converter.convert_fields(&v, &mut from_fields);
+                    let b = converter.convert(&v.to_record(), &mut from_record);
+                    assert_eq!(a, b, "{target:?} {version:?}: kept/skipped differ");
+                    Ok(())
+                }).unwrap();
+                prop_assert_eq!(
+                    String::from_utf8_lossy(&from_fields),
+                    String::from_utf8_lossy(&from_record),
+                    "{:?} {:?}", target, version
+                );
+            }
+        }
+    }
+}
+
+/// An owned copy of [`RecordFields`], to compare fields read in a visit
+/// with the fields that were written.
+#[derive(Debug, Clone, PartialEq)]
+struct RecordFieldsOwned {
+    ints: (u16, u8, i32, i32, i32, i32, i64),
+    qname: Vec<u8>,
+    cigar: Vec<u8>,
+    l_seq: usize,
+    seq: Vec<u8>,
+    qual: Option<Vec<u8>>,
+    tags: Vec<u8>,
+}
+
+impl RecordFieldsOwned {
+    fn of(f: &RecordFields<'_>) -> Self {
+        RecordFieldsOwned {
+            ints: (f.flag(), f.mapq(), f.ref_id(), f.pos0(), f.next_ref_id(), f.next_pos0(), f.tlen()),
+            qname: f.qname().to_vec(),
+            cigar: f.cigar_bytes().to_vec(),
+            l_seq: f.l_seq(),
+            seq: f.packed_seq().to_vec(),
+            qual: f.qual().map(<[u8]>::to_vec),
+            tags: f.tags().to_vec(),
         }
     }
 }
