@@ -170,16 +170,25 @@ fi
 # hand-derived v1/v2 golden vectors, written fields ≡ the views read
 # back and every target's `convert_fields` ≡ `convert` (proptest_fields),
 # and coverage bins equal across layouts with v2 reading only the CIGAR.
-echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, fields ≡ records, views ≡ records, rank-count identity, perfbench builds)"
+# So does the SAM text front-end (DESIGN.md §18): the word-at-a-time
+# byte search ≡ a byte-by-byte one, `scan_lines` at every read size ≡ a
+# naive split, one reused record ≡ a fresh parse of every line
+# (proptest_formats and the scan/sam unit tests), the SAM integer-column
+# grammar, and the hand-derived formats golden vectors (one BAM record,
+# reg2bin, a SAM line per column edge); the SAM and scan modules deny
+# lossy casts too, so clippy covers ngs-converter.
+echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, fields ≡ records, views ≡ records, SAM tokenizer ≡ reference, rank-count identity, perfbench builds)"
 cargo test --quiet -p ngs-bgzf --test proptest_codec read_ahead
 cargo test --quiet -p ngs-bgzf --lib readahead
-cargo test --quiet -p ngs-repro --test proptest_lengths --test proptest_fields --test preprocess_identity --test preprocess_faults
+cargo test --quiet -p ngs-repro --test proptest_lengths --test proptest_fields --test preprocess_identity --test preprocess_faults --test proptest_formats
 cargo test --quiet -p ngs-bamx --test golden
+cargo test --quiet -p ngs-formats --test golden
+cargo test --quiet -p ngs-formats --lib -- sam tags
 cargo test --quiet -p ngs-repro --test coverage_fields
-cargo test --quiet -p ngs-converter --lib transcode
+cargo test --quiet -p ngs-converter --lib -- transcode scan sam_converter
 cargo test --quiet --release -p ngs-bamx --lib baix
 cargo test --quiet -p ngs-fault --test decode_never_panics
-cargo clippy -p ngs-formats -p ngs-bamx -- -D warnings
+cargo clippy -p ngs-formats -p ngs-bamx -p ngs-converter -- -D warnings
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # BAMX v2 smoke: columnar-layout acceptance (DESIGN.md §14). The

@@ -15,6 +15,7 @@
 
 use ngs_cluster::Communicator;
 use ngs_formats::error::Result;
+use ngs_formats::search::find_byte;
 
 use crate::source::ByteSource;
 
@@ -45,7 +46,7 @@ pub fn next_record_start<S: ByteSource + ?Sized>(source: &S, from: u64) -> Resul
         if n == 0 {
             break;
         }
-        if let Some(i) = buf[..n].iter().position(|&b| b == b'\n') {
+        if let Some(i) = find_byte(&buf[..n], b'\n') {
             return Ok(pos + i as u64 + 1);
         }
         pos += n as u64;

@@ -127,7 +127,7 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
     stats.records_in = scan_records(source, range, config.read_buffer, |record| {
         match &mut sink {
             Sink::Line { converter, out } => {
-                if converter.convert(&record, &mut out_buf) {
+                if converter.convert(record, &mut out_buf) {
                     stats.records_out += 1;
                 }
                 if out_buf.len() >= 64 * 1024 {
@@ -136,7 +136,7 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
                 }
             }
             Sink::Bam { writer, .. } => {
-                writer.write_record(&record)?;
+                writer.write_record(record)?;
                 stats.records_out += 1;
             }
         }
@@ -237,6 +237,25 @@ mod tests {
             assert!(report.records_out() > 0, "{target:?}");
             assert!(report.bytes_out() > 0, "{target:?}");
         }
+    }
+
+    /// Regression: POS `-5` parsed, and BED cast the negative start to
+    /// `u64`, writing `18446744073709551610`. POS is `[0-9]+` (SAM v1.6):
+    /// the line is a typed error naming the column and nothing is emitted
+    /// for it.
+    #[test]
+    fn signed_pos_is_a_typed_error_not_a_wrapped_bed_start() {
+        let src = MemSource::new(b"r\t0\tchr1\t-5\t60\t4M\t*\t0\t0\tACGT\tIIII\n".to_vec());
+        let dir = tempdir().unwrap();
+        let err = SamConverter::new(ConvertConfig::with_ranks(1))
+            .convert_source(&src, TargetFormat::Bed, dir.path(), "out")
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidRecord(msg) if msg.contains("bad integer in POS")),
+            "{err}"
+        );
+        let bed = std::fs::read(dir.path().join("out.part0000.bed")).unwrap_or_default();
+        assert!(!bed.windows(4).any(|w| w == b"1844"), "{}", String::from_utf8_lossy(&bed));
     }
 
     #[test]

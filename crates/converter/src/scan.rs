@@ -2,11 +2,16 @@
 //! per alignment line (header and blank lines skipped) — parsed into a
 //! record ([`scan_records`]), parsed into BAMX-form fields with no record
 //! built ([`scan_fields`]), or only measured ([`scan_lengths`]).
+//!
+//! Lines are found with [`find_byte`], eight bytes per step.
+
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 use ngs_formats::error::{Error, Result};
 use ngs_formats::fields::{FieldsScratch, RecordFields, RefIds};
 use ngs_formats::record::{AlignmentRecord, FieldLengths};
 use ngs_formats::sam;
+use ngs_formats::search::find_byte;
 
 use crate::partition::ByteRange;
 use crate::source::ByteSource;
@@ -14,14 +19,21 @@ use crate::source::ByteSource;
 /// Streams `[start, end)` of `source`, parsing each line as a SAM record
 /// and calling `f`. Lines starting with `@` and blank lines are skipped.
 /// Returns the number of records parsed.
+///
+/// One record serves the whole range: each line is parsed into it in
+/// place ([`sam::parse_record_into`]), so once its buffers have grown no
+/// line allocates. `f` sees the record only for the duration of the
+/// call; a caller that keeps records clones them.
 pub fn scan_records<S: ByteSource + ?Sized>(
     source: &S,
     range: ByteRange,
     read_buffer: usize,
-    mut f: impl FnMut(AlignmentRecord) -> Result<()>,
+    mut f: impl FnMut(&AlignmentRecord) -> Result<()>,
 ) -> Result<u64> {
+    let mut record = AlignmentRecord::default();
     scan_lines(source, range, read_buffer, |line, line_no| {
-        f(sam::parse_record(line, line_no).map_err(|e| in_partition(e, range))?)
+        sam::parse_record_into(line, line_no, &mut record).map_err(|e| in_partition(e, range))?;
+        f(&record)
     })
 }
 
@@ -97,7 +109,7 @@ fn scan_lines<S: ByteSource + ?Sized>(
     };
 
     while pos < end {
-        let want = buf.len().min((end - pos) as usize);
+        let want = usize::try_from(end - pos).map_or(buf.len(), |left| left.min(buf.len()));
         let n = source.read_at(pos, &mut buf[..want])?;
         if n == 0 {
             return Err(Error::InvalidRecord("unexpected EOF inside partition".into()));
@@ -105,7 +117,7 @@ fn scan_lines<S: ByteSource + ?Sized>(
         pos += n as u64;
         let mut chunk = &buf[..n];
         if !carry.is_empty() {
-            if let Some(i) = chunk.iter().position(|&b| b == b'\n') {
+            if let Some(i) = find_byte(chunk, b'\n') {
                 carry.extend_from_slice(&chunk[..i]);
                 chunk = &chunk[i + 1..];
                 line_no += 1;
@@ -116,7 +128,7 @@ fn scan_lines<S: ByteSource + ?Sized>(
                 continue;
             }
         }
-        while let Some(i) = chunk.iter().position(|&b| b == b'\n') {
+        while let Some(i) = find_byte(chunk, b'\n') {
             line_no += 1;
             handle(&chunk[..i], line_no, &mut count)?;
             chunk = &chunk[i + 1..];
@@ -135,6 +147,7 @@ fn scan_lines<S: ByteSource + ?Sized>(
 mod tests {
     use super::*;
     use crate::source::MemSource;
+    use proptest::prelude::*;
 
     #[test]
     fn scans_all_records() {
@@ -142,7 +155,7 @@ mod tests {
         let src = MemSource::new(text.as_bytes().to_vec());
         let mut names = Vec::new();
         let n = scan_records(&src, (0, src.len()), 7, |r| {
-            names.push(String::from_utf8(r.qname).unwrap());
+            names.push(String::from_utf8(r.qname.clone()).unwrap());
             Ok(())
         })
         .unwrap();
@@ -157,7 +170,7 @@ mod tests {
         let src = MemSource::new(text.as_bytes().to_vec());
         let mut names = Vec::new();
         scan_records(&src, (first_len, src.len()), 1024, |r| {
-            names.push(String::from_utf8(r.qname).unwrap());
+            names.push(String::from_utf8(r.qname.clone()).unwrap());
             Ok(())
         })
         .unwrap();
@@ -177,7 +190,7 @@ mod tests {
         })
         .unwrap();
         scan_records(&src, (0, src.len()), 5, |r| {
-            parsed.push(FieldLengths::of(&r)?);
+            parsed.push(FieldLengths::of(r)?);
             Ok(())
         })
         .unwrap();
@@ -188,6 +201,66 @@ mod tests {
         let bad = MemSource::new(b"r\t0\tchr1\tNaN\t60\t4M\t*\t0\t0\tACGT\tIIII\n".to_vec());
         assert_eq!(scan_lengths(&bad, (0, bad.len()), 64, |_| Ok(())).unwrap(), 1);
         assert!(scan_records(&bad, (0, bad.len()), 64, |_| Ok(())).is_err());
+    }
+
+    /// The reference `scan_lines` must equal: split on `\n`, number
+    /// from 1, drop one trailing `\r`, skip blank and `@` lines.
+    fn naive_lines(text: &[u8]) -> Vec<(Vec<u8>, u64)> {
+        let mut lines = Vec::new();
+        for (line, line_no) in text.split(|&b| b == b'\n').zip(1..) {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            if !line.is_empty() && line[0] != b'@' {
+                lines.push((line.to_vec(), line_no));
+            }
+        }
+        lines
+    }
+
+    fn scanned_lines(text: &[u8], read_buffer: usize) -> Vec<(Vec<u8>, u64)> {
+        let src = MemSource::new(text.to_vec());
+        let mut lines = Vec::new();
+        let n = scan_lines(&src, (0, src.len()), read_buffer, |line, line_no| {
+            lines.push((line.to_vec(), line_no));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(n, lines.len() as u64);
+        lines
+    }
+
+    /// Every read size from one byte to the whole input, so each line
+    /// straddles reads at every offset: CRLF, blank lines, a lone `\r`,
+    /// `@` lines, a tab-only line and a last line with no newline.
+    #[test]
+    fn scan_lines_equals_a_naive_split_at_every_read_buffer() {
+        for text in [
+            &b"@HD\tVN:1.6\r\nr1\tA\r\n\n\r\n@CO\tx\nlong line with\ttabs and more bytes than a word\n\t\nlast"[..],
+            b"\n\n\nonly\n",
+            b"no newline at all",
+            b"",
+        ] {
+            let expected = naive_lines(text);
+            for read_buffer in 1..=text.len().max(1) + 1 {
+                assert_eq!(scanned_lines(text, read_buffer), expected, "buffer {read_buffer}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn scan_lines_equals_a_naive_split_on_arbitrary_text(
+            text in proptest::collection::vec(
+                prop_oneof![Just(b'\n'), Just(b'\r'), Just(b'@'), Just(b'\t'), any::<u8>()],
+                0..120,
+            ),
+        ) {
+            let expected = naive_lines(&text);
+            for read_buffer in 1..=text.len().max(1) {
+                prop_assert_eq!(scanned_lines(&text, read_buffer), expected.clone());
+            }
+        }
     }
 
     #[test]

@@ -9,12 +9,12 @@ use ngs_bgzf::{BgzfReader, BgzfWriter, VirtualOffset};
 use crate::binning::reg2bin;
 use crate::cigar::{Cigar, CigarOp};
 use crate::error::{Error, Result};
-use crate::fields::{int_tag_type, put_int_tag};
+use crate::fields::{put_int_tag, TagSink};
 use crate::flags::Flags;
 use crate::header::{ReferenceSequence, SamHeader};
 use crate::record::{AlignmentRecord, FieldLengths};
 use crate::seq;
-use crate::tags::{Tag, TagArray, TagValue, TagValueRef};
+use crate::tags::{Tag, TagArray, TagValueRef};
 
 pub mod view;
 
@@ -109,45 +109,45 @@ fn resolve_ref(header: &SamHeader, name: &[u8]) -> Result<i32> {
         .ok_or_else(|| Error::UnknownReference(String::from_utf8_lossy(name).into_owned()))
 }
 
-/// Appends `tag` as BAM stores it, every integer in its narrowest type.
-pub(crate) fn encode_tag(tag: &Tag, out: &mut Vec<u8>) -> Result<()> {
-    out.extend_from_slice(&tag.key);
-    match &tag.value {
-        TagValue::Char(c) => {
-            out.push(b'A');
-            out.push(*c);
+/// Appends tag `key` = `value` as BAM stores it, every integer in its
+/// narrowest type — the one BAM tag encoder. Into a `usize` sink it only
+/// counts the bytes, so a tag is measured by the code that writes it.
+pub(crate) fn put_tag(key: [u8; 2], value: &TagValueRef<'_>, out: &mut impl TagSink) -> Result<()> {
+    out.put(&key);
+    match value {
+        TagValueRef::Char(c) => out.put(&[b'A', *c]),
+        TagValueRef::Int(v) => put_int_tag(*v, out)?,
+        TagValueRef::Float(f) => {
+            out.put(b"f");
+            out.put(&f.to_le_bytes());
         }
-        TagValue::Int(v) => put_int_tag(*v, out)?,
-        TagValue::Float(f) => {
-            out.push(b'f');
-            out.extend_from_slice(&f.to_le_bytes());
+        TagValueRef::String(s) | TagValueRef::Hex(s) => {
+            out.put(&[value.type_char()]);
+            out.put(s);
+            out.put(&[0]);
         }
-        TagValue::String(s) => {
-            out.push(b'Z');
-            out.extend_from_slice(s);
-            out.push(0);
-        }
-        TagValue::Hex(s) => {
-            out.push(b'H');
-            out.extend_from_slice(s);
-            out.push(0);
-        }
-        TagValue::Array(a) => {
-            out.push(b'B');
-            out.push(a.subtype());
-            out.extend_from_slice(&(a.len() as u32).to_le_bytes());
-            match a {
-                TagArray::I8(v) => out.extend(v.iter().map(|&x| x as u8)),
-                TagArray::U8(v) => out.extend_from_slice(v),
-                TagArray::I16(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-                TagArray::U16(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-                TagArray::I32(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-                TagArray::U32(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-                TagArray::F32(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+        TagValueRef::Array(a) => {
+            let count = u32::try_from(a.len())
+                .map_err(|_| Error::InvalidTag(format!("B array of {} elements", a.len())))?;
+            out.put(&[b'B', a.subtype()]);
+            out.put(&count.to_le_bytes());
+            match a.as_ref() {
+                TagArray::I8(v) => v.iter().for_each(|x| out.put(&x.to_le_bytes())),
+                TagArray::U8(v) => out.put(v),
+                TagArray::I16(v) => v.iter().for_each(|x| out.put(&x.to_le_bytes())),
+                TagArray::U16(v) => v.iter().for_each(|x| out.put(&x.to_le_bytes())),
+                TagArray::I32(v) => v.iter().for_each(|x| out.put(&x.to_le_bytes())),
+                TagArray::U32(v) => v.iter().for_each(|x| out.put(&x.to_le_bytes())),
+                TagArray::F32(v) => v.iter().for_each(|x| out.put(&x.to_le_bytes())),
             }
         }
     }
     Ok(())
+}
+
+/// [`put_tag`] of an owned tag.
+pub(crate) fn encode_tag(tag: &Tag, out: &mut Vec<u8>) -> Result<()> {
+    put_tag(tag.key, &TagValueRef::from(&tag.value), out)
 }
 
 /// Encodes a tag list into the BAM tag wire format (used verbatim by the
@@ -160,36 +160,24 @@ pub fn encode_tags(tags: &[Tag]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// The bytes [`put_tag`] writes for one tag, without writing them.
+pub(crate) fn encoded_tag_len(key: [u8; 2], value: &TagValueRef<'_>) -> Result<usize> {
+    let mut len = 0usize;
+    put_tag(key, value, &mut len)?;
+    Ok(len)
+}
+
 /// `encode_tags(tags)?.len()` without encoding: the layout pass reads
 /// only this length, once per record. Fails on the same tags
 /// [`encode_tags`] fails on.
 pub fn encoded_tags_len(tags: &[Tag]) -> Result<usize> {
-    let mut len = 0usize;
-    for t in tags {
-        // Key, type byte, then the value.
-        len += 3 + match &t.value {
-            TagValue::Char(_) => 1,
-            TagValue::Int(v) => int_tag_type(*v)?.1,
-            TagValue::Float(_) => 4,
-            TagValue::String(s) | TagValue::Hex(s) => s.len() + 1,
-            TagValue::Array(a) => {
-                let width = match a {
-                    TagArray::I8(_) | TagArray::U8(_) => 1,
-                    TagArray::I16(_) | TagArray::U16(_) => 2,
-                    TagArray::I32(_) | TagArray::U32(_) | TagArray::F32(_) => 4,
-                };
-                // Subtype byte, u32 count, elements.
-                1 + 4 + a.len() * width
-            }
-        };
-    }
-    Ok(len)
+    tags.iter().try_fold(0, |len, t| Ok(len + encoded_tag_len(t.key, &TagValueRef::from(&t.value))?))
 }
 
 /// Decodes a BAM tag block back into a tag list.
 pub fn decode_tags(bytes: &[u8]) -> Result<Vec<Tag>> {
     tags(bytes)
-        .map(|tag| tag.map(|(key, value)| Tag { key, value: value.to_owned() }))
+        .map(|tag| tag.map(|(key, value)| Tag { key, value: value.into_owned() }))
         .collect()
 }
 
@@ -658,6 +646,7 @@ impl<W: Write> BamWriter<W> {
 mod tests {
     use super::*;
     use crate::sam;
+    use crate::tags::TagValue;
     use std::io::Cursor as IoCursor;
 
     fn test_header() -> SamHeader {

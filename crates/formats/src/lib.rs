@@ -13,6 +13,8 @@
 //!   the BAMX encoders;
 //! * [`view`]: the [`view::Alignment`] accessor every emitter reads, and
 //!   [`view::FieldsView`], a record's fields read off a BAMX shard;
+//! * [`search::find_byte`]: the word-at-a-time byte search every text
+//!   front-end splits lines and columns with;
 //! * line-oriented target emitters: [`bed`], [`bedgraph`], [`fasta`],
 //!   [`fastq`], [`json`], [`yaml`], [`wig`], [`gff`].
 //!
@@ -38,6 +40,7 @@ pub mod header;
 pub mod json;
 pub mod record;
 pub mod sam;
+pub mod search;
 pub mod seq;
 pub mod tags;
 pub mod view;

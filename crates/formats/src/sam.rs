@@ -2,45 +2,71 @@
 //! (or straight into BAMX-form [`RecordFields`]) and serializing records
 //! back to text.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 use std::io::{BufRead, Write};
 
-use crate::bam::{self, encoded_tags_len};
-use crate::cigar::{itoa_buffer, parse_ops_into, write_i64, write_u64, Cigar, CigarOp};
+use crate::bam;
+use crate::cigar::{itoa_buffer, parse_ops_into, write_i64, write_u64, CigarOp};
 use crate::error::{Error, Result};
 use crate::fields::{cigar_words_into, pos0_of, FieldsScratch, RecordFields, RefIds};
 use crate::flags::Flags;
 use crate::header::SamHeader;
 use crate::record::{AlignmentRecord, FieldLengths};
+use crate::search::find_byte;
 use crate::seq;
-use crate::tags::Tag;
+use crate::tags::{Tag, TagValueRef};
 use crate::view::Alignment;
 
 /// Parses one tab-delimited SAM alignment line (no trailing newline).
 ///
 /// `line_no` is used only for error reporting.
 pub fn parse_record(line: &[u8], line_no: u64) -> Result<AlignmentRecord> {
-    let mut ops = Vec::new();
-    let line = split_line(line, line_no, &mut ops)?;
-    let mut tags = Vec::new();
+    let mut record = AlignmentRecord::default();
+    parse_record_into(line, line_no, &mut record)?;
+    Ok(record)
+}
+
+/// [`parse_record`] into a record the caller reuses: every field is
+/// overwritten in place and every buffer kept — names, CIGAR, bases,
+/// qualities, the tag list and each tag slot's `Z`/`H` bytes when the
+/// slot's type repeats — so a loop over lines allocates only while the
+/// buffers grow. On success `record` equals `parse_record(line,
+/// line_no)?`; on error it holds an unspecified mix of this line and the
+/// last, and the error is the one [`parse_record`] gives.
+pub fn parse_record_into(line: &[u8], line_no: u64, record: &mut AlignmentRecord) -> Result<()> {
+    let line = split_line(line, line_no, &mut record.cigar.0)?;
+    let mut n_tags = 0;
     for field in line.tags {
-        tags.push(parse_tag(field, line_no)?);
+        let (key, value) = parse_tag(field, line_no)?;
+        match record.tags.get_mut(n_tags) {
+            Some(slot) => {
+                slot.key = key;
+                value.assign_to(&mut slot.value);
+            }
+            None => record.tags.push(Tag { key, value: value.into_owned() }),
+        }
+        n_tags += 1;
     }
-    Ok(AlignmentRecord {
-        // "*" is the reserved "unavailable" name; normalize to empty,
-        // matching the BAM decoder so records agree across formats.
-        qname: if line.qname == b"*" { Vec::new() } else { line.qname.to_vec() },
-        flag: Flags(line.flag),
-        rname: line.rname.to_vec(),
-        pos: line.pos,
-        mapq: line.mapq,
-        cigar: Cigar(ops),
-        rnext: line.rnext.to_vec(),
-        pnext: line.pnext,
-        tlen: line.tlen,
-        seq: line.seq.to_vec(),
-        qual: phred(line.qual).collect(),
-        tags,
-    })
+    record.tags.truncate(n_tags);
+    let set = |buf: &mut Vec<u8>, bytes: &[u8]| {
+        buf.clear();
+        buf.extend_from_slice(bytes);
+    };
+    // "*" is the reserved "unavailable" name; normalize to empty,
+    // matching the BAM decoder so records agree across formats.
+    set(&mut record.qname, if line.qname == b"*" { &[] } else { line.qname });
+    record.flag = Flags(line.flag);
+    set(&mut record.rname, line.rname);
+    record.pos = line.pos;
+    record.mapq = line.mapq;
+    set(&mut record.rnext, line.rnext);
+    record.pnext = line.pnext;
+    record.tlen = line.tlen;
+    set(&mut record.seq, line.seq);
+    record.qual.clear();
+    record.qual.extend(phred(line.qual));
+    Ok(())
 }
 
 /// Parses one SAM alignment line straight into BAMX-form fields — no
@@ -60,15 +86,14 @@ pub fn parse_fields<'a>(
     scratch: &'a mut FieldsScratch,
 ) -> Result<RecordFields<'a>> {
     let FieldsScratch { ops, cigar, seq: packed, qual, tags } = scratch;
-    ops.clear();
     let line = split_line(line, line_no, ops)?;
     tags.clear();
     let mut unencodable = None;
     for field in line.tags {
-        let tag = parse_tag(field, line_no)?;
+        let (key, value) = parse_tag(field, line_no)?;
         // Every tag must still parse: a later grammar error comes first.
         if unencodable.is_none() {
-            unencodable = bam::encode_tag(&tag, tags).err();
+            unencodable = bam::put_tag(key, &value, tags).err();
         }
     }
     let ref_id = refs.resolve(line.rname)?;
@@ -107,9 +132,10 @@ struct Columns<'a>(Option<&'a [u8]>);
 impl<'a> Iterator for Columns<'a> {
     type Item = &'a [u8];
 
+    #[inline]
     fn next(&mut self) -> Option<&'a [u8]> {
         let rest = self.0?;
-        match rest.iter().position(|&b| b == b'\t') {
+        match find_byte(rest, b'\t') {
             Some(i) => {
                 self.0 = Some(&rest[i + 1..]);
                 Some(&rest[..i])
@@ -144,7 +170,10 @@ struct Line<'a> {
     tags: Columns<'a>,
 }
 
+/// Splits `line`, replacing the contents of `ops` with its CIGAR
+/// operations.
 fn split_line<'a>(line: &'a [u8], line_no: u64, ops: &mut Vec<(u32, CigarOp)>) -> Result<Line<'a>> {
+    ops.clear();
     let mut columns = Columns(Some(line));
     let mut next = |name: &'static str| {
         columns.next().ok_or_else(|| Error::sam(line_no, format!("missing field {name}")))
@@ -161,19 +190,21 @@ fn split_line<'a>(line: &'a [u8], line_no: u64, ops: &mut Vec<(u32, CigarOp)>) -
     let seq_text = next("SEQ")?;
     let qual_text = next("QUAL")?;
 
-    let flag = u16::try_from(parse_int(flag_text, line_no, "FLAG")?)
+    let flag = u16::try_from(parse_unsigned(flag_text, line_no, "FLAG")?)
         .map_err(|_| Error::sam(line_no, "FLAG out of range"))?;
-    let pos = parse_int(pos_text, line_no, "POS")?;
-    let mapq = u8::try_from(parse_int(mapq_text, line_no, "MAPQ")?)
+    let pos = parse_unsigned(pos_text, line_no, "POS")?;
+    let mapq = u8::try_from(parse_unsigned(mapq_text, line_no, "MAPQ")?)
         .map_err(|_| Error::sam(line_no, "MAPQ out of range"))?;
     parse_ops_into(cigar_text, ops).map_err(|e| Error::sam(line_no, format!("{e}")))?;
-    let pnext = parse_int(pnext_text, line_no, "PNEXT")?;
-    let tlen = parse_int(tlen_text, line_no, "TLEN")?;
+    let pnext = parse_unsigned(pnext_text, line_no, "PNEXT")?;
+    let tlen = parse_signed(tlen_text, line_no, "TLEN")?;
 
     let seq = if seq_text == b"*" { &[][..] } else { seq_text };
     let qual = if qual_text == b"*" { &[][..] } else { qual_text };
-    // SAM stores Phred+33.
-    if qual.iter().any(|&c| c < 33) {
+    // SAM stores Phred+33. The minimum, not a short-circuiting search:
+    // it vectorizes, and valid lines (the common case) read every byte
+    // either way.
+    if qual.iter().min().is_some_and(|&c| c < 33) {
         return Err(Error::sam(line_no, "QUAL character below '!'"));
     }
     if !seq.is_empty() && !qual.is_empty() && seq.len() != qual.len() {
@@ -187,18 +218,18 @@ fn phred(qual: &[u8]) -> impl Iterator<Item = u8> + '_ {
     qual.iter().map(|&c| c - 33)
 }
 
-fn parse_tag(field: &[u8], line_no: u64) -> Result<Tag> {
-    Tag::parse_sam(field).map_err(|e| Error::sam(line_no, format!("{e}")))
+fn parse_tag(field: &[u8], line_no: u64) -> Result<([u8; 2], TagValueRef<'_>)> {
+    TagValueRef::parse_sam(field).map_err(|e| Error::sam(line_no, format!("{e}")))
 }
 
 /// Measures one SAM alignment line (no trailing newline) without parsing
 /// it: QNAME and SEQ by length, CIGAR by counting operator characters,
-/// and each tag field through [`Tag::parse_sam`] — the one tag grammar —
-/// sized as the BAM encoder will store it. Agrees with
-/// `FieldLengths::of(&parse_record(..)?)` on every line [`parse_record`]
-/// accepts; integers, CIGAR syntax, bases and qualities are not looked
-/// at, so a line that is bad only in those passes here and fails in
-/// [`parse_record`].
+/// and each tag field through [`TagValueRef::parse_sam`] — the one tag
+/// grammar — sized by the BAM tag encoder without building a tag. Agrees
+/// with `FieldLengths::of(&parse_record(..)?)` on every line
+/// [`parse_record`] accepts; integers, CIGAR syntax, bases and qualities
+/// are not looked at, so a line that is bad only in those passes here
+/// and fails in [`parse_record`].
 pub fn measure_record(line: &[u8], line_no: u64) -> Result<FieldLengths> {
     let mut fields = Columns(Some(line));
     let mut next = |name: &'static str| {
@@ -217,8 +248,8 @@ pub fn measure_record(line: &[u8], line_no: u64) -> Result<FieldLengths> {
 
     let mut tags = 0usize;
     for field in fields {
-        tags += Tag::parse_sam(field)
-            .and_then(|tag| encoded_tags_len(std::slice::from_ref(&tag)))
+        tags += TagValueRef::parse_sam(field)
+            .and_then(|(key, value)| bam::encoded_tag_len(key, &value))
             .map_err(|e| Error::sam(line_no, format!("{e}")))?;
     }
     Ok(FieldLengths {
@@ -233,11 +264,27 @@ pub fn measure_record(line: &[u8], line_no: u64) -> Result<FieldLengths> {
     })
 }
 
-fn parse_int(text: &[u8], line_no: u64, field: &str) -> Result<i64> {
+/// An unsigned integer column — FLAG, POS, MAPQ, PNEXT — whose grammar
+/// is `[0-9]+` (SAM v1.6, Table 1): no sign of either kind.
+fn parse_unsigned(text: &[u8], line_no: u64, field: &str) -> Result<i64> {
     if text.is_empty() {
         return Err(Error::sam(line_no, format!("empty {field}")));
     }
-    let (neg, digits) = if text[0] == b'-' { (true, &text[1..]) } else { (false, text) };
+    parse_digits(text, line_no, field)
+}
+
+/// TLEN, the one signed integer column: `[-+]?[0-9]+`.
+fn parse_signed(text: &[u8], line_no: u64, field: &str) -> Result<i64> {
+    match text {
+        [] => Err(Error::sam(line_no, format!("empty {field}"))),
+        [b'-', digits @ ..] => parse_digits(digits, line_no, field).map(|v| -v),
+        [b'+', digits @ ..] => parse_digits(digits, line_no, field),
+        digits => parse_digits(digits, line_no, field),
+    }
+}
+
+/// `[0-9]+` as an i64.
+fn parse_digits(digits: &[u8], line_no: u64, field: &str) -> Result<i64> {
     if digits.is_empty() {
         return Err(Error::sam(line_no, format!("bad integer in {field}")));
     }
@@ -248,10 +295,10 @@ fn parse_int(text: &[u8], line_no: u64, field: &str) -> Result<i64> {
         }
         v = v
             .checked_mul(10)
-            .and_then(|v| v.checked_add((c - b'0') as i64))
+            .and_then(|v| v.checked_add(i64::from(c - b'0')))
             .ok_or_else(|| Error::sam(line_no, format!("integer overflow in {field}")))?;
     }
-    Ok(if neg { -v } else { v })
+    Ok(v)
 }
 
 /// Serializes `record` as one SAM line (without trailing newline) into
@@ -491,6 +538,44 @@ mod tests {
         }
         let max = parse_record(b"r\t65535\tchr1\t1\t60\t*\t*\t0\t0\t*\t*", 1).unwrap();
         assert_eq!(max.flag.0, 65535);
+    }
+
+    /// The integer columns follow SAM v1.6 Table 1: FLAG, POS, MAPQ and
+    /// PNEXT are `[0-9]+`, TLEN is `[-+]?[0-9]+`. A `-` in POS once
+    /// parsed (and converted to a BED start of 2^64 − 6); a `+8` TLEN
+    /// was rejected. Both parsers share the grammar, the measure skips it.
+    #[test]
+    fn integer_columns_follow_the_spec_grammar() {
+        let refs = RefIds::new(&SamHeader::parse("@SQ\tSN:chr1\tLN:1000\n").unwrap());
+        let mut scratch = FieldsScratch::default();
+        let with = |column: usize, text: &str| {
+            let mut fields: Vec<&str> = "r\t0\tchr1\t5\t60\t4M\t=\t9\t4\tACGT\tIIII".split('\t').collect();
+            fields[column] = text;
+            fields.join("\t")
+        };
+        for (column, name) in [(1, "FLAG"), (3, "POS"), (4, "MAPQ"), (7, "PNEXT")] {
+            for text in ["-5", "+5", "-0", "+0", "-", "+", " 5", "5-"] {
+                let line = with(column, text);
+                let err = parse_record(line.as_bytes(), 7).unwrap_err();
+                assert_eq!(err.to_string(), Error::sam(7, format!("bad integer in {name}")).to_string(), "{line}");
+                let fields = parse_fields(line.as_bytes(), 7, &refs, &mut scratch).unwrap_err();
+                assert_eq!(fields.to_string(), err.to_string());
+                assert!(measure_record(line.as_bytes(), 7).is_ok(), "{line}");
+            }
+            assert!(parse_record(with(column, "").as_bytes(), 1)
+                .is_err_and(|e| e.to_string().contains(&format!("empty {name}"))));
+            assert!(parse_record(with(column, "0").as_bytes(), 1).is_ok());
+        }
+        for (text, tlen) in [("+8", 8), ("-8", -8), ("8", 8), ("+0", 0), ("-0", 0)] {
+            assert_eq!(parse_record(with(8, text).as_bytes(), 1).unwrap().tlen, tlen, "{text}");
+            assert_eq!(parse_fields(with(8, text).as_bytes(), 1, &refs, &mut scratch).unwrap().tlen(), tlen);
+        }
+        for text in ["+", "-", "+-8", "--8", "++8", "8+", "-8-"] {
+            let err = parse_record(with(8, text).as_bytes(), 2).unwrap_err();
+            assert!(err.to_string().contains("bad integer in TLEN"), "{text}: {err}");
+        }
+        let overflow = parse_record(with(8, "-9223372036854775808").as_bytes(), 1).unwrap_err();
+        assert!(overflow.to_string().contains("integer overflow in TLEN"), "{overflow}");
     }
 
     #[test]

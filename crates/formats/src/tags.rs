@@ -105,39 +105,11 @@ impl Tag {
         Tag { key, value }
     }
 
-    /// Parses a SAM tag column such as `NM:i:3`.
+    /// Parses a SAM tag column such as `NM:i:3`: the owned form of
+    /// [`TagValueRef::parse_sam`].
     pub fn parse_sam(field: &[u8]) -> Result<Tag> {
-        if field.len() < 5 || field[2] != b':' || field[4] != b':' {
-            return Err(Error::InvalidTag(format!(
-                "malformed tag field {:?}",
-                String::from_utf8_lossy(field)
-            )));
-        }
-        let key = [field[0], field[1]];
-        let type_char = field[3];
-        let val = &field[5..];
-        let value = match type_char {
-            b'A' => {
-                if val.len() != 1 {
-                    return Err(Error::InvalidTag("A tag must be one character".into()));
-                }
-                TagValue::Char(val[0])
-            }
-            b'i' => TagValue::Int(parse_i64(val)?),
-            b'f' => TagValue::Float(parse_f32(val)?),
-            b'Z' => TagValue::String(val.to_vec()),
-            b'H' => {
-                if !val.len().is_multiple_of(2) || !val.iter().all(u8::is_ascii_hexdigit) {
-                    return Err(Error::InvalidTag("H tag must be even-length hex".into()));
-                }
-                TagValue::Hex(val.to_vec())
-            }
-            b'B' => TagValue::Array(parse_array(val)?),
-            other => {
-                return Err(Error::InvalidTag(format!("unknown tag type '{}'", other as char)))
-            }
-        };
-        Ok(Tag { key, value })
+        let (key, value) = TagValueRef::parse_sam(field)?;
+        Ok(Tag { key, value: value.into_owned() })
     }
 
     /// Writes the SAM text form (`KEY:TYPE:VALUE`) into `out`.
@@ -179,20 +151,71 @@ impl<'a> From<&'a TagValue> for TagValueRef<'a> {
     }
 }
 
-impl TagValueRef<'_> {
-    /// The owned value.
-    pub fn to_owned(&self) -> TagValue {
+impl<'a> TagValueRef<'a> {
+    /// Parses a SAM tag column such as `NM:i:3` into its key and value —
+    /// the one SAM tag grammar. `Z` and `H` values borrow from `field`;
+    /// a `B` array is decoded into an owned [`TagArray`].
+    pub fn parse_sam(field: &'a [u8]) -> Result<([u8; 2], TagValueRef<'a>)> {
+        if field.len() < 5 || field[2] != b':' || field[4] != b':' {
+            return Err(Error::InvalidTag(format!(
+                "malformed tag field {:?}",
+                String::from_utf8_lossy(field)
+            )));
+        }
+        let key = [field[0], field[1]];
+        let type_char = field[3];
+        let val = &field[5..];
+        let value = match type_char {
+            b'A' => {
+                if val.len() != 1 {
+                    return Err(Error::InvalidTag("A tag must be one character".into()));
+                }
+                TagValueRef::Char(val[0])
+            }
+            b'i' => TagValueRef::Int(parse_i64(val)?),
+            b'f' => TagValueRef::Float(parse_f32(val)?),
+            b'Z' => TagValueRef::String(val),
+            b'H' => {
+                if !val.len().is_multiple_of(2) || !val.iter().all(u8::is_ascii_hexdigit) {
+                    return Err(Error::InvalidTag("H tag must be even-length hex".into()));
+                }
+                TagValueRef::Hex(val)
+            }
+            b'B' => TagValueRef::Array(Cow::Owned(parse_array(val)?)),
+            other => {
+                return Err(Error::InvalidTag(format!("unknown tag type '{}'", other as char)))
+            }
+        };
+        Ok((key, value))
+    }
+
+    /// The owned value (an owned array is moved, not copied).
+    pub fn into_owned(self) -> TagValue {
         match self {
-            TagValueRef::Char(c) => TagValue::Char(*c),
-            TagValueRef::Int(i) => TagValue::Int(*i),
-            TagValueRef::Float(f) => TagValue::Float(*f),
+            TagValueRef::Char(c) => TagValue::Char(c),
+            TagValueRef::Int(i) => TagValue::Int(i),
+            TagValueRef::Float(f) => TagValue::Float(f),
             TagValueRef::String(s) => TagValue::String(s.to_vec()),
             TagValueRef::Hex(s) => TagValue::Hex(s.to_vec()),
-            TagValueRef::Array(a) => TagValue::Array(a.clone().into_owned()),
+            TagValueRef::Array(a) => TagValue::Array(a.into_owned()),
         }
     }
 
-    fn type_char(&self) -> u8 {
+    /// Overwrites `slot` with this value, reusing the slot's `Z` / `H`
+    /// buffer when it already holds a value of the same type — how a
+    /// reused record takes the next line's tags without allocating.
+    pub(crate) fn assign_to(self, slot: &mut TagValue) {
+        match (slot, self) {
+            (TagValue::String(buf), TagValueRef::String(s))
+            | (TagValue::Hex(buf), TagValueRef::Hex(s)) => {
+                buf.clear();
+                buf.extend_from_slice(s);
+            }
+            (slot, value) => *slot = value.into_owned(),
+        }
+    }
+
+    pub(crate) fn type_char(&self) -> u8 {
         match self {
             TagValueRef::Char(_) => b'A',
             TagValueRef::Int(_) => b'i',
@@ -230,11 +253,31 @@ impl fmt::Display for Tag {
     }
 }
 
+/// `[-+]?[0-9]+` within i64 — what `str::parse::<i64>` accepts, read
+/// straight off the bytes.
 fn parse_i64(text: &[u8]) -> Result<i64> {
-    std::str::from_utf8(text)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| Error::InvalidTag(format!("bad integer {:?}", String::from_utf8_lossy(text))))
+    let bad = || Error::InvalidTag(format!("bad integer {:?}", String::from_utf8_lossy(text)));
+    let (negative, digits) = match text {
+        [b'-', digits @ ..] => (true, digits),
+        [b'+', digits @ ..] => (false, digits),
+        digits => (false, digits),
+    };
+    if digits.is_empty() {
+        return Err(bad());
+    }
+    let mut v = 0i64;
+    for &c in digits {
+        if !c.is_ascii_digit() {
+            return Err(bad());
+        }
+        let d = i64::from(c - b'0');
+        // Accumulate with the sign, so i64::MIN is reachable.
+        v = v
+            .checked_mul(10)
+            .and_then(|v| if negative { v.checked_sub(d) } else { v.checked_add(d) })
+            .ok_or_else(bad)?;
+    }
+    Ok(v)
 }
 
 fn parse_f32(text: &[u8]) -> Result<f32> {
@@ -393,6 +436,19 @@ mod tests {
         assert!(Tag::parse_sam(b"NM:x:3").is_err());
         assert!(Tag::parse_sam(b"XT:A:UU").is_err());
         assert!(Tag::parse_sam(b"NM:i:abc").is_err());
+    }
+
+    /// The integer grammar is `str::parse::<i64>`'s, edges included.
+    #[test]
+    fn tag_integers_parse_as_str_parse_does() {
+        for text in [
+            "", "+", "-", "0", "-0", "+5", "-5", "007", "1a", " 1", "1 ", "+-1", "--1",
+            "9223372036854775807", "9223372036854775808",
+            "-9223372036854775808", "-9223372036854775809", "99999999999999999999",
+        ] {
+            let expected: Option<i64> = text.parse().ok();
+            assert_eq!(parse_i64(text.as_bytes()).ok(), expected, "{text:?}");
+        }
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub trait Alignment {
             tlen: self.tlen(),
             seq: bases,
             qual: self.qual().to_vec(),
-            tags: self.tags().map(|(key, value)| Tag { key, value: value.to_owned() }).collect(),
+            tags: self.tags().map(|(key, value)| Tag { key, value: value.into_owned() }).collect(),
         }
     }
 }

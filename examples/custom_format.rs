@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let mut emitted = 0u64;
         ngs_converter::scan::scan_records(&source, range, 1 << 20, |rec| {
-            if reporter.convert(&rec, &mut buf) {
+            if reporter.convert(rec, &mut buf) {
                 emitted += 1;
             }
             Ok(())

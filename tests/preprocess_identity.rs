@@ -183,7 +183,7 @@ fn samx_preprocess_matches_the_sequential_reference_at_every_rank_count() {
             for (rank, shard) in prep.shards.iter().enumerate() {
                 let mut records = Vec::new();
                 scan_records(&source, ranges[rank], 1 << 16, |rec| {
-                    records.push(rec);
+                    records.push(rec.clone());
                     Ok(())
                 })
                 .unwrap();

@@ -1,6 +1,9 @@
 //! Property-based tests over the whole format stack: arbitrary records
 //! must survive SAM text, BAM binary, and BAMX fixed-width round trips,
 //! and Algorithm 1 must tile arbitrary line files for any rank count.
+//! The text front-end's tokenizer rides along: the word-at-a-time byte
+//! search equals a byte-by-byte one, and one record reused across lines
+//! equals a fresh parse of each.
 
 use proptest::prelude::*;
 
@@ -10,6 +13,8 @@ use ngs_formats::cigar::{Cigar, CigarOp};
 use ngs_formats::flags::Flags;
 use ngs_formats::header::{ReferenceSequence, SamHeader};
 use ngs_formats::record::AlignmentRecord;
+use ngs_formats::sam;
+use ngs_formats::search::find_byte;
 use ngs_formats::tags::{Tag, TagValue};
 
 fn header() -> SamHeader {
@@ -99,8 +104,104 @@ prop_compose! {
     }
 }
 
+/// Lines that leave something behind in a reused record if any field is
+/// not overwritten: `*` QUAL, `*` CIGAR and no tags after lines that had
+/// them, a long CIGAR, every tag slot retyped, a signed TLEN, and lines
+/// that fail in a column, a tag, or after valid tags.
+const EDGE_LINES: [&[u8]; 9] = [
+    b"e1\t0\tchr1\t5\t60\t4M\t*\t0\t0\tACGT\t*",
+    b"e2\t0\tchr1\t5\t60\t4M\t*\t0\t0\tACGT\tIIII\tXI:Z:str\tXZ:i:5\tXA:H:0F\tXB:f:1.5\tXQ:B:C,1,2",
+    b"*\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*",
+    b"e4\t0\tchr1\t5\t60\t1S2M3I4D5N6M7P8=9X1H\t=\t9\t+8\tACGTACGTACGTACGTACGTACGTACGTAC\t*",
+    b"bad\tline",
+    b"e5\t0\tchr1\t-5\t60\t4M\t*\t0\t0\tACGT\tIIII",
+    b"e6\t0\tchr1\t5\t60\t4M\t*\t0\t0\tACGT\tIIII\tXZ:Z:ok\tXX:q:1",
+    b"e7\t0\tchr1\t5\t60\t4M\t*\t0\t0\tACGT\tII",
+    b"",
+];
+
+fn arb_line() -> impl Strategy<Value = Vec<u8>> {
+    let text = |r: &AlignmentRecord| {
+        let mut line = Vec::new();
+        sam::write_record(r, &mut line);
+        line
+    };
+    prop_oneof![
+        arb_record().prop_map(move |r| text(&r)),
+        (arb_record(), proptest::collection::vec((any::<usize>(), any::<u8>()), 1..3)).prop_map(
+            move |(r, flips)| {
+                let mut line = text(&r);
+                for (at, byte) in flips {
+                    let at = at % line.len();
+                    line[at] = byte;
+                }
+                line
+            }
+        ),
+        (0..EDGE_LINES.len()).prop_map(|i| EDGE_LINES[i].to_vec()),
+    ]
+}
+
+/// Every length 0..=64, the needle at every offset and absent, over
+/// fillers that straddle it (needle ± 1) and bytes ≥ 0x80, with a second
+/// needle after the first.
+#[test]
+fn find_byte_is_position_at_every_length_and_offset() {
+    for needle in [0u8, 1, b'\t', b'\n', 0x7F, 0x80, 0xFF] {
+        let fillers = [needle.wrapping_sub(1), needle.wrapping_add(1), 0x80, 0xFF, 0xC3];
+        for len in 0..=64usize {
+            let hay: Vec<u8> = (0..len).map(|i| fillers[i % fillers.len()]).collect();
+            let hay: Vec<u8> = hay.into_iter().map(|b| if b == needle { b ^ 0x40 } else { b }).collect();
+            assert_eq!(find_byte(&hay, needle), None, "needle {needle:#x} len {len}");
+            for at in 0..len {
+                let mut with = hay.clone();
+                with[at] = needle;
+                with[(at + 5).min(len - 1)] = needle;
+                let expected = with.iter().position(|&b| b == needle);
+                assert_eq!(expected, Some(at));
+                assert_eq!(find_byte(&with, needle), expected, "needle {needle:#x} len {len} at {at}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn find_byte_is_position_on_arbitrary_bytes(
+        hay in proptest::collection::vec(any::<u8>(), 0..200),
+        needle in any::<u8>(),
+        near in proptest::collection::vec((any::<usize>(), 0u8..3), 0..6),
+    ) {
+        // Plant the needle and its neighbours, so matches and near misses
+        // both occur at arbitrary offsets.
+        let mut hay = hay;
+        for (at, delta) in near {
+            if !hay.is_empty() {
+                let at = at % hay.len();
+                hay[at] = needle.wrapping_add(delta).wrapping_sub(1);
+            }
+        }
+        prop_assert_eq!(find_byte(&hay, needle), hay.iter().position(|&b| b == needle));
+    }
+
+    /// One record parses a run of arbitrary lines — whole, damaged, or
+    /// shaped to leave stale fields behind — and after each equals a
+    /// fresh `parse_record` of that line, or fails with its error.
+    #[test]
+    fn a_reused_record_parses_every_line_as_a_fresh_one(
+        lines in proptest::collection::vec(arb_line(), 1..16),
+    ) {
+        let mut reused = AlignmentRecord::default();
+        for (line, line_no) in lines.iter().zip(1..) {
+            match (sam::parse_record(line, line_no), sam::parse_record_into(line, line_no, &mut reused)) {
+                (Ok(fresh), Ok(())) => prop_assert_eq!(&reused, &fresh, "{}", String::from_utf8_lossy(line)),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => prop_assert!(false, "{:?} vs {:?} on {}", a, b, String::from_utf8_lossy(line)),
+            }
+        }
+    }
 
     #[test]
     fn sam_text_roundtrip(rec in arb_record()) {
