@@ -115,12 +115,13 @@ cargo test --quiet -p ngs-query --test store_concurrency --test single_flight
 cargo test --quiet -p ngs-repro --test query_engine
 
 # Dist smoke: the distributed tier's acceptance gates (DESIGN.md §12) —
-# placement math stays proptest-pinned, and the failover suite kills
-# each rank in turn, fails over on the socket loopback, and drives RPC
-# through injected delivery faults, all byte-identical to the healthy
-# run; repro dist emits parseable JSON.
-echo "==> dist-smoke (placement proptests + failover suite)"
-cargo test --quiet -p ngs-dist --test placement_props --test failover
+# placement math stays proptest-pinned, both transports pass the shared
+# conformance suite (a rank leaving included), and the failover suite
+# kills each rank in turn, fails over on the socket loopback, and drives
+# RPC through injected delivery faults, all byte-identical to the
+# healthy run; repro dist emits parseable JSON.
+echo "==> dist-smoke (placement proptests + transport conformance + failover suite)"
+cargo test --quiet -p ngs-dist --test placement_props --test transport_conformance --test failover
 echo "==> repro dist (placement scaling + failover latency, BENCH_dist.json)"
 repro dist --scale 0.05 > /dev/null
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$smoke/BENCH_dist.json"

@@ -2,69 +2,26 @@
 //! 32-node cluster; this runtime reproduces the *communication structure*
 //! (point-to-point sends, barriers, gathers, reductions) with ranks as
 //! threads, so every algorithm keeps its distributed formulation.
+//!
+//! A world is one [`Mailbox`] per rank: a send queues straight into the
+//! destination's mailbox, a receive blocks on the rank's own. Barriers,
+//! gathers and reductions are the [`Transport`] defaults over those two.
 
-use std::collections::{HashMap, VecDeque};
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use ngs_formats::error::Result;
 
-/// Message queues keyed by `(from, to, tag)`.
-type QueueMap = HashMap<(usize, usize, u64), VecDeque<Vec<u8>>>;
-
-/// A typed point-to-point message queue shared by all ranks.
-struct Mailbox {
-    queues: Mutex<QueueMap>,
-    available: Condvar,
-}
-
-/// Reusable cyclic barrier (all ranks must call `wait`).
-struct RankBarrier {
-    lock: Mutex<BarrierState>,
-    cv: Condvar,
-    size: usize,
-}
-
-struct BarrierState {
-    count: usize,
-    generation: u64,
-}
-
-impl RankBarrier {
-    fn new(size: usize) -> Self {
-        RankBarrier {
-            lock: Mutex::new(BarrierState { count: 0, generation: 0 }),
-            cv: Condvar::new(),
-            size,
-        }
-    }
-
-    fn wait(&self) {
-        let mut st = self.lock.lock();
-        let gen = st.generation;
-        st.count += 1;
-        if st.count == self.size {
-            st.count = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-        } else {
-            while st.generation == gen {
-                self.cv.wait(&mut st);
-            }
-        }
-    }
-}
-
-/// Shared state of one communicator "world".
-struct World {
-    mailbox: Mailbox,
-    barrier: RankBarrier,
-    size: usize,
-}
+use crate::mailbox::{Mailbox, PeerDeath};
+use crate::transport::Transport;
 
 /// A per-rank handle into the world. Clone-free: each rank owns exactly
-/// one, mirroring an MPI communicator.
+/// one, mirroring an MPI communicator. Dropping it means the rank has
+/// left: every peer's receive from it drains what was already queued,
+/// then fails with a transient error, as over a closed socket.
 pub struct Communicator {
-    world: Arc<World>,
+    world: Arc<[Mailbox]>,
     rank: usize,
 }
 
@@ -72,11 +29,7 @@ impl Communicator {
     /// Creates `n` connected communicators, one per rank.
     pub fn create_world(n: usize) -> Vec<Communicator> {
         assert!(n > 0, "world must have at least one rank");
-        let world = Arc::new(World {
-            mailbox: Mailbox { queues: Mutex::new(HashMap::new()), available: Condvar::new() },
-            barrier: RankBarrier::new(n),
-            size: n,
-        });
+        let world: Arc<[Mailbox]> = (0..n).map(|_| Mailbox::default()).collect();
         (0..n).map(|rank| Communicator { world: Arc::clone(&world), rank }).collect()
     }
 
@@ -89,120 +42,45 @@ impl Communicator {
     /// Number of ranks in the world.
     #[inline]
     pub fn size(&self) -> usize {
-        self.world.size
+        self.world.len()
+    }
+}
+
+impl Transport for Communicator {
+    fn rank(&self) -> usize {
+        self.rank
     }
 
-    /// Blocks until every rank has reached the barrier.
-    pub fn barrier(&self) {
-        self.world.barrier.wait();
+    fn size(&self) -> usize {
+        self.world.len()
     }
 
-    /// Sends `data` to rank `to` under `tag` (non-blocking, buffered).
-    pub fn send(&self, to: usize, tag: u64, data: Vec<u8>) {
-        assert!(to < self.world.size, "destination rank {to} out of range");
-        let mut q = self.world.mailbox.queues.lock();
-        q.entry((self.rank, to, tag)).or_default().push_back(data);
-        self.world.mailbox.available.notify_all();
+    /// Never fails: a message to a rank that has left is queued and
+    /// never read, as bytes written to a closing socket would be.
+    fn send(&self, to: usize, tag: u64, data: Vec<u8>) -> Result<()> {
+        assert!(to < self.world.len(), "destination rank {to} out of range");
+        self.world[to].deliver(self.rank, tag, data);
+        Ok(())
     }
 
-    /// Receives the next message from rank `from` under `tag` (blocking).
-    pub fn recv(&self, from: usize, tag: u64) -> Vec<u8> {
-        assert!(from < self.world.size, "source rank {from} out of range");
-        let mut q = self.world.mailbox.queues.lock();
-        loop {
-            if let Some(queue) = q.get_mut(&(from, self.rank, tag)) {
-                if let Some(msg) = queue.pop_front() {
-                    return msg;
-                }
+    fn recv(&self, from: usize, tag: u64) -> Result<Vec<u8>> {
+        assert!(from < self.world.len(), "source rank {from} out of range");
+        self.world[self.rank].recv(from, tag)
+    }
+}
+
+impl Drop for Communicator {
+    fn drop(&mut self) {
+        for (peer, mailbox) in self.world.iter().enumerate() {
+            if peer != self.rank {
+                mailbox.mark_dead(self.rank, PeerDeath::Disconnected);
             }
-            self.world.mailbox.available.wait(&mut q);
         }
-    }
-
-    /// Typed convenience: send one `u64`.
-    pub fn send_u64(&self, to: usize, tag: u64, value: u64) {
-        self.send(to, tag, value.to_le_bytes().to_vec());
-    }
-
-    /// Typed convenience: receive one `u64`.
-    pub fn recv_u64(&self, from: usize, tag: u64) -> u64 {
-        let bytes = self.recv(from, tag);
-        u64::from_le_bytes(bytes[..8].try_into().expect("u64 message"))
-    }
-
-    /// Typed convenience: send one `f64`.
-    pub fn send_f64(&self, to: usize, tag: u64, value: f64) {
-        self.send(to, tag, value.to_le_bytes().to_vec());
-    }
-
-    /// Typed convenience: receive one `f64`.
-    pub fn recv_f64(&self, from: usize, tag: u64) -> f64 {
-        let bytes = self.recv(from, tag);
-        f64::from_le_bytes(bytes[..8].try_into().expect("f64 message"))
-    }
-
-    /// Gathers every rank's `data` at rank 0 (returns `Some(all)` on rank
-    /// 0 in rank order, `None` elsewhere).
-    pub fn gather(&self, tag: u64, data: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        if self.rank == 0 {
-            let mut all = Vec::with_capacity(self.size());
-            all.push(data);
-            for r in 1..self.size() {
-                all.push(self.recv(r, tag));
-            }
-            Some(all)
-        } else {
-            self.send(0, tag, data);
-            None
-        }
-    }
-
-    /// Broadcasts rank 0's `data` to every rank; each rank passes its own
-    /// input and receives rank 0's.
-    pub fn broadcast(&self, tag: u64, data: Vec<u8>) -> Vec<u8> {
-        if self.rank == 0 {
-            for r in 1..self.size() {
-                self.send(r, tag, data.clone());
-            }
-            data
-        } else {
-            self.recv(0, tag)
-        }
-    }
-
-    /// Sum-reduction of one `f64` across all ranks; every rank receives
-    /// the total (allreduce).
-    pub fn all_reduce_sum_f64(&self, tag: u64, value: f64) -> f64 {
-        let gathered = self.gather(tag, value.to_le_bytes().to_vec());
-        let total = if let Some(all) = gathered {
-            let sum: f64 = all
-                .iter()
-                .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64")))
-                .sum();
-            self.broadcast(tag, sum.to_le_bytes().to_vec())
-        } else {
-            self.broadcast(tag, Vec::new())
-        };
-        f64::from_le_bytes(total[..8].try_into().expect("f64"))
-    }
-
-    /// Sum-reduction of one `u64` across all ranks (allreduce).
-    pub fn all_reduce_sum_u64(&self, tag: u64, value: u64) -> u64 {
-        let gathered = self.gather(tag, value.to_le_bytes().to_vec());
-        let total = if let Some(all) = gathered {
-            let sum: u64 = all
-                .iter()
-                .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64")))
-                .sum();
-            self.broadcast(tag, sum.to_le_bytes().to_vec())
-        } else {
-            self.broadcast(tag, Vec::new())
-        };
-        u64::from_le_bytes(total[..8].try_into().expect("u64"))
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::scope::run_ranks;
@@ -222,8 +100,8 @@ mod tests {
         let results = run_ranks(8, |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send_u64(next, 1, comm.rank() as u64);
-            comm.recv_u64(prev, 1)
+            comm.send_u64(next, 1, comm.rank() as u64).unwrap();
+            comm.recv_u64(prev, 1).unwrap()
         });
         for (rank, got) in results.into_iter().enumerate() {
             let prev = (rank + 8 - 1) % 8;
@@ -237,7 +115,7 @@ mod tests {
         let counter = AtomicUsize::new(0);
         run_ranks(6, |comm| {
             counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
+            comm.barrier().unwrap();
             // After the barrier every increment must be visible.
             assert_eq!(counter.load(Ordering::SeqCst), 6);
         });
@@ -247,7 +125,7 @@ mod tests {
     fn barrier_is_reusable() {
         run_ranks(4, |comm| {
             for _ in 0..50 {
-                comm.barrier();
+                comm.barrier().unwrap();
             }
         });
     }
@@ -255,7 +133,7 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         let results = run_ranks(5, |comm| {
-            comm.gather(7, vec![comm.rank() as u8; comm.rank() + 1])
+            comm.gather(7, vec![comm.rank() as u8; comm.rank() + 1]).unwrap()
         });
         let at_root = results[0].as_ref().unwrap();
         for (r, msg) in at_root.iter().enumerate() {
@@ -268,7 +146,7 @@ mod tests {
     fn broadcast_distributes_root_value() {
         let results = run_ranks(5, |comm| {
             let data = if comm.rank() == 0 { b"root".to_vec() } else { b"junk".to_vec() };
-            comm.broadcast(3, data)
+            comm.broadcast(3, data).unwrap()
         });
         assert!(results.iter().all(|r| r == b"root"));
     }
@@ -277,8 +155,8 @@ mod tests {
     fn allreduce_sums() {
         let results = run_ranks(7, |comm| {
             (
-                comm.all_reduce_sum_u64(1, comm.rank() as u64 + 1),
-                comm.all_reduce_sum_f64(2, 0.5),
+                comm.all_reduce_sum_u64(1, comm.rank() as u64 + 1).unwrap(),
+                comm.all_reduce_sum_f64(2, 0.5).unwrap(),
             )
         });
         for (u, f) in results {
@@ -291,12 +169,12 @@ mod tests {
     fn tags_are_independent_channels() {
         run_ranks(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_u64(1, 100, 1);
-                comm.send_u64(1, 200, 2);
+                comm.send_u64(1, 100, 1).unwrap();
+                comm.send_u64(1, 200, 2).unwrap();
             } else {
                 // Receive in the opposite order of sending.
-                assert_eq!(comm.recv_u64(0, 200), 2);
-                assert_eq!(comm.recv_u64(0, 100), 1);
+                assert_eq!(comm.recv_u64(0, 200).unwrap(), 2);
+                assert_eq!(comm.recv_u64(0, 100).unwrap(), 1);
             }
         });
     }
@@ -306,11 +184,11 @@ mod tests {
         run_ranks(2, |comm| {
             if comm.rank() == 0 {
                 for i in 0..100u64 {
-                    comm.send_u64(1, 5, i);
+                    comm.send_u64(1, 5, i).unwrap();
                 }
             } else {
                 for i in 0..100u64 {
-                    assert_eq!(comm.recv_u64(0, 5), i);
+                    assert_eq!(comm.recv_u64(0, 5).unwrap(), i);
                 }
             }
         });
@@ -319,8 +197,8 @@ mod tests {
     #[test]
     fn single_rank_world() {
         let results = run_ranks(1, |comm| {
-            comm.barrier();
-            comm.all_reduce_sum_u64(1, 42)
+            comm.barrier().unwrap();
+            comm.all_reduce_sum_u64(1, 42).unwrap()
         });
         assert_eq!(results, vec![42]);
     }

@@ -3,30 +3,51 @@
 
 use std::time::{Duration, Instant};
 
+use ngs_formats::error::Result;
+
 use crate::comm::Communicator;
+use crate::mailbox::PeerLeft;
 
 /// Runs `f(comm)` on `n` ranks (threads) and returns results in rank
-/// order. Panics in any rank propagate after every rank is joined.
+/// order. Each rank's [`Communicator`] drops when its closure returns or
+/// unwinds, so a rank that fails ends the world for its peers instead of
+/// leaving them blocked: their receives from it fail. A panic in any
+/// rank propagates after every rank is joined; rank closures should pass
+/// transport errors up with `?`, so the panic re-raised is the one that
+/// caused the failure, not a peer's panic on its follow-on error.
 pub fn run_ranks<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&Communicator) -> R + Sync,
 {
-    let comms = Communicator::create_world(n);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .iter()
-            .map(|comm| scope.spawn(|| f(comm)))
+        let handles: Vec<_> = Communicator::create_world(n)
+            .into_iter()
+            .map(|comm| scope.spawn(move || f(&comm)))
             .collect();
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            match handle.join() {
-                Ok(v) => *slot = Some(v),
-                Err(payload) => std::panic::resume_unwind(payload),
+        let joined = handles.into_iter().map(|h| h.join());
+        joined.map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic))).collect()
+    })
+}
+
+/// The results of one rank world, or the error that ended it: the
+/// first error in rank order that is not a receive from a peer that
+/// left, since those only follow a failure elsewhere. If every error is
+/// of that kind, the first of them.
+pub fn first_cause<T>(results: Vec<Result<T>>) -> Result<Vec<T>> {
+    let mut follow_on = None;
+    let mut out = Vec::with_capacity(results.len());
+    for result in results {
+        match result {
+            Ok(value) => out.push(value),
+            Err(e) if !PeerLeft::is(&e) => return Err(e),
+            Err(e) => {
+                follow_on.get_or_insert(e);
             }
         }
-    });
-    results.into_iter().map(|r| r.expect("every rank joined")).collect()
+    }
+    follow_on.map_or(Ok(out), Err)
 }
 
 /// Timing of one [`time_ranks`] run.
@@ -89,6 +110,7 @@ fn thread_cpu_time() -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transport;
 
     const SLACK: Duration = Duration::from_millis(1);
 
@@ -143,9 +165,9 @@ mod tests {
         let (_, times) = time_ranks(2, |c| {
             if c.rank() == 0 {
                 spin(Duration::from_millis(20));
-                c.send_u64(1, 7, 1);
+                c.send_u64(1, 7, 1).unwrap();
             } else {
-                c.recv_u64(0, 7);
+                c.recv_u64(0, 7).unwrap();
             }
         });
         assert!(times.busy[1] < Duration::from_millis(5), "{times:?}");
@@ -159,5 +181,28 @@ mod tests {
                 panic!("rank failure");
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn the_failing_ranks_panic_is_reraised_not_a_peers() {
+        let _: Vec<Result<u64>> = run_ranks(3, |c| {
+            if c.rank() == 2 {
+                panic!("boom");
+            }
+            // Rank 2 never contributes; its departure fails this wait.
+            c.all_reduce_sum_u64(1, 1)
+        });
+    }
+
+    #[test]
+    fn first_cause_skips_follow_on_departures() {
+        let cause = ngs_formats::error::Error::InvalidRecord("cause".into());
+        let err = first_cause(vec![Ok(1), Err(PeerLeft::error(2)), Err(cause)]).unwrap_err();
+        assert_eq!(err.to_string(), "invalid record: cause");
+        let err = first_cause::<u8>(vec![Err(PeerLeft::error(1)), Err(PeerLeft::error(0))]);
+        let err = err.unwrap_err();
+        assert_eq!(err.to_string(), "I/O error: rank 1 disconnected");
+        assert_eq!(first_cause(vec![Ok(1), Ok(2)]).unwrap(), vec![1, 2]);
     }
 }

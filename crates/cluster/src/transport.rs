@@ -1,29 +1,22 @@
-//! The [`Transport`] seam: the [`Communicator`] collective surface
-//! (send/recv/barrier/gather/broadcast/all_reduce) extracted into a
-//! trait, so distributed algorithms can run unchanged over ranks that
-//! are threads in one address space (the in-process [`Communicator`])
-//! *or* separate endpoints behind a wire (the framed socket transport
-//! in `ngs-dist`). See DESIGN.md §12.
+//! The [`Transport`] seam: the message-passing surface every
+//! distributed algorithm here is written against, so it runs unchanged
+//! over ranks that are threads in one address space (the in-process
+//! [`Communicator`](crate::Communicator)) *or* separate endpoints behind
+//! a wire (the framed socket transport in `ngs-dist`). See DESIGN.md §12.
 //!
-//! Trait methods are fallible — a wire can fail where a shared mailbox
-//! cannot — and failures keep the workspace's transient-vs-structural
-//! contract: a peer disconnect surfaces as a transient
-//! [`Error::Io`](ngs_formats::error::Error), while corrupt framing
-//! surfaces as a structural decode error, so
+//! Methods are fallible, and failures keep the workspace's
+//! transient-vs-structural contract: a peer that left surfaces as a
+//! transient [`Error::Io`](ngs_formats::error::Error), while corrupt
+//! framing surfaces as a structural decode error, so
 //! [`Error::is_transient`](ngs_formats::error::Error::is_transient)
 //! routing (retry / fail over vs quarantine) carries over unchanged.
 //!
-//! Collectives have default implementations built only on
-//! [`Transport::send`] / [`Transport::recv`], mirroring the
-//! [`Communicator`] algorithms (rank-0-rooted gather + broadcast), so a
-//! new transport needs just the four core methods. [`Communicator`]
-//! overrides them to delegate to its original infallible inherent
-//! methods — retrofitting the existing impl behind the trait without
-//! changing its behaviour.
+//! An impl supplies four methods — `rank`, `size`, `send`, `recv`. The
+//! collectives and typed helpers exist once, as default methods over
+//! those four (rank-0-rooted gather + broadcast), and no impl overrides
+//! them.
 
 use ngs_formats::error::{DecodeErrorKind, Error, Result};
-
-use crate::comm::Communicator;
 
 /// Tag reserved for the default [`Transport::barrier`]; user traffic
 /// must stay below [`RESERVED_TAG_BASE`].
@@ -47,8 +40,7 @@ fn fixed8(bytes: &[u8], what: &str) -> Result<[u8; 8]> {
     }
 }
 
-/// Message-passing endpoint for one rank of a world: the exact
-/// [`Communicator`] surface, made fallible and pluggable.
+/// Message-passing endpoint for one rank of a world.
 ///
 /// Implementations must deliver messages FIFO per `(from, tag)` channel
 /// and keep distinct tags independent. All methods take `&self`; an
@@ -69,8 +61,9 @@ pub trait Transport: Send + Sync {
     /// (disconnected); a structural one means its bytes were corrupt.
     fn recv(&self, from: usize, tag: u64) -> Result<Vec<u8>>;
 
-    /// Blocks until every rank has entered the barrier. Default:
-    /// rank-0-rooted gather + release under [`BARRIER_TAG`].
+    /// Blocks until every rank has entered the barrier: rank 0 collects
+    /// one message from every peer, then releases each — 2(n−1)
+    /// messages under [`BARRIER_TAG`].
     fn barrier(&self) -> Result<()> {
         if self.rank() == 0 {
             for r in 1..self.size() {
@@ -182,125 +175,12 @@ impl<T: Transport + ?Sized> Transport for &T {
     fn recv(&self, from: usize, tag: u64) -> Result<Vec<u8>> {
         (**self).recv(from, tag)
     }
-    fn barrier(&self) -> Result<()> {
-        (**self).barrier()
-    }
-    fn gather(&self, tag: u64, data: Vec<u8>) -> Result<Option<Vec<Vec<u8>>>> {
-        (**self).gather(tag, data)
-    }
-    fn broadcast(&self, tag: u64, data: Vec<u8>) -> Result<Vec<u8>> {
-        (**self).broadcast(tag, data)
-    }
-    fn all_reduce_sum_f64(&self, tag: u64, value: f64) -> Result<f64> {
-        (**self).all_reduce_sum_f64(tag, value)
-    }
-    fn all_reduce_sum_u64(&self, tag: u64, value: u64) -> Result<u64> {
-        (**self).all_reduce_sum_u64(tag, value)
-    }
-}
-
-/// The original in-process thread impl, retrofitted behind the trait
-/// unchanged: every method delegates to the infallible inherent one, so
-/// behaviour (FIFO order, barrier semantics, gather order) is identical
-/// whether callers use `Communicator` directly or through `dyn
-/// Transport`.
-impl Transport for Communicator {
-    fn rank(&self) -> usize {
-        Communicator::rank(self)
-    }
-
-    fn size(&self) -> usize {
-        Communicator::size(self)
-    }
-
-    fn send(&self, to: usize, tag: u64, data: Vec<u8>) -> Result<()> {
-        Communicator::send(self, to, tag, data);
-        Ok(())
-    }
-
-    fn recv(&self, from: usize, tag: u64) -> Result<Vec<u8>> {
-        Ok(Communicator::recv(self, from, tag))
-    }
-
-    fn barrier(&self) -> Result<()> {
-        Communicator::barrier(self);
-        Ok(())
-    }
-
-    fn gather(&self, tag: u64, data: Vec<u8>) -> Result<Option<Vec<Vec<u8>>>> {
-        Ok(Communicator::gather(self, tag, data))
-    }
-
-    fn broadcast(&self, tag: u64, data: Vec<u8>) -> Result<Vec<u8>> {
-        Ok(Communicator::broadcast(self, tag, data))
-    }
-
-    fn all_reduce_sum_f64(&self, tag: u64, value: f64) -> Result<f64> {
-        Ok(Communicator::all_reduce_sum_f64(self, tag, value))
-    }
-
-    fn all_reduce_sum_u64(&self, tag: u64, value: u64) -> Result<u64> {
-        Ok(Communicator::all_reduce_sum_u64(self, tag, value))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scope::run_ranks;
-
-    /// The trait impl must match the inherent methods exactly.
-    #[test]
-    fn communicator_behind_trait_matches_inherent() {
-        let results = run_ranks(4, |comm| {
-            let t: &dyn Transport = comm;
-            t.barrier().unwrap();
-            let sum = t.all_reduce_sum_u64(1, t.rank() as u64 + 1).unwrap();
-            let bcast = t.broadcast(2, if t.rank() == 0 { vec![7] } else { vec![0] }).unwrap();
-            (sum, bcast)
-        });
-        for (sum, bcast) in results {
-            assert_eq!(sum, 10);
-            assert_eq!(bcast, vec![7]);
-        }
-    }
-
-    /// Default collectives (built on send/recv only) agree with the
-    /// overridden Communicator ones.
-    struct SendRecvOnly<'a>(&'a Communicator);
-
-    impl Transport for SendRecvOnly<'_> {
-        fn rank(&self) -> usize {
-            self.0.rank()
-        }
-        fn size(&self) -> usize {
-            self.0.size()
-        }
-        fn send(&self, to: usize, tag: u64, data: Vec<u8>) -> Result<()> {
-            self.0.send(to, tag, data);
-            Ok(())
-        }
-        fn recv(&self, from: usize, tag: u64) -> Result<Vec<u8>> {
-            Ok(self.0.recv(from, tag))
-        }
-    }
-
-    #[test]
-    fn default_collectives_over_send_recv() {
-        let results = run_ranks(5, |comm| {
-            let t = SendRecvOnly(comm);
-            t.barrier().unwrap();
-            let g = t.gather(3, vec![t.rank() as u8]).unwrap();
-            let s = t.all_reduce_sum_f64(4, t.rank() as f64).unwrap();
-            t.barrier().unwrap();
-            (g, s)
-        });
-        let root = results[0].0.as_ref().unwrap();
-        assert_eq!(root, &vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
-        for (_, s) in &results {
-            assert!((s - 10.0).abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn scalar_decode_is_typed_not_panicking() {

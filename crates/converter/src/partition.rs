@@ -13,7 +13,7 @@
 //! all boundaries at once for shared-memory callers. Both must agree —
 //! property-tested below and in `tests/`.
 
-use ngs_cluster::Communicator;
+use ngs_cluster::{Communicator, Transport};
 use ngs_formats::error::Result;
 use ngs_formats::search::find_byte;
 
@@ -142,9 +142,9 @@ pub fn partition_distributed<S: ByteSource + ?Sized>(
             // Line 11-15: send the new start to the predecessor; receive
             // the successor's start as our end.
             if rank != 0 {
-                comm.send_u64(rank - 1, TAG_BOUNDARY, start);
+                comm.send_u64(rank - 1, TAG_BOUNDARY, start)?;
             }
-            let end = if rank != n - 1 { comm.recv_u64(rank + 1, TAG_BOUNDARY) } else { len };
+            let end = if rank != n - 1 { comm.recv_u64(rank + 1, TAG_BOUNDARY)? } else { len };
             (start.min(end), end)
         }
         Variant::Backward => {
@@ -154,16 +154,16 @@ pub fn partition_distributed<S: ByteSource + ?Sized>(
                 len
             } else {
                 let e = prev_record_start(source, even_split(len, n)[rank + 1].0)?;
-                comm.send_u64(rank + 1, TAG_BOUNDARY, e);
+                comm.send_u64(rank + 1, TAG_BOUNDARY, e)?;
                 e
             };
-            let start = if rank == 0 { 0 } else { comm.recv_u64(rank - 1, TAG_BOUNDARY) };
+            let start = if rank == 0 { 0 } else { comm.recv_u64(rank - 1, TAG_BOUNDARY)? };
             (start.min(end), end)
         }
     };
 
     // Line 16: global barrier before lengths are considered final.
-    comm.barrier();
+    comm.barrier()?;
     Ok(range)
 }
 

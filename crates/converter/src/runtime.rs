@@ -6,7 +6,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ngs_cluster::RankTimes;
+use ngs_cluster::{first_cause, RankTimes};
 use ngs_formats::error::Result;
 use ngs_formats::header::SamHeader;
 
@@ -103,18 +103,15 @@ impl ConvertReport {
 }
 
 /// The report of a call that started at `start` and ran one rank world,
-/// timed in `times`; the first failed rank's error wins.
+/// timed in `times`; the error that ended the world wins
+/// ([`first_cause`]).
 pub(crate) fn collect_report(
     start: Instant,
     results: Vec<Result<(RankStats, PathBuf)>>,
     times: &RankTimes,
 ) -> Result<ConvertReport> {
     let mut report = ConvertReport::default();
-    for r in results {
-        let (stats, path) = r?;
-        report.per_rank.push(stats);
-        report.outputs.push(path);
-    }
+    (report.per_rank, report.outputs) = first_cause(results)?.into_iter().unzip();
     report.convert_time = start.elapsed();
     report.busy = busy_time(start, [times]);
     Ok(report)

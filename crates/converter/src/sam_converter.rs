@@ -184,6 +184,16 @@ mod tests {
     }
 
     #[test]
+    fn a_rank_that_fails_to_read_ends_algorithm_1_with_its_error() {
+        crate::source::assert_a_failed_read_ends_the_world(
+            dataset(4000).to_sam_bytes(),
+            |source, config, out| {
+                SamConverter::new(config).convert_source(source, TargetFormat::Bed, out, "x").map(drop)
+            },
+        );
+    }
+
+    #[test]
     fn sam_to_sam_identity() {
         let ds = dataset(500);
         let sam_bytes = ds.to_sam_bytes();

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use ngs_bamx::repo::ShardRepo;
 use ngs_bamx::{BamxCompression, BamxFile, BamxLayout, BamxVersion};
-use ngs_cluster::time_ranks;
+use ngs_cluster::{first_cause, time_ranks};
 use ngs_formats::error::Result;
 use ngs_formats::fields::RefIds;
 
@@ -190,7 +190,7 @@ impl SamxConverter {
             Ok(Shard { bamx_path, baix_path, records, resumed: false })
         });
 
-        let shards = results.into_iter().collect::<Result<Vec<Shard>>>()?;
+        let shards = first_cause(results)?;
         Ok(SamxPreprocessReport {
             shards,
             elapsed: start.elapsed(),
@@ -332,6 +332,16 @@ mod tests {
 
     fn dataset(n: usize) -> Dataset {
         Dataset::generate(&DatasetSpec { n_records: n, ..Default::default() })
+    }
+
+    #[test]
+    fn a_rank_that_fails_to_read_ends_preprocessing_with_its_error() {
+        crate::source::assert_a_failed_read_ends_the_world(
+            dataset(4000).to_sam_bytes(),
+            |source, config, out| {
+                SamxConverter::new(config).preprocess_source(source, out, "x").map(drop)
+            },
+        );
     }
 
     #[test]

@@ -92,6 +92,56 @@ impl ByteSource for FileSource {
     }
 }
 
+/// A source whose reads fail with `fail()` past three quarters of its
+/// bytes: a disk that dies part-way through a file.
+#[cfg(test)]
+pub(crate) struct FailsPastThreeQuarters(MemSource, fn() -> ngs_formats::error::Error);
+
+#[cfg(test)]
+impl ByteSource for FailsPastThreeQuarters {
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        if (offset + buf.len() as u64).min(self.len()) > self.len() / 4 * 3 {
+            return Err((self.1)());
+        }
+        self.0.read_at(offset, buf)
+    }
+}
+
+/// Runs `call` at 4 ranks with each Algorithm 1 variant over `sam`
+/// behind a [`FailsPastThreeQuarters`], failing with a transient and
+/// with a structural error, and asserts that it returns that error
+/// itself — not a peer's "rank N disconnected" — instead of hanging.
+#[cfg(test)]
+pub(crate) fn assert_a_failed_read_ends_the_world(
+    sam: Vec<u8>,
+    call: fn(&FailsPastThreeQuarters, crate::ConvertConfig, &Path) -> Result<()>,
+) {
+    use ngs_formats::error::Error;
+    let transient = || Error::Io(std::io::Error::other("injected"));
+    let structural = || Error::InvalidRecord("injected".into());
+    let sam = Arc::new(sam);
+    for variant in [crate::Variant::Forward, crate::Variant::Backward] {
+        for fail in [transient, structural] {
+            let source = FailsPastThreeQuarters(MemSource(Arc::clone(&sam)), fail);
+            let config = crate::ConvertConfig { variant, ..crate::ConvertConfig::with_ranks(4) };
+            let (done, finished) = std::sync::mpsc::channel();
+            let caller = std::thread::spawn(move || {
+                let dir = tempfile::tempdir().unwrap();
+                done.send(call(&source, config, dir.path())).unwrap();
+            });
+            let got = finished.recv_timeout(std::time::Duration::from_secs(60));
+            let got = got.unwrap_or_else(|_| panic!("{variant:?}: the world hung")).unwrap_err();
+            caller.join().unwrap();
+            assert_eq!(got.to_string(), fail().to_string(), "{variant:?}");
+            assert_eq!(got.is_transient(), fail().is_transient(), "{variant:?}: {got}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

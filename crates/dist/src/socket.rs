@@ -5,10 +5,12 @@
 //! on `127.0.0.1:0`, dials every pair once (rank *j* connects to rank
 //! *i* for `i < j`, identifying itself with a hello frame), and splits
 //! each stream into a mutex-guarded writer plus a reader thread. Reader
-//! threads decode frames incrementally ([`FrameDecoder`]) and feed a
-//! tag-demuxed mailbox, so `recv(from, tag)` has exactly the
-//! [`Communicator`](ngs_cluster::Communicator) semantics: FIFO within a
-//! `(from, tag)` channel, independent across tags.
+//! threads decode frames incrementally ([`FrameDecoder`]) and deliver
+//! into the same [`Mailbox`] the thread
+//! [`Communicator`](ngs_cluster::Communicator) receives from, so
+//! `recv(from, tag)` has exactly its semantics: FIFO within a
+//! `(from, tag)` channel, independent across tags, queued messages
+//! before a death.
 //!
 //! Failure classification (the transient-vs-structural contract):
 //!
@@ -20,48 +22,22 @@
 //!   marked poisoned and `recv` returns the **structural** decode error
 //!   — callers quarantine.
 //!
-//! Messages already delivered before a death drain first; death only
-//! surfaces once the queue for that `(from, tag)` is empty.
-//!
 //! Collectives come from the [`Transport`] default implementations, so
 //! this file only implements the four core methods — the conformance
 //! suite (`tests/transport_conformance.rs`) runs the same assertions
 //! over both this and the thread transport.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use ngs_cluster::Transport;
+use ngs_cluster::{Mailbox, PeerDeath, Transport};
 use ngs_formats::error::{Error, Result};
 use ngs_obs::{Counter, Registry};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::frame::{encode_frame, FrameDecoder};
-
-/// Why a peer stopped being receivable.
-#[derive(Debug, Clone)]
-enum PeerDeath {
-    /// Connection closed or I/O failed — transient, fail over.
-    Disconnected,
-    /// The wire carried corrupt frames — structural, quarantine.
-    Corrupt(String),
-}
-
-/// Mailbox state shared with the reader threads. One mutex guards both
-/// queues and death notices so a drain-then-report race is impossible.
-#[derive(Default)]
-struct MailState {
-    queues: HashMap<(usize, u64), VecDeque<Vec<u8>>>,
-    dead: HashMap<usize, PeerDeath>,
-}
-
-struct Mailbox {
-    state: Mutex<MailState>,
-    available: Condvar,
-}
 
 /// Optional `dist.*` wire counters (injected registry, per CLAUDE.md
 /// obs conventions).
@@ -134,10 +110,7 @@ impl SocketTransport {
             .map(|rank| SocketTransport {
                 rank,
                 size: n,
-                mailbox: Arc::new(Mailbox {
-                    state: Mutex::new(MailState::default()),
-                    available: Condvar::new(),
-                }),
+                mailbox: Arc::default(),
                 writers: (0..n).map(|_| None).collect(),
                 readers: Mutex::new(Vec::new()),
                 obs: obs.clone(),
@@ -196,30 +169,8 @@ impl SocketTransport {
         for w in self.writers.iter().flatten() {
             let _ = w.lock().shutdown(Shutdown::Both);
         }
-        let mut st = self.mailbox.state.lock();
-        for peer in 0..self.size {
-            if peer != self.rank {
-                st.dead.entry(peer).or_insert(PeerDeath::Disconnected);
-            }
-        }
-        drop(st);
-        self.mailbox.available.notify_all();
-    }
-
-    fn death_error(&self, from: usize, death: &PeerDeath) -> Error {
-        match death {
-            PeerDeath::Disconnected => Error::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                format!("rank {from} disconnected"),
-            )),
-            // Reconstruct the structural error for every waiter (the
-            // original is not Clone).
-            PeerDeath::Corrupt(detail) => Error::decode(
-                ngs_formats::error::DecodeErrorKind::Corrupt,
-                0,
-                format!("rank {from} wire"),
-                detail.clone(),
-            ),
+        for peer in (0..self.size).filter(|&peer| peer != self.rank) {
+            self.mailbox.mark_dead(peer, PeerDeath::Disconnected);
         }
     }
 }
@@ -229,7 +180,7 @@ impl SocketTransport {
 fn reader_loop(mut stream: TcpStream, peer: usize, mailbox: Arc<Mailbox>) {
     let mut decoder = FrameDecoder::new(format!("rank {peer} wire"));
     let mut buf = [0u8; 64 * 1024];
-    let death = loop {
+    let death = 'wire: loop {
         let n = match stream.read(&mut buf) {
             Ok(0) | Err(_) => break PeerDeath::Disconnected,
             Ok(n) => n,
@@ -242,37 +193,18 @@ fn reader_loop(mut stream: TcpStream, peer: usize, mailbox: Arc<Mailbox>) {
                     if frame.from as usize != peer {
                         // A frame lying about its sender means framing
                         // trust is gone: structural, like a bad CRC.
-                        let mut st = mailbox.state.lock();
-                        st.dead.insert(
-                            peer,
-                            PeerDeath::Corrupt(format!(
-                                "frame claims sender {} on the rank-{peer} connection",
-                                frame.from
-                            )),
-                        );
-                        drop(st);
-                        mailbox.available.notify_all();
-                        return;
+                        break 'wire PeerDeath::Corrupt(format!(
+                            "frame claims sender {} on the rank-{peer} connection",
+                            frame.from
+                        ));
                     }
-                    let mut st = mailbox.state.lock();
-                    st.queues.entry((peer, frame.tag)).or_default().push_back(frame.payload);
-                    drop(st);
-                    mailbox.available.notify_all();
+                    mailbox.deliver(peer, frame.tag, frame.payload);
                 }
-                Err(e) => {
-                    let mut st = mailbox.state.lock();
-                    st.dead.insert(peer, PeerDeath::Corrupt(e.to_string()));
-                    drop(st);
-                    mailbox.available.notify_all();
-                    return;
-                }
+                Err(e) => break 'wire PeerDeath::Corrupt(e.to_string()),
             }
         }
     };
-    let mut st = mailbox.state.lock();
-    st.dead.entry(peer).or_insert(death);
-    drop(st);
-    mailbox.available.notify_all();
+    mailbox.mark_dead(peer, death);
 }
 
 impl Transport for SocketTransport {
@@ -294,10 +226,7 @@ impl Transport for SocketTransport {
         }
         if to == self.rank {
             // Loopback: no wire, straight into our own mailbox.
-            let mut st = self.mailbox.state.lock();
-            st.queues.entry((to, tag)).or_default().push_back(data);
-            drop(st);
-            self.mailbox.available.notify_all();
+            self.mailbox.deliver(to, tag, data);
             return Ok(());
         }
         let Some(writer) = &self.writers[to] else {
@@ -314,21 +243,7 @@ impl Transport for SocketTransport {
 
     fn recv(&self, from: usize, tag: u64) -> Result<Vec<u8>> {
         assert!(from < self.size, "source rank {from} out of range");
-        let mut st = self.mailbox.state.lock();
-        loop {
-            // Drain delivered messages before reporting a death.
-            if let Some(queue) = st.queues.get_mut(&(from, tag)) {
-                if let Some(msg) = queue.pop_front() {
-                    return Ok(msg);
-                }
-            }
-            if let Some(death) = st.dead.get(&from) {
-                let death = death.clone();
-                drop(st);
-                return Err(self.death_error(from, &death));
-            }
-            self.mailbox.available.wait(&mut st);
-        }
+        self.mailbox.recv(from, tag)
     }
 }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ngs_bamx::{write_bamx_file, Baix, BamxCompression, BamxFile};
-use ngs_cluster::{Communicator, Transport};
+use ngs_cluster::{run_ranks, Communicator, Transport};
 use ngs_converter::{ConvertConfig, TargetFormat};
 use ngs_dist::{
     place, replicate, rpc, serve_gated, serve_query, AdmissionGate, DistClient, DistQuery,
@@ -197,6 +197,42 @@ fn thread_rpc_matches_local_serve() {
         }
         client.shutdown(1).unwrap();
     });
+}
+
+/// A client rank that returns without sending `Shutdown` ends
+/// `rpc::serve` cleanly: its `Communicator` drops as the rank leaves,
+/// and the server's next receive reports the departure.
+#[test]
+fn serve_returns_when_its_client_rank_leaves_without_shutdown() {
+    let source = tempdir().unwrap();
+    let root = tempdir().unwrap();
+    let (datasets, _map) = placed(source.path(), root.path(), 2);
+    let query = queries(&datasets).swap_remove(0);
+    let store = store_over(&ngs_dist::rank_repo_dir(root.path(), 0));
+    let local_out = tempdir().unwrap();
+    let convert = ConvertConfig::with_ranks(1);
+    let want = serve_query(&store, &query, &convert, local_out.path()).unwrap();
+
+    // A watchdog, so a server that never returns fails the test.
+    let (done, finished) = std::sync::mpsc::channel();
+    let server_and_client = std::thread::spawn(move || {
+        let out = tempdir().unwrap();
+        let results = run_ranks(2, |comm| {
+            if comm.rank() == 1 {
+                rpc::serve(comm, 0, &store, &convert, out.path()).map(|()| None)
+            } else {
+                DistClient::new(comm).query(1, &query).map(Some)
+            }
+        });
+        done.send(results).unwrap();
+    });
+    let results = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("rpc::serve must return once its client rank has left");
+    server_and_client.join().unwrap();
+    let mut results = results.into_iter();
+    assert_eq!(results.next().unwrap().unwrap(), Some(want));
+    assert_eq!(results.next().unwrap().unwrap(), None, "a vanished client is not a server error");
 }
 
 /// Socket world, R = 2, a server per replica rank: killing either

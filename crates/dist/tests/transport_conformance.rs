@@ -2,22 +2,24 @@
 //! against BOTH implementations — the in-process [`Communicator`]
 //! threads and the framed-socket loopback transport — so the trait's
 //! contract (FIFO per `(from, tag)` channel, independent tags, gather
-//! rank order, collective results, size-1 degenerate worlds) is pinned
-//! identically on each side of the seam.
+//! rank order, collective results, size-1 degenerate worlds, a rank
+//! leaving) is pinned identically on each side of the seam.
 
 use ngs_cluster::{Communicator, Transport};
 use ngs_dist::SocketTransport;
 
 /// Runs `f` once per rank over an already-created world of endpoints,
-/// collecting results in rank order.
+/// collecting results in rank order. Each endpoint moves into its
+/// rank's thread, so it drops — the rank leaves — when `f` returns.
 fn run_world<T, F, R>(world: Vec<T>, f: F) -> Vec<R>
 where
     T: Transport,
-    F: Fn(&T) -> R + Send + Sync,
+    F: Fn(T) -> R + Send + Sync,
     R: Send,
 {
+    let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = world.iter().map(|t| s.spawn(|| f(t))).collect();
+        let handles: Vec<_> = world.into_iter().map(|t| s.spawn(move || f(t))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
 }
@@ -94,11 +96,55 @@ fn size_one_body<T: Transport>(t: &T) {
     assert_eq!(t.recv(0, 5).unwrap(), vec![1]);
 }
 
+/// The shared body for a world in which rank `leaver` sends three
+/// messages to every peer and leaves (drops its endpoint; a
+/// `SocketTransport` closes on drop). Each peer must receive the three
+/// in order, then a transient error, and a barrier or an all-reduce
+/// must fail rather than wait for the rank that left.
+fn departure_body<T: Transport>(t: T, leaver: usize) {
+    let rank = t.rank();
+    if rank == leaver {
+        for peer in (0..t.size()).filter(|&p| p != rank) {
+            for i in 0..3u8 {
+                t.send(peer, 7, vec![i]).unwrap();
+            }
+        }
+        drop(t);
+        return;
+    }
+    for i in 0..3u8 {
+        assert_eq!(t.recv(leaver, 7).unwrap(), vec![i], "queued messages arrive in order");
+    }
+    let err = t.recv(leaver, 7).unwrap_err();
+    assert!(err.is_transient(), "a departed peer is transient: {err}");
+    assert!(t.barrier().is_err(), "barrier without rank {leaver}");
+    assert!(t.all_reduce_sum_u64(5, 1).is_err(), "all-reduce without rank {leaver}");
+}
+
+/// Departure worlds: a non-root rank leaves a pair (the root finds it
+/// missing), and the root leaves a trio (its peers find the root
+/// missing).
+const DEPARTURES: [(usize, usize); 2] = [(2, 1), (3, 0)];
+
+#[test]
+fn thread_transport_departure() {
+    for (size, leaver) in DEPARTURES {
+        run_world(Communicator::create_world(size), |t| departure_body(t, leaver));
+    }
+}
+
+#[test]
+fn socket_transport_departure() {
+    for (size, leaver) in DEPARTURES {
+        run_world(SocketTransport::create_world(size).unwrap(), |t| departure_body(t, leaver));
+    }
+}
+
 #[test]
 fn thread_transport_conformance() {
     let world = Communicator::create_world(4);
     let size = world[0].size();
-    let results = run_world(world, conformance_body);
+    let results = run_world(world, |t| conformance_body(&t));
     assert_conformance(results, size);
 }
 
@@ -106,18 +152,18 @@ fn thread_transport_conformance() {
 fn socket_transport_conformance() {
     let world = SocketTransport::create_world(4).unwrap();
     let size = 4;
-    let results = run_world(world, conformance_body);
+    let results = run_world(world, |t| conformance_body(&t));
     assert_conformance(results, size);
 }
 
 #[test]
 fn thread_transport_size_one() {
     let world = Communicator::create_world(1);
-    run_world(world, size_one_body);
+    run_world(world, |t| size_one_body(&t));
 }
 
 #[test]
 fn socket_transport_size_one() {
     let world = SocketTransport::create_world(1).unwrap();
-    run_world(world, size_one_body);
+    run_world(world, |t| size_one_body(&t));
 }

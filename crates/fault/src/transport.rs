@@ -184,7 +184,7 @@ mod tests {
                 t.send(1, 5, vec![2]).unwrap();
             } else {
                 // Only the retried payload arrives; nothing ghosts in.
-                assert_eq!(comm.recv(0, 5), vec![2]);
+                assert_eq!(comm.recv(0, 5).unwrap(), vec![2]);
             }
         });
     }
@@ -197,8 +197,8 @@ mod tests {
                     FaultyTransport::new(comm, FaultPlan::new(vec![Fault::MsgDuplicate { nth: 0 }]));
                 t.send(1, 5, vec![9]).unwrap();
             } else {
-                assert_eq!(comm.recv(0, 5), vec![9]);
-                assert_eq!(comm.recv(0, 5), vec![9]);
+                assert_eq!(comm.recv(0, 5).unwrap(), vec![9]);
+                assert_eq!(comm.recv(0, 5).unwrap(), vec![9]);
             }
         });
     }
@@ -213,8 +213,8 @@ mod tests {
                 t.send(1, 5, vec![3]).unwrap();
                 assert_eq!(t.recv(1, 6).unwrap(), vec![4]);
             } else {
-                assert_eq!(comm.recv(0, 5), vec![3]);
-                comm.send(0, 6, vec![4]);
+                assert_eq!(comm.recv(0, 5).unwrap(), vec![3]);
+                comm.send(0, 6, vec![4]).unwrap();
             }
         });
     }
@@ -223,9 +223,9 @@ mod tests {
     fn mid_frame_disconnect_loses_message_then_resend_recovers() {
         run_ranks(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 5, vec![7]);
+                comm.send(1, 5, vec![7]).unwrap();
                 // Peer lost it mid-frame; resend the same request.
-                comm.send(1, 5, vec![7]);
+                comm.send(1, 5, vec![7]).unwrap();
             } else {
                 let t = FaultyTransport::new(
                     comm,
@@ -247,33 +247,13 @@ mod tests {
                 Fault::MsgDelay { nth: 0 },
                 Fault::MsgDuplicate { nth: 1 },
             ]);
-            let t = FaultyTransport::new(SendRecvOnly(comm), plan);
+            let t = FaultyTransport::new(comm, plan);
             t.all_reduce_sum_u64(2, t.rank() as u64 + 1).unwrap()
         });
         // Duplicated gather/broadcast legs can leave stray queued
         // messages, but every rank still computes the true sum.
         for sum in results {
             assert_eq!(sum, 6);
-        }
-    }
-
-    /// Strips the Communicator's overridden collectives so the default
-    /// send/recv-based ones (and thus the faults) are exercised.
-    struct SendRecvOnly<'a>(&'a ngs_cluster::Communicator);
-
-    impl Transport for SendRecvOnly<'_> {
-        fn rank(&self) -> usize {
-            self.0.rank()
-        }
-        fn size(&self) -> usize {
-            self.0.size()
-        }
-        fn send(&self, to: usize, tag: u64, data: Vec<u8>) -> Result<()> {
-            self.0.send(to, tag, data);
-            Ok(())
-        }
-        fn recv(&self, from: usize, tag: u64) -> Result<Vec<u8>> {
-            Ok(self.0.recv(from, tag))
         }
     }
 }

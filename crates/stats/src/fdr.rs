@@ -20,7 +20,9 @@
 //!
 //! Complexity Θ(M·B²).
 
-use ngs_cluster::{time_ranks, RankTimes};
+use ngs_cluster::{RankTimes, Transport};
+
+use crate::time_world;
 
 /// The FDR inputs: one observed series and `B` simulated series, all of
 /// equal length `M`.
@@ -149,7 +151,7 @@ pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, RankTimes
     let m = input.bins();
     let b_count = input.rounds();
 
-    let (results, times) = time_ranks(ranks, |comm| {
+    let (results, times) = time_world(ranks, |comm| {
         let rank = comm.rank();
         let size = comm.size();
         // Line 1: even bin-direction partitioning.
@@ -166,7 +168,7 @@ pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, RankTimes
         }
 
         // Line 4: global barrier.
-        comm.barrier();
+        comm.barrier()?;
 
         // Lines 5–8: one combined reduction at the master (both sums in a
         // single message — the optimization that removes a second
@@ -174,8 +176,7 @@ pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, RankTimes
         let mut payload = Vec::with_capacity(16);
         payload.extend_from_slice(&diamond.to_le_bytes());
         payload.extend_from_slice(&star.to_le_bytes());
-        let gathered = comm.gather(TAG_SUMS, payload);
-        if let Some(all) = gathered {
+        if let Some(all) = comm.gather(TAG_SUMS, payload)? {
             let mut total_d = 0u64;
             let mut total_s = 0u64;
             for msg in all {
@@ -183,11 +184,11 @@ pub fn fdr_parallel(input: &FdrInput, p_t: f64, ranks: usize) -> (f64, RankTimes
                 total_s += u64::from_le_bytes(msg[8..16].try_into().expect("u64"));
             }
             let fdr = finish(total_d, total_s, b_count);
-            comm.broadcast(TAG_RESULT, fdr.to_le_bytes().to_vec());
-            fdr
+            comm.broadcast(TAG_RESULT, fdr.to_le_bytes().to_vec())?;
+            Ok(fdr)
         } else {
-            let bytes = comm.broadcast(TAG_RESULT, Vec::new());
-            f64::from_le_bytes(bytes[0..8].try_into().expect("f64"))
+            let bytes = comm.broadcast(TAG_RESULT, Vec::new())?;
+            Ok(f64::from_le_bytes(bytes[0..8].try_into().expect("f64")))
         }
     });
     (results[0], times)
@@ -201,7 +202,7 @@ pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> (f64,
     let m = input.bins();
     let b_count = input.rounds();
 
-    let (results, times) = time_ranks(ranks, |comm| {
+    let (results, times) = time_world(ranks, |comm| {
         let rank = comm.rank();
         let size = comm.size();
         let lo = rank * m / size;
@@ -219,8 +220,8 @@ pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> (f64,
                 }
             }
         }
-        comm.barrier();
-        let total_d = comm.all_reduce_sum_u64(0x31, diamond);
+        comm.barrier()?;
+        let total_d = comm.all_reduce_sum_u64(0x31, diamond)?;
 
         // Phase 2: denominator only (second sweep + second reduction).
         let mut star = 0u64;
@@ -234,10 +235,10 @@ pub fn fdr_parallel_two_phase(input: &FdrInput, p_t: f64, ranks: usize) -> (f64,
                 star += 1;
             }
         }
-        comm.barrier();
-        let total_s = comm.all_reduce_sum_u64(0x32, star);
+        comm.barrier()?;
+        let total_s = comm.all_reduce_sum_u64(0x32, star)?;
 
-        finish(total_d, total_s, b_count)
+        Ok(finish(total_d, total_s, b_count))
     });
     (results[0], times)
 }

@@ -17,7 +17,10 @@
 //! neighbour, run NL-means over the enlarged chunk but only *update* the
 //! original chunk. Output is bit-identical to the sequential pass.
 
-use ngs_cluster::{time_ranks, Communicator, RankTimes};
+use ngs_cluster::{Communicator, RankTimes, Transport};
+use ngs_formats::error::Result;
+
+use crate::time_world;
 
 /// NL-means parameters (the paper's symbols: `r`, `l`, `sigma`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,14 +115,14 @@ pub fn nlmeans_distributed(
     if data.is_empty() {
         return (Vec::new(), RankTimes::default());
     }
-    let (parts, times) = time_ranks(ranks, |comm| nlmeans_rank(data, params, comm));
+    let (parts, times) = time_world(ranks, |comm| nlmeans_rank(data, params, comm));
     (parts.concat(), times)
 }
 
 /// One rank's part of the distributed NL-means. `data` stands in for this
 /// rank's partition source (each rank reads only its own chunk plus what
 /// neighbours send it).
-fn nlmeans_rank(data: &[f64], params: &NlMeansParams, comm: &Communicator) -> Vec<f64> {
+fn nlmeans_rank(data: &[f64], params: &NlMeansParams, comm: &Communicator) -> Result<Vec<f64>> {
     const TAG_LEFT: u64 = 0x11; // halo travelling leftward
     const TAG_RIGHT: u64 = 0x12; // halo travelling rightward
     let n = data.len();
@@ -160,23 +163,23 @@ fn nlmeans_rank(data: &[f64], params: &NlMeansParams, comm: &Communicator) -> Ve
 
     // Rightward chain: context flows rank 0 → rank size-1.
     let left_halo: Vec<f64> =
-        if rank > 0 { to_f64s(comm.recv(rank - 1, TAG_RIGHT)) } else { Vec::new() };
+        if rank > 0 { to_f64s(comm.recv(rank - 1, TAG_RIGHT)?) } else { Vec::new() };
     if rank + 1 < size {
         let mut ctx = Vec::with_capacity(left_halo.len() + chunk.len());
         ctx.extend_from_slice(&left_halo);
         ctx.extend_from_slice(chunk);
         let start = ctx.len().saturating_sub(halo);
-        comm.send(rank + 1, TAG_RIGHT, to_bytes(&ctx[start..]));
+        comm.send(rank + 1, TAG_RIGHT, to_bytes(&ctx[start..]))?;
     }
     // Leftward chain: context flows rank size-1 → rank 0.
     let right_halo: Vec<f64> =
-        if rank + 1 < size { to_f64s(comm.recv(rank + 1, TAG_LEFT)) } else { Vec::new() };
+        if rank + 1 < size { to_f64s(comm.recv(rank + 1, TAG_LEFT)?) } else { Vec::new() };
     if rank > 0 {
         let mut ctx = Vec::with_capacity(chunk.len() + right_halo.len());
         ctx.extend_from_slice(chunk);
         ctx.extend_from_slice(&right_halo);
         ctx.truncate(halo);
-        comm.send(rank - 1, TAG_LEFT, to_bytes(&ctx));
+        comm.send(rank - 1, TAG_LEFT, to_bytes(&ctx))?;
     }
 
     // Build the enlarged partition P'_i.
@@ -190,7 +193,7 @@ fn nlmeans_rank(data: &[f64], params: &NlMeansParams, comm: &Communicator) -> Ve
     if !chunk.is_empty() {
         denoise_range(&extended, left_halo.len(), left_halo.len() + chunk.len(), params, &mut out);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! cargo run --release --example custom_format
 //! ```
 
-use ngs_cluster::run_ranks;
+use ngs_cluster::{first_cause, run_ranks, Transport};
 use ngs_converter::{ConvertConfig, MemSource, RecordConverter, SamConverter, TargetFormat};
 use ngs_formats::record::AlignmentRecord;
 use ngs_formats::header::SamHeader;
@@ -104,10 +104,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 local_n += 1;
             }
         }
-        let sum = comm.all_reduce_sum_f64(1, local_sum);
-        let count = comm.all_reduce_sum_u64(2, local_n);
-        sum / count as f64
+        let sum = comm.all_reduce_sum_f64(1, local_sum)?;
+        let count = comm.all_reduce_sum_u64(2, local_n)?;
+        Ok(sum / count as f64)
     });
+    let sums = first_cause(sums)?;
     println!("distributed mean insert size: {:.1} bp (every rank agrees: {})",
         sums[0],
         sums.iter().all(|&v| (v - sums[0]).abs() < 1e-9)

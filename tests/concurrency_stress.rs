@@ -3,7 +3,7 @@
 //! order-dependent output, no deadlocks (each case bounded by the test
 //! harness timeout).
 
-use ngs_cluster::{run_ranks, Communicator};
+use ngs_cluster::{run_ranks, Communicator, Transport};
 use ngs_converter::{ConvertConfig, MemSource, SamConverter, TargetFormat};
 use ngs_simgen::{Dataset, DatasetSpec};
 use tempfile::tempdir;
@@ -21,7 +21,7 @@ fn communicator_survives_message_storm() {
                 continue;
             }
             for i in 0..per_pair {
-                comm.send_u64(to, i % 3, me * 1_000_000 + i);
+                comm.send_u64(to, i % 3, me * 1_000_000 + i).unwrap();
             }
         }
         let mut received = 0u64;
@@ -31,7 +31,7 @@ fn communicator_survives_message_storm() {
                 continue;
             }
             for i in 0..per_pair {
-                let v = comm.recv_u64(from, i % 3);
+                let v = comm.recv_u64(from, i % 3).unwrap();
                 checksum = checksum.wrapping_add(v);
                 received += 1;
             }
@@ -60,8 +60,8 @@ fn repeated_allreduce_remains_consistent() {
         let results = run_ranks(5, |comm| {
             let mut acc = 0u64;
             for round in 0..10u64 {
-                acc = comm.all_reduce_sum_u64(round, comm.rank() as u64 + round);
-                comm.barrier();
+                acc = comm.all_reduce_sum_u64(round, comm.rank() as u64 + round).unwrap();
+                comm.barrier().unwrap();
             }
             acc
         });
@@ -123,8 +123,8 @@ fn fdr_parallel_is_deterministic_under_thread_scheduling() {
 fn many_small_worlds_do_not_leak_or_deadlock() {
     for n in 1..=12 {
         let results = run_ranks(n, |comm| {
-            comm.barrier();
-            comm.all_reduce_sum_u64(0, 1)
+            comm.barrier().unwrap();
+            comm.all_reduce_sum_u64(0, 1).unwrap()
         });
         assert!(results.iter().all(|&v| v == n as u64));
     }
