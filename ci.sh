@@ -177,7 +177,8 @@ fi
 # (proptest_formats and the scan/sam unit tests), the SAM integer-column
 # grammar, and the hand-derived formats golden vectors (one BAM record,
 # reg2bin, a SAM line per column edge); the SAM and scan modules deny
-# lossy casts too, so clippy covers ngs-converter.
+# lossy casts too, so clippy covers ngs-converter. The codec crate under
+# all of them, ngs-bgzf, is in the same gate.
 echo "==> ingest (read-ahead ≡ streaming, measured lengths ≡ observe, fields ≡ records, views ≡ records, SAM tokenizer ≡ reference, rank-count identity, perfbench builds)"
 cargo test --quiet -p ngs-bgzf --test proptest_codec read_ahead
 cargo test --quiet -p ngs-bgzf --lib readahead
@@ -189,7 +190,7 @@ cargo test --quiet -p ngs-repro --test coverage_fields
 cargo test --quiet -p ngs-converter --lib -- transcode scan sam_converter
 cargo test --quiet --release -p ngs-bamx --lib baix
 cargo test --quiet -p ngs-fault --test decode_never_panics
-cargo clippy -p ngs-formats -p ngs-bamx -p ngs-converter -- -D warnings
+cargo clippy -p ngs-bgzf -p ngs-formats -p ngs-bamx -p ngs-converter -- -D warnings
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # BAMX v2 smoke: columnar-layout acceptance (DESIGN.md §14). The

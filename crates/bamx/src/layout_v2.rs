@@ -593,14 +593,18 @@ impl V2Reader {
     }
 
     /// Reads and (where deflated) decompresses the column streams of
-    /// block `b` selected by `set`; unselected slots stay `None`.
-    fn read_columns(&self, b: usize, set: ColumnSet) -> Result<[Option<Vec<u8>>; N_COLUMNS]> {
+    /// block `b` selected by `set`; unselected slots stay `None`. The
+    /// decoder's tables are scratch the caller keeps across blocks.
+    fn read_columns(
+        &self,
+        b: usize,
+        set: ColumnSet,
+        inflater: &mut Inflater,
+    ) -> Result<[Option<Vec<u8>>; N_COLUMNS]> {
         let entry = self.blocks.get(b).ok_or_else(|| {
             Error::InvalidRecord(format!("v2 block {b} out of range ({})", self.blocks.len()))
         })?;
         let mut out: [Option<Vec<u8>>; N_COLUMNS] = Default::default();
-        // Decoder tables are scratch shared by this call's streams.
-        let mut inflater = Inflater::new();
         let mut decoded_bytes = 0u64;
         let mut skipped = 0u64;
         for kind in ColumnKind::ALL {
@@ -705,10 +709,11 @@ impl V2Reader {
         rel_lo: usize,
         rel_hi: usize,
         set: ColumnSet,
+        inflater: &mut Inflater,
         f: &mut impl FnMut(FieldsView<'_>) -> Result<()>,
     ) -> Result<()> {
         use ColumnKind as K;
-        let cols = self.read_columns(b, set)?;
+        let cols = self.read_columns(b, set, inflater)?;
         let n = self.blocks[b].n_records as usize;
         let col = |k: K| cols[k.index()].as_deref().unwrap_or(&[]);
         let mut cur = [0usize; N_COLUMNS];
@@ -901,11 +906,14 @@ impl V2Reader {
         let rpb = self.records_per_block;
         let first_block = (lo / rpb) as usize;
         let last_block = ((hi - 1) / rpb) as usize;
+        // One decoder for the whole visit: its tables are rebuilt in
+        // place for each stream.
+        let mut inflater = Inflater::new();
         for b in first_block..=last_block {
             let block_first = b as u64 * rpb;
             let rel_lo = lo.saturating_sub(block_first) as usize;
             let rel_hi = (hi - block_first).min(rpb) as usize;
-            self.visit_block(b, rel_lo, rel_hi, set, f)?;
+            self.visit_block(b, rel_lo, rel_hi, set, &mut inflater, f)?;
         }
         Ok(())
     }
@@ -915,8 +923,9 @@ impl V2Reader {
     /// construction rides on).
     pub(crate) fn positions(&self) -> Result<Vec<(i32, i32)>> {
         let mut out = Vec::with_capacity(self.n_records as usize);
+        let mut inflater = Inflater::new();
         for b in 0..self.blocks.len() {
-            let cols = self.read_columns(b, ColumnSet::POSITIONS)?;
+            let cols = self.read_columns(b, ColumnSet::POSITIONS, &mut inflater)?;
             let s = cols[ColumnKind::Pos.index()].as_deref().unwrap_or(&[]);
             let n = self.blocks[b].n_records as usize;
             let mut c = 0usize;

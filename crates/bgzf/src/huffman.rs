@@ -91,6 +91,12 @@ pub(crate) mod entry {
     pub fn value(e: u32) -> u32 {
         e >> 16
     }
+    /// A length/distance entry's base plus its extra bits, read from
+    /// `bits`, the bit buffer as it was before the entry's code.
+    #[inline(always)]
+    pub fn with_extra(e: u32, bits: u64) -> u32 {
+        value(e) + ((bits >> consumed(e)) as u32 & ((1 << extra(e)) - 1))
+    }
 }
 
 /// Which alphabet a decode table serves (decides what a symbol's entry
@@ -190,6 +196,82 @@ pub(crate) fn build_decode_table(
         }
     }
     Ok(())
+}
+
+/// Multi-literal table entry layout (one `u32`), built from a
+/// literal/length table by [`build_multi_literal_table`]. An entry whose
+/// bits start with a literal of the primary table carries a run of one
+/// or two literals:
+///
+/// | bits   | meaning                                                    |
+/// |--------|------------------------------------------------------------|
+/// | 0..4   | input bits the whole run consumes                          |
+/// | 4..6   | number of literals, 1 or 2                                 |
+/// | 8..24  | the literal bytes, the first in the low byte; a missing    |
+/// |        | second one is zero                                         |
+///
+/// Any other entry is the literal/length table's own primary entry (a
+/// length, end of block, a sub-table pointer or an invalid pattern),
+/// whose bits 4..8 are always zero: no entry consumes more than 15 bits.
+pub(crate) mod multi {
+    /// The literal-count field; zero in a literal/length entry.
+    pub const COUNT: u32 = 0x30;
+
+    /// Bits the run consumes.
+    #[inline(always)]
+    pub fn consumed(m: u32) -> u32 {
+        m & 0xF
+    }
+    /// Literals the run carries (the high half of the low byte).
+    #[inline(always)]
+    pub fn count(m: u32) -> usize {
+        usize::from(m.to_le_bytes()[0] >> 4)
+    }
+    /// The literal bytes, first in the low byte.
+    #[inline(always)]
+    pub fn literals(m: u32) -> u32 {
+        m >> 8
+    }
+}
+
+/// Builds the multi-literal table of a literal/length decode table
+/// `litlen` (primary index `primary_bits` wide) into `multi` (cleared
+/// first; its allocation is reused). Each `index_bits`-bit pattern that
+/// starts with a literal of the primary table gets that literal, paired
+/// with the next one when the next code is a primary literal too and its
+/// whole length fits the bits that remain; so a code that needs a
+/// sub-table, or that the pattern cuts short, never pairs. Every other
+/// pattern gets the primary entry for its low bits.
+pub(crate) fn build_multi_literal_table(
+    litlen: &[u32],
+    primary_bits: u32,
+    index_bits: u32,
+    multi: &mut Vec<u32>,
+) {
+    debug_assert!(primary_bits < index_bits && index_bits <= 2 * primary_bits);
+    let primary = &litlen[..1 << primary_bits];
+    multi.clear();
+    for _ in 0..1 << (index_bits - primary_bits) {
+        multi.extend_from_slice(primary);
+    }
+    // Then one pass per primary literal code over the patterns that begin
+    // with it (a code of `len` bits owns every pattern whose low bits
+    // equal it; the primary slot equal to the code stands for them all).
+    // A run entry is the first literal's part plus the second's, or plus
+    // nothing where the second does not fit.
+    for (code, &first) in primary.iter().enumerate() {
+        let len = entry::consumed(first);
+        if first & entry::LITERAL == 0 || code >> len != 0 {
+            continue;
+        }
+        let head = entry::value(first) << 8 | 1 << 4 | len;
+        let left = index_bits - len;
+        for (rest, &second) in primary[..1 << left].iter().enumerate() {
+            let fits = second & entry::LITERAL != 0 && entry::consumed(second) <= left;
+            let tail = entry::value(second) << 16 | 1 << 4 | entry::consumed(second);
+            multi[code | rest << len] = head + tail * u32::from(fits);
+        }
+    }
 }
 
 /// Validates a length set and returns the first canonical code of each
@@ -583,6 +665,67 @@ mod tests {
         // Rebuilding into the same Vec starts from scratch.
         build_decode_table(&[1, 1], 2, Alphabet::CodeLength, &mut table).unwrap();
         assert_eq!(table, vec![entry::LITERAL | 1, 1 << 16 | entry::LITERAL | 1, entry::LITERAL | 1, 1 << 16 | entry::LITERAL | 1]);
+    }
+
+    /// Literal/length lengths: symbol `97 + i` (`a`, `b`, …) gets
+    /// `lens[i]` bits, end of block `eob` bits.
+    fn litlen_table(lens: &[u8], eob: u8) -> Vec<u32> {
+        let mut lengths = vec![0u8; 257];
+        lengths[97..97 + lens.len()].copy_from_slice(lens);
+        lengths[256] = eob;
+        let mut table = Vec::new();
+        build_decode_table(&lengths, 10, Alphabet::LitLen, &mut table).unwrap();
+        table
+    }
+
+    #[test]
+    fn multi_literal_entries_pair_what_fits_and_keep_the_rest() {
+        // `a` 0, `b` 10, `c` 110, end of block 111 (LSB-first below).
+        let lit = litlen_table(&[1, 2, 3], 3);
+        let mut multi = Vec::new();
+        build_multi_literal_table(&lit, 10, 11, &mut multi);
+        assert_eq!(multi.len(), 1 << 11);
+        let run = |first: u32, second: u32, n: u32, bits: u32| second << 16 | first << 8 | n << 4 | bits;
+        assert_eq!(multi[0b000], run(97, 97, 2, 2)); // a a
+        assert_eq!(multi[0b010], run(97, 98, 2, 3)); // a b
+        assert_eq!(multi[0b0011], run(99, 97, 2, 4)); // c a (c = bits 1, 1, 0)
+        assert_eq!(multi[0b111_011], run(99, 0, 1, 3)); // c, then end of block
+        // End of block first: the literal/length entry itself.
+        assert_eq!(multi[0b111], lit[0b111]);
+        assert_eq!(multi::count(multi[0b111]), 0);
+        for (i, &m) in multi.iter().enumerate() {
+            assert_eq!(m & multi::COUNT == 0, lit[i & 1023] & entry::LITERAL == 0, "pattern {i:#b}");
+        }
+        // A rebuild reuses the allocation and starts from scratch.
+        build_multi_literal_table(&litlen_table(&[1, 1], 0), 10, 11, &mut multi);
+        assert_eq!(multi[0b01], run(98, 97, 2, 2));
+    }
+
+    #[test]
+    fn long_and_cut_codes_never_pair() {
+        // `a` 1 bit … `j` 10 bits, `k` 11 bits, …, `o` and end of block 15.
+        let lit = litlen_table(&(1..=15).collect::<Vec<u8>>(), 15);
+        let mut multi = Vec::new();
+        build_multi_literal_table(&lit, 10, 11, &mut multi);
+        // `j` is 1111111110, LSB-first 0x1FF: followed by `a` (a 0 bit) it
+        // fills the eleven bits and pairs; followed by `b` (10) it would
+        // need twelve, so `j` stands alone.
+        let j = 0x1FF;
+        assert_eq!(multi::count(multi[j]), 2);
+        assert_eq!(multi::consumed(multi[j]), 11);
+        assert_eq!(multi::count(multi[j | 1 << 10]), 1);
+        assert_eq!(multi::consumed(multi[j | 1 << 10]), 10);
+        // `k` and longer share the primary prefix 1111111111: a sub-table
+        // pointer, kept as it is.
+        assert_eq!(multi[0x3FF], lit[0x3FF]);
+        assert!(lit[0x3FF] & entry::SUBTABLE != 0);
+        // No run reaches into the sub-table codes: every literal it
+        // carries is `a`–`j`.
+        for &m in &multi {
+            if multi::count(m) > 0 {
+                assert!(multi::literals(m).to_le_bytes()[..multi::count(m)].iter().all(|b| (97..=106).contains(b)));
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use crate::bits::BitReader;
 use crate::error::{Error, Result};
-use crate::huffman::{build_decode_table, entry, Alphabet};
+use crate::huffman::{build_decode_table, build_multi_literal_table, entry, multi, Alphabet};
 
 /// End-of-block symbol in the literal/length alphabet.
 pub(crate) const END_OF_BLOCK: u16 = 256;
@@ -61,6 +61,16 @@ pub(crate) fn fixed_dist_lengths() -> Vec<u8> {
 
 /// Index width of the primary literal/length table.
 const LITLEN_BITS: u32 = 10;
+/// Index width of the multi-literal table: two literal codes pair when
+/// their lengths sum to at most this.
+const MULTI_BITS: u32 = 11;
+/// Multi-literal entries one word refill pays for: each consumes at most
+/// [`MULTI_BITS`] of the ≥ 56 counted bits a refill leaves.
+const RUN_ENTRIES: u32 = 56 / MULTI_BITS;
+/// Output bytes one literal run may touch: two literals per entry, and
+/// the last entry stores a whole `u32`.
+const RUN_WINDOW: usize = 16;
+const _: () = assert!((RUN_ENTRIES - 1) * 2 + 4 <= RUN_WINDOW as u32);
 /// Index width of the primary distance table.
 const DIST_BITS: u32 = 8;
 /// Index width of the code-length-code table: its codes are ≤ 7 bits, so
@@ -112,26 +122,35 @@ impl<'a> Stream<'a> {
     }
 }
 
+/// The decode tables of one Huffman-coded block.
+#[derive(Debug, Default)]
+struct Tables {
+    litlen: Vec<u32>,
+    dist: Vec<u32>,
+    /// Runs of short literals, built from `litlen`.
+    multi: Vec<u32>,
+}
+
 /// The decode tables of the fixed Huffman codes, built once.
-fn fixed_tables() -> &'static (Vec<u32>, Vec<u32>) {
-    static FIXED: OnceLock<(Vec<u32>, Vec<u32>)> = OnceLock::new();
+fn fixed_tables() -> &'static Tables {
+    static FIXED: OnceLock<Tables> = OnceLock::new();
     FIXED.get_or_init(|| {
-        let (mut lit, mut dist) = (Vec::new(), Vec::new());
-        let built = build_decode_table(&fixed_lit_lengths(), LITLEN_BITS, Alphabet::LitLen, &mut lit)
-            .and(build_decode_table(&fixed_dist_lengths(), DIST_BITS, Alphabet::Distance, &mut dist));
+        let mut t = Tables::default();
+        let built = build_decode_table(&fixed_lit_lengths(), LITLEN_BITS, Alphabet::LitLen, &mut t.litlen)
+            .and(build_decode_table(&fixed_dist_lengths(), DIST_BITS, Alphabet::Distance, &mut t.dist));
         debug_assert!(built.is_ok(), "fixed tables are valid");
-        (lit, dist)
+        build_multi_literal_table(&t.litlen, LITLEN_BITS, MULTI_BITS, &mut t.multi);
+        t
     })
 }
 
 /// The DEFLATE decoder: one table-driven core that writes into a slice
 /// and never past it, plus the scratch tables it rebuilds per dynamic
 /// block. Keep one around to decode many streams without reallocating
-/// (a few KiB; [`crate::BgzfReader`] owns one).
+/// (about 14 KiB; [`crate::BgzfReader`] owns one).
 #[derive(Debug, Default)]
 pub struct Inflater {
-    litlen: Vec<u32>,
-    dist: Vec<u32>,
+    tables: Tables,
     clc: Vec<u32>,
 }
 
@@ -177,7 +196,7 @@ impl Inflater {
                             if len != !nlen {
                                 return Err(Error::Corrupt("stored block LEN/NLEN mismatch"));
                             }
-                            Block::Stored(len as usize)
+                            Block::Stored(usize::from(len))
                         }
                         0b01 => Block::Huffman { fixed: true },
                         0b10 => {
@@ -198,13 +217,8 @@ impl Inflater {
                     s.block = Block::Header;
                 }
                 Block::Huffman { fixed } => {
-                    let (lit, dist) = if fixed {
-                        let t = fixed_tables();
-                        (&t.0[..], &t.1[..])
-                    } else {
-                        (&self.litlen[..], &self.dist[..])
-                    };
-                    if inflate_block(&mut s.bits, lit, dist, out, &mut s.produced)? == Status::OutputFull {
+                    let tables = if fixed { fixed_tables() } else { &self.tables };
+                    if inflate_block(&mut s.bits, tables, out, &mut s.produced)? == Status::OutputFull {
                         return Ok(Status::OutputFull);
                     }
                     s.block = Block::Header;
@@ -258,11 +272,14 @@ impl Inflater {
             run.fill(value);
             n += repeat as usize;
         }
-        if lengths[END_OF_BLOCK as usize] == 0 {
+        if lengths[usize::from(END_OF_BLOCK)] == 0 {
             return Err(Error::Corrupt("dynamic block lacks end-of-block code"));
         }
-        build_decode_table(&lengths[..hlit], LITLEN_BITS, Alphabet::LitLen, &mut self.litlen)?;
-        build_decode_table(&lengths[hlit..total], DIST_BITS, Alphabet::Distance, &mut self.dist)
+        let t = &mut self.tables;
+        build_decode_table(&lengths[..hlit], LITLEN_BITS, Alphabet::LitLen, &mut t.litlen)?;
+        build_decode_table(&lengths[hlit..total], DIST_BITS, Alphabet::Distance, &mut t.dist)?;
+        build_multi_literal_table(&t.litlen, LITLEN_BITS, MULTI_BITS, &mut t.multi);
+        Ok(())
     }
 }
 
@@ -304,11 +321,23 @@ pub fn inflate_into(input: &[u8], out: &mut Vec<u8>) -> Result<usize> {
 /// field, so callers consume once.
 #[inline(always)]
 fn lookup<const N: usize>(r: &BitReader<'_>, primary: &[u32; N], table: &[u32]) -> u32 {
-    let e = primary[(r.peek() as usize) & (N - 1)];
+    descend(entry_at(primary, r), r, N.trailing_zeros(), table)
+}
+
+/// The entry of `table` the bits at the front of `r` index; the masked
+/// index needs no bounds check.
+#[inline(always)]
+fn entry_at<const N: usize>(table: &[u32; N], r: &BitReader<'_>) -> u32 {
+    table[(r.peek() as usize) & (N - 1)]
+}
+
+/// Follows primary entry `e` of `table` (index `primary_bits` wide) to
+/// its leaf, as [`lookup`] does.
+#[inline(always)]
+fn descend(e: u32, r: &BitReader<'_>, primary_bits: u32, table: &[u32]) -> u32 {
     if e & entry::SUBTABLE == 0 {
         return e;
     }
-    let primary_bits = N.trailing_zeros();
     let sub = (r.peek() >> primary_bits) as usize & ((1 << entry::extra(e)) - 1);
     let leaf = table[entry::value(e) as usize + sub];
     leaf + primary_bits * u32::from(leaf & entry::INVALID == 0)
@@ -319,40 +348,54 @@ fn lookup<const N: usize>(r: &BitReader<'_>, primary: &[u32; N], table: &[u32]) 
 /// ahead, then one bounds-checked symbol at a time at the edges.
 fn inflate_block(
     r: &mut BitReader<'_>,
-    lit: &[u32],
-    dist: &[u32],
+    tables: &Tables,
     out: &mut [u8],
     pos: &mut usize,
 ) -> Result<Status> {
-    let (Some((lit_primary, _)), Some((dist_primary, _))) = (
+    let (lit, dist) = (&tables.litlen[..], &tables.dist[..]);
+    let (Some((lit_primary, _)), Some((dist_primary, _)), Some((multi, _))) = (
         lit.split_first_chunk::<{ 1 << LITLEN_BITS }>(),
         dist.split_first_chunk::<{ 1 << DIST_BITS }>(),
+        tables.multi.split_first_chunk::<{ 1 << MULTI_BITS }>(),
     ) else {
         return Err(Error::Corrupt("decode tables not built"));
     };
     let mut p = *pos;
-    // Fast loop. A word refill leaves ≥ 56 counted bits: enough for one
-    // literal of any length and four that resolve in the primary table
-    // (≤ 15 + 4 × 10), or for a whole match (≤ 15 + 5 + 15 + 13 = 48), so
-    // nothing in here compares against `available`.
+    // Fast loop. A word refill leaves ≥ 56 counted bits: enough for
+    // [`RUN_ENTRIES`] multi-literal entries, for one literal of any length,
+    // or for a whole match (≤ 15 + 5 + 15 + 13 = 48), so nothing in here
+    // compares against `available`.
     while r.has_word() && out.len() - p >= FAST_OUT_ROOM {
         r.refill_word();
-        let e = lookup(r, lit_primary, lit);
-        r.consume(entry::consumed(e));
-        if e & entry::LITERAL != 0 {
-            out[p] = entry::value(e) as u8;
-            p += 1;
-            // Up to four more literals from the same refill, while they
-            // resolve in the primary table.
-            for _ in 0..4 {
-                let e = lit_primary[(r.peek() as usize) & ((1 << LITLEN_BITS) - 1)];
-                if e & entry::LITERAL == 0 {
+        let mut m = entry_at(multi, r);
+        if m & multi::COUNT != 0 {
+            // A run of short literals, each entry's bytes stored whole
+            // into a window that holds the longest run.
+            let window = &mut out[p..p + RUN_WINDOW];
+            let mut q = 0;
+            for _ in 0..RUN_ENTRIES {
+                if m & multi::COUNT == 0 {
                     break;
                 }
-                r.consume(entry::consumed(e));
-                out[p] = entry::value(e) as u8;
-                p += 1;
+                r.consume(multi::consumed(m));
+                window[q..q + 4].copy_from_slice(&multi::literals(m).to_le_bytes());
+                q += multi::count(m);
+                m = entry_at(multi, r);
             }
+            p += q;
+            continue;
+        }
+        // Not a short literal: `m` is the literal/length table's own entry.
+        // A code and its extra bits go in one shift (literals and end of
+        // block have none); the extra bits are read from the bits saved
+        // before it.
+        let e = descend(m, r, LITLEN_BITS, lit);
+        let saved = r.peek();
+        r.consume(entry::consumed(e) + entry::extra(e));
+        if e & entry::LITERAL != 0 {
+            // A literal code longer than the primary index.
+            out[p] = entry::value(e) as u8;
+            p += 1;
             continue;
         }
         if e & entry::EXCEPTIONAL != 0 {
@@ -363,13 +406,14 @@ fn inflate_block(
                 Err(Error::Corrupt("invalid literal/length code"))
             };
         }
-        let len = (entry::value(e) + r.take(entry::extra(e))) as usize;
+        let len = entry::with_extra(e, saved) as usize;
         let d = lookup(r, dist_primary, dist);
         if d & entry::EXCEPTIONAL != 0 {
             return Err(Error::Corrupt("invalid distance code"));
         }
-        r.consume(entry::consumed(d));
-        let distance = (entry::value(d) + r.take(entry::extra(d))) as usize;
+        let saved = r.peek();
+        r.consume(entry::consumed(d) + entry::extra(d));
+        let distance = entry::with_extra(d, saved) as usize;
         if distance > p {
             return Err(Error::Corrupt("back-reference before start of output"));
         }

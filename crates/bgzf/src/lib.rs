@@ -13,8 +13,7 @@
 //!   the `BC`/`BSIZE` extra subfield and the end-of-file marker;
 //! * [`voffset`] — BGZF virtual offsets used by indexes;
 //! * [`reader`] / [`writer`] — streaming BGZF I/O (seekable by virtual
-//!   offset) plus whole-buffer (de)compression, rayon-parallel on the
-//!   write side;
+//!   offset) plus whole-buffer (de)compression;
 //! * [`readahead`] — the sequential reader: members inflated on helper
 //!   threads ahead of the consumer, in order, through a bounded window.
 //!
@@ -61,4 +60,4 @@ pub use read_at::ReadAt;
 pub use readahead::ReadAheadReader;
 pub use reader::{decompress_sequential, BgzfReader};
 pub use voffset::VirtualOffset;
-pub use writer::{compress_parallel, compress_sequential, BgzfWriter};
+pub use writer::{compress_sequential, BgzfWriter};

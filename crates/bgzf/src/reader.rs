@@ -188,7 +188,7 @@ pub fn validate(data: &[u8]) -> Result<bool> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::writer::{compress_parallel, BgzfWriter};
+    use crate::writer::{compress_sequential, BgzfWriter};
     use std::io::Cursor;
 
     fn sample_file(payload: &[u8]) -> Vec<u8> {
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn whole_buffer_decode_matches_the_payload() {
         let payload = b"parallel bgzf block decode ".repeat(30_000);
-        let file = compress_parallel(&payload, crate::deflate::Options::default());
+        let file = compress_sequential(&payload, crate::deflate::Options::default());
         assert_eq!(decompress_sequential(&file).unwrap(), payload);
     }
 

@@ -1,4 +1,4 @@
-//! Streaming BGZF writer plus a rayon-parallel whole-buffer compressor.
+//! Streaming BGZF writer plus a whole-buffer compressor.
 
 use std::io::{self, Write};
 
@@ -94,21 +94,7 @@ impl<W> Drop for BgzfWriter<W> {
 }
 
 /// Compresses `data` into a complete BGZF file (EOF marker included),
-/// compressing the blocks in parallel with rayon.
-pub fn compress_parallel(data: &[u8], opts: Options) -> Vec<u8> {
-    use rayon::prelude::*;
-    let chunks: Vec<&[u8]> = data.chunks(MAX_PAYLOAD).collect();
-    let blocks: Vec<Vec<u8>> = chunks.par_iter().map(|c| compress_block(c, opts)).collect();
-    let total: usize = blocks.iter().map(Vec::len).sum::<usize>() + EOF_MARKER.len();
-    let mut out = Vec::with_capacity(total);
-    for b in &blocks {
-        out.extend_from_slice(b);
-    }
-    out.extend_from_slice(&EOF_MARKER);
-    out
-}
-
-/// Compresses `data` into a complete BGZF file sequentially.
+/// one block after another.
 pub fn compress_sequential(data: &[u8], opts: Options) -> Vec<u8> {
     let mut out = Vec::new();
     for c in data.chunks(MAX_PAYLOAD.max(1)) {
@@ -139,17 +125,6 @@ mod tests {
         w.write_all(&payload).unwrap();
         let file = w.finish().unwrap();
         assert_eq!(decompress_sequential(&file).unwrap(), payload);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_content() {
-        let payload: Vec<u8> = (0..300_000u32).map(|i| (i % 7 + i % 13) as u8).collect();
-        let opts = Options::default();
-        let par = compress_parallel(&payload, opts);
-        let seq = compress_sequential(&payload, opts);
-        // Identical chunking + deterministic encoder => identical bytes.
-        assert_eq!(par, seq);
-        assert_eq!(decompress_sequential(&par).unwrap(), payload);
     }
 
     #[test]

@@ -92,6 +92,53 @@ const SINGLE_DIST: [u8; 16] = [
 ];
 const SINGLE_DIST_PLAIN: &[u8] = b"abababab";
 
+/// Literal-only dynamic block long enough for the decoder's fast loop,
+/// whose short codes pair in one multi-literal entry. HLIT=257, HDIST=1
+/// (one zero length), HCLEN=18; code-length code lengths: 0, 3 and 18 two
+/// bits, 1 and 2 three bits. Lengths sent: 18 + 86 (97 zeros), 1 (`a`),
+/// 2 (`b`), 3 (`c`), 18 + 127 and 18 + 7 (156 zeros), 3 (end of block),
+/// 0 (the distance code). Literal codes: `a` 0, `b` 10, `c` 110, end of
+/// block 111. The header takes 110 bits; "abcb" is 0 10 110 10, exactly
+/// eight bits, so from the header's last byte on every byte repeats: two
+/// bits of one unit and six of the next, 0x96. The tail holds the last
+/// six bits of the 80th unit and end of block.
+const PAIRS_HEAD: [u8; 14] =
+    [0x05, 0xc0, 0x01, 0x09, 0x00, 0x00, 0x00, 0xc2, 0xb0, 0xac, 0xbb, 0xfd, 0x3b, 0x88];
+const PAIRS_UNIT: [u8; 1] = [0x96];
+const PAIRS_UNITS: usize = 79;
+const PAIRS_TAIL: [u8; 2] = [0xd6, 0x01];
+const PAIRS_PLAIN: &[u8] = b"abcb";
+const PAIRS_REPEAT: usize = 80;
+
+/// Literal-only dynamic block long enough for the fast loop, with
+/// `LONG_CODES`' code (`a` 1 bit, `b` 2, … `k` 11, … `o` and end of block
+/// 15): pairs of `a` share an entry, and every `k` needs the second level
+/// of a 10-bit primary table. HLIT=257, HDIST=1, HCLEN=19; code-length
+/// code lengths: 0, 14, 15 and 17 five bits, 1–13 and 18 four bits.
+/// Lengths sent: 18 + 86 (97 zeros), 1 through 15 (`a`–`o`), 18 + 127
+/// and 17 + 3 (144 zeros), 15 (end of block), 0 (the distance code). The
+/// header ends on a byte boundary (176 bits); "aaaaak" is five 0 bits
+/// and 11111111110, sixteen bits, `e0 7f`; end of block is fifteen 1 bits.
+const LONG_RUN_HEAD: [u8; 22] = [
+    0x05, 0xe0, 0x51, 0x96, 0x24, 0x49, 0x92, 0x24, 0xcb, 0xae, 0x15, 0x90, 0x58, 0xd4, 0x3c, 0xb2,
+    0x7a, 0xee, 0xdb, 0xff, 0xdf, 0x3b,
+];
+const LONG_RUN_UNIT: [u8; 2] = [0xe0, 0x7f];
+const LONG_RUN_UNITS: usize = 60;
+const LONG_RUN_TAIL: [u8; 2] = [0xff, 0x7f];
+const LONG_RUN_PLAIN: &[u8] = b"aaaaak";
+const LONG_RUN_REPEAT: usize = 60;
+
+/// `head`, `units` copies of `unit`, `tail`.
+fn periodic(head: &[u8], unit: &[u8], units: usize, tail: &[u8]) -> Vec<u8> {
+    let mut s = head.to_vec();
+    for _ in 0..units {
+        s.extend_from_slice(unit);
+    }
+    s.extend_from_slice(tail);
+    s
+}
+
 /// The BGZF end-of-file marker exactly as printed in the SAM
 /// specification §4.1.2: an empty gzip member whose body is the fixed
 /// block `03 00` (BFINAL=1, BTYPE=01, end of block).
@@ -138,6 +185,16 @@ fn vectors() -> Vec<(&'static str, Vec<u8>, Vec<u8>)> {
         ("32768-distance match", far_stream(), far_plain),
         ("literal-only dynamic", LITERAL_ONLY.to_vec(), LITERAL_ONLY_PLAIN.to_vec()),
         ("single-code distance tree", SINGLE_DIST.to_vec(), SINGLE_DIST_PLAIN.to_vec()),
+        (
+            "paired short literals",
+            periodic(&PAIRS_HEAD, &PAIRS_UNIT, PAIRS_UNITS, &PAIRS_TAIL),
+            PAIRS_PLAIN.repeat(PAIRS_REPEAT),
+        ),
+        (
+            "long literal codes in a run",
+            periodic(&LONG_RUN_HEAD, &LONG_RUN_UNIT, LONG_RUN_UNITS, &LONG_RUN_TAIL),
+            LONG_RUN_PLAIN.repeat(LONG_RUN_REPEAT),
+        ),
     ]
 }
 

@@ -82,7 +82,7 @@ proptest! {
 
     #[test]
     fn bgzf_file_roundtrip(data in arb_payload()) {
-        let file = ngs_bgzf::compress_parallel(&data, Options::default());
+        let file = ngs_bgzf::compress_sequential(&data, Options::default());
         prop_assert!(ngs_bgzf::reader::validate(&file).unwrap());
         prop_assert_eq!(&drain(ReadAheadReader::new(Cursor::new(file.clone()), 2), 4096).0, &data);
         prop_assert_eq!(&ngs_bgzf::decompress_sequential(&file).unwrap(), &data);
@@ -108,7 +108,7 @@ proptest! {
         for piece in &pieces {
             file.extend_from_slice(&ngs_bgzf::block::compress_block(piece, Options::default()));
         }
-        file.extend_from_slice(&ngs_bgzf::compress_parallel(&tail, Options::default()));
+        file.extend_from_slice(&ngs_bgzf::compress_sequential(&tail, Options::default()));
         if !eof_marker {
             file.truncate(file.len() - ngs_bgzf::block::EOF_MARKER.len());
         }
@@ -202,6 +202,53 @@ proptest! {
         let c = literal_only_stream(&data, skew);
         prop_assert_eq!(&reference::inflate(&c).unwrap().0, &data);
         assert_agrees_with_reference(&c)?;
+    }
+
+    /// Bytes after the stream — a gzip/BGZF trailer, the next member —
+    /// keep a whole input word ahead to the end, so the last symbols and
+    /// end of block are decoded by the fast loop: output and the consumed
+    /// count still match the reference, which stops at the body's end.
+    #[test]
+    fn decoder_agrees_with_reference_when_bytes_follow_the_stream(
+        data in arb_payload(),
+        level in 0u8..=9,
+        literal_only in any::<bool>(),
+        skew in 0u32..40,
+        trailer in proptest::collection::vec(any::<u8>(), 8..64),
+    ) {
+        let mut c = if literal_only { literal_only_stream(&data, skew) } else { deflate(&data, Options::from_level(level)) };
+        let body = c.len();
+        c.extend_from_slice(&trailer);
+        prop_assert_eq!(reference::inflate(&c), Some((data, body)));
+        assert_agrees_with_reference(&c)?;
+    }
+
+    /// Literal-only streams whose code mixes pairable short codes with
+    /// codes longer than the decoder's primary index, whole and cut inside
+    /// the literal run: the exact decode at the declared size and ± 1
+    /// agrees with the reference (`Ok` only whole and at the true size)
+    /// and never writes past the size it was given.
+    #[test]
+    fn literal_runs_with_long_codes_cut_anywhere(
+        base in any::<u8>(),
+        order in any::<u64>(),
+        skew in 0u32..40,
+        cut in any::<u32>(),
+    ) {
+        let data = short_and_long_literals(base, order);
+        let lengths = literal_only_lengths(&data, skew);
+        prop_assert!(lengths.iter().any(|&l| l > 10), "no code needs a sub-table");
+        prop_assert!(lengths.iter().any(|&l| l > 0 && l <= 5), "no short codes to pair");
+        let c = literal_only_stream(&data, skew);
+        assert_agrees_with_reference(&c)?;
+        let cut = &c[..cut as usize % c.len()];
+        assert_agrees_with_reference(cut)?;
+        let mut inflater = ngs_bgzf::Inflater::new();
+        for size in [data.len() - 1, data.len(), data.len() + 1] {
+            let mut buf = vec![0x5Au8; size + 16];
+            prop_assert!(inflater.inflate_exact(cut, &mut buf[..size]).is_err());
+            prop_assert!(buf[size..].iter().all(|&b| b == 0x5A), "wrote past a declared size of {size}");
+        }
     }
 
     #[test]
@@ -500,6 +547,21 @@ fn literal_only_stream(data: &[u8], skew: u32) -> Vec<u8> {
     }
     enc.encode(&mut w, 256);
     w.into_bytes()
+}
+
+/// Symbol `k` of 0..24 about `4096 >> k` times (at least once), as
+/// `base + k`, shuffled by `order`: the frequent symbols get codes of a
+/// few bits that pair, the rare ones codes longer than ten bits.
+fn short_and_long_literals(base: u8, order: u64) -> Vec<u8> {
+    let mut data = Vec::new();
+    for k in 0u8..24 {
+        data.extend(std::iter::repeat_n(base.wrapping_add(k), (4096usize >> k).max(1)));
+    }
+    let mut g = Gen(order);
+    for i in (1..data.len()).rev() {
+        data.swap(i, g.below(i as u64 + 1) as usize);
+    }
+    data
 }
 
 /// Splitmix-style generator for the fixed corpus (no dependency on the

@@ -8,6 +8,7 @@ use ngs_converter::{
     BamConverter, ConvertConfig, ConvertReport, SamConverter, SamxConverter, TargetFormat,
 };
 use ngs_core::sam_header_of;
+use ngs_bgzf::ReadAheadReader;
 use ngs_formats::bam::BamReader;
 use ngs_formats::sam::SamReader;
 use ngs_formats::record::AlignmentRecord;
@@ -77,7 +78,10 @@ fn pipeline_trace(metrics: &ngs_core::pipeline::PipelineMetrics) -> std::sync::A
 /// Reads all records (and the header) from a `.sam` or `.bam` path.
 pub fn read_alignments(path: &str) -> Result<(ngs_formats::SamHeader, Vec<AlignmentRecord>), Box<dyn std::error::Error>> {
     if path.ends_with(".bam") {
-        let mut reader = BamReader::new(BufReader::new(std::fs::File::open(path)?))?;
+        // A front-to-back read: members inflate ahead on every core.
+        let workers = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        let file = BufReader::new(std::fs::File::open(path)?);
+        let mut reader = BamReader::from_inflated(ReadAheadReader::new(file, workers))?;
         let header = reader.header().clone();
         let records: Result<Vec<_>, _> = reader.records().collect();
         Ok((header, records?))

@@ -286,7 +286,8 @@ impl BamConverter {
             .unwrap_or_else(|| "input".into());
 
         let t = Instant::now();
-        let mut reader = BamReader::new(BufReader::new(std::fs::File::open(input_bam)?))?;
+        let file = BufReader::new(std::fs::File::open(input_bam)?);
+        let mut reader = BamReader::from_inflated(ReadAheadReader::new(file, self.config.ranks))?;
         let header = reader.header().clone();
 
         let mut stats = RankStats::default();

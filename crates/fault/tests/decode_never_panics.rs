@@ -93,7 +93,7 @@ fn fixtures() -> &'static Fixtures {
         Baix::build(&BamxFile::open(&plain).unwrap()).unwrap().save(&baix).unwrap();
         let bgzf_file = {
             let sam = ds.to_sam_bytes();
-            ngs_bgzf::compress_parallel(&sam, ngs_bgzf::Options::default())
+            ngs_bgzf::compress_sequential(&sam, ngs_bgzf::Options::default())
         };
         let v2_bamx = std::fs::read(&v2).unwrap();
         Fixtures {

@@ -4,6 +4,7 @@
 use std::io::{BufReader, Write};
 use std::path::Path;
 
+use ngs_bgzf::ReadAheadReader;
 use ngs_formats::bam::{BamReader, BamWriter};
 use ngs_formats::error::{Error, Result};
 
@@ -43,17 +44,24 @@ pub fn cat_bam_parts(parts: &[impl AsRef<Path>], output: impl AsRef<Path>) -> Re
     if parts.is_empty() {
         return Err(Error::InvalidRecord("no parts to merge".into()));
     }
-    let first = BamReader::new(BufReader::new(std::fs::File::open(parts[0].as_ref())?))?;
-    let header = first.header().clone();
-    drop(first);
+    // Parts are read front to back, members inflated ahead on every core.
+    let workers = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    let open = |part: &Path| -> Result<BamReader<ReadAheadReader>> {
+        let file = BufReader::new(std::fs::File::open(part)?);
+        BamReader::from_inflated(ReadAheadReader::new(file, workers))
+    };
+    let mut reader = open(parts[0].as_ref())?;
+    let header = reader.header().clone();
 
     let mut writer = BamWriter::new(
         std::io::BufWriter::new(std::fs::File::create(output)?),
         header.clone(),
     )?;
     let mut n = 0u64;
-    for part in parts {
-        let mut reader = BamReader::new(BufReader::new(std::fs::File::open(part.as_ref())?))?;
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            reader = open(part.as_ref())?;
+        }
         if reader.header().references != header.references {
             return Err(Error::InvalidRecord("BAM parts disagree on references".into()));
         }
