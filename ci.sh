@@ -114,17 +114,14 @@ echo "==> query-scaling (segmented store + single-flight + engine identity)"
 cargo test --quiet -p ngs-query --test store_concurrency --test single_flight
 cargo test --quiet -p ngs-repro --test query_engine
 
-# Dist smoke: the distributed tier's acceptance gates (DESIGN.md §12) —
-# placement math stays proptest-pinned, both transports pass the shared
-# conformance suite (a rank leaving included), and the failover suite
-# kills each rank in turn, fails over on the socket loopback, and drives
-# RPC through injected delivery faults, all byte-identical to the
-# healthy run; repro dist emits parseable JSON.
-echo "==> dist-smoke (placement proptests + transport conformance + failover suite)"
-cargo test --quiet -p ngs-dist --test placement_props --test transport_conformance --test failover
-echo "==> repro dist (placement scaling + failover latency, BENCH_dist.json)"
-repro dist --scale 0.05 > /dev/null
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$smoke/BENCH_dist.json"
+# Dist smoke: the Transport seam over a real wire (DESIGN.md §12) —
+# both transports pass the shared conformance suite (a rank leaving
+# included), the frame decoder survives arbitrary and damaged bytes,
+# and the RPC suite answers byte-identically to a local serve_query
+# over the thread and socket transports and under injected delivery
+# faults.
+echo "==> dist-smoke (transport conformance + frame corruption + RPC suite)"
+cargo test --quiet -p ngs-dist
 
 # Load-smoke: graceful degradation under sustained overload
 # (DESIGN.md §13). The overload suite checks typed shed-before-decode,

@@ -11,13 +11,13 @@
 use std::io::Write;
 
 use ngs_bench::{
-    collate_bench, dist_bench, fault_bench, fig10, fig11, fig12, fig6, fig7, fig8, fig9,
+    collate_bench, fault_bench, fig10, fig11, fig12, fig6, fig7, fig8, fig9,
     load_bench, obs_bench, recovery_bench, table1, ExperimentConfig, Scale,
 };
 
-const ALL: [&str; 14] = [
+const ALL: [&str; 13] = [
     "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fault", "recovery",
-    "obs", "collate", "dist", "load",
+    "obs", "collate", "load",
 ];
 
 fn usage() -> ! {
@@ -94,7 +94,6 @@ fn main() {
             "recovery" => recovery_bench(&cfg).expect("recovery"),
             "obs" => obs_bench(&cfg).expect("obs"),
             "collate" => collate_bench(&cfg).expect("collate"),
-            "dist" => dist_bench(&cfg).expect("dist"),
             "load" => load_bench(&cfg).expect("load"),
             _ => unreachable!(),
         };

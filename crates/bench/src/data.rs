@@ -69,16 +69,6 @@ impl Scale {
     pub fn pipeline_records(&self) -> usize {
         self.n(24_000)
     }
-
-    /// Shards (datasets) in the distributed-serving experiment.
-    pub fn dist_shards(&self) -> usize {
-        ((8.0 * self.0) as usize).clamp(4, 64)
-    }
-
-    /// Records per shard in the distributed-serving experiment.
-    pub fn dist_records(&self) -> usize {
-        self.n(2_000)
-    }
 }
 
 impl Default for Scale {

@@ -398,7 +398,7 @@ fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 // What the drills share
 // ---------------------------------------------------------------------------
 
-/// Rank axis of the collate and dist scaling sweeps.
+/// Rank axis of the collate scaling sweep.
 const SCALING_RANKS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// How a scaling row is timed, recorded in the drill's JSON.
@@ -1292,210 +1292,6 @@ fn collate_drill(cfg: &ExperimentConfig) -> Result<Drill> {
     Ok(Drill { table, json })
 }
 
-// ---------------------------------------------------------------------------
-// Distributed serving (BENCH_dist.json)
-// ---------------------------------------------------------------------------
-
-/// Distributed placement-and-serving experiment (DESIGN.md §12; extends
-/// the paper's stage decomposition past the process boundary), on two
-/// axes:
-///
-/// * **Simulated-cluster scaling** — shards placed with R = 2 over a
-///   rank axis; on [`time_ranks`], each rank serves the queries whose
-///   *primary* replica it holds against its own replica repository;
-///   makespan = [`RankTimes::makespan`](ngs_cluster::RankTimes::makespan),
-///   speedup vs. one rank serving the whole plan. A byte-identity gate
-///   checks every answer of every timed run against the single-rank
-///   baseline, so partitioned serving can never drift.
-/// * **Failover** — a [`Router`] over the same replicas on the real
-///   clock: the busiest primary is killed mid-plan, every query must
-///   still answer byte-identically, and the detour latencies recorded in
-///   `dist.failover_latency_ns` are reported as p50/p95/p99.
-///
-/// Writes `BENCH_dist.json` and returns a rendered table.
-pub fn dist_bench(cfg: &ExperimentConfig) -> Result<String> {
-    dist_drill(cfg)?.publish("BENCH_dist.json")
-}
-
-fn dist_drill(cfg: &ExperimentConfig) -> Result<Drill> {
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    use ngs_bamx::{write_bamx_file, Baix, BamxCompression, BamxFile};
-    use ngs_dist::{
-        place, rank_repo_dir, replicate, serve_query, DistQuery, PlacementConfig, Router,
-        RouterConfig,
-    };
-    use ngs_query::{RetryPolicy, ShardStore};
-    use ngs_simgen::{Dataset, DatasetSpec};
-
-    let n_shards = cfg.scale.dist_shards();
-    let records = cfg.scale.dist_records();
-
-    // Deterministic shard fixtures.
-    let source = cfg.cache.scratch("dist-source")?;
-    let mut datasets = Vec::with_capacity(n_shards);
-    for i in 0..n_shards {
-        let name = format!("d{i:03}");
-        let ds = Dataset::generate(&DatasetSpec {
-            n_records: records,
-            n_chroms: 2,
-            coordinate_sorted: true,
-            seed: 20140519 + i as u64,
-            ..Default::default()
-        });
-        let bamx_path = source.join(format!("{name}.bamx"));
-        write_bamx_file(&bamx_path, &ds.header(), &ds.records, BamxCompression::Bgzf)?;
-        Baix::build(&BamxFile::open(&bamx_path)?)?.save(bamx_path.with_extension("baix"))?;
-        datasets.push(name);
-    }
-    let queries: Vec<DistQuery> = datasets
-        .iter()
-        .flat_map(|d| {
-            ["chr1", "chr1:1-60000", "chr2"].into_iter().map(move |region| DistQuery {
-                dataset: d.clone(),
-                region: region.into(),
-                format: TargetFormat::Sam,
-            })
-        })
-        .collect();
-    let n_queries = queries.len();
-
-    let clock = || Arc::new(ngs_obs::SystemClock::new());
-    let open_store = |root: &std::path::Path, rank: usize| -> Result<ShardStore> {
-        ShardStore::open_with(rank_repo_dir(root, rank), 64, clock(), RetryPolicy::default())
-    };
-    let convert = ConvertConfig::with_ranks(1);
-
-    let mut table = String::from("Distributed serving: placement, scaling, failover\n");
-    table.push_str(&format!(
-        "{n_shards} shards x {records} records, {n_queries} queries, R = 2\n"
-    ));
-
-    // Simulated-cluster scaling over the rank axis. The 1-rank run is
-    // both the sequential baseline and the byte-identity oracle.
-    let mut baseline: Vec<Vec<u8>> = Vec::new();
-    let mut scaling = Vec::new();
-    for &ranks in &SCALING_RANKS {
-        let members: BTreeSet<usize> = (0..ranks).collect();
-        let map = place(&datasets, &members, &PlacementConfig::default());
-        let root = cfg.cache.scratch(&format!("dist-root-{ranks}"))?;
-        replicate(&source, &map, &root)?;
-
-        // Each rank serves the queries whose primary replica it holds,
-        // from a store opened once, so repeats after the first run warm.
-        let mut shares: Vec<Vec<(usize, &DistQuery)>> = vec![Vec::new(); ranks];
-        for (i, q) in queries.iter().enumerate() {
-            if let Some(&rank) = map.replicas(&q.dataset).first() {
-                shares[rank].push((i, q));
-            }
-        }
-        let stores = shares
-            .iter()
-            .enumerate()
-            .map(|(rank, share)| {
-                (!share.is_empty()).then(|| open_store(&root, rank)).transpose()
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let makespan = cfg.best_of(|| {
-            let (served, times) = time_ranks(ranks, |comm| {
-                let rank = comm.rank();
-                let Some(store) = &stores[rank] else { return Ok(Vec::new()) };
-                let out_dir = root.join(format!("serve{rank:03}"));
-                shares[rank]
-                    .iter()
-                    .map(|&(i, q)| Ok((i, serve_query(store, q, &convert, &out_dir)?)))
-                    .collect::<Result<Vec<_>>>()
-            });
-            let mut answers = Vec::with_capacity(n_queries);
-            for share in served {
-                answers.extend(share?);
-            }
-            answers.sort_by_key(|(i, _)| *i);
-            if answers.len() != n_queries {
-                return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                    "{ranks}-rank serving answered {} of {n_queries} queries",
-                    answers.len()
-                )));
-            }
-            if ranks == 1 {
-                baseline = answers.into_iter().map(|(_, b)| b).collect();
-            } else if let Some((i, _)) = answers.iter().find(|(i, got)| got != &baseline[*i]) {
-                return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                    "{ranks}-rank serving diverged from the 1-rank baseline on query {i}"
-                )));
-            }
-            Ok(times.makespan())
-        })?;
-        scaling.push((ranks, makespan));
-    }
-    let (scaling_table, scaling_json) = render_scaling(&scaling);
-    table.push_str("simulated serving scaling (makespan = max rank on-CPU time):\n");
-    table.push_str(&scaling_table);
-
-    // Failover: kill the busiest primary under a Router on the real
-    // clock; identity gate + latency percentiles from the histogram.
-    let fo_ranks = 4usize;
-    let members: BTreeSet<usize> = (0..fo_ranks).collect();
-    let map = place(&datasets, &members, &PlacementConfig::default());
-    let root = cfg.cache.scratch("dist-failover")?;
-    replicate(&source, &map, &root)?;
-    let victim = (0..fo_ranks)
-        .max_by_key(|&r| {
-            (datasets.iter().filter(|d| map.replicas(d).first() == Some(&r)).count(), r)
-        })
-        .unwrap_or(0);
-
-    let registry = Arc::new(ngs_obs::Registry::new());
-    let router = Router::new(
-        map,
-        &root,
-        &root.join("scratch"),
-        clock(),
-        Arc::clone(&registry),
-        RouterConfig::default(),
-    )?;
-    router.kill(victim);
-    for _ in 0..cfg.repeats.max(1) {
-        for (q, want) in queries.iter().zip(&baseline) {
-            let got = router.query(q)?;
-            if &got != want {
-                return Err(ngs_formats::error::Error::InvalidRecord(format!(
-                    "failover answer diverged from the healthy baseline on {q:?}"
-                )));
-            }
-        }
-    }
-    let failovers = registry.counter("dist.failovers").get();
-    let hist = registry.histogram("dist.failover_latency_ns").snapshot();
-    table.push_str(&format!(
-        "failover ({fo_ranks} ranks, killed busiest primary {victim}): {failovers} detours, \
-         latency p50 {} ns, p95 {} ns, p99 {} ns ({} samples), all byte-identical\n",
-        hist.p50(),
-        hist.p95(),
-        hist.p99(),
-        hist.count,
-    ));
-
-    let json = format!(
-        "{}\"shards\": {n_shards},\n  \
-         \"records_per_shard\": {records},\n  \"queries\": {n_queries},\n  \
-         \"replicas\": 2,\n  \"timing\": \"{SCALING_TIMING}\",\n  \
-         \"simulated_scaling\": [\n{scaling_json}\n  ],\n  \
-         \"failover\": {{\"ranks\": {fo_ranks}, \"killed_rank\": {victim}, \
-         \"failovers\": {failovers}, \"byte_identical\": true, \
-         \"latency_ns\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \
-         \"p99\": {}}}}}\n}}\n",
-        json_head(cfg, "dist_serving"),
-        hist.count,
-        hist.mean(),
-        hist.p50(),
-        hist.p95(),
-        hist.p99(),
-    );
-    Ok(Drill { table, json })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1562,15 +1358,14 @@ mod tests {
     }
 
     #[test]
-    fn collate_and_dist_scaling_runs_on_time_ranks_and_keeps_its_gates() {
-        // The drills return Err if a rank count changes the duplicate
-        // count (collate) or a served answer (dist).
+    fn collate_scaling_runs_on_time_ranks_and_keeps_its_gates() {
+        // The drill returns Err if a rank count changes the duplicate
+        // count.
         let cfg = tiny_config();
-        for drill in [collate_drill(&cfg).unwrap(), dist_drill(&cfg).unwrap()] {
-            let rows = makespans(&drill.json);
-            assert_eq!(rows.len(), SCALING_RANKS.len(), "{}", drill.json);
-            assert!(rows.iter().all(|&t| t > 0.0), "{rows:?}");
-            assert!(drill.json.contains("\"host_cores\": "));
-        }
+        let drill = collate_drill(&cfg).unwrap();
+        let rows = makespans(&drill.json);
+        assert_eq!(rows.len(), SCALING_RANKS.len(), "{}", drill.json);
+        assert!(rows.iter().all(|&t| t > 0.0), "{rows:?}");
+        assert!(drill.json.contains("\"host_cores\": "));
     }
 }

@@ -35,6 +35,8 @@ use std::io::{self, Read};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
+use ngs_obs::Helper;
+
 use crate::block::decompress_block_into;
 use crate::error::{Error, Result};
 use crate::inflate::Inflater;
@@ -52,7 +54,7 @@ pub const MAX_WINDOW: usize = 16;
 /// seeks and virtual offsets use [`BgzfReader`](crate::BgzfReader).
 pub struct ReadAheadReader {
     shared: Arc<Shared>,
-    helpers: Vec<JoinHandle<()>>,
+    helpers: Vec<Helper<JoinHandle<()>>>,
     /// Payload of the member being consumed, and the read cursor in it.
     payload: Vec<u8>,
     cursor: usize,
@@ -151,7 +153,7 @@ impl ReadAheadReader {
         let helpers = (0..workers)
             .map(|_| {
                 let shared = shared.clone();
-                std::thread::spawn(move || inflate_members(&shared))
+                Helper::spawn(move || inflate_members(&shared))
             })
             .collect();
         ReadAheadReader { shared, helpers, payload: Vec::new(), cursor: 0, taken: 0, failed: None }

@@ -594,20 +594,18 @@ pub fn view_cmd(args: &Args) -> CmdResult {
                 }
             } else {
                 // Fallback: preprocess into a temp dir and use BAIX
-                // (start-position semantics, as in the paper).
-                let tmp =
-                    std::env::temp_dir().join(format!("ngsp-view-{}", std::process::id()));
-                std::fs::create_dir_all(&tmp)?;
+                // (start-position semantics, as in the paper). The
+                // guard removes the dir on every return, error or not.
+                let tmp = tempfile::tempdir()?;
                 let conv =
                     BamConverter::new(ConvertConfig::with_ranks(args.get_or("ranks", 2)?));
-                let prep = conv.preprocess(input, &tmp)?;
+                let prep = conv.preprocess(input, tmp.path())?;
                 let shard = ngs_bamx::BamxFile::open(&prep.bamx_path)?;
                 let baix = ngs_bamx::Baix::load(&prep.baix_path)?;
                 let ref_id = region.resolve(shard.header())?;
                 for idx in baix.shard_indices(baix.locate(ref_id, &region)) {
                     write_rec(&shard.read_record(idx)?)?;
                 }
-                let _ = std::fs::remove_dir_all(&tmp);
             }
         }
     }

@@ -237,6 +237,29 @@ fn index_then_view_uses_overlap_semantics() {
     assert!(count(&with_index) > 0);
 }
 
+/// The unindexed region view preprocesses into a temp dir; when that
+/// preprocess fails, the command still removes it.
+#[test]
+fn failed_unindexed_view_leaves_no_temp_dir() {
+    let dir = tempdir().unwrap();
+    let d = dir.path();
+    ok(d, &["generate", "--records", "2000", "--out", "full.bam", "--sorted"]);
+    let bam = std::fs::read(d.join("full.bam")).unwrap();
+    std::fs::write(d.join("cut.bam"), &bam[..bam.len() / 2]).unwrap();
+    let tmp = d.join("tmp");
+    std::fs::create_dir(&tmp).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ngsp"))
+        .current_dir(d)
+        .env("TMPDIR", &tmp)
+        .args(["view", "cut.bam", "chr1"])
+        .output()
+        .expect("spawn ngsp");
+    assert!(!out.status.success(), "a truncated BAM must fail the view");
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert!(left.is_empty(), "view left {left:?} in TMPDIR");
+}
+
 #[test]
 fn peaks_pipeline_finds_injected_enrichment() {
     let dir = tempdir().unwrap();

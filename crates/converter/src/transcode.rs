@@ -28,6 +28,7 @@ use ngs_bamx::{AnyBamxWriter, BatchEncoder, EncodedBatch};
 use ngs_formats::bam::{view, BamReader};
 use ngs_formats::error::{Error, Result};
 use ngs_formats::fields::{FieldsScratch, RefIds};
+use ngs_obs::Helper;
 
 /// Records of the stream, as stored, and what a worker made of them.
 #[derive(Default)]
@@ -68,11 +69,15 @@ pub(crate) fn transcode_into<S: Read + Send, W: Write>(
             .expect("the splitter's end of the channel is held here");
     }
     std::thread::scope(|scope| {
-        let mut threads = vec![scope.spawn(move || split(reader, per_batch, &free_rx, &work_tx))];
+        let mut threads = vec![Helper::spawn_scoped(scope, move || {
+            split(reader, per_batch, &free_rx, &work_tx)
+        })];
         for _ in 0..workers {
             let (done_tx, work_rx, refs) = (done_tx.clone(), &work_rx, &refs);
             let encoder = writer.batch_encoder();
-            threads.push(scope.spawn(move || encode_batches(work_rx, &done_tx, refs, encoder)));
+            threads.push(Helper::spawn_scoped(scope, move || {
+                encode_batches(work_rx, &done_tx, refs, encoder)
+            }));
         }
         drop(done_tx);
         let appended = sink(writer, &free_tx, &done_rx);

@@ -1,46 +1,22 @@
 //! # ngs-dist
 //!
-//! The distributed tier (DESIGN.md §12): everything needed to take the
-//! paper's decomposed stages past the process boundary without touching
-//! the algorithms — a pluggable [`Transport`](ngs_cluster::Transport)
-//! seam under the collective API, deterministic shard placement with
-//! R-way replication, crash-safe replica materialisation, and failover
-//! query routing that keeps every shard servable through any
-//! single-rank death.
+//! The [`Transport`](ngs_cluster::Transport) seam over a real wire
+//! (DESIGN.md §12): the paper's two algorithms need only message
+//! passing — Algorithm 1's boundary exchange and Algorithm 2's fused
+//! reduction — and this crate proves that seam holds past the process
+//! boundary.
 //!
 //! * [`frame`] / [`socket`] — length-prefixed framed messages over
 //!   loopback TCP behind the `Transport` trait; panic-free decode with
 //!   transient-vs-structural error classification.
-//! * [`placement`] — pure, proptest-pinned placement math: seeded
-//!   rendezvous hashing with virtual nodes, balance caps, and
-//!   minimal-movement rebalance plans on rank join/leave.
-//! * [`health`] — missed-heartbeat epochs on the injected `Clock`.
-//! * [`replicate`] — replicas publish through the `ShardRepo`
-//!   stage→seal→record path; idempotent, resumable, crash-safe.
-//! * [`router`] — per-rank segmented `ShardStore`s with the replica
-//!   repairer seam, failover in replica order, `dist.*` metrics.
-//! * [`rpc`] — req-id'd request/response over any `Transport`,
-//!   resilient to dropped/duplicated/delayed delivery.
+//! * [`rpc`] — one req-id'd query hop over any `Transport`, resilient
+//!   to dropped/duplicated/delayed delivery and byte-identical to
+//!   [`serve_query`] run locally.
 
 pub mod frame;
-pub mod health;
-pub mod metrics;
-pub mod placement;
-pub mod replicate;
-pub mod router;
 pub mod rpc;
 pub mod socket;
 
 pub use frame::{encode_frame, Frame, FrameDecoder};
-pub use health::HealthTracker;
-pub use metrics::DistMetrics;
-pub use placement::{
-    place, rebalance_join, rebalance_leave, Move, PlacementConfig, PlacementMap, RebalancePlan,
-};
-pub use replicate::{apply_rebalance, open_rank_repo, rank_repo_dir, replica_repairer, replicate};
-pub use router::{serve_query, DistQuery, Router, RouterConfig};
-pub use rpc::{
-    serve_gated, AdmissionGate, DistClient, GatePermit, Request, Response, WireError, REQ_TAG,
-    RESP_TAG,
-};
+pub use rpc::{serve_query, DistClient, DistQuery};
 pub use socket::SocketTransport;

@@ -1,5 +1,5 @@
-//! Request/response RPC over any [`Transport`]: the wire face of the
-//! router for socket (and in-process) worlds.
+//! Request/response RPC over any [`Transport`]: one query hop across
+//! the wire, answered by the same [`serve_query`] a rank runs locally.
 //!
 //! One client rank addresses per-rank servers under two reserved tags.
 //! Every request carries a `req_id`; responses echo it, which is what
@@ -13,27 +13,25 @@
 //! Request/response decoding follows the workspace decode policy:
 //! panic-free on arbitrary bytes with typed errors, and response
 //! `status` preserves the server-side transient-vs-structural
-//! classification across the wire, so client failover logic keeps
-//! working on `Error::is_transient`.
+//! classification across the wire, so `Error::is_transient` answers
+//! the same on the client as on the server.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use ngs_bamx::Region;
 use ngs_cluster::Transport;
+use ngs_converter::bam_converter::convert_index_list;
 use ngs_converter::{ConvertConfig, TargetFormat};
 use ngs_formats::error::{DecodeErrorKind, Error, Result};
-use ngs_query::{RetryBudget, ShardStore};
-
-use crate::router::{serve_query, DistQuery};
+use ngs_query::ShardStore;
 
 /// Tag for client→server request frames.
-pub const REQ_TAG: u64 = 0xD157_0001;
+const REQ_TAG: u64 = 0xD157_0001;
 /// Tag for server→client response frames.
-pub const RESP_TAG: u64 = 0xD157_0002;
+const RESP_TAG: u64 = 0xD157_0002;
 
 /// Send/recv attempts per request before the client gives up on a rank
 /// (bounds retry loops under injected delivery faults).
@@ -45,12 +43,40 @@ const OP_SHUTDOWN: u8 = 2;
 const STATUS_OK: u8 = 0;
 const STATUS_TRANSIENT: u8 = 1;
 const STATUS_STRUCTURAL: u8 = 2;
-/// Load-control rejection: the body leads with the server's
-/// `retry_after` hint (nanos, LE u64), then the message text. Distinct
-/// from `STATUS_TRANSIENT` so clients can honor the back-off instead of
-/// hammering a browning-out rank, and from `STATUS_STRUCTURAL` so shed
-/// responses are never mistaken for damaged data.
-const STATUS_SHED: u8 = 3;
+
+/// One query: convert `region` of `dataset` to `format`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistQuery {
+    /// Dataset (shard) name.
+    pub dataset: String,
+    /// Region text, e.g. `chr1:100-5000` or `chr1`.
+    pub region: String,
+    /// Output format.
+    pub format: TargetFormat,
+}
+
+/// Executes one query against a rank's store, returning the converted
+/// bytes. The RPC server ([`serve`]) answers every query through it, so
+/// the bytes that cross the wire are the bytes a local call returns.
+pub fn serve_query(
+    store: &ShardStore,
+    query: &DistQuery,
+    convert: &ConvertConfig,
+    out_dir: &Path,
+) -> Result<Vec<u8>> {
+    let (shard, _hit) = store.get(&query.dataset)?;
+    let region = Region::parse(&query.region, shard.bamx.header())?;
+    let ref_id = region.resolve(shard.bamx.header())?;
+    let indices = shard.baix.shard_indices(shard.baix.locate(ref_id, &region));
+    std::fs::create_dir_all(out_dir)?;
+    // Same stem formula as the query engine / one-shot partial
+    // conversion, so part files are byte-identical across serving modes.
+    let stem =
+        format!("{}.{}", query.dataset, region.to_string().replace([':', '-'], "_"));
+    let (_stats, path) =
+        convert_index_list(&shard.bamx, &indices, query.format, out_dir, &stem, 0, true, convert)?;
+    Ok(std::fs::read(path)?)
+}
 
 /// Panic-free cursor over a message payload.
 struct Cursor<'a> {
@@ -116,7 +142,7 @@ impl<'a> Cursor<'a> {
 
 /// A decoded request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+enum Request {
     /// Execute a query and respond with the converted bytes.
     Query {
         /// Echoed in the response for duplicate/stale discarding.
@@ -132,7 +158,7 @@ pub enum Request {
 }
 
 /// Encodes a request payload.
-pub fn encode_request(req: &Request) -> Vec<u8> {
+fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
     match req {
         Request::Query { req_id, query } => {
@@ -155,7 +181,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 }
 
 /// Decodes a request payload (panic-free, typed errors).
-pub fn decode_request(bytes: &[u8]) -> Result<Request> {
+fn decode_request(bytes: &[u8]) -> Result<Request> {
     let mut c = Cursor::new(bytes);
     let op = c.u8("op")?;
     let req_id = c.u64("req_id")?;
@@ -191,16 +217,8 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request> {
 
 /// Classified server-side failure as it crosses the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The server shed the request under load control; retry after the
-    /// hint. Never a reason to quarantine or fail over permanently.
-    Shed {
-        /// Server-suggested back-off before resubmitting.
-        retry_after: Duration,
-        /// Human-readable reason.
-        msg: String,
-    },
-    /// Transient server-side failure (retry / fail over).
+enum WireError {
+    /// Transient server-side failure (worth a retry).
     Transient(String),
     /// Structural server-side failure (the data is damaged *there*).
     Structural(String),
@@ -209,7 +227,6 @@ pub enum WireError {
 impl WireError {
     fn into_error(self) -> Error {
         match self {
-            WireError::Shed { retry_after, .. } => Error::Overloaded { retry_after },
             WireError::Transient(msg) => Error::Io(std::io::Error::other(msg)),
             WireError::Structural(msg) => Error::InvalidRecord(msg),
         }
@@ -218,17 +235,16 @@ impl WireError {
 
 /// A decoded response.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
+struct Response {
     /// Echo of the request id.
-    pub req_id: u64,
+    req_id: u64,
     /// `Ok(bytes)` or the classified error.
-    pub outcome: std::result::Result<Vec<u8>, WireError>,
+    outcome: std::result::Result<Vec<u8>, WireError>,
 }
 
-/// Encodes a response payload; errors carry their classification —
-/// transient flag, or [`STATUS_SHED`] with the `retry_after` hint — so
-/// it crosses the wire intact.
-pub fn encode_response(req_id: u64, outcome: &Result<Vec<u8>>) -> Vec<u8> {
+/// Encodes a response payload; errors carry their transient flag, so
+/// the classification crosses the wire intact.
+fn encode_response(req_id: u64, outcome: &Result<Vec<u8>>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&req_id.to_le_bytes());
     match outcome {
@@ -236,14 +252,6 @@ pub fn encode_response(req_id: u64, outcome: &Result<Vec<u8>>) -> Vec<u8> {
             out.push(STATUS_OK);
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(bytes);
-        }
-        Err(Error::Overloaded { retry_after }) => {
-            out.push(STATUS_SHED);
-            let msg = Error::Overloaded { retry_after: *retry_after }.to_string();
-            let nanos = u64::try_from(retry_after.as_nanos()).unwrap_or(u64::MAX);
-            out.extend_from_slice(&((8 + msg.len()) as u32).to_le_bytes());
-            out.extend_from_slice(&nanos.to_le_bytes());
-            out.extend_from_slice(msg.as_bytes());
         }
         Err(e) => {
             out.push(if e.is_transient() { STATUS_TRANSIENT } else { STATUS_STRUCTURAL });
@@ -256,7 +264,7 @@ pub fn encode_response(req_id: u64, outcome: &Result<Vec<u8>>) -> Vec<u8> {
 }
 
 /// Decodes a response payload (panic-free, typed errors).
-pub fn decode_response(bytes: &[u8]) -> Result<Response> {
+fn decode_response(bytes: &[u8]) -> Result<Response> {
     let mut c = Cursor::new(bytes);
     let req_id = c.u64("req_id")?;
     let status = c.u8("status")?;
@@ -268,12 +276,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response> {
         STATUS_STRUCTURAL => {
             Err(WireError::Structural(String::from_utf8_lossy(body).into_owned()))
         }
-        STATUS_SHED => {
-            let mut bc = Cursor::new(body);
-            let nanos = bc.u64("shed retry_after")?;
-            let msg = String::from_utf8_lossy(&body[bc.pos..]).into_owned();
-            Err(WireError::Shed { retry_after: Duration::from_nanos(nanos), msg })
-        }
         other => {
             return Err(Error::decode(
                 DecodeErrorKind::Corrupt,
@@ -284,53 +286,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response> {
         }
     };
     Ok(Response { req_id, outcome })
-}
-
-/// Server-side admission control shared across a rank's serve loops
-/// (DESIGN.md §13): a cap on concurrently executing queries. When the
-/// cap is reached, further queries are rejected *before any decode
-/// work* with [`STATUS_SHED`] and a `retry_after` hint scaled by how
-/// far over capacity the rank is — the dist-tier analogue of the query
-/// engine's bounded admission queues.
-#[derive(Debug)]
-pub struct AdmissionGate {
-    max_inflight: usize,
-    retry_unit: Duration,
-    inflight: AtomicUsize,
-}
-
-/// RAII permit: holds one in-flight slot of an [`AdmissionGate`].
-pub struct GatePermit<'a>(&'a AdmissionGate);
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::Release);
-    }
-}
-
-impl AdmissionGate {
-    /// A gate admitting at most `max_inflight` concurrent queries;
-    /// rejections suggest backing off by `retry_unit` per queued-or-
-    /// running request.
-    pub fn new(max_inflight: usize, retry_unit: Duration) -> Arc<Self> {
-        Arc::new(AdmissionGate { max_inflight: max_inflight.max(1), retry_unit, inflight: AtomicUsize::new(0) })
-    }
-
-    /// Queries currently holding permits.
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Acquire)
-    }
-
-    /// Tries to claim a slot; `Err(retry_after)` when the rank is full.
-    pub fn try_enter(&self) -> std::result::Result<GatePermit<'_>, Duration> {
-        let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
-        if prev < self.max_inflight {
-            Ok(GatePermit(self))
-        } else {
-            self.inflight.fetch_sub(1, Ordering::Release);
-            Err(self.retry_unit.saturating_mul(prev.min(u32::MAX as usize) as u32 + 1))
-        }
-    }
 }
 
 /// Serves queries for one rank until the client sends `Shutdown` or
@@ -345,22 +300,6 @@ pub fn serve<T: Transport>(
     convert: &ConvertConfig,
     out_dir: &Path,
 ) -> Result<()> {
-    serve_gated(transport, client, store, convert, out_dir, None)
-}
-
-/// [`serve`] with an optional [`AdmissionGate`]: when the gate refuses,
-/// the query is answered with [`STATUS_SHED`] (carrying the gate's
-/// `retry_after`) without touching the store — a shed response for a
-/// `req_id` is safe to re-execute for real on a retried delivery of
-/// the same id, because shedding produced no side effects.
-pub fn serve_gated<T: Transport>(
-    transport: &T,
-    client: usize,
-    store: &ShardStore,
-    convert: &ConvertConfig,
-    out_dir: &Path,
-    gate: Option<&AdmissionGate>,
-) -> Result<()> {
     loop {
         let msg = match transport.recv(client, REQ_TAG) {
             Ok(m) => m,
@@ -373,16 +312,10 @@ pub fn serve_gated<T: Transport>(
                 return Ok(());
             }
             Ok(Request::Query { req_id, query }) => {
-                let outcome = match gate.map(AdmissionGate::try_enter) {
-                    Some(Err(retry_after)) => Err(Error::Overloaded { retry_after }),
-                    // `_permit` holds the slot for the duration of the
-                    // query; `None` means ungated.
-                    _permit => serve_query(store, &query, convert, out_dir),
-                };
-                (req_id, outcome)
+                (req_id, serve_query(store, &query, convert, out_dir))
             }
             // A malformed request still gets a (structural) response so
-            // the client fails over instead of hanging.
+            // the client fails instead of hanging.
             Err(e) => (0, Err(e)),
         };
         let resp = encode_response(req_id, &outcome);
@@ -396,43 +329,21 @@ pub fn serve_gated<T: Transport>(
 
 /// Client half: sends requests to per-rank servers with bounded retry
 /// on transient delivery faults and stale/duplicate-response
-/// discarding. With [`DistClient::with_retry_budget`], every attempt
-/// beyond a request's first — delivery re-sends *and* failover hops —
-/// must be paid for from a shared [`RetryBudget`], bounding retry
-/// amplification under brown-out (DESIGN.md §13).
+/// discarding.
 pub struct DistClient<'a, T: Transport> {
     transport: &'a T,
     next_id: AtomicU64,
-    budget: Option<Arc<RetryBudget>>,
 }
 
 impl<'a, T: Transport> DistClient<'a, T> {
-    /// A client over `transport` (ids start at 1), with unbounded
-    /// (budget-free) retries up to the per-request attempt cap.
+    /// A client over `transport` (ids start at 1).
     pub fn new(transport: &'a T) -> Self {
-        DistClient { transport, next_id: AtomicU64::new(1), budget: None }
-    }
-
-    /// A client whose retries and failover hops draw from `budget`.
-    /// The budget may be shared with other clients (clone the `Arc`)
-    /// so their combined amplification is bounded together.
-    pub fn with_retry_budget(transport: &'a T, budget: Arc<RetryBudget>) -> Self {
-        DistClient { transport, next_id: AtomicU64::new(1), budget: Some(budget) }
-    }
-
-    /// Pays for one attempt beyond a request's first. `true` when the
-    /// attempt may proceed (no budget configured, or a token was
-    /// withdrawn).
-    fn pay_retry(&self) -> bool {
-        self.budget.as_ref().is_none_or(|b| b.try_withdraw())
+        DistClient { transport, next_id: AtomicU64::new(1) }
     }
 
     fn round_trip(&self, server: usize, payload: Vec<u8>, req_id: u64) -> Result<Response> {
         let mut last_err: Option<Error> = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 && !self.pay_retry() {
-                break;
-            }
+        for _ in 0..MAX_ATTEMPTS {
             // A dropped send is transient: the message was NOT
             // delivered, so retrying cannot duplicate work.
             if let Err(e) = self.transport.send(server, REQ_TAG, payload.clone()) {
@@ -467,22 +378,9 @@ impl<'a, T: Transport> DistClient<'a, T> {
     }
 
     /// Executes `query` on `server`, returning the converted bytes.
-    /// Transport-level faults are retried up to [`MAX_ATTEMPTS`] (each
-    /// retry paid from the budget, when one is configured); server-side
-    /// errors come back with their classification intact — shed
-    /// responses as [`Error::Overloaded`] with the server's
-    /// `retry_after` hint.
+    /// Transport-level faults are retried up to [`MAX_ATTEMPTS`];
+    /// server-side errors come back with their classification intact.
     pub fn query(&self, server: usize, query: &DistQuery) -> Result<Vec<u8>> {
-        if let Some(b) = &self.budget {
-            b.on_attempt();
-        }
-        self.query_no_deposit(server, query)
-    }
-
-    /// [`DistClient::query`] without the initial-attempt deposit — used
-    /// by failover for hops beyond the first, which are retries of the
-    /// same logical request, not new offered load.
-    fn query_no_deposit(&self, server: usize, query: &DistQuery) -> Result<Vec<u8>> {
         let req_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let payload = encode_request(&Request::Query { req_id, query: query.clone() });
         let resp = self.round_trip(server, payload, req_id)?;
@@ -499,46 +397,6 @@ impl<'a, T: Transport> DistClient<'a, T> {
             Err(e) if e.is_transient() => Ok(()),
             Err(e) => Err(e),
         }
-    }
-
-    /// Executes `query` with failover: `replicas` are tried in order,
-    /// transient failures (dead rank, exhausted retries, shed under
-    /// load) move to the next replica; the first success wins.
-    /// Structural server errors also fail over — the data is damaged
-    /// *there*, not everywhere. With a retry budget, hops beyond the
-    /// first replica each withdraw a token; an exhausted budget stops
-    /// the sweep and surfaces the last error.
-    pub fn query_with_failover(
-        &self,
-        replicas: &[usize],
-        query: &DistQuery,
-        metrics: Option<&crate::metrics::DistMetrics>,
-    ) -> Result<Vec<u8>> {
-        if let Some(b) = &self.budget {
-            b.on_attempt();
-        }
-        let mut last_err: Option<Error> = None;
-        for (i, &rank) in replicas.iter().enumerate() {
-            if i > 0 && !self.pay_retry() {
-                break;
-            }
-            match self.query_no_deposit(rank, query) {
-                Ok(bytes) => {
-                    if i > 0 {
-                        if let Some(m) = metrics {
-                            if ngs_obs::enabled() {
-                                m.failovers.add(i as u64);
-                            }
-                        }
-                    }
-                    return Ok(bytes);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            Error::InvalidRecord(format!("no replicas to serve {:?}", query.dataset))
-        }))
     }
 }
 
@@ -575,45 +433,6 @@ mod tests {
         let structural = encode_response(3, &Err(Error::InvalidRecord("bad".into())));
         let r = decode_response(&structural).unwrap();
         assert!(matches!(r.outcome, Err(WireError::Structural(_))));
-    }
-
-    #[test]
-    fn shed_status_carries_retry_after_across_the_wire() {
-        let hint = Duration::from_micros(1500);
-        let shed = encode_response(4, &Err(Error::Overloaded { retry_after: hint }));
-        let r = decode_response(&shed).unwrap();
-        assert_eq!(r.req_id, 4);
-        let Err(WireError::Shed { retry_after, msg }) = r.outcome else {
-            panic!("expected shed outcome");
-        };
-        assert_eq!(retry_after, hint);
-        assert!(msg.contains("overloaded"));
-        // And the client-facing error keeps both the hint and its
-        // transient (retryable, never quarantine) classification.
-        let e = WireError::Shed { retry_after: hint, msg }.into_error();
-        assert!(matches!(e, Error::Overloaded { retry_after } if retry_after == hint));
-        assert!(e.is_transient());
-        // A truncated shed body (no room for the hint) is a typed
-        // decode error, not a panic.
-        let mut cut = encode_response(5, &Err(Error::Overloaded { retry_after: hint }));
-        cut.truncate(8 + 1 + 4 + 4); // req_id + status + len + half a hint
-        cut[9..13].copy_from_slice(&4u32.to_le_bytes());
-        assert!(decode_response(&cut).is_err());
-    }
-
-    #[test]
-    fn admission_gate_sheds_over_capacity_and_releases() {
-        let gate = AdmissionGate::new(2, Duration::from_millis(1));
-        let p1 = gate.try_enter().ok().unwrap();
-        let _p2 = gate.try_enter().ok().unwrap();
-        assert_eq!(gate.inflight(), 2);
-        // Third query is shed with a depth-scaled hint, not queued.
-        let retry_after = gate.try_enter().err().unwrap();
-        assert_eq!(retry_after, Duration::from_millis(3));
-        // Releasing a permit reopens the gate.
-        drop(p1);
-        assert_eq!(gate.inflight(), 1);
-        assert!(gate.try_enter().is_ok());
     }
 
     #[test]

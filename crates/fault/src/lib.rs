@@ -29,8 +29,8 @@
 //! * **Delivery level** — [`FaultyTransport`] wraps any
 //!   `ngs_cluster::Transport`, injecting dropped, duplicated, and
 //!   delayed sends plus mid-frame disconnects on recv
-//!   ([`FaultPlan::random_transport`]) — the distributed tier's failure
-//!   weather (DESIGN.md §12), routed through the same
+//!   ([`FaultPlan::random_transport`]) — the wire's failure weather
+//!   (DESIGN.md §12), routed through the same
 //!   transient-vs-structural contract.
 //!
 //! ```

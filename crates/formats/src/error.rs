@@ -83,14 +83,6 @@ pub enum Error {
     Compression(ngs_bgzf::Error),
     /// An underlying I/O failure.
     Io(std::io::Error),
-    /// A server shed the request under load control (admission queue
-    /// full, deadline expired, or hot-shard fairness — DESIGN.md §13).
-    /// Nothing is wrong with the request or the data: retryable after
-    /// `retry_after`, and never a reason to quarantine a shard.
-    Overloaded {
-        /// Server-suggested back-off before resubmitting.
-        retry_after: std::time::Duration,
-    },
 }
 
 /// Convenience alias.
@@ -108,9 +100,6 @@ impl fmt::Display for Error {
             Error::Decode(e) => write!(f, "decode error: {e}"),
             Error::Compression(e) => write!(f, "compression error: {e}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),
-            Error::Overloaded { retry_after } => {
-                write!(f, "server overloaded; retry after {retry_after:?}")
-            }
         }
     }
 }
@@ -168,14 +157,10 @@ impl Error {
 
     /// True when the failure is plausibly transient (a retry against the
     /// same bytes may succeed): I/O errors, including those surfaced
-    /// through the compression layer, and load-control rejections
-    /// ([`Error::Overloaded`] — the server will recover). Structural
-    /// malformation is *not* transient — the bytes themselves are wrong,
-    /// so callers should quarantine rather than retry (DESIGN.md §7).
+    /// through the compression layer. Structural malformation is *not*
+    /// transient — the bytes themselves are wrong, so callers should
+    /// quarantine rather than retry (DESIGN.md §7).
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            Error::Io(_) | Error::Compression(ngs_bgzf::Error::Io(_)) | Error::Overloaded { .. }
-        )
+        matches!(self, Error::Io(_) | Error::Compression(ngs_bgzf::Error::Io(_)))
     }
 }

@@ -19,6 +19,8 @@
 //! * [`global`] — the process-wide registry the `ngsp stats` command
 //!   reports; [`set_enabled`] lets benchmarks compare instrumented
 //!   against uninstrumented runs without rebuilding.
+//! * [`helper`] — helper threads counted in the global
+//!   [`UNJOINED_HELPERS`] gauge from spawn until joined.
 //!
 //! Determinism contract: with a `ManualClock` and a fixed update
 //! sequence, [`Registry::snapshot`] (and its text/JSON renderings) and
@@ -27,6 +29,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod clock;
+pub mod helper;
 pub mod hist;
 pub mod registry;
 pub mod trace;
@@ -35,6 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 pub use clock::{Clock, ManualClock, SystemClock};
+pub use helper::{Helper, UNJOINED_HELPERS};
 pub use hist::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, GaugeSnapshot, Registry, RegistrySnapshot};
 pub use trace::{Span, TraceEvent, Tracer};

@@ -19,9 +19,7 @@
 //!   *before* any decode work. Injecting a [`ManualClock`] makes
 //!   deadline tests deterministic.
 //! * **Overload tooling** — a deterministic open-loop load-plan
-//!   generator ([`load`]) and a client-side retry budget ([`retry`])
-//!   bound measurement and retry amplification under sustained
-//!   overload.
+//!   generator ([`load`]) drives measurement under sustained overload.
 //! * **Concurrent hot path** — the store's cache is sharded into
 //!   independently-locked segments, concurrent misses on one dataset
 //!   coalesce into a single decode (single-flight), responses are
@@ -52,7 +50,6 @@ pub mod engine;
 pub mod load;
 pub mod metrics;
 pub mod request;
-pub mod retry;
 pub mod store;
 
 #[cfg(test)]
@@ -65,7 +62,6 @@ pub use metrics::{QueryStats, RequestMetrics};
 pub use request::{
     QueryClass, QueryError, QueryKind, QueryOutcome, QueryRequest, QueryResponse, ShedReason,
 };
-pub use retry::{RetryBudget, RetryBudgetConfig};
 pub use store::{
     CacheCounters, CachedShard, Repairer, RetryPolicy, SegmentCounters, ShardStore, SourceOpener,
 };

@@ -6,7 +6,7 @@
 //! up front — a pure function of the seed and profile, independent of
 //! service rate — so offered load keeps arriving at the configured rate
 //! whether or not the engine keeps up. That is the regime where
-//! shedding, priorities, and retry budgets earn their keep.
+//! shedding and priorities earn their keep.
 //!
 //! This module is **pure planning**: [`generate`] maps a
 //! [`LoadProfile`] to a `Vec<Arrival>` using an in-module seeded LCG —

@@ -7,9 +7,9 @@
 //! joined (DESIGN.md §16). With several bad records the one reported is
 //! the first in the stream, whichever worker met it first.
 //!
-//! One `#[test]` on purpose: the helper-thread check counts this
-//! process's threads, which only means something when no other test runs
-//! beside it.
+//! One `#[test]` on purpose: the helper-thread check reads the
+//! process-wide `ngs_obs::UNJOINED_HELPERS` gauge, which only means
+//! something when no other test runs beside it.
 
 use std::path::{Path, PathBuf};
 
@@ -21,8 +21,9 @@ use ngs_formats::error::Error;
 use ngs_simgen::{Dataset, DatasetSpec};
 use tempfile::tempdir;
 
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").unwrap().count()
+/// Helper threads spawned and not yet joined, with their peak.
+fn unjoined_helpers() -> std::sync::Arc<ngs_obs::Gauge> {
+    ngs_obs::global().gauge(ngs_obs::UNJOINED_HELPERS)
 }
 
 /// Offsets of the BGZF members of `file`.
@@ -98,9 +99,8 @@ fn assert_fails_cleanly(
     expect_stray: bool,
     what: &str,
 ) -> Error {
-    let threads = thread_count();
     let err = converter.preprocess_repo(input, repo, false).expect_err(what);
-    assert_eq!(thread_count(), threads, "{what}: a helper thread outlived the call");
+    assert_eq!(unjoined_helpers().get(), 0, "{what}: a helper thread outlived the call");
 
     let after = snapshot(repo.dir());
     assert_eq!(after.manifest, before.manifest, "{what}: manifest moved");
@@ -159,6 +159,9 @@ fn failed_preprocess_records_nothing_keeps_the_old_shards_and_joins_its_helpers(
 
         // Publish a good set, then fail over it three ways.
         converter.preprocess_repo(&good, &repo, false).unwrap();
+        let peak = unjoined_helpers().peak();
+        assert!(peak > 3, "the inflaters and workers are counted: peak {peak}");
+        assert_eq!(unjoined_helpers().get(), 0);
         let before = snapshot(&repo_dir);
 
         // Pass 1 meets the bad member: nothing was staged yet.
