@@ -52,23 +52,11 @@ echo "==> fault matrix (engine retry, quarantine, power-cut recovery)"
 cargo test --quiet -p ngs-repro --test query_engine --test crash_recovery
 cargo test --quiet -p ngs-query --lib store
 
-# Streaming pipeline smoke: a small seeded dataset through both graphs,
-# byte-identity against the batch converter, plus the quarantine /
+# Streaming convert graph: byte-identity against the one-shot converter
+# for every format (whole file and region), plus the quarantine /
 # transient-retry drain tests under injected faults (DESIGN.md §8).
-echo "==> ngsp pipeline smoke (both graphs, byte-identity, fault drain)"
-cargo run -p ngs-cli --bin ngsp -- \
-    generate --records 1500 --out "$smoke/in.bam" --sorted
-cargo run -p ngs-cli --bin ngsp -- \
-    convert "$smoke/in.bam" --to sam --out "$smoke/batch" --ranks 1
-cargo run -p ngs-cli --bin ngsp -- \
-    pipeline "$smoke/in.bam" --to sam --out "$smoke/stream" \
-    --workers 2 --batch 128 --bound 2
-cmp "$smoke/batch/in.part0000.sam" "$smoke/stream/in.part0000.sam"
-cargo run -p ngs-cli --bin ngsp -- \
-    pipeline "$smoke/in.bam" --analyze --rounds 4 > /dev/null
-cargo test --quiet -p ngs-pipeline --test streaming_identity -- \
-    corrupt_shard_is_quarantined_and_graph_drains \
-    transient_faults_are_retried_to_identical_output
+echo "==> streaming convert graph (byte-identity, quarantine, fault drain)"
+cargo test --quiet -p ngs-pipeline --test streaming_identity
 
 # Collate smoke: the three keyed-regroup workloads over a seeded
 # duplicate-bearing fixture. Each runs once in memory and once with a
@@ -98,10 +86,12 @@ echo "==> ngsp stats smoke (registry JSON parses, trace is valid JSONL)"
 cargo run -p ngs-cli --bin ngsp -- stats --records 800 --json \
     | python3 -c 'import json,sys; json.load(sys.stdin)'
 cargo run -p ngs-cli --bin ngsp -- \
-    pipeline "$smoke/in.bam" --to sam --out "$smoke/trace-out" \
-    --trace "$smoke/pipeline.trace" --workers 2 > /dev/null
+    generate --records 1500 --out "$smoke/in.bam" --sorted
+cargo run -p ngs-cli --bin ngsp -- \
+    convert "$smoke/in.bam" --to sam --out "$smoke/trace-out" \
+    --trace "$smoke/convert.trace" --ranks 2 > /dev/null
 python3 -c 'import json,sys; [json.loads(l) for l in open(sys.argv[1])]' \
-    "$smoke/pipeline.trace"
+    "$smoke/convert.trace"
 echo "==> repro obs (instrumentation overhead, BENCH_obs.json)"
 repro obs --scale 0.05 > /dev/null
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$smoke/BENCH_obs.json"

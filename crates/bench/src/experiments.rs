@@ -907,18 +907,16 @@ pub fn fault_bench(cfg: &ExperimentConfig) -> Result<String> {
 
 /// Observability-overhead experiment (no corresponding paper figure):
 /// the runtime cost of the always-on `ngs-obs` instrumentation
-/// (DESIGN.md §9) on the streaming convert graph. The same pipeline run
-/// is timed with the global registry enabled and disabled
-/// (`ngs_obs::set_enabled`) in one process — no rebuild — over a
-/// BGZF-compressed shard so the codec's per-block counters, the hottest
-/// instrumented path, sit on the measured path. Relaxed-atomic handles
+/// (DESIGN.md §9) on the one-shot BAMX converter. The same
+/// `BamConverter::convert_bamx` call is timed with the global registry
+/// enabled and disabled (`ngs_obs::set_enabled`) in one process — no
+/// rebuild — over a BGZF-compressed shard so the codec's per-block
+/// counters, the hottest instrumented path, sit on the measured path. Relaxed-atomic handles
 /// are expected to stay under a 5% overhead budget; the JSON records the
 /// measured percentage and a `within_budget` verdict. Writes
 /// `BENCH_obs.json` into the working directory and returns a rendered
 /// table.
 pub fn obs_bench(cfg: &ExperimentConfig) -> Result<String> {
-    use ngs_pipeline::{Pipeline, PipelineConfig};
-
     const TARGET: TargetFormat = TargetFormat::Bed;
     const BUDGET_PERCENT: f64 = 5.0;
     let records = cfg.scale.pipeline_records();
@@ -929,14 +927,14 @@ pub fn obs_bench(cfg: &ExperimentConfig) -> Result<String> {
     let prep = conv.preprocess(&bam, &shard_dir)?;
     let out_root = cfg.cache.scratch("obs-out")?;
 
-    let pipeline = Pipeline::new(PipelineConfig::with_workers(4));
+    let converter = BamConverter::new(ConvertConfig::with_ranks(4));
     let one_run = |tag: &str| -> Result<Duration> {
         let dir = out_root.join(tag);
         if dir.exists() {
             std::fs::remove_dir_all(&dir)?;
         }
         let t = Instant::now();
-        std::hint::black_box(pipeline.convert_file(&prep.bamx_path, TARGET, &dir)?);
+        std::hint::black_box(converter.convert_bamx(&prep.bamx_path, TARGET, &dir)?);
         Ok(t.elapsed())
     };
 
@@ -969,7 +967,7 @@ pub fn obs_bench(cfg: &ExperimentConfig) -> Result<String> {
 
     let disabled_rps = records as f64 / disabled.as_secs_f64().max(1e-12);
     let enabled_rps = records as f64 / enabled.as_secs_f64().max(1e-12);
-    let mut table = String::from("Observability overhead (ngs-obs) on the streaming convert graph\n");
+    let mut table = String::from("Observability overhead (ngs-obs) on the one-shot BAMX converter\n");
     table.push_str(&format!(
         "{records} records, BGZF-compressed shard, BED target, interleaved best-of-{repeats}\n"
     ));

@@ -7,7 +7,6 @@ use ngs_bamx::Region;
 use ngs_converter::{
     BamConverter, ConvertConfig, ConvertReport, SamConverter, SamxConverter, TargetFormat,
 };
-use ngs_core::sam_header_of;
 use ngs_bgzf::ReadAheadReader;
 use ngs_formats::bam::BamReader;
 use ngs_formats::sam::SamReader;
@@ -43,6 +42,33 @@ fn err(msg: impl Into<String>) -> Box<dyn std::error::Error> {
     Box::new(ArgError(msg.into()))
 }
 
+/// Reads a count flag that must be at least 1 (`--bin`, `--rounds`): a
+/// zero bin width has no bins to divide coverage into, and zero rounds
+/// leave the FDR without a null distribution.
+fn count_flag<T>(args: &Args, name: &str, default: T) -> Result<T, Box<dyn std::error::Error>>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let v = args.get_or(name, default)?;
+    if v < T::from(1) {
+        return Err(err(format!("--{name} must be at least 1")));
+    }
+    Ok(v)
+}
+
+/// Loads the BEDGRAPH histogram `fdr` and `peaks` rank against their null
+/// rounds; with no bins there is nothing to rank.
+fn load_fdr_histogram(
+    input: &str,
+    bin: u32,
+) -> Result<CoverageHistogram, Box<dyn std::error::Error>> {
+    let hist = CoverageHistogram::from_bedgraph_auto(&std::fs::read(input)?, bin)?;
+    if hist.is_empty() {
+        return Err(err(format!("{input} holds no bedgraph intervals")));
+    }
+    Ok(hist)
+}
+
 /// Writes a tracer's retained spans as JSON lines to `path` and prints a
 /// one-line summary (shared by the `--trace FILE` flags).
 fn write_trace(path: &str, tracer: &ngs_obs::Tracer) -> CmdResult {
@@ -53,26 +79,6 @@ fn write_trace(path: &str, tracer: &ngs_obs::Tracer) -> CmdResult {
         tracer.dropped()
     )?;
     Ok(())
-}
-
-/// Synthesizes one trace event per pipeline stage (busy time, sequential
-/// layout on the start axis) plus a whole-run event, for `--trace` on
-/// commands that time themselves through `PipelineMetrics` instead of
-/// live spans.
-fn pipeline_trace(metrics: &ngs_core::pipeline::PipelineMetrics) -> std::sync::Arc<ngs_obs::Tracer> {
-    let clock = std::sync::Arc::new(ngs_obs::ManualClock::new());
-    let tracer = ngs_obs::Tracer::new(metrics.stages.len() + 1, clock);
-    for s in &metrics.stages {
-        tracer.event(&format!("pipeline.{}", s.name), "", std::time::Duration::ZERO, s.busy, "ok");
-    }
-    tracer.event(
-        "pipeline.run",
-        "",
-        std::time::Duration::ZERO,
-        metrics.elapsed,
-        if metrics.cancelled { "cancelled" } else { "ok" },
-    );
-    tracer
 }
 
 /// Reads all records (and the header) from a `.sam` or `.bam` path.
@@ -286,17 +292,14 @@ fn collate_run(args: &Args, workload: Workload) -> CmdResult {
     let spill_budget: u64 = args.get_or("spill-budget", 0u64)?;
     let spill_dir_flag = args.optional("spill-dir").map(std::path::PathBuf::from);
     let default_spill = std::path::PathBuf::from(format!("{out}.spill"));
-    let config = CollateConfig {
-        pipeline: ngs_core::pipeline::PipelineConfig {
-            workers: args.get_or("workers", ngs_core::pipeline::PipelineConfig::default().workers)?,
-            batch_size: args.get_or("batch", 256usize)?,
-            ..Default::default()
-        },
+    let mut config = CollateConfig {
         spill_budget,
         spill_dir: (spill_budget > 0)
             .then(|| spill_dir_flag.clone().unwrap_or_else(|| default_spill.clone())),
         ..Default::default()
     };
+    config.pipeline.workers = args.get_or("workers", config.pipeline.workers)?;
+    config.pipeline.batch_size = args.get_or("batch", 256usize)?;
     let collator = Collator::new(config);
 
     let run = if out.ends_with(".bam") {
@@ -396,7 +399,7 @@ pub fn depth_cmd(args: &Args) -> CmdResult {
 pub fn histogram_cmd(args: &Args) -> CmdResult {
     let input = args.one_positional("input file")?;
     let out = args.required("out")?;
-    let bin: u32 = args.get_or("bin", 25)?;
+    let bin: u32 = count_flag(args, "bin", 25)?;
     let (header, records) = read_alignments(input)?;
     let hist = CoverageHistogram::from_records(&header, bin, &records);
     std::fs::write(out, hist.to_bedgraph())?;
@@ -413,12 +416,16 @@ pub fn histogram_cmd(args: &Args) -> CmdResult {
 pub fn denoise_cmd(args: &Args) -> CmdResult {
     let input = args.one_positional("bedgraph file")?;
     let out = args.required("out")?;
-    let bin: u32 = args.get_or("bin", 25)?;
+    let bin: u32 = count_flag(args, "bin", 25)?;
     let params = NlMeansParams {
         search_radius: args.get_or("radius", 20)?,
         half_patch: args.get_or("patch", 15)?,
         sigma: args.get_or("sigma", 10.0)?,
     };
+    // A zero (or NaN) sigma turns every patch weight into 0/0.
+    if params.sigma.is_nan() || params.sigma <= 0.0 {
+        return Err(err(format!("--sigma must be positive, got {}", params.sigma)));
+    }
     let text = std::fs::read(input)?;
     let mut hist = CoverageHistogram::from_bedgraph_auto(&text, bin)?;
     let denoised = nlmeans_sequential(&hist.bins, &params);
@@ -438,8 +445,8 @@ pub fn denoise_cmd(args: &Args) -> CmdResult {
 ///  [--model poisson|permutation] [--bin 25] [--seed S]`
 pub fn fdr_cmd(args: &Args) -> CmdResult {
     let input = args.one_positional("bedgraph file")?;
-    let rounds: usize = args.get_or("rounds", 20)?;
-    let bin: u32 = args.get_or("bin", 25)?;
+    let rounds: usize = count_flag(args, "rounds", 20)?;
+    let bin: u32 = count_flag(args, "bin", 25)?;
     let seed: u64 = args.get_or("seed", 7)?;
     let model = match args.optional("model").unwrap_or("poisson") {
         "poisson" => NullModel::Poisson,
@@ -453,8 +460,7 @@ pub fn fdr_cmd(args: &Args) -> CmdResult {
         .map(|t| t.parse().map_err(|_| err(format!("bad threshold {t:?}"))))
         .collect::<Result<_, _>>()?;
 
-    let text = std::fs::read(input)?;
-    let hist = CoverageHistogram::from_bedgraph_auto(&text, bin)?;
+    let hist = load_fdr_histogram(input, bin)?;
     let fdr_input = build_fdr_input(hist.bins.clone(), rounds, model, seed);
     outln!("bins: {}, simulation rounds: {rounds}", hist.len())?;
     outln!("{:>10}{:>14}", "p_t", "FDR")?;
@@ -493,8 +499,8 @@ pub fn index_cmd(args: &Args) -> CmdResult {
 /// — FDR-thresholded enriched-region calling (Han et al. pipeline tail).
 pub fn peaks_cmd(args: &Args) -> CmdResult {
     let input = args.one_positional("bedgraph file")?;
-    let bin: u32 = args.get_or("bin", 25)?;
-    let rounds: usize = args.get_or("rounds", 20)?;
+    let bin: u32 = count_flag(args, "bin", 25)?;
+    let rounds: usize = count_flag(args, "rounds", 20)?;
     let target_fdr: f64 = args.get_or("target-fdr", 0.05)?;
     let gap: usize = args.get_or("gap", 1)?;
     let seed: u64 = args.get_or("seed", 7)?;
@@ -505,8 +511,7 @@ pub fn peaks_cmd(args: &Args) -> CmdResult {
         .map(|t| t.parse().map_err(|_| err(format!("bad threshold {t:?}"))))
         .collect::<Result<_, _>>()?;
 
-    let text = std::fs::read(input)?;
-    let hist = CoverageHistogram::from_bedgraph_auto(&text, bin)?;
+    let hist = load_fdr_histogram(input, bin)?;
     let fdr_input = build_fdr_input(hist.bins.clone(), rounds, NullModel::Poisson, seed);
     let Some(p_t) = ngs_stats::pick_threshold(&fdr_input, &thresholds, target_fdr) else {
         return Err(err(format!(
@@ -547,7 +552,7 @@ pub fn view_cmd(args: &Args) -> CmdResult {
     let header = if input.ends_with(".bam") {
         BamReader::new(BufReader::new(std::fs::File::open(input)?))?.header().clone()
     } else {
-        sam_header_of(input)?
+        ngs_converter::runtime::scan_sam_header(&ngs_converter::FileSource::open(input)?)?.0
     };
     // Validate the region before any stdout is produced, so failures
     // leave no partial document behind.
@@ -608,124 +613,6 @@ pub fn view_cmd(args: &Args) -> CmdResult {
                 }
             }
         }
-    }
-    Ok(())
-}
-
-/// `ngsp pipeline INPUT --to FMT --out DIR [--workers N] [--batch B]
-///  [--bound C] [--region R]`
-/// `ngsp pipeline INPUT --analyze [--bin 25] [--rounds B] [--workers N]`
-///
-/// Streams records through the bounded dataflow engine (`ngs-pipeline`,
-/// DESIGN.md §8) instead of materializing them: peak memory is
-/// proportional to `--bound × --batch`, not input size, and the
-/// converted bytes are identical to `ngsp convert`. Prints per-stage
-/// throughput/stall metrics afterwards. INPUT is a `.bamx` shard (with
-/// its `.baix` next to it for `--region`) or a `.bam`, which is
-/// preprocessed first.
-pub fn pipeline_cmd(args: &Args) -> CmdResult {
-    use ngs_core::pipeline::{AnalyzeOptions, Pipeline, PipelineConfig, PipelineMetrics};
-
-    let input = args.one_positional("input file")?;
-    let config = PipelineConfig {
-        workers: args.get_or("workers", 4usize)?,
-        batch_size: args.get_or("batch", 1024usize)?,
-        channel_bound: args.get_or("bound", 4usize)?,
-        ..PipelineConfig::default()
-    };
-    let pipeline = Pipeline::new(config);
-
-    let print_metrics = |m: &PipelineMetrics| -> std::io::Result<()> {
-        outln!(
-            "elapsed {:?}; sink throughput {:.0} items/s; peak buffered {} bytes",
-            m.elapsed,
-            m.sink_items_per_sec(),
-            m.peak_buffered_bytes
-        )?;
-        for s in &m.stages {
-            outln!(
-                "  {:<12} x{}: {} items in, {} out; busy {:?}, starved {:?}, backpressured {:?}, max queue {}",
-                s.name, s.workers, s.items_in, s.items_out, s.busy, s.recv_wait, s.send_wait,
-                s.max_queue_depth
-            )?;
-        }
-        Ok(())
-    };
-
-    // Resolve INPUT to a BAMX shard, preprocessing BAM first.
-    let analyze = args.switch("analyze");
-    let tmp;
-    let (bamx_path, baix_path) = if input.ends_with(".bam") {
-        let prep_dir = match args.optional("out") {
-            Some(out) => Path::new(out).join("bamx"),
-            None => {
-                tmp = tempfile::tempdir()?;
-                tmp.path().join("bamx")
-            }
-        };
-        let conv = BamConverter::new(ConvertConfig::with_ranks(1));
-        let prep = conv.preprocess(input, prep_dir)?;
-        (prep.bamx_path, prep.baix_path)
-    } else {
-        let p = std::path::PathBuf::from(input);
-        let baix = p.with_extension("baix");
-        (p, baix)
-    };
-
-    if analyze {
-        let options = AnalyzeOptions {
-            bin_size: args.get_or("bin", 25u32)?,
-            fdr_rounds: args.get_or("rounds", 8usize)?,
-            seed: args.get_or("seed", 20140519u64)?,
-            ..AnalyzeOptions::default()
-        };
-        let run = pipeline.analyze_file(&bamx_path, options)?;
-        outln!(
-            "analyzed {} records ({} aligned bases) into {} bins",
-            run.records,
-            run.total_bases,
-            run.histogram.len()
-        )?;
-        outln!("{:>10}{:>14}", "p_t", "FDR")?;
-        for (t, v) in &run.fdr {
-            if v.is_finite() {
-                outln!("{t:>10.2}{v:>14.6}")?;
-            } else {
-                outln!("{t:>10.2}{:>14}", "inf")?;
-            }
-        }
-        for q in &run.quarantined {
-            outln!("quarantined shard {:?}: {}", q.shard, q.error)?;
-        }
-        print_metrics(&run.metrics)?;
-        if let Some(path) = args.optional("trace") {
-            write_trace(path, &pipeline_trace(&run.metrics))?;
-        }
-        return Ok(());
-    }
-
-    let to = args.required("to")?;
-    let target = TargetFormat::parse(to).ok_or_else(|| err(format!("unknown format {to:?}")))?;
-    let out_dir = args.required("out")?;
-    let run = match args.optional("region") {
-        None => pipeline.convert_file(&bamx_path, target, out_dir)?,
-        Some(r) => {
-            let header = ngs_bamx::BamxFile::open(&bamx_path)?.header().clone();
-            let region = Region::parse(r, &header)?;
-            pipeline.convert_region(&bamx_path, &baix_path, &region, target, out_dir)?
-        }
-    };
-    outln!(
-        "records: {} in, {} out; output bytes: {}; {} transient retries",
-        run.records_in, run.records_out, run.bytes_out, run.transient_retries
-    )?;
-    outln!("  {}", run.path.display())?;
-    for q in &run.quarantined {
-        outln!("quarantined shard {:?}: {}", q.shard, q.error)?;
-    }
-    print_metrics(&run.metrics)?;
-    if let Some(path) = args.optional("trace") {
-        write_trace(path, &pipeline_trace(&run.metrics))?;
     }
     Ok(())
 }
@@ -896,14 +783,14 @@ pub fn query_cmd(args: &Args) -> CmdResult {
 /// Runs a self-contained instrumented smoke workload — synthesize a
 /// dataset, preprocess it into crash-safe shards (BGZF-compressed, so
 /// the codec counters move; once more from BAM, so the read-ahead and
-/// pass-2 batch counters do), stream one shard through the pipeline
-/// convert graph, serve convert + coverage queries over the shard
+/// pass-2 batch counters do), convert one shard with the one-shot BAMX
+/// converter, serve convert + coverage queries over the shard
 /// directory, then run a duplicate-marking collate pass with forced
 /// spilling — and renders the unified `ngs-obs` registry: the shared
-/// workload registry (query/store/pipeline/collate) merged with the
-/// global one (BGZF codec, shard repository).
+/// workload registry (query/store/collate, the last under its
+/// `pipeline.collate-*` stage names) merged with the global one (BGZF
+/// codec, shard repository).
 pub fn stats_cmd(args: &Args) -> CmdResult {
-    use ngs_core::pipeline::{Pipeline, PipelineConfig};
     use ngs_query::{EngineConfig, QueryClass, QueryEngine, QueryKind, QueryRequest};
     use std::sync::Arc;
 
@@ -934,17 +821,15 @@ pub fn stats_cmd(args: &Args) -> CmdResult {
     dataset.write_bam(&bam)?;
     BamConverter::new(ConvertConfig::with_ranks(2)).preprocess(&bam, tmp.path().join("bam-shards"))?;
 
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let first = prep
         .shards
         .first()
         .ok_or_else(|| err("preprocessing produced no shards"))?;
-    let run = pipeline.convert_file(
+    BamConverter::new(ConvertConfig::with_ranks(2)).convert_bamx(
         &first.bamx_path,
         TargetFormat::Bed,
-        tmp.path().join("pipe-out"),
+        tmp.path().join("convert-out"),
     )?;
-    run.metrics.publish(&registry);
 
     let config = EngineConfig {
         workers: 2,
@@ -1004,7 +889,7 @@ pub fn stats_cmd(args: &Args) -> CmdResult {
         outln!("{}", snapshot.render_json().trim_end())?;
     } else {
         outln!(
-            "instrumented smoke workload: {records} records, {} shards, 1 pipeline run, \
+            "instrumented smoke workload: {records} records, {} shards, 1 conversion, \
              1 collate run, {} queries",
             prep.shards.len(),
             snapshot.counters.get("query.submitted").copied().unwrap_or(0),

@@ -28,9 +28,6 @@ const COMMANDS: &[Command] = &[
     ("denoise", commands::denoise_cmd, &["out", "bin", "radius", "patch", "sigma"]),
     ("fdr", commands::fdr_cmd, &["bin", "rounds", "seed", "model", "thresholds"]),
     ("peaks", commands::peaks_cmd, &["bin", "rounds", "seed", "target-fdr", "gap", "thresholds", "out"]),
-    ("pipeline", commands::pipeline_cmd, &[
-        "to", "out", "workers", "batch", "bound", "region", "trace", "analyze", "bin", "rounds", "seed",
-    ]),
     ("query", commands::query_cmd, &[
         "requests", "out", "workers", "queue", "cache", "segments", "batch", "deadline-ms", "trace",
     ]),
@@ -80,12 +77,6 @@ COMMANDS:
               INPUT [--rounds B] [--thresholds 1,2,4] [--model poisson]
   peaks       FDR-thresholded enriched-region calling to BED
               INPUT [--target-fdr 0.05] [--gap G] [--out FILE.bed]
-  pipeline    stream records through the bounded dataflow engine
-              INPUT --to FMT --out DIR [--workers N] [--batch B]
-              [--bound C] [--region R] [--trace FILE]
-              INPUT --analyze [--bin 25] [--rounds B]  (coverage+FDR)
-              (byte-identical to convert at bounded memory; prints
-               per-stage throughput and stall metrics)
   query       batch region queries over preprocessed BAMX/BAIX shards
               SHARD_DIR [--requests FILE] [--out DIR] [--workers N]
               [--queue N] [--cache N] [--segments N] [--batch N]
@@ -96,7 +87,7 @@ COMMANDS:
   stats       run an instrumented smoke workload and print the unified
               ngs-obs metrics registry   [--records N] [--seed S] [--json]
               (counters, gauges, and log2 latency/size histograms with
-               p50/p95/p99 across BGZF, shard repo, pipeline, and query)
+               p50/p95/p99 across BGZF, shard repo, query, and collate)
   verify      integrity-scan a manifest-managed shard directory
               SHARD_DIR   (exits nonzero if any artifact is damaged)
   repair      re-derive damaged shards from the original input

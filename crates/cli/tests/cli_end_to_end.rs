@@ -117,36 +117,35 @@ fn preprocess_reports_layout() {
     assert!(text.contains("2 shards"));
 }
 
+/// Out-of-domain analysis flags are rejected where they enter: exit 1
+/// with a message naming the flag or input, and no output written — no
+/// panic, no NaN bins.
 #[test]
-fn pipeline_streams_byte_identical_to_convert() {
+fn out_of_domain_analysis_inputs_fail_cleanly() {
     let dir = tempdir().unwrap();
     let d = dir.path();
-    ok(d, &["generate", "--records", "700", "--out", "in.bam", "--sorted"]);
-    ok(d, &["convert", "in.bam", "--to", "sam", "--out", "batch", "--ranks", "1"]);
-    let text = ok(d, &[
-        "pipeline", "in.bam", "--to", "sam", "--out", "stream", "--workers", "2", "--batch",
-        "64", "--bound", "2",
-    ]);
-    assert!(text.contains("records: 700 in"), "got {text}");
-    assert!(text.contains("items/s"), "metrics missing: {text}");
-    assert_eq!(
-        std::fs::read(d.join("batch/in.part0000.sam")).unwrap(),
-        std::fs::read(d.join("stream/in.part0000.sam")).unwrap(),
-        "streaming output must match batch conversion byte for byte"
-    );
-
-    // Region-restricted streaming over the already-preprocessed shard.
-    let text = ok(d, &[
-        "pipeline", "stream/bamx/in.bamx", "--to", "bed", "--out", "region", "--region",
-        "chr1:1-10000",
-    ]);
-    assert!(text.contains("records:"), "got {text}");
-
-    // Analysis graph: coverage + FDR with per-stage metrics.
-    let text = ok(d, &["pipeline", "in.bam", "--analyze", "--rounds", "4"]);
-    assert!(text.contains("analyzed 700 records"), "got {text}");
-    assert!(text.contains("p_t"), "got {text}");
-    assert!(text.contains("coverage"), "stage metrics missing: {text}");
+    ok(d, &["generate", "--records", "300", "--out", "in.sam"]);
+    ok(d, &["histogram", "in.sam", "--out", "h.bedgraph"]);
+    std::fs::write(d.join("empty.bedgraph"), b"").unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (&["histogram", "in.sam", "--out", "out", "--bin", "0"], "--bin"),
+        (&["denoise", "h.bedgraph", "--out", "out", "--bin", "0"], "--bin"),
+        (&["fdr", "h.bedgraph", "--bin", "0"], "--bin"),
+        (&["peaks", "h.bedgraph", "--out", "out", "--bin", "0"], "--bin"),
+        (&["fdr", "h.bedgraph", "--rounds", "0"], "--rounds"),
+        (&["peaks", "h.bedgraph", "--out", "out", "--rounds", "0"], "--rounds"),
+        (&["fdr", "empty.bedgraph"], "no bedgraph intervals"),
+        (&["peaks", "empty.bedgraph", "--out", "out"], "no bedgraph intervals"),
+        (&["denoise", "h.bedgraph", "--out", "out", "--sigma", "0"], "--sigma"),
+        (&["denoise", "h.bedgraph", "--out", "out", "--sigma", "NaN"], "--sigma"),
+    ];
+    for (args, named) in cases {
+        let out = ngsp(d, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "ngsp {args:?}: {stderr}");
+        assert!(stderr.contains(named), "ngsp {args:?}: {stderr}");
+        assert!(!d.join("out").exists(), "ngsp {args:?} wrote output");
+    }
 }
 
 #[test]

@@ -16,9 +16,9 @@
 //! their buffers have grown nothing is allocated per record. The error
 //! reported is the earliest in stream order — what the sequential path
 //! would meet first: a read error travels in the batch it ended, after
-//! that batch's records. Threads are scoped (`ngs-pipeline`, which has
-//! an ordered fan-out, depends on this crate), so every one is joined
-//! however the pass ends.
+//! that batch's records. Threads are scoped — `ngs-pipeline`'s ordered
+//! fan-out is out of reach, since that crate depends on this one — so
+//! every one is joined however the pass ends.
 
 use std::io::{Read, Write};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};

@@ -6,8 +6,8 @@
 //! monotonic [`SystemClock`] while tests drive a [`ManualClock`] by hand
 //! — keeping all timing-dependent behaviour fully deterministic, as
 //! CLAUDE.md requires of all tests. This module is the canonical home of
-//! the trait; `ngs-pipeline` and `ngs-query` re-export it so all crates
-//! share one time axis.
+//! the trait; `ngs-pipeline` (the engine `ngs-collate` runs on) and
+//! `ngs-query` re-export it so all crates share one time axis.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

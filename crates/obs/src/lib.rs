@@ -14,8 +14,8 @@
 //!   guards recording stage, shard, duration, outcome) on the injected
 //!   [`Clock`]; surfaced by `ngsp ... --trace FILE`.
 //! * [`clock`] — the canonical `Clock` / `ManualClock` / `SystemClock`;
-//!   `ngs-pipeline` and `ngs-query` re-export these, so there is still
-//!   exactly one time axis in the workspace.
+//!   `ngs-pipeline` (under `ngs-collate`) and `ngs-query` re-export
+//!   these, so there is exactly one time axis in the workspace.
 //! * [`global`] — the process-wide registry the `ngsp stats` command
 //!   reports; [`set_enabled`] lets benchmarks compare instrumented
 //!   against uninstrumented runs without rebuilding.

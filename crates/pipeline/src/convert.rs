@@ -1,4 +1,4 @@
-//! Graph (a): shard-decode → convert → format-emit.
+//! The streaming convert graph: shard-decode → convert → format-emit.
 //!
 //! Streams `RecordConverter` output without ever materializing the full
 //! record vector: the source decodes bounded record batches from BAMX
@@ -70,8 +70,8 @@ pub struct ConvertRun {
     pub transient_retries: u64,
 }
 
-/// The streaming counterpart of `BamConverter`: drives graph (a) over
-/// one or more shards.
+/// The streaming counterpart of `BamConverter`: drives the convert
+/// graph over one or more shards.
 pub struct StreamConverter {
     /// Engine sizing (workers, batch size, channel bound, retries).
     pub config: PipelineConfig,

@@ -1,23 +1,17 @@
 //! # ngs-pipeline
 //!
-//! A staged streaming dataflow engine for the paper's two workloads,
-//! removing the remaining *memory* bottleneck: the batch paths
-//! (`ngs-converter`, `ngs-stats`) materialize whole record vectors,
-//! while these graphs stream bounded record batches through typed
-//! stages connected by bounded channels — peak working set proportional
-//! to `channel_bound × batch cost`, not input size, at the same (or
-//! better) throughput.
+//! A staged streaming dataflow engine: typed stages connected by
+//! bounded channels carry record batches, so the peak working set is
+//! proportional to `channel_bound × batch cost`, not input size.
 //!
 //! * [`engine`] — the generic graph: [`Graph::source`] →
 //!   [`Graph::stage`]× → [`Graph::run`]; backpressure, shared worker
 //!   pools, sequence-ordered sinks, cooperative cancellation, per-stage
 //!   metrics on an injected [`Clock`].
-//! * [`convert`] — graph (a): shard-decode → convert → format-emit,
-//!   byte-identical to the one-shot `convert_partial` /
+//! * [`regroup`] — the keyed shuffle stage `ngs-collate` runs on.
+//! * [`convert`] — the streaming convert graph: shard-decode → convert →
+//!   format-emit, byte-identical to the one-shot `convert_partial` /
 //!   `convert_index_list` paths (Section III of the paper).
-//! * [`analysis`] — graph (b): shard-decode → integer coverage
-//!   accumulation → fused NL-means + Algorithm 2 FDR sink
-//!   (Section IV).
 //! * [`clock`] — the canonical `Clock` trait; `ngs-query` re-exports it
 //!   so all long-lived subsystems share one time source.
 //!
@@ -26,7 +20,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod analysis;
 pub mod cancel;
 pub mod clock;
 pub mod convert;
@@ -38,11 +31,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ngs_bamx::repo::ShardRepo;
-use ngs_bamx::{Baix, BamxFile, Region};
+use ngs_bamx::BamxFile;
 use ngs_converter::TargetFormat;
 use ngs_formats::error::Result;
 
-pub use analysis::{AnalyzeOptions, AnalyzeRun, StreamAnalyzer};
 pub use cancel::CancelToken;
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use convert::{record_source, ConvertRun, ShardInput, ShardQuarantine, StreamConverter};
@@ -53,24 +45,18 @@ pub use regroup::{
     U64Codec,
 };
 
-/// High-level facade over both graphs, mirroring the one-shot
-/// `BamConverter` entry points file-for-file (same stems, same part
+/// Whole-file facade over the convert graph, mirroring
+/// `BamConverter::convert_bamx` file-for-file (same stem, same part
 /// naming, byte-identical output).
 pub struct Pipeline {
     /// Engine sizing.
     pub config: PipelineConfig,
-    clock: Arc<dyn Clock>,
 }
 
 impl Pipeline {
     /// A pipeline on the system clock.
     pub fn new(config: PipelineConfig) -> Self {
-        Self::with_clock(config, Arc::new(SystemClock::new()))
-    }
-
-    /// A pipeline on an injected clock (deterministic tests).
-    pub fn with_clock(config: PipelineConfig, clock: Arc<dyn Clock>) -> Self {
-        Pipeline { config, clock }
+        Pipeline { config }
     }
 
     /// Streams a whole BAMX file to `target`; output byte-identical to
@@ -85,50 +71,8 @@ impl Pipeline {
         let stem = file_stem(bamx_path);
         let bamx = Arc::new(open_verified(bamx_path)?);
         let shard = ShardInput { name: stem.clone(), bamx, indices: None };
-        self.converter().convert(vec![shard], target, out_dir.as_ref(), &stem, 0, true)
-    }
-
-    /// Streams the records of one region (located via the BAIX index) to
-    /// `target`; output byte-identical to a one-rank
-    /// `BamConverter::convert_partial` run (same stem formula).
-    pub fn convert_region(
-        &self,
-        bamx_path: impl AsRef<Path>,
-        baix_path: impl AsRef<Path>,
-        region: &Region,
-        target: TargetFormat,
-        out_dir: impl AsRef<Path>,
-    ) -> Result<ConvertRun> {
-        let bamx_path = bamx_path.as_ref();
-        let bamx = Arc::new(open_verified(bamx_path)?);
-        let ref_id = region.resolve(bamx.header())?;
-        let baix = Baix::load(baix_path.as_ref())?;
-        let indices = baix.shard_indices(baix.locate(ref_id, region));
-        let stem = format!(
-            "{}.{}",
-            file_stem(bamx_path),
-            region.to_string().replace([':', '-'], "_")
-        );
-        let shard = ShardInput { name: stem.clone(), bamx, indices: Some(indices) };
-        self.converter().convert(vec![shard], target, out_dir.as_ref(), &stem, 0, true)
-    }
-
-    /// Streams a whole BAMX file through the coverage → NL-means → FDR
-    /// graph.
-    pub fn analyze_file(
-        &self,
-        bamx_path: impl AsRef<Path>,
-        options: AnalyzeOptions,
-    ) -> Result<AnalyzeRun> {
-        let bamx_path = bamx_path.as_ref();
-        let bamx = Arc::new(open_verified(bamx_path)?);
-        let shard = ShardInput { name: file_stem(bamx_path), bamx, indices: None };
-        StreamAnalyzer::with_clock(self.config.clone(), Arc::clone(&self.clock))
-            .analyze(vec![shard], options)
-    }
-
-    fn converter(&self) -> StreamConverter {
-        StreamConverter::with_clock(self.config.clone(), Arc::clone(&self.clock))
+        StreamConverter::new(self.config.clone())
+            .convert(vec![shard], target, out_dir.as_ref(), &stem, 0, true)
     }
 }
 

@@ -1,11 +1,10 @@
 //! Streaming-vs-batch equivalence and fault behaviour for `ngs-pipeline`.
 //!
-//! The contract under test: graph (a) output is **byte-identical** to the
-//! one-shot `BamConverter` paths for every registered target format;
-//! graph (b) statistics are **bitwise identical** to the batch
-//! histogram → NL-means → FDR chain and independent of worker count;
-//! structural corruption quarantines a shard while the graph drains
-//! cleanly; transient faults are retried to identical output.
+//! The contract under test: the convert graph's output is
+//! **byte-identical** to the one-shot `BamConverter` paths for every
+//! registered target format; structural corruption quarantines a shard
+//! while the graph drains cleanly; transient faults are retried to
+//! identical output.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -14,14 +13,8 @@ use ngs_bamx::{Baix, BamxCompression, BamxFile, Region};
 use ngs_converter::{BamConverter, ConvertConfig, TargetFormat};
 use ngs_fault::{FaultPlan, FaultyFile};
 use ngs_formats::record::AlignmentRecord;
-use ngs_pipeline::{
-    AnalyzeOptions, ManualClock, Pipeline, PipelineConfig, ShardInput, StreamAnalyzer,
-    StreamConverter,
-};
+use ngs_pipeline::{ManualClock, Pipeline, PipelineConfig, ShardInput, StreamConverter};
 use ngs_simgen::{Dataset, DatasetSpec};
-use ngs_stats::{
-    build_fdr_input, fdr_curve, nlmeans_sequential, BinnedCounts, CoverageHistogram, NlMeansParams,
-};
 use proptest::prelude::*;
 use tempfile::tempdir;
 
@@ -30,7 +23,7 @@ fn config(workers: usize, batch_size: usize) -> PipelineConfig {
 }
 
 fn pipeline(workers: usize, batch_size: usize) -> Pipeline {
-    Pipeline::with_clock(config(workers, batch_size), Arc::new(ManualClock::new()))
+    Pipeline::new(config(workers, batch_size))
 }
 
 /// Generates a dataset, writes its BAMX + BAIX under `dir`, and returns
@@ -51,7 +44,7 @@ fn make_shard(dir: &Path, n_records: usize, seed: u64) -> (std::path::PathBuf, s
     (bamx, baix)
 }
 
-/// Graph (a), whole file: byte-identical to one-rank
+/// Whole file: byte-identical to one-rank
 /// `BamConverter::convert_bamx` for every registered target format.
 #[test]
 fn streaming_full_file_matches_one_shot_for_every_format() {
@@ -126,26 +119,36 @@ fn streaming_source_honors_the_manifest() {
     }
 }
 
-/// Graph (a), region subset: byte-identical to one-rank
-/// `BamConverter::convert_partial` (same BAIX lookup, same stem).
+/// Region subset: the located index list streamed as one shard is
+/// byte-identical to one-rank `BamConverter::convert_partial` (same
+/// BAIX lookup, same stem).
 #[test]
 fn streaming_region_matches_one_shot_partial_for_every_format() {
     let dir = tempdir().unwrap();
     let (bamx, baix) = make_shard(dir.path(), 900, 23);
     let conv = BamConverter::new(ConvertConfig::with_ranks(1));
-    let probe = BamxFile::open(&bamx).unwrap();
+    let shard = Arc::new(BamxFile::open(&bamx).unwrap());
+    let index = Baix::load(&baix).unwrap();
+    let converter = StreamConverter::with_clock(config(3, 32), Arc::new(ManualClock::new()));
 
     for region_text in ["chr1:1-4000", "chr2:1-100000"] {
-        let region = Region::parse(region_text, probe.header()).unwrap();
+        let region = Region::parse(region_text, shard.header()).unwrap();
+        let ref_id = region.resolve(shard.header()).unwrap();
+        let indices = index.shard_indices(index.locate(ref_id, &region));
+        let stem = format!("input.{}", region.to_string().replace([':', '-'], "_"));
         for format in TargetFormat::ALL {
             let oneshot_dir = dir.path().join(format!("oneshot-{region_text}-{format:?}"));
             let report =
                 conv.convert_partial(&bamx, &baix, &region, format, &oneshot_dir).unwrap();
 
             let stream_dir = dir.path().join(format!("stream-{region_text}-{format:?}"));
-            let run = pipeline(3, 32)
-                .convert_region(&bamx, &baix, &region, format, &stream_dir)
-                .unwrap();
+            let input = ShardInput {
+                name: stem.clone(),
+                bamx: Arc::clone(&shard),
+                indices: Some(indices.clone()),
+            };
+            let run =
+                converter.convert(vec![input], format, &stream_dir, &stem, 0, true).unwrap();
 
             assert_eq!(run.path.file_name(), report.outputs[0].file_name());
             assert_eq!(
@@ -154,74 +157,6 @@ fn streaming_region_matches_one_shot_partial_for_every_format() {
                 "{region_text} as {format:?}"
             );
             assert_eq!(run.records_in, report.records_in());
-        }
-    }
-}
-
-/// Graph (b): bins, denoised signal, and FDR scores bitwise match the
-/// batch chain, for any worker count (the integer reduction makes the
-/// result scheduling-independent).
-#[test]
-fn streaming_analysis_matches_batch_statistics_bitwise() {
-    let dir = tempdir().unwrap();
-    let (bamx, _) = make_shard(dir.path(), 1_200, 37);
-    let options = AnalyzeOptions {
-        bin_size: 50,
-        nlmeans: Some(NlMeansParams { search_radius: 10, half_patch: 3, sigma: 5.0 }),
-        ..Default::default()
-    };
-
-    // Sequential integer reference: the same BinnedCounts accumulation
-    // the workers use, applied in one pass — the streaming result must be
-    // bitwise identical to this for ANY worker count, because the merge
-    // is an exact integer reduction.
-    let shard = BamxFile::open(&bamx).unwrap();
-    let records = shard.read_range(0, shard.len()).unwrap();
-    let mut reference = BinnedCounts::new(shard.header(), options.bin_size);
-    for rec in &records {
-        reference.add_alignment(rec);
-    }
-    let expected = reference.into_histogram();
-    let expected_denoised =
-        nlmeans_sequential(&expected.bins, options.nlmeans.as_ref().unwrap());
-    let expected_fdr = fdr_curve(
-        &build_fdr_input(
-            expected_denoised.clone(),
-            options.fdr_rounds,
-            options.null_model,
-            options.seed,
-        ),
-        &options.fdr_thresholds,
-        1,
-    );
-
-    // Per-record float accumulation (the batch CoverageHistogram path)
-    // agrees to within float-summation noise but not bitwise — the
-    // integer path exists precisely to remove that accumulation-order
-    // dependence.
-    let mut float_hist = CoverageHistogram::new(shard.header(), options.bin_size);
-    for rec in &records {
-        float_hist.add_alignment(rec);
-    }
-
-    for workers in [1, 2, 8] {
-        let run = Pipeline::with_clock(config(workers, 97), Arc::new(ManualClock::new()))
-            .analyze_file(&bamx, options.clone())
-            .unwrap();
-        let same_bits = run.histogram.bins.len() == expected.bins.len()
-            && run
-                .histogram
-                .bins
-                .iter()
-                .zip(&expected.bins)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same_bits, "{workers} workers: bins must be bitwise identical");
-        assert_eq!(run.denoised.as_deref(), Some(expected_denoised.as_slice()));
-        assert_eq!(run.fdr, expected_fdr);
-        assert_eq!(run.records, records.len() as u64);
-        assert!(run.quarantined.is_empty());
-        for (a, b) in run.histogram.bins.iter().zip(&float_hist.bins) {
-            assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "float path agreement");
         }
     }
 }
@@ -276,7 +211,7 @@ fn corrupt_shard_is_quarantined_and_graph_drains() {
     let run = converter
         .convert(
             vec![
-                ShardInput { name: "good".into(), bamx: Arc::clone(&good), indices: None },
+                ShardInput { name: "good".into(), bamx: good, indices: None },
                 ShardInput { name: "bad".into(), bamx: bad, indices: None },
             ],
             TargetFormat::Sam,
@@ -292,21 +227,6 @@ fn corrupt_shard_is_quarantined_and_graph_drains() {
     assert_eq!(run.records_in, good_records, "good shard fully converted");
     assert!(!run.metrics.cancelled, "quarantine is not a cancellation");
     assert!(run.path.exists());
-
-    // Same fault model on graph (b).
-    let bad = corrupt_bgzf_shard(dir.path(), 5);
-    let analyzer = StreamAnalyzer::with_clock(config(2, 32), Arc::new(ManualClock::new()));
-    let run = analyzer
-        .analyze(
-            vec![
-                ShardInput { name: "good".into(), bamx: good, indices: None },
-                ShardInput { name: "bad".into(), bamx: bad, indices: None },
-            ],
-            AnalyzeOptions::default(),
-        )
-        .unwrap();
-    assert_eq!(run.quarantined.len(), 1);
-    assert_eq!(run.records, good_records);
 }
 
 /// A `ReadAt` source that serves pristine bytes until `arm()` is called
@@ -484,17 +404,12 @@ proptest! {
 
         let converter = StreamConverter::with_clock(config(2, 16), Arc::new(ManualClock::new()));
         let _ = converter.convert(
-            vec![ShardInput { name: "fault".into(), bamx: Arc::clone(&shard), indices: None }],
+            vec![ShardInput { name: "fault".into(), bamx: shard, indices: None }],
             TargetFormat::Sam,
             dir.path(),
             "fault",
             0,
             true,
-        );
-        let analyzer = StreamAnalyzer::with_clock(config(2, 16), Arc::new(ManualClock::new()));
-        let _ = analyzer.analyze(
-            vec![ShardInput { name: "fault".into(), bamx: shard, indices: None }],
-            AnalyzeOptions::default(),
         );
     }
 }

@@ -42,8 +42,8 @@
 //!   finishes all queued work, joins the workers, and returns the final
 //!   statistics.
 //!
-//! Entry points: [`QueryEngine`] directly, `Framework::query_engine()`
-//! in `ngs-core`, or the `ngsp query` batch subcommand.
+//! Entry points: [`QueryEngine`] directly, or the `ngsp query` batch
+//! subcommand.
 
 pub mod clock;
 pub mod engine;

@@ -257,8 +257,8 @@ impl CoverageHistogram {
 }
 
 /// Integer-exact binned overlap counts — the order-independent coverage
-/// accumulator behind parallel reduction (`ngs-pipeline`'s analysis
-/// graph).
+/// accumulator for a parallel pass: each worker fills integer partial
+/// bins and one exact [`merge`](BinnedCounts::merge) combines them.
 ///
 /// [`CoverageHistogram::add_alignment`] accumulates fractional
 /// `overlap / bin_size` terms, so the last float bits of a bin depend on

@@ -7,8 +7,10 @@
 //! cargo run --release --example chipseq_peaks
 //! ```
 
-use ngs_repro::core_api::{Framework, FrameworkConfig};
-use ngs_stats::{build_fdr_input, fdr_curve, peaks, NlMeansParams, NullModel};
+use ngs_repro::histogram_from_sam;
+use ngs_stats::{
+    build_fdr_input, fdr_curve, nlmeans_distributed, peaks, NlMeansParams, NullModel,
+};
 use ngs_simgen::{Dataset, DatasetSpec, ReadProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,13 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ds.write_sam(&sam_path)?;
     println!("relocated {moved} reads into {} peak loci", peaks.len());
 
-    let mut config = FrameworkConfig::with_ranks(4);
-    config.bin_size = 25; // the paper's bin width
-    config.nlmeans = NlMeansParams { search_radius: 20, half_patch: 15, sigma: 10.0 };
-    let fw = Framework::new(config);
+    let ranks = 4;
+    let bin_size = 25; // the paper's bin width
+    let nlmeans = NlMeansParams { search_radius: 20, half_patch: 15, sigma: 10.0 };
 
     // 1. Parallel conversion feeding the histogram (SAM → BEDGRAPH).
-    let histogram = fw.histogram_from_sam(&sam_path)?;
+    let histogram = histogram_from_sam(&sam_path, out_root.join("bedgraph"), bin_size, ranks)?;
     println!(
         "histogram: {} bins of {} bp, mean coverage {:.2}",
         histogram.len(),
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Parallel NL-means denoising.
-    let denoised = fw.denoise(&histogram);
+    let denoised = nlmeans_distributed(&histogram.bins, &nlmeans, ranks).0;
     let before_var = variance(&histogram.bins);
     let after_var = variance(&denoised);
     println!("denoising variance: {before_var:.3} -> {after_var:.3}");
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds = 20;
     let input = build_fdr_input(denoised.clone(), rounds, NullModel::Poisson, 42);
     let thresholds: Vec<f64> = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-    let curve = fdr_curve(&input, &thresholds, 4);
+    let curve = fdr_curve(&input, &thresholds, ranks);
     println!("FDR curve (threshold -> estimated FDR):");
     let mut chosen = None;
     for (t, fdr) in &curve {

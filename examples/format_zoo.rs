@@ -5,7 +5,7 @@
 //! cargo run --release --example format_zoo
 //! ```
 
-use ngs_repro::core_api::{Framework, FrameworkConfig, TargetFormat};
+use ngs_converter::{ConvertConfig, SamConverter, TargetFormat};
 use ngs_simgen::{Dataset, DatasetSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,10 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("input: {} ({} KiB of SAM)\n", sam_path.display(), input_size / 1024);
     println!("{:<10}{:>10}{:>14}{:>12}", "target", "records", "total bytes", "vs input");
 
-    let fw = Framework::new(FrameworkConfig::with_ranks(2));
+    let converter = SamConverter::new(ConvertConfig::with_ranks(2));
     for target in TargetFormat::ALL {
         let out_dir = out_root.join(target.extension());
-        let report = fw.convert_sam(&sam_path, target, &out_dir)?;
+        let report = converter.convert_file(&sam_path, target, &out_dir)?;
         let bytes = report.bytes_out();
         println!(
             "{:<10}{:>10}{:>14}{:>11.0}%",

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ngs_repro::core_api::{Framework, FrameworkConfig, TargetFormat};
+use ngs_converter::{ConvertConfig, SamConverter, TargetFormat};
 use ngs_simgen::{Dataset, DatasetSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,8 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generated {} records ({} KiB of SAM) at {}", spec.n_records, sam_bytes / 1024, sam_path.display());
 
     // 2. Parallel conversion: SAM → BED with 4 ranks.
-    let fw = Framework::new(FrameworkConfig::with_ranks(4));
-    let report = fw.convert_sam(&sam_path, TargetFormat::Bed, out_root.join("bed"))?;
+    let converter = SamConverter::new(ConvertConfig::with_ranks(4));
+    let report = converter.convert_file(&sam_path, TargetFormat::Bed, out_root.join("bed"))?;
 
     println!(
         "converted {} of {} records into {} part files in {:?}",

@@ -7,8 +7,7 @@
 //! ```
 
 use ngs_bamx::{Baix, BamxFile, BinnedIndex, Region};
-use ngs_repro::core_api::{ConvertConfig, TargetFormat};
-use ngs_converter::BamConverter;
+use ngs_converter::{BamConverter, ConvertConfig, TargetFormat};
 use ngs_simgen::{Dataset, DatasetSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

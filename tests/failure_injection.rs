@@ -3,7 +3,7 @@
 
 use std::io::Read;
 
-use ngs_converter::{ConvertConfig, MemSource, SamConverter, TargetFormat};
+use ngs_converter::{BamConverter, ConvertConfig, MemSource, SamConverter, TargetFormat};
 use ngs_simgen::{Dataset, DatasetSpec};
 use tempfile::tempdir;
 
@@ -188,7 +188,7 @@ fn indices_reject_garbage_files() {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: corrupted inputs through the framework facade
+// End-to-end: corrupted inputs through the converters
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -198,12 +198,18 @@ fn facade_fails_cleanly_on_binary_garbage() {
     // A "SAM" file of random bytes (not even valid lines).
     let noise: Vec<u8> = (0..10_000u32).map(|i| (i.wrapping_mul(2654435761) >> 9) as u8).collect();
     std::fs::write(&bad_sam, &noise).unwrap();
-    let fw = ngs_core::Framework::new(ngs_core::FrameworkConfig::with_ranks(2));
-    assert!(fw.convert_sam(&bad_sam, TargetFormat::Bed, dir.path().join("o")).is_err());
+    let config = ConvertConfig::with_ranks(2);
+    let sam = SamConverter::new(config.clone());
+    assert!(sam.convert_file(&bad_sam, TargetFormat::Bed, dir.path().join("o")).is_err());
 
     let bad_bam = dir.path().join("bad.bam");
     std::fs::write(&bad_bam, &noise).unwrap();
-    assert!(fw.convert_bam(&bad_bam, TargetFormat::Sam, dir.path().join("o2")).is_err());
+    let bam = BamConverter::new(config);
+    let out = dir.path().join("o2");
+    let converted = bam
+        .preprocess(&bad_bam, out.join("bamx"))
+        .and_then(|prep| bam.convert_bamx(&prep.bamx_path, TargetFormat::Sam, &out));
+    assert!(converted.is_err());
 }
 
 #[test]

@@ -1,16 +1,35 @@
-//! End-to-end pipeline integration: framework facade, statistics over
-//! converter output, and partial conversion correctness against a
-//! brute-force reference.
+//! End-to-end integration over the crates: statistics over converter
+//! output, the parallel kernels against the sequential ones, and
+//! partial conversion correctness against a brute-force reference.
 
-use ngs_core::{Framework, FrameworkConfig, NlMeansParams, NullModel, TargetFormat};
+use std::path::Path;
+
+use ngs_bamx::{BamxFile, Region};
+use ngs_converter::{BamConverter, ConvertConfig, ConvertReport, TargetFormat};
+use ngs_repro::histogram_from_sam;
 use ngs_simgen::{Dataset, DatasetSpec};
-use ngs_stats::{fdr_fused, nlmeans_sequential, CoverageHistogram};
+use ngs_stats::{
+    fdr_fused, fdr_parallel, nlmeans_distributed, nlmeans_sequential, CoverageHistogram,
+    NlMeansParams, NullModel,
+};
 use tempfile::tempdir;
 
-fn small_framework(ranks: usize) -> Framework {
-    let mut config = FrameworkConfig::with_ranks(ranks);
-    config.nlmeans = NlMeansParams { search_radius: 6, half_patch: 2, sigma: 5.0 };
-    Framework::new(config)
+const NLMEANS: NlMeansParams = NlMeansParams { search_radius: 6, half_patch: 2, sigma: 5.0 };
+
+/// Preprocesses `bam` under `out/bamx`, then converts the records of
+/// `region` on `ranks` ranks.
+fn convert_bam_region(
+    bam: &Path,
+    region: &str,
+    target: TargetFormat,
+    out: &Path,
+    ranks: usize,
+) -> ConvertReport {
+    let conv = BamConverter::new(ConvertConfig::with_ranks(ranks));
+    let prep = conv.preprocess(bam, out.join("bamx")).unwrap();
+    let header = BamxFile::open(&prep.bamx_path).unwrap().header().clone();
+    let region = Region::parse(region, &header).unwrap();
+    conv.convert_partial(&prep.bamx_path, &prep.baix_path, &region, target, out).unwrap()
 }
 
 #[test]
@@ -20,11 +39,10 @@ fn histogram_pipeline_equals_ground_truth() {
     let sam = dir.path().join("in.sam");
     ds.write_sam(&sam).unwrap();
 
-    let fw = small_framework(3);
-    let via_pipeline = fw.histogram_from_sam(&sam).unwrap();
+    let via_converter = histogram_from_sam(&sam, dir.path().join("bg"), 25, 3).unwrap();
     let truth = CoverageHistogram::from_records(&ds.header(), 25, &ds.records);
-    assert_eq!(via_pipeline.len(), truth.len());
-    let max_err = via_pipeline
+    assert_eq!(via_converter.len(), truth.len());
+    let max_err = via_converter
         .bins
         .iter()
         .zip(&truth.bins)
@@ -40,17 +58,16 @@ fn denoise_and_fdr_through_facade_match_kernels() {
     let sam = dir.path().join("in.sam");
     ds.write_sam(&sam).unwrap();
 
-    let fw = small_framework(4);
-    let hist = fw.histogram_from_sam(&sam).unwrap();
+    let hist = histogram_from_sam(&sam, dir.path().join("bg"), 25, 4).unwrap();
 
-    let facade = fw.denoise(&hist);
-    let kernel = nlmeans_sequential(&hist.bins, &fw.config.nlmeans);
-    assert_eq!(facade, kernel);
+    let parallel = nlmeans_distributed(&hist.bins, &NLMEANS, 4).0;
+    let kernel = nlmeans_sequential(&hist.bins, &NLMEANS);
+    assert_eq!(parallel, kernel);
 
-    let input = ngs_stats::build_fdr_input(facade.clone(), 6, NullModel::Poisson, 11);
-    let via_facade = fw.fdr_with_input(&input, 2.0);
+    let input = ngs_stats::build_fdr_input(parallel.clone(), 6, NullModel::Poisson, 11);
+    let via_parallel = fdr_parallel(&input, 2.0, 4).0;
     let via_kernel = fdr_fused(&input, 2.0);
-    assert_eq!(via_facade.to_bits(), via_kernel.to_bits());
+    assert_eq!(via_parallel.to_bits(), via_kernel.to_bits());
 }
 
 #[test]
@@ -64,13 +81,11 @@ fn partial_conversion_matches_bruteforce_filter() {
     let bam = dir.path().join("in.bam");
     ds.write_bam(&bam).unwrap();
 
-    let fw = small_framework(4);
     let chr1_len = ds.header().references[0].length as i64;
     let (lo, hi) = (chr1_len / 5, chr1_len / 2);
     let region = format!("chr1:{}-{}", lo + 1, hi);
-    let (_prep, report) = fw
-        .convert_bam_partial(&bam, &region, TargetFormat::Bed, dir.path().join("out"))
-        .unwrap();
+    let report =
+        convert_bam_region(&bam, &region, TargetFormat::Bed, &dir.path().join("out"), 4);
 
     let expected: u64 = ds
         .records
@@ -104,10 +119,8 @@ fn whole_chromosome_partial_equals_chromosome_filter() {
     let bam = dir.path().join("in.bam");
     ds.write_bam(&bam).unwrap();
 
-    let fw = small_framework(2);
-    let (_, report) = fw
-        .convert_bam_partial(&bam, "chr2", TargetFormat::Json, dir.path().join("out"))
-        .unwrap();
+    let report =
+        convert_bam_region(&bam, "chr2", TargetFormat::Json, &dir.path().join("out"), 2);
     let expected =
         ds.records.iter().filter(|r| r.rname == b"chr2" && !r.is_unmapped()).count() as u64;
     assert_eq!(report.records_in(), expected);
@@ -124,8 +137,10 @@ fn facade_bam_roundtrip_preserves_records() {
     let bam = dir.path().join("in.bam");
     ds.write_bam(&bam).unwrap();
 
-    let fw = small_framework(3);
-    let (prep, report) = fw.convert_bam(&bam, TargetFormat::Sam, dir.path().join("out")).unwrap();
+    let out = dir.path().join("out");
+    let conv = BamConverter::new(ConvertConfig::with_ranks(3));
+    let prep = conv.preprocess(&bam, out.join("bamx")).unwrap();
+    let report = conv.convert_bamx(&prep.bamx_path, TargetFormat::Sam, &out).unwrap();
     assert_eq!(prep.records, 400);
 
     let mut outputs = report.outputs.clone();
