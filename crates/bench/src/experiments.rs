@@ -911,9 +911,16 @@ pub fn fault_bench(cfg: &ExperimentConfig) -> Result<String> {
 /// `BamConverter::convert_bamx` call is timed with the global registry
 /// enabled and disabled (`ngs_obs::set_enabled`) in one process — no
 /// rebuild — over a BGZF-compressed shard so the codec's per-block
-/// counters, the hottest instrumented path, sit on the measured path. Relaxed-atomic handles
-/// are expected to stay under a 5% overhead budget; the JSON records the
-/// measured percentage and a `within_budget` verdict. Writes
+/// counters, the hottest instrumented path, sit on the measured path.
+///
+/// The estimator is paired: [`OBS_PAIRS`] back-to-back
+/// enabled/disabled calls (which mode goes first alternates pair by
+/// pair), each pair's relative difference taken on its own, and the
+/// median of those differences reported with their interquartile range.
+/// Drift and scheduling noise land on both halves of a pair and cancel;
+/// a minimum of a few calls (the old best-of-5) does not. Relaxed-atomic
+/// handles are expected to stay under a 5% overhead budget; the JSON
+/// records the median, its spread and a `within_budget` verdict. Writes
 /// `BENCH_obs.json` into the working directory and returns a rendered
 /// table.
 pub fn obs_bench(cfg: &ExperimentConfig) -> Result<String> {
@@ -928,79 +935,92 @@ pub fn obs_bench(cfg: &ExperimentConfig) -> Result<String> {
     let out_root = cfg.cache.scratch("obs-out")?;
 
     let converter = BamConverter::new(ConvertConfig::with_ranks(4));
-    let one_run = |tag: &str| -> Result<Duration> {
-        let dir = out_root.join(tag);
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir)?;
-        }
+    // Each mode rewrites its own directory's part files in place.
+    let one_run = |enabled: bool| -> Result<f64> {
+        ngs_obs::set_enabled(enabled);
+        let dir = out_root.join(if enabled { "enabled" } else { "disabled" });
         let t = Instant::now();
         std::hint::black_box(converter.convert_bamx(&prep.bamx_path, TARGET, &dir)?);
-        Ok(t.elapsed())
+        Ok(t.elapsed().as_secs_f64())
     };
 
-    // Warm the page cache and first-touch registry registration so
-    // neither timed mode pays one-time costs.
-    ngs_obs::set_enabled(true);
-    one_run("warmup")?;
+    // Warm the page cache, both output directories and first-touch
+    // registry registration so neither timed mode pays one-time costs.
+    one_run(true)?;
+    one_run(false)?;
 
-    // Interleaved best-of: alternate disabled/enabled runs so slow drift
-    // (thermal, cache state) lands on both modes rather than whichever
-    // happened to run second. The per-run overhead itself is a handful
-    // of relaxed atomic adds, far below host timing noise.
-    let repeats = cfg.repeats.max(5);
     let inflated_before = ngs_obs::global().counter("bgzf.blocks_inflated").get();
-    let (mut disabled, mut enabled) = (Duration::MAX, Duration::MAX);
-    for rep in 0..repeats {
-        ngs_obs::set_enabled(false);
-        disabled = disabled.min(one_run(&format!("disabled-{rep}"))?);
-        ngs_obs::set_enabled(true);
-        enabled = enabled.min(one_run(&format!("enabled-{rep}"))?);
+    let (mut disabled, mut enabled, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..OBS_PAIRS {
+        let (d, e) = if pair % 2 == 0 {
+            let d = one_run(false)?;
+            (d, one_run(true)?)
+        } else {
+            let e = one_run(true)?;
+            (one_run(false)?, e)
+        };
+        disabled.push(d);
+        enabled.push(e);
+        overhead.push((e - d) / d.max(1e-12) * 100.0);
     }
+    ngs_obs::set_enabled(true);
     let inflated_delta = ngs_obs::global().counter("bgzf.blocks_inflated").get() - inflated_before;
 
-    let overhead_percent = (enabled.as_secs_f64() - disabled.as_secs_f64())
-        / disabled.as_secs_f64().max(1e-12)
-        * 100.0;
+    let [q1, overhead_percent, q3] = quartiles(&mut overhead);
+    let [_, disabled_s, _] = quartiles(&mut disabled);
+    let [_, enabled_s, _] = quartiles(&mut enabled);
     let within_budget = overhead_percent <= BUDGET_PERCENT;
     let snap = ngs_obs::global().snapshot();
     let published = snap.counters.len() + snap.gauges.len() + snap.histograms.len();
 
-    let disabled_rps = records as f64 / disabled.as_secs_f64().max(1e-12);
-    let enabled_rps = records as f64 / enabled.as_secs_f64().max(1e-12);
+    let disabled_rps = records as f64 / disabled_s.max(1e-12);
+    let enabled_rps = records as f64 / enabled_s.max(1e-12);
     let mut table = String::from("Observability overhead (ngs-obs) on the one-shot BAMX converter\n");
     table.push_str(&format!(
-        "{records} records, BGZF-compressed shard, BED target, interleaved best-of-{repeats}\n"
+        "{records} records, BGZF-compressed shard, BED target, {OBS_PAIRS} alternating \
+         enabled/disabled pairs\n"
     ));
     table.push_str(&format!(
-        "  instrumentation disabled: {disabled:>8.2?}  ({disabled_rps:.0} rec/s)\n"
+        "  instrumentation disabled: {:>8.2?} median  ({disabled_rps:.0} rec/s)\n",
+        Duration::from_secs_f64(disabled_s)
     ));
     table.push_str(&format!(
-        "  instrumentation enabled:  {enabled:>8.2?}  ({enabled_rps:.0} rec/s)\n"
+        "  instrumentation enabled:  {:>8.2?} median  ({enabled_rps:.0} rec/s)\n",
+        Duration::from_secs_f64(enabled_s)
     ));
     table.push_str(&format!(
-        "  overhead: {overhead_percent:.2}% (budget {BUDGET_PERCENT:.0}%) — {}\n",
+        "  overhead: {overhead_percent:.2}% median of per-pair differences, IQR \
+         [{q1:.2}%, {q3:.2}%] (budget {BUDGET_PERCENT:.0}%) — {}\n",
         if within_budget { "within budget" } else { "OVER BUDGET" }
     ));
     table.push_str(&format!(
-        "  enabled run inflated {inflated_delta} BGZF blocks; global registry holds \
+        "  enabled runs inflated {inflated_delta} BGZF blocks; global registry holds \
          {published} metrics\n"
     ));
 
     let json = format!(
         "{}\"records\": {records},\n  \
-         \"target\": \"bed\",\n  \"repeats\": {},\n  \
-         \"disabled_seconds\": {:.6},\n  \"enabled_seconds\": {:.6},\n  \
+         \"target\": \"bed\",\n  \"repeats\": {OBS_PAIRS},\n  \
+         \"disabled_seconds\": {disabled_s:.6},\n  \"enabled_seconds\": {enabled_s:.6},\n  \
          \"overhead_percent\": {overhead_percent:.3},\n  \
+         \"overhead_q1_percent\": {q1:.3},\n  \"overhead_q3_percent\": {q3:.3},\n  \
          \"budget_percent\": {BUDGET_PERCENT:.1},\n  \
          \"within_budget\": {within_budget},\n  \
          \"bgzf_blocks_inflated\": {inflated_delta},\n  \
          \"registry_metrics\": {published}\n}}\n",
         json_head(cfg, "obs_overhead"),
-        repeats,
-        disabled.as_secs_f64(),
-        enabled.as_secs_f64(),
     );
     Drill { table, json }.publish("BENCH_obs.json")
+}
+
+/// Enabled/disabled call pairs behind `BENCH_obs.json`'s median.
+const OBS_PAIRS: usize = 101;
+
+/// The lower quartile, median and upper quartile of `xs` (nearest rank).
+fn quartiles(xs: &mut [f64]) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: usize| xs[(xs.len() - 1) * q / 4];
+    [at(1), at(2), at(3)]
 }
 
 // ---------------------------------------------------------------------------

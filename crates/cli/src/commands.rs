@@ -4,6 +4,7 @@ use std::io::{BufReader, Write};
 use std::path::Path;
 
 use ngs_bamx::Region;
+use ngs_converter::runtime::{RankOutput, SINGLE_FILE_BUFFER};
 use ngs_converter::{
     BamConverter, ConvertConfig, ConvertReport, SamConverter, SamxConverter, TargetFormat,
 };
@@ -302,23 +303,18 @@ fn collate_run(args: &Args, workload: Workload) -> CmdResult {
     config.pipeline.batch_size = args.get_or("batch", 256usize)?;
     let collator = Collator::new(config);
 
+    let file = RankOutput::replace(out, SINGLE_FILE_BUFFER)?;
     let run = if out.ends_with(".bam") {
-        let mut w = ngs_formats::bam::BamWriter::new(
-            std::io::BufWriter::new(std::fs::File::create(out)?),
-            header.clone(),
-        )?;
+        let mut w = ngs_formats::bam::BamWriter::new(file, header.clone())?;
         let run =
             collator.run_records(&header, records, workload, &mut |r| w.write_record(&r))?;
-        w.finish()?;
+        w.finish()?.finish()?;
         run
     } else {
-        let mut w = ngs_formats::sam::SamWriter::new(
-            std::io::BufWriter::new(std::fs::File::create(out)?),
-            &header,
-        )?;
+        let mut w = ngs_formats::sam::SamWriter::new(file, &header)?;
         let run =
             collator.run_records(&header, records, workload, &mut |r| w.write_record(&r))?;
-        w.finish()?;
+        w.finish()?.finish()?;
         run
     };
     if spill_budget > 0 && spill_dir_flag.is_none() {
@@ -706,7 +702,14 @@ pub fn query_cmd(args: &Args) -> CmdResult {
         };
         let kind = if let Some(rest) = format.strip_prefix("coverage") {
             let bin_size = match rest.strip_prefix(':') {
-                Some(b) => b.parse().map_err(|_| err(format!("line {line_no}: bad bin size {b:?}")))?,
+                Some(b) => match b.parse() {
+                    Ok(0) | Err(_) => {
+                        return Err(err(format!(
+                            "line {line_no}: bad bin size {b:?} (a positive integer)"
+                        )))
+                    }
+                    Ok(n) => n,
+                },
                 None if rest.is_empty() => 25,
                 None => return Err(err(format!("line {line_no}: unknown format {format:?}"))),
             };

@@ -85,6 +85,35 @@ fn sort_merge_roundtrip() {
 }
 
 #[test]
+fn an_out_symlink_to_a_device_is_written_through_and_one_to_a_file_replaced() {
+    use std::os::unix::fs::symlink;
+    let dir = tempdir().unwrap();
+    let d = dir.path();
+    ok(d, &["generate", "--records", "400", "--out", "in.sam"]);
+    ok(d, &["convert", "in.sam", "--to", "sam", "--out", "parts", "--ranks", "2"]);
+    symlink("/dev/null", d.join("null.sam")).unwrap();
+    ok(d, &["sort", "in.sam", "--out", "null.sam", "--by", "coord"]);
+    let text = ok(d, &[
+        "merge",
+        "--out",
+        "null.sam",
+        "parts/in.part0000.sam",
+        "parts/in.part0001.sam",
+    ]);
+    assert!(text.contains("merged 400 records"), "{text}");
+    let meta = std::fs::symlink_metadata(d.join("null.sam")).unwrap();
+    assert!(meta.file_type().is_symlink());
+    assert_eq!(std::fs::read_link(d.join("null.sam")).unwrap(), Path::new("/dev/null"));
+
+    std::fs::write(d.join("victim.sam"), "keep me\n").unwrap();
+    symlink(d.join("victim.sam"), d.join("link.sam")).unwrap();
+    ok(d, &["sort", "in.sam", "--out", "link.sam", "--by", "coord"]);
+    let meta = std::fs::symlink_metadata(d.join("link.sam")).unwrap();
+    assert!(meta.file_type().is_file());
+    assert_eq!(std::fs::read(d.join("victim.sam")).unwrap(), b"keep me\n");
+}
+
+#[test]
 fn stats_chain_histogram_denoise_fdr() {
     let dir = tempdir().unwrap();
     let d = dir.path();
@@ -146,6 +175,25 @@ fn out_of_domain_analysis_inputs_fail_cleanly() {
         assert!(stderr.contains(named), "ngsp {args:?}: {stderr}");
         assert!(!d.join("out").exists(), "ngsp {args:?} wrote output");
     }
+}
+
+#[test]
+fn query_rejects_a_zero_coverage_bin_naming_the_line() {
+    let dir = tempdir().unwrap();
+    let d = dir.path();
+    ok(d, &["generate", "--records", "400", "--out", "in.bam", "--sorted"]);
+    ok(d, &["preprocess", "in.bam", "--out", "shards"]);
+    std::fs::write(d.join("bad.txt"), "in chr1 bed\nin chr1 coverage:0\n").unwrap();
+    let out = ngsp(d, &["query", "shards", "--requests", "bad.txt", "--out", "q"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 2") && stderr.contains("bin size"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    std::fs::write(d.join("good.txt"), "in chr1 coverage:50\nin chr1 bed\n").unwrap();
+    let text = ok(d, &["query", "shards", "--requests", "good.txt", "--out", "q"]);
+    assert!(text.contains("bins x 50 bp"), "{text}");
+    assert!(text.contains("2 completed, 0 failed"), "{text}");
 }
 
 #[test]

@@ -200,7 +200,7 @@ impl Collator {
 
         let regrouper = self.regrouper(&codec, workload.stem())?;
         let (mut merged, metrics) =
-            graph.run("collate-regroup", true, RegroupSink::new(regrouper))?;
+            graph.run("collate-regroup", RegroupSink::new(regrouper))?;
 
         let mut counts = WorkloadCounts::default();
         let mut records_out = 0u64;

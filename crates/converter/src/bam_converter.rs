@@ -8,7 +8,7 @@
 //! inflate runs member-parallel, and its transcode to BAMX batch-parallel,
 //! ahead of the one thread that writes in order (DESIGN.md §16).
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -399,10 +399,7 @@ enum Emitter {
         converter: Box<dyn crate::target::RecordConverter>,
         buf: Vec<u8>,
     },
-    Bam {
-        writer: ngs_formats::bam::BamWriter<std::io::BufWriter<std::fs::File>>,
-        path: PathBuf,
-    },
+    Bam(ngs_formats::bam::BamWriter<RankOutput>),
 }
 
 impl Emitter {
@@ -417,15 +414,8 @@ impl Emitter {
     ) -> Result<Self> {
         Ok(match target {
             TargetFormat::Bam => {
-                let path = out_dir.join(format!("{stem}.part{rank:04}.bam"));
-                let file = std::io::BufWriter::with_capacity(
-                    config.write_buffer,
-                    std::fs::File::create(&path)?,
-                );
-                Emitter::Bam {
-                    writer: ngs_formats::bam::BamWriter::new(file, shard.header().clone())?,
-                    path,
-                }
+                let out = RankOutput::create(out_dir, stem, rank, "bam", config.write_buffer)?;
+                Emitter::Bam(ngs_formats::bam::BamWriter::new(out, shard.header().clone())?)
             }
             other => {
                 let converter = builtin(other).ok_or_else(|| {
@@ -453,7 +443,7 @@ impl Emitter {
     fn columns(&self) -> ColumnSet {
         match self {
             Emitter::Line { converter, .. } => converter.columns(),
-            Emitter::Bam { .. } => ColumnSet::ALL,
+            Emitter::Bam(_) => ColumnSet::ALL,
         }
     }
 
@@ -468,7 +458,7 @@ impl Emitter {
                     buf.clear();
                 }
             }
-            Emitter::Bam { writer, .. } => {
+            Emitter::Bam(writer) => {
                 // BAM output re-encodes an owned record: it is deflate-bound.
                 writer.write_record(&view.to_record())?;
                 stats.records_out += 1;
@@ -478,21 +468,16 @@ impl Emitter {
     }
 
     fn finish(self, stats: &mut RankStats) -> Result<PathBuf> {
-        match self {
+        let out = match self {
             Emitter::Line { mut out, buf, .. } => {
-                if !buf.is_empty() {
-                    out.write_all(&buf)?;
-                }
-                let (path, bytes) = out.finish()?;
-                stats.bytes_out = bytes;
-                Ok(path)
+                out.write_all(&buf)?;
+                out
             }
-            Emitter::Bam { writer, path } => {
-                writer.finish()?;
-                stats.bytes_out = std::fs::metadata(&path)?.len();
-                Ok(path)
-            }
-        }
+            Emitter::Bam(writer) => writer.finish()?,
+        };
+        let (path, bytes) = out.finish()?;
+        stats.bytes_out = bytes;
+        Ok(path)
     }
 }
 

@@ -11,11 +11,13 @@
 //! costs our converter's byte-slice pipeline avoids.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 use ngs_formats::bam::BamReader;
 use ngs_formats::error::{Error, Result};
+
+use crate::runtime::{RankOutput, SINGLE_FILE_BUFFER};
 
 /// A SAM-JDK-style record object: every field an owned `String`.
 #[derive(Debug, Clone, Default)]
@@ -166,7 +168,7 @@ impl PicardLikeConverter {
     /// Returns the record count.
     pub fn sam_to_fastq(&self, input: impl AsRef<Path>, output: impl AsRef<Path>) -> Result<u64> {
         let reader = BufReader::new(File::open(input)?);
-        let mut writer = BufWriter::new(File::create(output)?);
+        let mut writer = RankOutput::replace(output.as_ref(), SINGLE_FILE_BUFFER)?;
         let mut n = 0u64;
         for line in reader.lines() {
             let line = line?;
@@ -179,7 +181,7 @@ impl PicardLikeConverter {
                 writer.write_all(entry.as_bytes())?;
             }
         }
-        writer.flush()?;
+        writer.finish()?;
         Ok(n)
     }
 
@@ -187,7 +189,7 @@ impl PicardLikeConverter {
     /// object model, re-render as text. Returns the record count.
     pub fn bam_to_sam(&self, input: impl AsRef<Path>, output: impl AsRef<Path>) -> Result<u64> {
         let mut reader = BamReader::new(BufReader::new(File::open(input)?))?;
-        let mut writer = BufWriter::new(File::create(output)?);
+        let mut writer = RankOutput::replace(output.as_ref(), SINGLE_FILE_BUFFER)?;
         writer.write_all(reader.header().text.as_bytes())?;
         let mut n = 0u64;
         // Materialize through the string-object model (the architecture
@@ -202,7 +204,7 @@ impl PicardLikeConverter {
             writer.write_all(b"\n")?;
             n += 1;
         }
-        writer.flush()?;
+        writer.finish()?;
         Ok(n)
     }
 }

@@ -2,7 +2,7 @@
 //! scanning, and the per-rank buffered output writer.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -176,7 +176,31 @@ pub fn scan_sam_header<S: ByteSource + ?Sized>(source: &S) -> Result<(SamHeader,
     Ok((header, pos.min(source.len())))
 }
 
-/// Per-rank output file with buffered writes and byte accounting.
+/// Write buffer of the single-file outputs (`ngs-tools`' merges,
+/// `ngsp collate|sort|markdup`, `converter::baseline`): `BufWriter`'s
+/// default, as when they opened their own files.
+pub const SINGLE_FILE_BUFFER: usize = 8 << 10;
+
+/// The one way a conversion creates an output file: a buffered writer
+/// that counts the bytes it is handed.
+///
+/// The constructor *replaces* a regular file at the path instead of
+/// truncating it: the file is unlinked first (`NotFound` is not an
+/// error) and a new one is created with `O_EXCL`. On ext4, truncating a
+/// file that holds data frees its blocks inside `open()` and, through
+/// the replace-via-truncate heuristic, makes `close()` start writeback
+/// of the new data; unlink-then-create pays neither, and the bytes
+/// written are the same (DESIGN.md §19). So a hard link, a read-only
+/// file or a symlink to a regular file at the path is replaced, not
+/// written through: the hard link's other names and the symlink's
+/// target keep their old bytes, and a symlink with no target is
+/// replaced too. Anything else is opened, truncated, as before: a
+/// device or FIFO, or a symlink to one (`--out /dev/null`,
+/// `/dev/stdout`), is written to, and a directory is an error. If a
+/// path is re-created between the unlink and the create, the create
+/// fails rather than follow it. Output files carry no durability
+/// promise (nothing is synced); durable artifacts go through
+/// `ngs_bamx::repo::ShardRepo` instead.
 pub struct RankOutput {
     writer: BufWriter<File>,
     path: PathBuf,
@@ -184,24 +208,56 @@ pub struct RankOutput {
 }
 
 impl RankOutput {
-    /// Creates `dir/stem.partNNNN.ext`.
+    /// Replaces `dir/stem.partNNNN.ext` — the per-rank part file.
     pub fn create(dir: &Path, stem: &str, rank: usize, ext: &str, buffer: usize) -> Result<Self> {
-        let path = dir.join(format!("{stem}.part{rank:04}.{ext}"));
-        let file = File::create(&path)?;
-        Ok(RankOutput { writer: BufWriter::with_capacity(buffer, file), path, bytes: 0 })
+        Self::replace(dir.join(format!("{stem}.part{rank:04}.{ext}")), buffer)
     }
 
-    /// Writes bytes.
-    pub fn write_all(&mut self, data: &[u8]) -> Result<()> {
-        self.writer.write_all(data)?;
-        self.bytes += data.len() as u64;
-        Ok(())
+    /// Replaces the file at `path` (see the type's documentation) with an
+    /// empty one written through a `buffer`-byte buffer.
+    pub fn replace(path: impl Into<PathBuf>, buffer: usize) -> Result<Self> {
+        let path = path.into();
+        // `metadata` follows symlinks: unlink only a regular file, or a
+        // symlink with no target.
+        let regular = match path.metadata() {
+            Ok(meta) => meta.is_file(),
+            Err(e) if e.kind() == ErrorKind::NotFound => true,
+            Err(e) => return Err(e.into()),
+        };
+        let file = if regular {
+            match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+            std::fs::OpenOptions::new().write(true).create_new(true).open(&path)?
+        } else {
+            File::create(&path)?
+        };
+        Ok(RankOutput { writer: BufWriter::with_capacity(buffer, file), path, bytes: 0 })
     }
 
     /// Flushes and returns `(path, bytes_written)`.
     pub fn finish(mut self) -> Result<(PathBuf, u64)> {
         self.writer.flush()?;
         Ok((self.path, self.bytes))
+    }
+}
+
+impl Write for RankOutput {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        let n = self.writer.write(data)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn write_all(&mut self, data: &[u8]) -> std::io::Result<()> {
+        self.writer.write_all(data)?;
+        self.bytes += data.len() as u64;
+        Ok(())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.writer.flush()
     }
 }
 

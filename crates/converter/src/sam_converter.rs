@@ -4,6 +4,7 @@
 //! (Algorithm 1), then parse and convert their slices with no further
 //! communication — Figure 2 of the paper.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -96,17 +97,13 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
 
     enum Sink {
         Line { out: RankOutput, converter: Box<dyn crate::target::RecordConverter> },
-        Bam { writer: BamWriter<std::io::BufWriter<std::fs::File>>, path: PathBuf },
+        Bam(BamWriter<RankOutput>),
     }
 
     let mut sink = match target {
         TargetFormat::Bam => {
-            let path = out_dir.join(format!("{stem}.part{rank:04}.bam"));
-            let file = std::io::BufWriter::with_capacity(
-                config.write_buffer,
-                std::fs::File::create(&path)?,
-            );
-            Sink::Bam { writer: BamWriter::new(file, header.clone())?, path }
+            let out = RankOutput::create(out_dir, stem, rank, "bam", config.write_buffer)?;
+            Sink::Bam(BamWriter::new(out, header.clone())?)
         }
         other => {
             let converter = builtin(other).ok_or_else(|| {
@@ -135,7 +132,7 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
                     out_buf.clear();
                 }
             }
-            Sink::Bam { writer, .. } => {
+            Sink::Bam(writer) => {
                 writer.write_record(record)?;
                 stats.records_out += 1;
             }
@@ -144,21 +141,15 @@ pub(crate) fn convert_sam_range<S: ByteSource + ?Sized>(
     })?;
     stats.bytes_in = range.1 - range.0;
 
-    let path = match sink {
+    let out = match sink {
         Sink::Line { mut out, .. } => {
-            if !out_buf.is_empty() {
-                out.write_all(&out_buf)?;
-            }
-            let (path, bytes) = out.finish()?;
-            stats.bytes_out = bytes;
-            path
+            out.write_all(&out_buf)?;
+            out
         }
-        Sink::Bam { writer, path } => {
-            writer.finish()?;
-            stats.bytes_out = std::fs::metadata(&path)?.len();
-            path
-        }
+        Sink::Bam(writer) => writer.finish()?,
     };
+    let (path, bytes) = out.finish()?;
+    stats.bytes_out = bytes;
     stats.elapsed = start_time.elapsed();
     Ok((stats, path))
 }

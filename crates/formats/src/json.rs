@@ -12,6 +12,8 @@ pub fn write_alignment(rec: &AlignmentRecord, out: &mut Vec<u8>) -> bool {
 }
 
 /// [`write_alignment`] for any [`Alignment`]: the one JSON formatter.
+/// Each `,"key":` is one literal append; strings are copied in clean
+/// runs and escaped only where a byte needs it.
 pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
     fn star_or(bytes: &[u8]) -> &[u8] {
         if bytes.is_empty() {
@@ -20,52 +22,39 @@ pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
             bytes
         }
     }
-    out.push(b'{');
-    write_key(out, "qname");
+    out.extend_from_slice(b"{\"qname\":");
     write_string(out, star_or(a.qname()));
-    out.push(b',');
-    write_key(out, "flag");
+    out.extend_from_slice(b",\"flag\":");
     write_int(out, i64::from(a.flag().0));
-    out.push(b',');
-    write_key(out, "rname");
+    out.extend_from_slice(b",\"rname\":");
     write_string(out, star_or(a.rname()));
-    out.push(b',');
-    write_key(out, "pos");
+    out.extend_from_slice(b",\"pos\":");
     write_int(out, a.pos());
-    out.push(b',');
-    write_key(out, "mapq");
+    out.extend_from_slice(b",\"mapq\":");
     write_int(out, i64::from(a.mapq()));
-    out.push(b',');
-    write_key(out, "cigar");
+    out.extend_from_slice(b",\"cigar\":");
     write_string_with(out, |out| a.write_cigar(out));
-    out.push(b',');
-    write_key(out, "rnext");
+    out.extend_from_slice(b",\"rnext\":");
     write_string(out, star_or(a.rnext()));
-    out.push(b',');
-    write_key(out, "pnext");
+    out.extend_from_slice(b",\"pnext\":");
     write_int(out, a.pnext());
-    out.push(b',');
-    write_key(out, "tlen");
+    out.extend_from_slice(b",\"tlen\":");
     write_int(out, a.tlen());
-    out.push(b',');
-    write_key(out, "seq");
+    out.extend_from_slice(b",\"seq\":");
     if a.seq_len() == 0 {
-        write_string(out, b"*");
+        out.extend_from_slice(b"\"*\"");
     } else {
         write_string_with(out, |out| a.push_seq(out));
     }
-    out.push(b',');
-    write_key(out, "qual");
+    out.extend_from_slice(b",\"qual\":");
     if a.qual().is_empty() {
-        write_string(out, b"*");
+        out.extend_from_slice(b"\"*\"");
     } else {
         write_string_with(out, |out| a.push_qual33(false, out));
     }
     let mut tags = a.tags().peekable();
     if tags.peek().is_some() {
-        out.push(b',');
-        write_key(out, "tags");
-        out.push(b'{');
+        out.extend_from_slice(b",\"tags\":{");
         for (i, (key, value)) in tags.enumerate() {
             if i > 0 {
                 out.push(b',');
@@ -80,25 +69,16 @@ pub fn emit(a: &impl Alignment, out: &mut Vec<u8>) -> bool {
     true
 }
 
-fn write_key(out: &mut Vec<u8>, key: &str) {
-    out.push(b'"');
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(b"\":");
-}
-
 fn write_int(out: &mut Vec<u8>, v: i64) {
     let mut buf = crate::cigar::itoa_buffer();
     out.extend_from_slice(crate::cigar::write_i64(&mut buf, v));
 }
 
-fn write_f64(out: &mut Vec<u8>, v: f64) {
-    if v.is_finite() {
-        out.extend_from_slice(format!("{v}").as_bytes());
-        // Ensure valid JSON number tokens: `1` is fine, but Rust never
-        // prints `1.` or `inf` for finite values, so nothing to fix.
-    } else {
-        out.extend_from_slice(b"null");
-    }
+/// Appends `v`'s `Display` form without an intermediate `String`.
+fn write_display(out: &mut Vec<u8>, v: impl std::fmt::Display) {
+    use std::io::Write;
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{v}");
 }
 
 /// Writes a JSON string literal with escaping for control characters,
@@ -106,7 +86,11 @@ fn write_f64(out: &mut Vec<u8>, v: f64) {
 /// input as Latin-1 — alignment data is ASCII in practice).
 pub fn write_string(out: &mut Vec<u8>, bytes: &[u8]) {
     out.push(b'"');
-    escape_into(out, bytes);
+    if is_clean(bytes) {
+        out.extend_from_slice(bytes);
+    } else {
+        escape_runs(out, bytes);
+    }
     out.push(b'"');
 }
 
@@ -116,32 +100,51 @@ fn write_string_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
     out.push(b'"');
     let start = out.len();
     fill(out);
-    if out[start..].iter().any(|&b| needs_escape(b)) {
+    if !is_clean(&out[start..]) {
         let raw = out.split_off(start);
-        escape_into(out, &raw);
+        escape_runs(out, &raw);
     }
     out.push(b'"');
 }
 
 fn needs_escape(b: u8) -> bool {
-    matches!(b, b'"' | b'\\' | 0x00..=0x1F | 0x7F..=0xFF)
+    (b == b'"') | (b == b'\\') | !(0x20..0x7F).contains(&b)
 }
 
-fn escape_into(out: &mut Vec<u8>, bytes: &[u8]) {
-    for &b in bytes {
-        match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            0x08 => out.extend_from_slice(b"\\b"),
-            0x0C => out.extend_from_slice(b"\\f"),
-            0x00..=0x1F | 0x7F..=0xFF => {
-                out.extend_from_slice(format!("\\u{:04x}", b as u32).as_bytes())
-            }
-            _ => out.push(b),
-        }
+/// True when no byte of `bytes` needs escaping. A branch-free fold, so
+/// the common all-clean scan runs whole words at a time.
+fn is_clean(bytes: &[u8]) -> bool {
+    !bytes.iter().fold(false, |dirty, &b| dirty | needs_escape(b))
+}
+
+/// Appends `bytes` escaped: each clean run is copied whole.
+fn escape_runs(out: &mut Vec<u8>, mut bytes: &[u8]) {
+    while let Some(i) = bytes.iter().position(|&b| needs_escape(b)) {
+        out.extend_from_slice(&bytes[..i]);
+        escape_byte(out, bytes[i]);
+        bytes = &bytes[i + 1..];
+    }
+    out.extend_from_slice(bytes);
+}
+
+fn escape_byte(out: &mut Vec<u8>, b: u8) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    match b {
+        b'"' => out.extend_from_slice(b"\\\""),
+        b'\\' => out.extend_from_slice(b"\\\\"),
+        b'\n' => out.extend_from_slice(b"\\n"),
+        b'\r' => out.extend_from_slice(b"\\r"),
+        b'\t' => out.extend_from_slice(b"\\t"),
+        0x08 => out.extend_from_slice(b"\\b"),
+        0x0C => out.extend_from_slice(b"\\f"),
+        _ => out.extend_from_slice(&[
+            b'\\',
+            b'u',
+            b'0',
+            b'0',
+            HEX[usize::from(b >> 4)],
+            HEX[usize::from(b & 0xF)],
+        ]),
     }
 }
 
@@ -149,28 +152,31 @@ fn write_tag_value(out: &mut Vec<u8>, v: &TagValueRef<'_>) {
     match v {
         TagValueRef::Char(c) => write_string(out, &[*c]),
         TagValueRef::Int(i) => write_int(out, *i),
-        TagValueRef::Float(f) => write_f64(out, *f as f64),
+        // Rust never prints `1.` or `inf` for a finite value, so the
+        // `Display` form is a JSON number.
+        TagValueRef::Float(f) if f.is_finite() => write_display(out, f64::from(*f)),
+        TagValueRef::Float(_) => out.extend_from_slice(b"null"),
         TagValueRef::String(s) | TagValueRef::Hex(s) => write_string(out, s),
         TagValueRef::Array(a) => {
             out.push(b'[');
             macro_rules! write_nums {
-                ($v:expr) => {
-                    for (i, item) in $v.iter().enumerate() {
+                ($v:expr, $item:ident => $write:expr) => {
+                    for (i, &$item) in $v.iter().enumerate() {
                         if i > 0 {
                             out.push(b',');
                         }
-                        out.extend_from_slice(format!("{item}").as_bytes());
+                        $write;
                     }
                 };
             }
             match a.as_ref() {
-                TagArray::I8(v) => write_nums!(v),
-                TagArray::U8(v) => write_nums!(v),
-                TagArray::I16(v) => write_nums!(v),
-                TagArray::U16(v) => write_nums!(v),
-                TagArray::I32(v) => write_nums!(v),
-                TagArray::U32(v) => write_nums!(v),
-                TagArray::F32(v) => write_nums!(v),
+                TagArray::I8(v) => write_nums!(v, x => write_int(out, i64::from(x))),
+                TagArray::U8(v) => write_nums!(v, x => write_int(out, i64::from(x))),
+                TagArray::I16(v) => write_nums!(v, x => write_int(out, i64::from(x))),
+                TagArray::U16(v) => write_nums!(v, x => write_int(out, i64::from(x))),
+                TagArray::I32(v) => write_nums!(v, x => write_int(out, i64::from(x))),
+                TagArray::U32(v) => write_nums!(v, x => write_int(out, i64::from(x))),
+                TagArray::F32(v) => write_nums!(v, x => write_display(out, x)),
             }
             out.push(b']');
         }

@@ -15,6 +15,7 @@
 //! records the quarantine, and continues with the remaining shards while
 //! the graph drains cleanly.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -127,14 +128,9 @@ impl StreamConverter {
 
         let ((path, out_count, bytes_out), metrics) = match target {
             TargetFormat::Bam => {
-                let path = out_dir.join(format!("{stem}.part{rank:04}.bam"));
-                let file = std::io::BufWriter::with_capacity(
-                    self.write_buffer,
-                    std::fs::File::create(&path)?,
-                );
+                let out = RankOutput::create(out_dir, stem, rank, "bam", self.write_buffer)?;
                 let sink = BamSink {
-                    writer: ngs_formats::bam::BamWriter::new(file, header)?,
-                    path,
+                    writer: ngs_formats::bam::BamWriter::new(out, header)?,
                     records_out: 0,
                 };
                 // BAM re-encoding is stateful and sequential; the
@@ -142,7 +138,7 @@ impl StreamConverter {
                 // still overlap.
                 graph
                     .stage("convert", 1, |_| stage_fn(Ok))
-                    .run("format-emit", true, sink)?
+                    .run("format-emit", sink)?
             }
             other => {
                 // Converters are `Send + Sync` with `&self` conversion,
@@ -171,7 +167,7 @@ impl StreamConverter {
                             out_count: Arc::clone(&counter),
                         }) as Box<dyn Stage<AlignmentRecord, u8>>
                     })
-                    .run("format-emit", true, LineSink { out })?
+                    .run("format-emit", LineSink { out })?
             }
         };
 
@@ -337,7 +333,7 @@ impl Sink<u8> for LineSink {
         if batch.items.is_empty() {
             return Ok(());
         }
-        self.out.write_all(&batch.items)
+        Ok(self.out.write_all(&batch.items)?)
     }
 
     fn finish(self) -> Result<(PathBuf, u64, u64)> {
@@ -349,8 +345,7 @@ impl Sink<u8> for LineSink {
 
 /// Ordered BAM re-encoding sink.
 struct BamSink {
-    writer: ngs_formats::bam::BamWriter<std::io::BufWriter<std::fs::File>>,
-    path: PathBuf,
+    writer: ngs_formats::bam::BamWriter<RankOutput>,
     records_out: u64,
 }
 
@@ -366,8 +361,7 @@ impl Sink<AlignmentRecord> for BamSink {
     }
 
     fn finish(self) -> Result<(PathBuf, u64, u64)> {
-        self.writer.finish()?;
-        let bytes = std::fs::metadata(&self.path)?.len();
-        Ok((self.path, self.records_out, bytes))
+        let (path, bytes) = self.writer.finish()?.finish()?;
+        Ok((path, self.records_out, bytes))
     }
 }

@@ -16,8 +16,8 @@
 //!   share one MPMC input channel, so a slow batch never idles the rest
 //!   of the pool.
 //! * **Ordering** — the source stamps batches with a dense sequence
-//!   number; an *ordered* sink reorders by it (bounded by the in-flight
-//!   window), which is what lets parallel converters produce output
+//!   number; the sink reorders by it (bounded by the in-flight window),
+//!   which is what lets parallel converters produce output
 //!   byte-identical to the sequential path.
 //! * **Cancellation** — cooperative via [`CancelToken`]: stages poll the
 //!   token between batches, the runner drains queues so no producer
@@ -138,7 +138,7 @@ impl Cost for ngs_formats::record::AlignmentRecord {
 
 /// A numbered batch of items flowing through a graph. Sequence numbers
 /// are dense (0, 1, 2, …) in source-emission order; 1:1 stages preserve
-/// them so ordered sinks can restore global order.
+/// them so the sink can restore global order.
 #[derive(Debug, Clone)]
 pub struct Batch<T> {
     /// Dense source-assigned sequence number.
@@ -154,21 +154,15 @@ impl<T: Cost> Batch<T> {
     }
 }
 
-/// A transform stage: consumes input batches, pushes zero or more output
-/// batches per call. One instance exists per worker, so implementations
-/// may keep worker-local state (e.g. a partial histogram) and flush it
-/// from [`Stage::finish`] once the input channel closes.
+/// A transform stage: consumes input batches, pushes output batches per
+/// call. One instance exists per worker, so implementations may keep
+/// worker-local state (e.g. reusable buffers).
 ///
-/// Stages feeding an *ordered* sink must be 1:1 — exactly one output
-/// batch per input batch, carrying the input's `seq`.
+/// Stages must be 1:1 — exactly one output batch per input batch,
+/// carrying the input's `seq` — so the sink can restore global order.
 pub trait Stage<I: Send, O: Send>: Send {
     /// Processes one batch, pushing outputs onto `out`.
     fn process(&mut self, batch: Batch<I>, out: &mut Vec<Batch<O>>) -> Result<()>;
-
-    /// Flushes worker-local state after the upstream channel closed.
-    fn finish(&mut self, _out: &mut Vec<Batch<O>>) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// Adapts a 1:1 closure into a boxed [`Stage`].
@@ -195,7 +189,7 @@ pub trait Sink<T: Send> {
     /// What the sink yields once the graph has drained.
     type Output;
 
-    /// Absorbs one batch (in global order when the run is ordered).
+    /// Absorbs one batch, in global order.
     fn absorb(&mut self, batch: Batch<T>) -> Result<()>;
 
     /// Finalizes (flush + close) and yields the output.
@@ -399,14 +393,14 @@ impl<T: Cost + Send + 'static> Graph<T> {
 
     /// Drives `sink` on the calling thread until the graph drains, then
     /// joins every stage thread and returns the sink's output plus the
-    /// run metrics. `ordered` restores global batch order by sequence
-    /// number (requires 1:1 upstream stages).
+    /// run metrics. The sink sees batches in global order: they are
+    /// reordered by sequence number (which needs 1:1 upstream stages).
     ///
     /// Always drains cleanly: on a stage/sink error or a cancel, queued
     /// batches are received and discarded so no producer stays blocked,
     /// all threads are joined, and the first recorded error (if any) is
     /// returned.
-    pub fn run<S>(self, name: &str, ordered: bool, mut sink: S) -> Result<(S::Output, PipelineMetrics)>
+    pub fn run<S>(self, name: &str, mut sink: S) -> Result<(S::Output, PipelineMetrics)>
     where
         S: Sink<T>,
     {
@@ -436,20 +430,15 @@ impl<T: Cost + Send + 'static> Graph<T> {
                 Ok(batch) => {
                     rec.batches_in.fetch_add(1, Ordering::Relaxed);
                     rec.items_in.fetch_add(batch.items.len() as u64, Ordering::Relaxed);
-                    let result = if ordered {
-                        pending.insert(batch.seq, batch);
-                        let mut r = Ok(());
-                        while let Some(b) = pending.remove(&next_seq) {
-                            next_seq += 1;
-                            r = absorb(&mut sink, b);
-                            if r.is_err() {
-                                break;
-                            }
+                    pending.insert(batch.seq, batch);
+                    let mut result = Ok(());
+                    while let Some(b) = pending.remove(&next_seq) {
+                        next_seq += 1;
+                        result = absorb(&mut sink, b);
+                        if result.is_err() {
+                            break;
                         }
-                        r
-                    } else {
-                        absorb(&mut sink, batch)
-                    };
+                    }
                     if let Err(e) = result {
                         Core::fail(&fail, &cancel, e);
                         break;
@@ -570,21 +559,7 @@ fn stage_worker<I: Cost + Send, O: Cost + Send>(
                 }
             }
             Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                out_buf.clear();
-                let r = timed(&clock, &rec.busy_nanos, || stage.finish(&mut out_buf));
-                match r {
-                    Ok(()) => {
-                        for b in out_buf.drain(..) {
-                            if !send_out(b) {
-                                return;
-                            }
-                        }
-                    }
-                    Err(e) => Core::fail(&fail, &cancel, e),
-                }
-                return;
-            }
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -639,7 +614,7 @@ mod tests {
             .stage("double", 4, |_| stage_fn(|b: Batch<u64>| {
                 Ok(Batch { seq: b.seq, items: b.items.iter().map(|x| x * 2).collect() })
             }))
-            .run("collect", true, Collect { got: Vec::new() })
+            .run("collect", Collect { got: Vec::new() })
             .unwrap();
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
         assert!(!metrics.cancelled);
@@ -657,16 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn unordered_run_sees_every_item() {
-        let (mut out, _) = Graph::source(config(3), clock(), "numbers", number_source(500, 7))
-            .stage("id", 3, |_| stage_fn(|b: Batch<u64>| Ok(b)))
-            .run("collect", false, Collect { got: Vec::new() })
-            .unwrap();
-        out.sort_unstable();
-        assert_eq!(out, (0..500).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn peak_working_set_is_bounded_by_window_not_input() {
         // 64k items of 8 bytes each = 512 KiB total; the in-flight
         // window is ≤ (2 channels × bound 2 + workers + reorder) batches
@@ -674,7 +639,7 @@ mod tests {
         let n: u64 = 65_536;
         let (_, metrics) = Graph::source(config(2), clock(), "numbers", number_source(n, 64))
             .stage("id", 2, |_| stage_fn(|b: Batch<u64>| Ok(b)))
-            .run("collect", true, Collect { got: Vec::new() })
+            .run("collect", Collect { got: Vec::new() })
             .unwrap();
         let total = n * 8;
         assert!(metrics.peak_buffered_bytes > 0);
@@ -698,7 +663,7 @@ mod tests {
                     }
                 })
             })
-            .run("collect", true, Collect { got: Vec::new() })
+            .run("collect", Collect { got: Vec::new() })
             .unwrap_err();
         assert!(err.to_string().contains("boom"), "{err}");
     }
@@ -724,7 +689,7 @@ mod tests {
         }
         let err = Graph::source(config(1), clock(), "numbers", number_source(100_000, 8))
             .stage("id", 1, |_| stage_fn(|b: Batch<u64>| Ok(b)))
-            .run("failing", true, FailingSink { n: 0 })
+            .run("failing", FailingSink { n: 0 })
             .unwrap_err();
         assert!(err.to_string().contains("sink full"), "{err}");
     }
@@ -759,41 +724,17 @@ mod tests {
             }
         }
         let (seen, metrics) = graph
-            .run("cancel-after", false, CancelAfter { token, seen: 0 })
+            .run("cancel-after", CancelAfter { token, seen: 0 })
             .unwrap();
         assert!(seen >= 10);
         assert!(metrics.cancelled);
     }
 
     #[test]
-    fn accumulating_stage_flushes_on_finish() {
-        /// Sums items per worker, emitting one total at end-of-stream.
-        struct SumStage {
-            total: u64,
-        }
-        impl Stage<u64, u64> for SumStage {
-            fn process(&mut self, batch: Batch<u64>, _out: &mut Vec<Batch<u64>>) -> Result<()> {
-                self.total += batch.items.iter().sum::<u64>();
-                Ok(())
-            }
-            fn finish(&mut self, out: &mut Vec<Batch<u64>>) -> Result<()> {
-                out.push(Batch { seq: 0, items: vec![self.total] });
-                Ok(())
-            }
-        }
-        let (partials, _) = Graph::source(config(3), clock(), "numbers", number_source(1000, 10))
-            .stage("sum", 3, |_| Box::new(SumStage { total: 0 }) as Box<dyn Stage<u64, u64>>)
-            .run("collect", false, Collect { got: Vec::new() })
-            .unwrap();
-        assert_eq!(partials.iter().sum::<u64>(), (0..1000).sum::<u64>());
-        assert!(partials.len() <= 3, "one partial per worker");
-    }
-
-    #[test]
     fn queue_depth_respects_channel_bound() {
         let (_, metrics) = Graph::source(config(2), clock(), "numbers", number_source(5000, 4))
             .stage("id", 2, |_| stage_fn(|b: Batch<u64>| Ok(b)))
-            .run("collect", true, Collect { got: Vec::new() })
+            .run("collect", Collect { got: Vec::new() })
             .unwrap();
         for s in &metrics.stages {
             assert!(s.max_queue_depth <= 2, "{}: depth {}", s.name, s.max_queue_depth);

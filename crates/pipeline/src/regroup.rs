@@ -4,7 +4,7 @@
 //! tagged with a **pure byte-string key**, buffer under a
 //! [`MemoryGauge`]-audited budget, and leave as one stream in total
 //! `(key, seq)` order, where `seq` is the dense arrival number the
-//! regrouper stamps on every item. Because an *ordered* sink absorbs
+//! regrouper stamps on every item. Because every graph sink absorbs
 //! batches in global source order, `seq` — and therefore the output —
 //! is identical for any worker count, batch size, or spill budget.
 //!
@@ -529,7 +529,7 @@ impl<T> Drop for Regrouped<T> {
 }
 
 /// Terminal pipeline stage feeding a [`Regrouper`]: absorb batches of
-/// [`Keyed`] items in **ordered** global sequence (mandatory — the
+/// [`Keyed`] items in global sequence (the graph's sink order; the
 /// arrival `seq` is part of the output order), finish into the merged
 /// stream.
 pub struct RegroupSink<T: Cost + Send> {

@@ -495,7 +495,7 @@ fn regroup_stage_matches_stable_sort_for_any_budget() {
             )
             .unwrap();
             let (mut merged, _) =
-                graph.run("regroup", true, RegroupSink::new(regrouper)).unwrap();
+                graph.run("regroup", RegroupSink::new(regrouper)).unwrap();
 
             let mut got = Vec::with_capacity(items.len());
             while let Some((key, seq, item)) = merged.next_entry().unwrap() {

@@ -391,8 +391,13 @@ impl QueryEngine {
     /// hot-shard cap returns [`QueryError::Shed`] (both carry a
     /// `retry_after` hint); a draining engine returns
     /// [`QueryError::ShuttingDown`]. Shed and overloaded requests never
-    /// reach the store — the shed-before-decode invariant.
+    /// reach the store — the shed-before-decode invariant. A coverage
+    /// request with a zero bin size is [`QueryError::Invalid`] and is
+    /// never admitted.
     pub fn submit(&self, request: QueryRequest) -> std::result::Result<Ticket, QueryError> {
+        if let QueryKind::Coverage { bin_size: 0 } = request.kind {
+            return Err(QueryError::Invalid("coverage bin size must be positive".into()));
+        }
         let now = self.clock.now();
         let (reply, rx) = bounded(1);
         let job = Job { submitted_at: now, request, reply };

@@ -176,6 +176,10 @@ pub enum QueryError {
     ShuttingDown,
     /// Execution failed (unknown dataset, bad region, I/O, ...).
     Failed(String),
+    /// The request itself is out of domain (a zero coverage bin size);
+    /// rejected at submit, before admission, so it never reaches a
+    /// worker.
+    Invalid(String),
 }
 
 impl QueryError {
@@ -192,7 +196,8 @@ impl QueryError {
 
     /// Whether a client may retry this request as-is (possibly with a
     /// fresh deadline). Load-control outcomes are retryable;
-    /// `Failed` is not (the request or shard is the problem) and
+    /// `Failed` and `Invalid` are not (the request or shard is the
+    /// problem) and
     /// `ShuttingDown` needs a different server, not a retry here.
     pub fn is_retryable(&self) -> bool {
         matches!(self, QueryError::Overloaded { .. } | QueryError::Shed { .. })
@@ -210,6 +215,7 @@ impl std::fmt::Display for QueryError {
             }
             QueryError::ShuttingDown => write!(f, "query engine shutting down"),
             QueryError::Failed(msg) => write!(f, "query failed: {msg}"),
+            QueryError::Invalid(msg) => write!(f, "invalid query: {msg}"),
         }
     }
 }
@@ -240,6 +246,7 @@ mod tests {
         };
         assert!(shed.to_string().contains("expired_in_queue"));
         assert!(QueryError::Failed("boom".into()).to_string().contains("boom"));
+        assert!(QueryError::Invalid("bin".into()).to_string().contains("invalid query: bin"));
     }
 
     #[test]
@@ -254,6 +261,7 @@ mod tests {
         assert_eq!(QueryError::ShuttingDown.retry_after(), None);
         assert!(!QueryError::ShuttingDown.is_retryable());
         assert!(!QueryError::Failed("x".into()).is_retryable());
+        assert!(!QueryError::Invalid("x".into()).is_retryable());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::io::{BufReader, Write};
 use std::path::Path;
 
 use ngs_bgzf::ReadAheadReader;
+use ngs_converter::runtime::{RankOutput, SINGLE_FILE_BUFFER};
 use ngs_formats::bam::{BamReader, BamWriter};
 use ngs_formats::error::{Error, Result};
 
@@ -15,7 +16,7 @@ pub fn cat_sam_parts(parts: &[impl AsRef<Path>], output: impl AsRef<Path>) -> Re
     if parts.is_empty() {
         return Err(Error::InvalidRecord("no parts to merge".into()));
     }
-    let mut out = std::io::BufWriter::new(std::fs::File::create(output)?);
+    let mut out = RankOutput::replace(output.as_ref(), SINGLE_FILE_BUFFER)?;
     let mut n = 0u64;
     for (i, part) in parts.iter().enumerate() {
         let bytes = std::fs::read(part)?;
@@ -33,7 +34,7 @@ pub fn cat_sam_parts(parts: &[impl AsRef<Path>], output: impl AsRef<Path>) -> Re
         }
         out.write_all(&bytes)?;
     }
-    out.flush()?;
+    out.finish()?;
     Ok(n)
 }
 
@@ -53,10 +54,8 @@ pub fn cat_bam_parts(parts: &[impl AsRef<Path>], output: impl AsRef<Path>) -> Re
     let mut reader = open(parts[0].as_ref())?;
     let header = reader.header().clone();
 
-    let mut writer = BamWriter::new(
-        std::io::BufWriter::new(std::fs::File::create(output)?),
-        header.clone(),
-    )?;
+    let out = RankOutput::replace(output.as_ref(), SINGLE_FILE_BUFFER)?;
+    let mut writer = BamWriter::new(out, header.clone())?;
     let mut n = 0u64;
     for (i, part) in parts.iter().enumerate() {
         if i > 0 {
@@ -70,7 +69,7 @@ pub fn cat_bam_parts(parts: &[impl AsRef<Path>], output: impl AsRef<Path>) -> Re
             n += 1;
         }
     }
-    writer.finish()?;
+    writer.finish()?.finish()?;
     Ok(n)
 }
 

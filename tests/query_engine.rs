@@ -8,7 +8,8 @@ use std::sync::Arc;
 use ngs_bamx::Region;
 use ngs_converter::{BamConverter, ConvertConfig, TargetFormat};
 use ngs_query::{
-    EngineConfig, ManualClock, QueryClass, QueryEngine, QueryKind, QueryOutcome, QueryRequest,
+    EngineConfig, ManualClock, QueryClass, QueryEngine, QueryError, QueryKind, QueryOutcome,
+    QueryRequest,
 };
 use ngs_simgen::{Dataset, DatasetSpec};
 use tempfile::tempdir;
@@ -352,4 +353,42 @@ fn engine_coverage_and_deadlines_are_deterministic() {
     let stats = engine.drain();
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.deadline_missed, 0);
+}
+
+/// A zero coverage bin size is refused at `submit` with a typed error,
+/// so no library caller can panic a worker, and the engine keeps serving:
+/// a valid request submitted after it still completes.
+#[test]
+fn engine_rejects_zero_coverage_bin_at_submit_and_keeps_serving() {
+    let ds = Dataset::generate(&DatasetSpec {
+        n_records: 400,
+        coordinate_sorted: true,
+        ..Default::default()
+    });
+    let dir = tempdir().unwrap();
+    let bam_path = dir.path().join("input.bam");
+    ds.write_bam(&bam_path).unwrap();
+    let shard_dir = dir.path().join("shards");
+    BamConverter::new(ConvertConfig::with_ranks(1)).preprocess(&bam_path, &shard_dir).unwrap();
+    let engine = QueryEngine::new(&shard_dir, EngineConfig { workers: 1, ..Default::default() })
+        .unwrap();
+    let request = |bin_size| QueryRequest {
+        dataset: "input".into(),
+        region: "chr1".into(),
+        kind: QueryKind::Coverage { bin_size },
+        deadline: None,
+        class: QueryClass::Interactive,
+    };
+
+    match engine.submit(request(0)) {
+        Err(QueryError::Invalid(msg)) => assert!(msg.contains("bin size"), "{msg}"),
+        Err(e) => panic!("expected Invalid, got {e}"),
+        Ok(_) => panic!("a zero bin size was admitted"),
+    }
+    let outcome = engine.submit(request(50)).unwrap().wait().outcome;
+    let Ok(QueryOutcome::Coverage { bin_size, records, .. }) = outcome else {
+        panic!("expected a coverage outcome, got {outcome:?}");
+    };
+    assert_eq!(bin_size, 50);
+    assert!(records > 0);
 }
